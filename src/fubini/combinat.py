@@ -95,12 +95,24 @@ def lah(n: int, k: int) -> int:
     return val + hooks.shift("lah", (n, k))
 
 
-@lru_cache(maxsize=None)
+# Rows of the degenerate falling factorials per lam; row n is (x)_{n,lam}.
+_ff_rows: dict[Fraction, list[Polynomial]] = {}
+
+
 def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
-    p = Polynomial([1])
-    for j in range(n):
-        p = p * Polynomial([-j * lam, 1])
-    return p
+    rows = _ff_rows.get(lam)
+    if rows is None:
+        rows = _ff_rows[lam] = [Polynomial([1])]
+    while len(rows) <= n:
+        m = len(rows)
+        # row m = row m-1 times (x - (m-1) lam)
+        prev = rows[m - 1].coeffs
+        root = (m - 1) * lam
+        row = [-root * prev[0]]
+        row.extend(prev[k - 1] - root * prev[k] for k in range(1, m))
+        row.append(prev[m - 1])
+        rows.append(Polynomial(row))
+    return rows[n]
 
 
 def falling_factorial_poly(n: int, lam) -> Polynomial:
@@ -173,7 +185,7 @@ def partial_bell(n: int, k: int, xs) -> Fraction:
 
 
 def _clear_caches() -> None:
-    _falling_factorial_poly.cache_clear()
+    _ff_rows.clear()
     _stirling2_degenerate.cache_clear()
     del _s1_rows[1:]
     del _s2_rows[1:]

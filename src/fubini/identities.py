@@ -7,6 +7,20 @@ degeneracy parameter lam of degree <= n, so passing on n+1 distinct lam
 values certifies it identically in lam; the default grid carries 12 distinct
 values against n_max = 10.
 
+The probabilistic degenerate Stirling numbers {n brace k}_{Y,lam} have two
+independent paths: the kernel ``prob_stirling2`` (a triangle grown by the
+column recurrence on the degenerate moments E[(Y)_{j,lam}]) and the
+definition ``_stirling2_by_difference`` (the k-th finite difference of the
+sum moments E[(S_j)_{n,lam}], which come from the raw moments by a power
+recurrence). The identities on them pair:
+
+- EQ19_INV: the sum moments against the binomial transform
+  sum_j C(k, j) j! {n brace j}_{Y,lam} of the kernel;
+- EQ20_GF: the series power (E[e_lam^Y(t)] - 1)^k / k! against the
+  definition, not against the kernel, which is that same convolution;
+- EQ29_BELL: the kernel against partial Bell polynomials of the degenerate
+  moments, summed over partitions.
+
 One catalog entry, THM2_9_PRINTED, reproduces the derivative identity in the
 form it is usually stated, with the r-fold sum moments E[(S_r)_{n-i,lam}]
 weighting the order-(r+1) polynomials. That form confuses the r-th power of
@@ -388,8 +402,20 @@ def _eq19_inv(cfg):
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
 
 
+def _stirling2_by_difference(dist, n, k, lam) -> Fraction:
+    # The defining alternating sum: k-th finite difference of
+    # j -> E[(S_j)_{n,lam}] at 0, divided by k!
+    total = Fraction(0)
+    for j in range(k + 1):
+        term = sum_degenerate_moment(dist, j, n, lam)
+        if term:
+            total += binomial(k, j) * (-1) ** (k - j) * term
+    return total / factorial(k)
+
+
 def _eq20_gf(cfg):
-    # (E[e_lam^Y(t)] - 1)^k / k! generates the column numbers
+    # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the
+    # sum moments
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
@@ -399,7 +425,7 @@ def _eq20_gf(cfg):
                 for n in range(cfg.series_order + 1):
                     yield (
                         power.egf_coefficient(n) / kfact,
-                        prob_stirling2(dist, n, k, lam),
+                        _stirling2_by_difference(dist, n, k, lam),
                         {"dist": dist, "lambda": lam, "k": k, "n": n},
                     )
                 power = power * base

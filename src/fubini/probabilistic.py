@@ -1,9 +1,12 @@
 """Moment-weighted (probabilistic) degenerate Stirling, Bell and Fubini objects.
 
-S_k denotes the sum of k independent copies of Y. Sum moments come from the
-binomial convolution recurrence; the probabilistic degenerate Stirling
-numbers {n brace k}_{Y,lam} are computed from the k-th finite difference of
-the sum moments, which is the defining alternating sum. Everything is exact.
+S_k denotes the sum of k independent copies of Y. Its moments E[S_k**m] are
+the k-th power of the moment EGF of Y, computed by J. C. P. Miller's power
+recurrence in O(m**2) for any k. The probabilistic degenerate Stirling
+numbers {n brace k}_{Y,lam} are the EGF coefficients of
+F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
+row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -32,23 +35,38 @@ def raw_moment(dist: Distribution, m: int) -> Fraction:
     return _raw_moment(dist, m) + hooks.shift("raw_moment", (dist, m))
 
 
-@lru_cache(maxsize=None)
-def _sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
-    if k == 0:
-        return Fraction(1 if m == 0 else 0)
-    total = Fraction(0)
-    for j in range(m + 1):
-        contrib = raw_moment(dist, j)
-        if contrib:
-            total += binomial(m, j) * _sum_raw_moment(dist, k - 1, m - j) * contrib
-    return total
+# E[S_k**m] for m = 0, 1, ... per (dist, k), grown on demand.
+_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = {}
+
+
+def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
+    """E[S_k**0..m] by J. C. P. Miller's power recurrence (TAOCP Vol. 2, 4.7).
+
+    With mu_j = E[Y**j] and mu_0 = 1, the k-th power of sum_j mu_j t**j / j!
+    has EGF coefficients beta_0 = 1 and
+    n beta_n = sum_{j=1..n} ((k+1) j - n) C(n, j) mu_j beta_{n-j}.
+    mu_0 = 1 holds for every distribution, so it is not read from the
+    moment table; a fault injected at raw_moment(dist, 0) does not reach here.
+    """
+    row = _sum_moment_rows.get((dist, k))
+    if row is None:
+        row = _sum_moment_rows[dist, k] = [Fraction(1)]
+    while len(row) <= m:
+        n = len(row)
+        total = Fraction(0)
+        for j in range(1, n + 1):
+            mu = raw_moment(dist, j)
+            if mu:
+                total += ((k + 1) * j - n) * binomial(n, j) * mu * row[n - j]
+        row.append(total / n)
+    return row
 
 
 def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     """E[S_k**m] for the sum S_k of k independent copies of Y."""
     if k < 0 or m < 0:
         raise ValueError("sum moments need k, m >= 0")
-    return _sum_raw_moment(dist, k, m) + hooks.shift("sum_moment", (dist, k, m))
+    return _sum_raw_moments(dist, k, m)[m] + hooks.shift("sum_moment", (dist, k, m))
 
 
 @lru_cache(maxsize=None)
@@ -83,50 +101,69 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
     return _sum_degenerate_moment(dist, k, n, as_rational(lam))
 
 
-@lru_cache(maxsize=None)
-def _prob_stirling2(dist: Distribution, n: int, k: int, lam: Fraction) -> Fraction:
-    total = Fraction(0)
-    for j in range(k + 1):
-        term = sum_degenerate_moment(dist, j, n, lam)
-        if term:
-            total += binomial(k, j) * (-1) ** (k - j) * term
-    return total / factorial(k)
+# Lower triangles of {n brace k}_{Y,lam} per (dist, lam); row n holds k = 0..n.
+_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = {}
+
+
+def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
+    """Row n of the triangle (empty for n < 0): T(0,0) = 1, T(n,0) = 0 for
+    n >= 1 and k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with
+    a_j = E[(Y)_{j,lam}].
+    """
+    if n < 0:
+        return []
+    lam = as_rational(lam)
+    rows = _triangles.get((dist, lam))
+    if rows is None:
+        rows = _triangles[dist, lam] = [[Fraction(1)]]
+    while len(rows) <= n:
+        m = len(rows)
+        weights = [
+            binomial(m, j) * degenerate_moment(dist, j, lam) for j in range(m + 1)
+        ]
+        row = [Fraction(0)] * (m + 1)
+        for k in range(1, m + 1):
+            total = Fraction(0)
+            for j in range(1, m - k + 2):
+                prev = rows[m - j][k - 1]
+                if prev and weights[j]:
+                    total += weights[j] * prev
+            row[k] = total / k
+        rows.append(row)
+    return rows[n]
 
 
 def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
     """Probabilistic degenerate Stirling numbers {n brace k}_{Y,lam}.
 
-    Defined through the k-th finite difference of j -> E[(S_j)_{n,lam}]
-    divided by k!; zero for k > n.
+    n! [t**n] (E[e_lam^Y(t)] - 1)**k / k!, equivalently the k-th finite
+    difference of j -> E[(S_j)_{n,lam}] at 0 divided by k!; zero for k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("prob_stirling2 needs n, k >= 0")
     if k > n:
         return Fraction(0)
-    return _prob_stirling2(dist, n, k, as_rational(lam))
+    return _stirling2_row(dist, n, lam)[k]
 
 
 def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} x**k."""
-    return Polynomial([prob_stirling2(dist, n, k, lam) for k in range(n + 1)])
+    return Polynomial(_stirling2_row(dist, n, lam))
 
 
 def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """F^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} k! x**k."""
-    return Polynomial(
-        [prob_stirling2(dist, n, k, lam) * factorial(k) for k in range(n + 1)]
-    )
+    row = _stirling2_row(dist, n, lam)
+    return Polynomial([c * factorial(k) for k, c in enumerate(row)])
 
 
 def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomial:
     """Order-r variant with weight C(k+r-1, k) k!; r = 1 gives prob_fubini_poly."""
     if r < 1:
         raise ValueError("order r must be >= 1")
+    row = _stirling2_row(dist, n, lam)
     return Polynomial(
-        [
-            binomial(k + r - 1, k) * factorial(k) * prob_stirling2(dist, n, k, lam)
-            for k in range(n + 1)
-        ]
+        [binomial(k + r - 1, k) * factorial(k) * c for k, c in enumerate(row)]
     )
 
 
@@ -142,10 +179,10 @@ def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSerie
 
 def _clear_caches() -> None:
     _raw_moment.cache_clear()
-    _sum_raw_moment.cache_clear()
+    _sum_moment_rows.clear()
     _degenerate_moment.cache_clear()
     _sum_degenerate_moment.cache_clear()
-    _prob_stirling2.cache_clear()
+    _triangles.clear()
 
 
 hooks.register_cache_clearer(_clear_caches)

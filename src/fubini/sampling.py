@@ -85,7 +85,8 @@ def estimate_sum_moment(
 
     The statistic per replicate is the degenerate falling factorial of the
     k-fold sample sum; the z-score uses the sample standard error with one
-    degree of freedom removed.
+    degree of freedom removed. A statistic equal in every replicate has
+    stderr 0 and no z-score.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -105,12 +106,15 @@ def estimate_sum_moment(
     for j in range(n):
         stat = stat * (total - j * lamf)
 
-    estimate = float(stat.mean())
-    spread = float(stat.std(ddof=1)) if samples > 1 else 0.0
-    stderr = spread / math.sqrt(samples)
-    if stderr == 0.0:
+    if np.all(stat == stat[0]):
+        # a deterministic statistic: the mean and spread would only add
+        # float rounding, which can fake a huge z-score
+        estimate = float(stat[0])
+        stderr = 0.0
         zscore = None
     else:
+        estimate = float(stat.mean())
+        stderr = float(stat.std(ddof=1)) / math.sqrt(samples)
         zscore = (estimate - float(exact)) / stderr
     return MCResult(
         estimate=estimate,

@@ -123,7 +123,7 @@ def test_criterion_3_three_path_agreement():
             for n in range(9):
                 inverted = []
                 for k in range(n + 1):
-                    # path 1: alternating sum over sum moments
+                    # path 1: triangle grown by the column recurrence
                     direct = prob_stirling2(dist, n, k, lam)
                     # path 2: partial Bell polynomial of the moments
                     bell = partial_bell(n, k, moments[: max(n - k + 1, 0)])

@@ -1,5 +1,6 @@
 """CLI contract: document schemas, determinism, exit codes, round-trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -226,6 +227,82 @@ def test_mc_point_mass_null_zscore():
     assert row["estimate"] == 7.5
     assert row["stderr"] == 0.0
     assert row["zscore"] is None
+    # float rounding in the statistic used to give a z-score of about 32
+    res = invoke(
+        [
+            "mc",
+            "--dist",
+            "point:5/2",
+            "--k",
+            "30",
+            "--n",
+            "5",
+            "--lambda",
+            "7/5",
+            "--samples",
+            "1000",
+        ]
+    )
+    assert res.exit_code == 0, res.stderr
+    row = json.loads(res.stdout)["rows"][0]
+    assert row["stderr"] == 0.0
+    assert row["zscore"] is None
+    assert row["suspicious"] is False
+
+
+def test_mc_large_k_sum_moment():
+    # the sum moments used to recurse k levels deep and crash from k = 500
+    res = invoke(
+        ["mc", "--dist", "bernoulli:1/2", "--k", "500", "--n", "2", "--samples", "1000"]
+    )
+    assert res.exit_code == 0, res.stderr
+    row = json.loads(res.stdout)["rows"][0]
+    # Binomial(500, 1/2): variance 125 plus squared mean 250**2
+    assert row["exact"] == "62625"
+    assert abs(row["zscore"]) < 5
+
+
+# sha256 of stdout, taken from the scalar implementation the row-grown tables
+# replaced; any change in a table or series document fails here
+GOLDEN_DOCUMENTS = [
+    (
+        ["table", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--n-max", "12"],
+        "6d2145f186f9b077ce17ce10e9955ddc812ebd001fd1802d9e2df78f35a33926",
+    ),
+    (
+        ["table", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda", "-7/2",
+         "--n-max", "10", "--r", "3"],
+        "a515b815551a2968c5d9a10524acee017c4a43ca42732748106350a0e835eee3",
+    ),
+    (
+        ["table", "--dist", "poisson:3/2", "--lambda", "13/4", "--n-max", "10",
+         "--format", "csv"],
+        "eb343cece5a45bdf4962954d6ebc60f150ca5e6e780ba3138702c1994b98b447",
+    ),
+    (
+        ["table", "--dist", "bernoulli:2/5", "--lambda", "0", "--n-max", "10"],
+        "442aa4c6e9e123ceed70af5190c0bc307d78c99f363175c37d4343f24513968a",
+    ),
+    (
+        ["series", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--order", "20",
+         "--x", "1/2"],
+        "6db51df87e82dabf4947777613295398a7a4b3aa8376439857ae8bb9f4f10564",
+    ),
+    (
+        ["series", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda", "-1/4",
+         "--order", "20", "--x", "-1/3", "--format", "csv"],
+        "760644841920994057409e0782e08e2b9f99176e4384a878e8ac794cbb58f5c9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", GOLDEN_DOCUMENTS, ids=[" ".join(a) for a, _ in GOLDEN_DOCUMENTS]
+)
+def test_golden_documents(args, digest):
+    res = invoke(args)
+    assert res.exit_code == 0, res.stderr
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def test_mc_rejects_small_sample_count():

@@ -1,5 +1,6 @@
 """Probabilistic layer: moments of iid sums and the polynomial families."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,24 @@ def test_sum_degenerate_moment_examples():
     for dist in GRID_DISTS:
         for k in range(5):
             assert sum_degenerate_moment(dist, k, 0, F(1, 2)) == 1
+
+
+def test_sum_moments_at_large_k_match_binomial_law():
+    # S_k ~ Binomial(k, p): E[(S_k)_m] = (k)_m p**m, and (x)_{n,lam} expands
+    # in classical falling factorials with the degenerate Stirling numbers
+    p, k = F(1, 3), 10**4
+    dist = Bernoulli(p)
+    assert sum_raw_moment(dist, k, 2) == k * p * (1 - p) + (k * p) ** 2
+    for lam in (F(0), F(1, 2), F(-3)):
+        for n in range(5):
+            expected = sum(
+                (
+                    stirling2_degenerate(n, m, lam) * math.perm(k, m) * p**m
+                    for m in range(n + 1)
+                ),
+                start=F(0),
+            )
+            assert sum_degenerate_moment(dist, k, n, lam) == expected
 
 
 def test_point_mass_sum_reduces_to_falling_factorial():

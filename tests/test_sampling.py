@@ -39,6 +39,12 @@ def test_point_mass_estimate_is_exact():
     assert res.zscore is None
     assert res.exact == F(15, 2)
     assert not res.suspicious
+    # float rounding in a mean of equal values must not fake a spread
+    res = estimate_sum_moment(PointMass(F(5, 2)), 30, 5, F(7, 5), 1000, seed=0)
+    assert res.stderr == 0.0
+    assert res.zscore is None
+    assert not res.suspicious
+    assert res.estimate == pytest.approx(float(res.exact), rel=1e-12)
 
 
 def test_discrete_support_and_frequencies():
