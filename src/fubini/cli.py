@@ -49,8 +49,13 @@ def _parse_rat(text: str, flag: str):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(
+                f"cannot write --out {out!r}: {exc.strerror or exc}"
+            ) from exc
     else:
         click.echo(text, nl=False)
 

@@ -2,14 +2,14 @@
 
 Integer-valued tables (factorials, binomials, Stirling and Lah numbers)
 return Python ints; everything parameterized by the degeneracy parameter
-``lam`` returns Fractions. Tables grow on demand and are never evicted.
+``lam`` returns Fractions. Tables grow on demand; only
+``hooks.clear_caches`` empties them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import hooks
 from .poly import Polynomial
@@ -38,17 +38,17 @@ def binomial(n: int, k: int) -> int:
 
 
 # Row-by-row tables for the Stirling recurrences; row n holds entries 0..n.
-_s1_rows: list[list[int]] = [[1]]
-_s2_rows: list[list[int]] = [[1]]
+_s1_rows: list[list[int]] = hooks.memo([])
+_s2_rows: list[list[int]] = hooks.memo([])
 
 
 def _grow_s1(n: int) -> list[int]:
     while len(_s1_rows) <= n:
         m = len(_s1_rows)
-        prev = _s1_rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = prev[k - 1] - (m - 1) * (prev[k] if k <= m - 1 else 0)
+        # row m-1 padded with a zero, so prev[k] exists for k = 0..m
+        prev = _s1_rows[-1] + [0] if m else []
+        row = [int(m == 0)]
+        row.extend(prev[k - 1] - (m - 1) * prev[k] for k in range(1, m + 1))
         _s1_rows.append(row)
     return _s1_rows[n]
 
@@ -56,12 +56,9 @@ def _grow_s1(n: int) -> list[int]:
 def _grow_s2(n: int) -> list[int]:
     while len(_s2_rows) <= n:
         m = len(_s2_rows)
-        prev = _s2_rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = (prev[k - 1] if k - 1 <= m - 1 else 0) + k * (
-                prev[k] if k <= m - 1 else 0
-            )
+        prev = _s2_rows[-1] + [0] if m else []
+        row = [int(m == 0)]
+        row.extend(prev[k - 1] + k * prev[k] for k in range(1, m + 1))
         _s2_rows.append(row)
     return _s2_rows[n]
 
@@ -96,7 +93,7 @@ def lah(n: int, k: int) -> int:
 
 
 # Rows of the degenerate falling factorials per lam; row n is (x)_{n,lam}.
-_ff_rows: dict[Fraction, list[Polynomial]] = {}
+_ff_rows: dict[Fraction, list[Polynomial]] = hooks.memo({})
 
 
 def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
@@ -125,7 +122,6 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
     return _falling_factorial_poly(n, as_rational(lam))
 
 
-@lru_cache(maxsize=None)
 def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
     total = Fraction(0)
     for m in range(k, n + 1):
@@ -133,6 +129,22 @@ def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
         if s1:
             total += lam ** (n - m) * s1 * stirling2(m, k)
     return total
+
+
+# Rows of the degenerate Stirling numbers per lam; row n holds k = 0..n.
+_s2_degenerate_rows: dict[Fraction, list[list[Fraction]]] = hooks.memo({})
+
+
+def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
+    """{n brace k}_lam for k = 0..n (see stirling2_degenerate)."""
+    if n < 0:
+        raise ValueError("stirling2_degenerate_row needs n >= 0")
+    lam = as_rational(lam)
+    rows = _s2_degenerate_rows.setdefault(lam, [])
+    while len(rows) <= n:
+        m = len(rows)
+        rows.append([_stirling2_degenerate(m, k, lam) for k in range(m + 1)])
+    return rows[n]
 
 
 def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
@@ -146,7 +158,7 @@ def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
         raise ValueError("stirling2_degenerate needs n, k >= 0")
     if k > n:
         return Fraction(0)
-    return _stirling2_degenerate(n, k, as_rational(lam))
+    return stirling2_degenerate_row(n, lam)[k]
 
 
 def _partition_multiplicities(n: int, k: int, part: int):
@@ -183,12 +195,3 @@ def partial_bell(n: int, k: int, xs) -> Fraction:
         total += term
     return total
 
-
-def _clear_caches() -> None:
-    _ff_rows.clear()
-    _stirling2_degenerate.cache_clear()
-    del _s1_rows[1:]
-    del _s2_rows[1:]
-
-
-hooks.register_cache_clearer(_clear_caches)

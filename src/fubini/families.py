@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from . import hooks
-from .combinat import binomial, factorial, stirling2_degenerate
+from .combinat import binomial, factorial, stirling2_degenerate_row
 from .poly import Polynomial
 from .rational import as_rational
 from .series import TruncatedSeries
@@ -38,45 +36,21 @@ def degenerate_exp_series(x, lam, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _degenerate_bell_poly(n: int, lam: Fraction) -> Polynomial:
-    return Polynomial([stirling2_degenerate(n, k, lam) for k in range(n + 1)])
-
-
 def degenerate_bell_poly(n: int, lam) -> Polynomial:
     """phi_{n,lam}(x) = sum_k {n brace k}_lam x**k."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _degenerate_bell_poly(n, as_rational(lam))
-
-
-@lru_cache(maxsize=None)
-def _degenerate_fubini_poly(n: int, lam: Fraction) -> Polynomial:
-    return Polynomial(
-        [stirling2_degenerate(n, k, lam) * factorial(k) for k in range(n + 1)]
-    )
+    return Polynomial(stirling2_degenerate_row(n, lam))
 
 
 def degenerate_fubini_poly(n: int, lam) -> Polynomial:
     """F_{n,lam}(x) = sum_k {n brace k}_lam k! x**k."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return _degenerate_fubini_poly(n, as_rational(lam))
+    return degenerate_fubini_poly_order(n, 1, lam)
 
 
 def classical_fubini_poly(n: int) -> Polynomial:
     """Ordered-set-partition polynomial F_n(x); the lam = 0 specialization."""
     return degenerate_fubini_poly(n, 0)
-
-
-@lru_cache(maxsize=None)
-def _degenerate_fubini_poly_order(n: int, r: int, lam: Fraction) -> Polynomial:
-    return Polynomial(
-        [
-            binomial(k + r - 1, k) * factorial(k) * stirling2_degenerate(n, k, lam)
-            for k in range(n + 1)
-        ]
-    )
 
 
 def degenerate_fubini_poly_order(n: int, r: int, lam) -> Polynomial:
@@ -88,13 +62,7 @@ def degenerate_fubini_poly_order(n: int, r: int, lam) -> Polynomial:
         raise ValueError("degree must be >= 0")
     if r < 1:
         raise ValueError("order r must be >= 1")
-    return _degenerate_fubini_poly_order(n, r, as_rational(lam))
-
-
-def _clear_caches() -> None:
-    _degenerate_bell_poly.cache_clear()
-    _degenerate_fubini_poly.cache_clear()
-    _degenerate_fubini_poly_order.cache_clear()
-
-
-hooks.register_cache_clearer(_clear_caches)
+    row = stirling2_degenerate_row(n, lam)
+    return Polynomial(
+        [binomial(k + r - 1, k) * factorial(k) * c for k, c in enumerate(row)]
+    )

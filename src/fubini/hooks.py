@@ -3,16 +3,19 @@
 ``perturb`` additively shifts one entry of one table (a combinatorial number
 or a stored moment) while active. Shifts apply at the public accessors, after
 the memoized true value is computed; internal recurrences read the unshifted
-caches, so a perturbation is a genuine single-entry fault rather than a
-consistent redefinition. All registered memo caches are cleared on entry and
-exit so stale values never mask a fault.
+tables, so a perturbation is a genuine single-entry fault rather than a
+consistent redefinition.
+
+This module also holds the one memo registry of the package. Every memo table
+(a dict of rows or a list of rows, grown on demand) is created through
+``memo``; ``clear_caches`` empties all of them, and ``perturb`` calls it on
+entry and exit so stale values never mask a fault.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable
 
 TABLES = (
     "factorial",
@@ -25,16 +28,19 @@ TABLES = (
 )
 
 _active: dict[tuple, Fraction] = {}
-_cache_clearers: list[Callable[[], None]] = []
+_memos: list = []
 
 
-def register_cache_clearer(clear: Callable[[], None]) -> None:
-    _cache_clearers.append(clear)
+def memo(table):
+    """Register a memo table (a dict or a list) with clear_caches; return it."""
+    _memos.append(table)
+    return table
 
 
 def clear_caches() -> None:
-    for clear in _cache_clearers:
-        clear()
+    """Empty every registered memo table."""
+    for table in _memos:
+        table.clear()
 
 
 def shift(table: str, key: tuple):

@@ -476,27 +476,6 @@ def _eq29_bell(cfg):
                     )
 
 
-def _thm2_1(cfg):
-    # Explicit column expansion, assembled scalar-by-scalar per x point
-    for dist in cfg.dists:
-        for lam in cfg.lambdas:
-            for x0 in cfg.x_points:
-                s = _fubini_base_series(dist, lam, x0, cfg.series_order)
-                for n in range(cfg.series_order + 1):
-                    rhs = Fraction(0)
-                    xpow = Fraction(1)
-                    for k in range(n + 1):
-                        val = prob_stirling2(dist, n, k, lam)
-                        if val:
-                            rhs += val * factorial(k) * xpow
-                        xpow *= x0
-                    yield (
-                        s.egf_coefficient(n),
-                        rhs,
-                        {"dist": dist, "lambda": lam, "x": x0, "n": n},
-                    )
-
-
 def _geometric_expansion_rows(cfg, dist, lam, depth):
     # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum moments
     for n in range(cfg.n_max + 1):
@@ -685,12 +664,6 @@ def _thm2_9_corrected(cfg):
                     }
 
 
-def _thm2_10(cfg):
-    for dist in cfg.dists:
-        for lam in cfg.lambdas:
-            yield from _geometric_expansion_rows(cfg, dist, lam, cfg.coeff_depth)
-
-
 def _poissons(cfg):
     found = tuple(d for d in cfg.dists if isinstance(d, Poisson))
     return found or (Poisson(Fraction(3, 2)),)
@@ -849,7 +822,9 @@ _CHECKERS = {
     IdentityId.EQ22_GF: _eq22_gf,
     IdentityId.EQ23_GF: _eq23_gf,
     IdentityId.EQ29_BELL: _eq29_bell,
-    IdentityId.THM2_1: _thm2_1,
+    # THM2_1, the column expansion sum_k {n brace k}_{Y,lam} k! x^k, is the
+    # Fubini polynomial at x: the same comparison as EQ23_GF.
+    IdentityId.THM2_1: _eq23_gf,
     IdentityId.THM2_2: _thm2_2,
     IdentityId.THM2_3: _thm2_3,
     IdentityId.THM2_4: _thm2_4,
@@ -859,7 +834,9 @@ _CHECKERS = {
     IdentityId.THM2_8: _thm2_8,
     IdentityId.THM2_9_PRINTED: _thm2_9_printed,
     IdentityId.THM2_9_CORRECTED: _thm2_9_corrected,
-    IdentityId.THM2_10: _thm2_10,
+    # THM2_10, the expansion of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u
+    # against the sum moments, is coefficient for coefficient THM2_2's check.
+    IdentityId.THM2_10: _thm2_2,
     IdentityId.THM2_11: _thm2_11,
     IdentityId.THM2_12: _thm2_12,
     IdentityId.THM2_13: _thm2_13,

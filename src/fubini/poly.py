@@ -8,6 +8,22 @@ from fractions import Fraction
 from .rational import as_rational
 
 
+def convolve(a, b, size: int) -> list[Fraction]:
+    """The first ``size`` coefficients of the product of coefficient vectors a, b.
+
+    The one dense-coefficient kernel: Polynomial multiplication keeps every
+    coefficient, TruncatedSeries multiplication stops at its order.
+    """
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        if not x:
+            continue
+        for j, y in enumerate(b[: size - i]):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
 class Polynomial:
     """Immutable dense polynomial; ``coeffs[k]`` multiplies x**k.
 
@@ -82,16 +98,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Polynomial(out)
+            size = len(self.coeffs) + len(other.coeffs) - 1
+            return Polynomial(convolve(self.coeffs, other.coeffs, size))
         c = as_rational(other)
         return Polynomial([a * c for a in self.coeffs])
 

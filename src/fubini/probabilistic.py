@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import hooks
 from .combinat import binomial, factorial, falling_factorial_poly
@@ -23,20 +22,22 @@ from .rational import as_rational
 from .series import TruncatedSeries
 
 
-@lru_cache(maxsize=None)
-def _raw_moment(dist: Distribution, m: int) -> Fraction:
-    return as_rational(dist.moment_formula(m))
+# Memo rows, grown on demand: E[Y**m] per dist, E[S_k**m] per (dist, k),
+# E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam).
+_raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo({})
+_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = hooks.memo({})
+_degenerate_rows: dict[tuple[Distribution, Fraction], list[Fraction]] = hooks.memo({})
+_sum_degenerate_rows: dict[tuple[Distribution, int, Fraction], list[Fraction]] = hooks.memo({})
 
 
 def raw_moment(dist: Distribution, m: int) -> Fraction:
     """E[Y**m], exactly; m >= 0."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
-    return _raw_moment(dist, m) + hooks.shift("raw_moment", (dist, m))
-
-
-# E[S_k**m] for m = 0, 1, ... per (dist, k), grown on demand.
-_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = {}
+    row = _raw_moment_rows.setdefault(dist, [])
+    while len(row) <= m:
+        row.append(as_rational(dist.moment_formula(len(row))))
+    return row[m] + hooks.shift("raw_moment", (dist, m))
 
 
 def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
@@ -48,9 +49,7 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment table; a fault injected at raw_moment(dist, 0) does not reach here.
     """
-    row = _sum_moment_rows.get((dist, k))
-    if row is None:
-        row = _sum_moment_rows[dist, k] = [Fraction(1)]
+    row = _sum_moment_rows.setdefault((dist, k), [Fraction(1)])
     while len(row) <= m:
         n = len(row)
         total = Fraction(0)
@@ -69,11 +68,11 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     return _sum_raw_moments(dist, k, m)[m] + hooks.shift("sum_moment", (dist, k, m))
 
 
-@lru_cache(maxsize=None)
-def _degenerate_moment(dist: Distribution, n: int, lam: Fraction) -> Fraction:
+def _contract(n: int, lam: Fraction, moment) -> Fraction:
+    """sum_m [x**m](x)_{n,lam} * moment(m): a moment row against (x)_{n,lam}."""
     poly = falling_factorial_poly(n, lam)
     return sum(
-        (c * raw_moment(dist, m) for m, c in enumerate(poly.coeffs) if c),
+        (c * moment(m) for m, c in enumerate(poly.coeffs) if c),
         start=Fraction(0),
     )
 
@@ -82,27 +81,26 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     """E[(Y)_{n,lam}]: the raw moments contracted against (x)_{n,lam}."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    return _degenerate_moment(dist, n, as_rational(lam))
-
-
-@lru_cache(maxsize=None)
-def _sum_degenerate_moment(dist: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
-    poly = falling_factorial_poly(n, lam)
-    return sum(
-        (c * sum_raw_moment(dist, k, m) for m, c in enumerate(poly.coeffs) if c),
-        start=Fraction(0),
-    )
+    lam = as_rational(lam)
+    row = _degenerate_rows.setdefault((dist, lam), [])
+    while len(row) <= n:
+        row.append(_contract(len(row), lam, lambda m: raw_moment(dist, m)))
+    return row[n]
 
 
 def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
     """E[(S_k)_{n,lam}] for the k-fold independent sum."""
     if k < 0 or n < 0:
         raise ValueError("sum moments need k, n >= 0")
-    return _sum_degenerate_moment(dist, k, n, as_rational(lam))
+    lam = as_rational(lam)
+    row = _sum_degenerate_rows.setdefault((dist, k, lam), [])
+    while len(row) <= n:
+        row.append(_contract(len(row), lam, lambda m: sum_raw_moment(dist, k, m)))
+    return row[n]
 
 
 # Lower triangles of {n brace k}_{Y,lam} per (dist, lam); row n holds k = 0..n.
-_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = {}
+_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = hooks.memo({})
 
 
 def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
@@ -113,9 +111,7 @@ def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
     if n < 0:
         return []
     lam = as_rational(lam)
-    rows = _triangles.get((dist, lam))
-    if rows is None:
-        rows = _triangles[dist, lam] = [[Fraction(1)]]
+    rows = _triangles.setdefault((dist, lam), [[Fraction(1)]])
     while len(rows) <= n:
         m = len(rows)
         weights = [
@@ -153,8 +149,7 @@ def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
 
 def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """F^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} k! x**k."""
-    row = _stirling2_row(dist, n, lam)
-    return Polynomial([c * factorial(k) for k, c in enumerate(row)])
+    return prob_fubini_poly_order(dist, n, 1, lam)
 
 
 def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomial:
@@ -176,13 +171,3 @@ def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSerie
         [degenerate_moment(dist, n, lam) / math.factorial(n) for n in range(order + 1)]
     )
 
-
-def _clear_caches() -> None:
-    _raw_moment.cache_clear()
-    _sum_moment_rows.clear()
-    _degenerate_moment.cache_clear()
-    _sum_degenerate_moment.cache_clear()
-    _triangles.clear()
-
-
-hooks.register_cache_clearer(_clear_caches)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .poly import convolve
 from .rational import as_rational
 
 
@@ -77,16 +78,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n - i + 1):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(out)
+            return TruncatedSeries(convolve(self.coeffs, other.coeffs, self.order + 1))
         c = as_rational(other)
         return TruncatedSeries([a * c for a in self.coeffs])
 

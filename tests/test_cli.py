@@ -437,6 +437,26 @@ def test_out_flag_writes_file(tmp_path):
     assert len(doc["rows"]) == 4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--dist", "point:1", "--n-max", "3"],
+        ["verify", "--suite", "EQ6", "--n-max", "1", "--dists", "point:1", "--lambda", "0"],
+        ["series", "--dist", "point:1", "--order", "2"],
+        ["mc", "--dist", "point:1", "--k", "2", "--n", "2", "--samples", "1000"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_into_missing_directory_is_usage_error(tmp_path, args):
+    target = tmp_path / "missing" / "doc.json"
+    res = invoke(args + ["--out", str(target)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
+    assert str(target) in res.stderr
+    assert "No such file or directory" in res.stderr
+
+
 def test_missing_required_flag_is_usage_error():
     assert invoke(["table", "--n-max", "2"]).exit_code == 2
     assert invoke(["mc", "--dist", "point:1"]).exit_code == 2

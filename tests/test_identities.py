@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fubini import hooks
-from fubini.combinat import factorial, lah, stirling1
+from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
 from fubini.distributions import Bernoulli, Gamma, PointMass, Poisson
+from fubini.families import degenerate_bell_poly
 from fubini.identities import (
     CheckConfig,
     EXPECTED_DISCREPANCIES,
@@ -194,8 +195,16 @@ def test_perturbed_factorial_cascades():
 
 
 def test_perturbed_stirling1_detected():
+    lam = F(1, 2)
+    s2_before = stirling2_degenerate(4, 2, lam)
+    bell_before = degenerate_bell_poly(4, lam)
     with hooks.perturb("stirling1", (4, 2)):
         assert stirling1(4, 2) == 12
+        # the degenerate Stirling rows and the families built on them see it
+        assert stirling2_degenerate(4, 2, lam) != s2_before
+        assert degenerate_bell_poly(4, lam) != bell_before
         rep = check_identity(IdentityId.EQ6, small_config())
     assert rep.status == "fail"
     assert stirling1(4, 2) == 11
+    assert stirling2_degenerate(4, 2, lam) == s2_before
+    assert degenerate_bell_poly(4, lam) == bell_before

@@ -25,6 +25,7 @@ from fubini.distributions import (
 )
 from fubini.poly import Polynomial
 from fubini.probabilistic import (
+    degenerate_moment,
     prob_stirling2,
     raw_moment,
     sum_degenerate_moment,
@@ -120,11 +121,20 @@ def test_falling_factorial_rows_match_product():
 
 def test_raw_moment_fault_reaches_kernel_and_is_undone():
     dist, lam = Gamma(F(3, 2), 2), F(1, 3)
-    before = [prob_stirling2(dist, 4, k, lam) for k in range(5)]
+
+    def tables():
+        return (
+            [prob_stirling2(dist, 4, k, lam) for k in range(5)],
+            degenerate_moment(dist, 4, lam),
+            sum_degenerate_moment(dist, 3, 4, lam),
+        )
+
+    before = tables()
     with hooks.perturb("raw_moment", (dist, 2)):
-        inside = [prob_stirling2(dist, 4, k, lam) for k in range(5)]
-    after = [prob_stirling2(dist, 4, k, lam) for k in range(5)]
-    assert inside != before
+        inside = tables()
+    after = tables()
     # T(4, 4) = E[Y]^4 does not involve the second moment
-    assert inside[4] == before[4]
+    assert inside[0] != before[0] and inside[0][4] == before[0][4]
+    assert inside[1] != before[1]
+    assert inside[2] != before[2]
     assert after == before
