@@ -3,12 +3,14 @@
 stdout carries exactly one machine-readable document per invocation (JSON by
 default, CSV on request); anything meant for humans goes to stderr. Identical
 flags and seed produce byte-identical stdout. Exit codes: 0 success, 1 check
-failure (failed identity, failed spot-check, |z| > 5), 2 usage or parse error.
+failure (failed identity, failed spot-check, |z| > 5), 2 usage or parse error,
+3 unexpected internal error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -47,6 +49,25 @@ def _parse_rat(text: str, flag: str):
         raise click.UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
 
+def _check_out(ctx, param, out: str | None) -> str | None:
+    """Refuse an --out path whose directory cannot take a new file.
+
+    Runs while the flags are parsed, so a bad path costs no computation. The
+    file itself is not opened here: an existing file keeps its contents until
+    the document is ready, and _emit still turns a late OSError into exit 2.
+    """
+    if not out:
+        return out
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return out
+    raise click.UsageError(f"cannot write --out {out!r}: {os.strerror(reason)}", ctx)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -83,7 +104,31 @@ def _fmt_float(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps an exception that escapes a command to exit 3 and one stderr line.
+
+    Click's own errors (usage errors, exit requests, aborts) and SystemExit
+    keep their codes: 1 is reserved for check failures, 2 for usage errors.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+            click.echo(
+                f"Error: internal error {type(exc).__name__} at {where}: {exc}",
+                err=True,
+            )
+            ctx.exit(3)
+
+
+@click.group(cls=_Group)
 def cli():
     """Exact tables, identity verification, generating functions, and
     Monte Carlo cross-checks for probabilistic degenerate Fubini polynomials."""
@@ -95,7 +140,7 @@ def cli():
 @click.option("--n-max", "n_max", type=int, required=True, help="Emit rows for n = 0..n-max.")
 @click.option("--r", "order_r", type=int, default=None, help="Emit the order-r family instead (r >= 1).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write to file instead of stdout.")
+@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out, help="Write to file instead of stdout.")
 def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     """Coefficient table of the Fubini polynomials for one distribution."""
     dist = _parse_dist(dist_spec)
@@ -151,7 +196,7 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
 @click.option("--n-max", "n_max", type=int, default=None, help="Override n_max (series depths scale with it).")
 @click.option("--r-max", "r_max", type=int, default=None, help="Override r_max.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None)
+@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
 def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     """Run the identity verification suite and report each outcome."""
     if "all" in suite:
@@ -269,7 +314,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
 @click.option("--order", "order", type=int, required=True, help="Truncation order N; coefficients for n = 0..N.")
 @click.option("--x", "x_text", default="1", show_default=True, help="Evaluation point (rational).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None)
+@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
 def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     """Truncated generating function 1/(1 - x (E[e_lam^Y(t)] - 1))."""
     dist = _parse_dist(dist_spec)
@@ -305,9 +350,9 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
 @click.option("--n", "n", type=int, required=True, help="Degenerate falling-factorial degree.")
 @click.option("--lambda", "lam_text", default="0", show_default=True)
 @click.option("--samples", "samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", "seed", type=int, default=0, show_default=True)
+@click.option("--seed", "seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None)
+@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
 def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     """Monte Carlo estimate of E[(S_k)_{n,lambda}] against the exact value."""
     dist = _parse_dist(dist_spec)

@@ -9,6 +9,7 @@ return Python ints; everything parameterized by the degeneracy parameter
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from . import hooks
@@ -19,7 +20,7 @@ from .rational import as_rational
 def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial needs n >= 0")
-    return math.factorial(n) + hooks.shift("factorial", (n,))
+    return hooks.shifted("factorial", (n,), math.factorial(n))
 
 
 def binomial(n: int, k: int) -> int:
@@ -29,12 +30,12 @@ def binomial(n: int, k: int) -> int:
     negative n this gives C(n, k) = (-1)**k C(-n+k-1, k).
     """
     if k < 0:
-        return 0 + hooks.shift("binomial", (n, k))
+        return hooks.shifted("binomial", (n, k), 0)
     if n >= 0:
         val = math.comb(n, k) if k <= n else 0
     else:
         val = (-1) ** k * math.comb(-n + k - 1, k)
-    return val + hooks.shift("binomial", (n, k))
+    return hooks.shifted("binomial", (n, k), val)
 
 
 # Row-by-row tables for the Stirling recurrences; row n holds entries 0..n.
@@ -68,7 +69,7 @@ def stirling1(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("stirling1 needs n, k >= 0")
     val = _grow_s1(n)[k] if k <= n else 0
-    return val + hooks.shift("stirling1", (n, k))
+    return hooks.shifted("stirling1", (n, k), val)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -76,7 +77,7 @@ def stirling2(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs n, k >= 0")
     val = _grow_s2(n)[k] if k <= n else 0
-    return val + hooks.shift("stirling2", (n, k))
+    return hooks.shifted("stirling2", (n, k), val)
 
 
 def lah(n: int, k: int) -> int:
@@ -89,17 +90,17 @@ def lah(n: int, k: int) -> int:
         val = 1
     else:
         val = math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-    return val + hooks.shift("lah", (n, k))
+    return hooks.shifted("lah", (n, k), val)
 
 
 # Rows of the degenerate falling factorials per lam; row n is (x)_{n,lam}.
-_ff_rows: dict[Fraction, list[Polynomial]] = hooks.memo({})
+_ff_rows: dict[Fraction, list[Polynomial]] = hooks.memo(
+    defaultdict(lambda: [Polynomial([1])])
+)
 
 
 def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
-    rows = _ff_rows.get(lam)
-    if rows is None:
-        rows = _ff_rows[lam] = [Polynomial([1])]
+    rows = _ff_rows[lam]
     while len(rows) <= n:
         m = len(rows)
         # row m = row m-1 times (x - (m-1) lam)
@@ -132,7 +133,7 @@ def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
 
 
 # Rows of the degenerate Stirling numbers per lam; row n holds k = 0..n.
-_s2_degenerate_rows: dict[Fraction, list[list[Fraction]]] = hooks.memo({})
+_s2_degenerate_rows: dict[Fraction, list[list[Fraction]]] = hooks.memo(defaultdict(list))
 
 
 def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
@@ -140,7 +141,7 @@ def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
     if n < 0:
         raise ValueError("stirling2_degenerate_row needs n >= 0")
     lam = as_rational(lam)
-    rows = _s2_degenerate_rows.setdefault(lam, [])
+    rows = _s2_degenerate_rows[lam]
     while len(rows) <= n:
         m = len(rows)
         rows.append([_stirling2_degenerate(m, k, lam) for k in range(m + 1)])

@@ -9,7 +9,7 @@ the CLI is ``point:c``, ``bernoulli:p``, ``poisson:a``, ``gamma:a,b`` and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .combinat import stirling2
@@ -21,7 +21,29 @@ class DistributionSpecError(ValueError):
 
 
 class Distribution(ABC):
-    """A random variable given by its exact raw moment sequence."""
+    """A random variable given by its exact raw moment sequence.
+
+    Subclasses are frozen dataclasses declared with ``eq=False`` so that
+    equality and hashing come from here. A distribution keys every moment
+    and triangle memo, so its hash is computed once and stored: rehashing
+    each Fraction field on every lookup would cost a modular ``pow`` each.
+    Equal distributions built separately still compare and hash equal.
+    """
+
+    def _params(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(self._params())
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @abstractmethod
     def moment_formula(self, m: int) -> Fraction:
@@ -35,7 +57,7 @@ class Distribution(ABC):
         return self.spec_string()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointMass(Distribution):
     """Y = c with probability 1."""
 
@@ -51,7 +73,7 @@ class PointMass(Distribution):
         return f"point:{format_rational(self.value)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bernoulli(Distribution):
     """Y in {0, 1} with P(Y=1) = p."""
 
@@ -71,7 +93,7 @@ class Bernoulli(Distribution):
         return f"bernoulli:{format_rational(self.p)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poisson(Distribution):
     """Poisson with mean alpha > 0; moments via Stirling numbers."""
 
@@ -94,7 +116,7 @@ class Poisson(Distribution):
         return f"poisson:{format_rational(self.alpha)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gamma(Distribution):
     """Gamma with shape alpha > 0 and rate beta > 0; E[Y] = alpha/beta."""
 
@@ -119,7 +141,7 @@ class Gamma(Distribution):
         return f"gamma:{format_rational(self.alpha)},{format_rational(self.beta)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDiscrete(Distribution):
     """Finite support: atoms ((value, weight), ...) with weights summing to 1."""
 

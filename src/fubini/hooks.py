@@ -43,11 +43,12 @@ def clear_caches() -> None:
         table.clear()
 
 
-def shift(table: str, key: tuple):
-    """Additive delta for one table entry (0 when no perturbation is active)."""
+def shifted(table: str, key: tuple, value):
+    """value plus the active delta of table[key]; value itself when unperturbed."""
     if not _active:
-        return 0
-    return _active.get((table, key), 0)
+        return value
+    delta = _active.get((table, key))
+    return value if delta is None else value + delta
 
 
 @contextmanager

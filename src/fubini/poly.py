@@ -8,20 +8,29 @@ from fractions import Fraction
 from .rational import as_rational
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
 def convolve(a, b, size: int) -> list[Fraction]:
     """The first ``size`` coefficients of the product of coefficient vectors a, b.
 
     The one dense-coefficient kernel: Polynomial multiplication keeps every
-    coefficient, TruncatedSeries multiplication stops at its order.
+    coefficient, TruncatedSeries multiplication stops at its order. Each
+    vector is put over one common denominator, the products are summed in
+    Python ints, and one Fraction is built per output coefficient.
     """
-    out = [Fraction(0)] * size
-    for i, x in enumerate(a[:size]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: size - i]):
-            if y:
-                out[i + j] += x * y
-    return out
+    xs, da = _scaled(a[:size])
+    ys, db = _scaled(b[:size])
+    out = [0] * size
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys[: size - i], i):
+                out[j] += x * y
+    den = da * db
+    return [Fraction(c, den) for c in out]
 
 
 class Polynomial:
@@ -56,11 +65,23 @@ class Polynomial:
         return Fraction(0)
 
     def evaluate(self, x) -> Fraction:
+        """p(x) by Horner's rule on integer cores, one Fraction at the end.
+
+        With x = u/v and coefficients c_k = n_k / d over a common d, the
+        loop builds sum_k n_k u**k v**(deg-k); the value is that over
+        d v**deg.
+        """
         x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        nums, den = _scaled(self.coeffs)
+        u, v = x.numerator, x.denominator
+        acc = 0
+        vpow = 1
+        for c in reversed(nums):
+            acc = acc * u + c * vpow
+            vpow *= v
+        return Fraction(acc, den * (vpow // v))
 
     __call__ = evaluate
 

@@ -12,6 +12,7 @@ Everything is exact.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from . import hooks
@@ -24,20 +25,27 @@ from .series import TruncatedSeries
 
 # Memo rows, grown on demand: E[Y**m] per dist, E[S_k**m] per (dist, k),
 # E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam).
-_raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo({})
-_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = hooks.memo({})
-_degenerate_rows: dict[tuple[Distribution, Fraction], list[Fraction]] = hooks.memo({})
-_sum_degenerate_rows: dict[tuple[Distribution, int, Fraction], list[Fraction]] = hooks.memo({})
+# A defaultdict builds the empty row only on a miss, not on every lookup.
+_raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo(defaultdict(list))
+_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = hooks.memo(
+    defaultdict(lambda: [Fraction(1)])
+)
+_degenerate_rows: dict[tuple[Distribution, Fraction], list[Fraction]] = hooks.memo(
+    defaultdict(list)
+)
+_sum_degenerate_rows: dict[tuple[Distribution, int, Fraction], list[Fraction]] = (
+    hooks.memo(defaultdict(list))
+)
 
 
 def raw_moment(dist: Distribution, m: int) -> Fraction:
     """E[Y**m], exactly; m >= 0."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
-    row = _raw_moment_rows.setdefault(dist, [])
+    row = _raw_moment_rows[dist]
     while len(row) <= m:
         row.append(as_rational(dist.moment_formula(len(row))))
-    return row[m] + hooks.shift("raw_moment", (dist, m))
+    return hooks.shifted("raw_moment", (dist, m), row[m])
 
 
 def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
@@ -49,7 +57,7 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment table; a fault injected at raw_moment(dist, 0) does not reach here.
     """
-    row = _sum_moment_rows.setdefault((dist, k), [Fraction(1)])
+    row = _sum_moment_rows[dist, k]
     while len(row) <= m:
         n = len(row)
         total = Fraction(0)
@@ -65,7 +73,7 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     """E[S_k**m] for the sum S_k of k independent copies of Y."""
     if k < 0 or m < 0:
         raise ValueError("sum moments need k, m >= 0")
-    return _sum_raw_moments(dist, k, m)[m] + hooks.shift("sum_moment", (dist, k, m))
+    return hooks.shifted("sum_moment", (dist, k, m), _sum_raw_moments(dist, k, m)[m])
 
 
 def _contract(n: int, lam: Fraction, moment) -> Fraction:
@@ -82,7 +90,7 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     if n < 0:
         raise ValueError("moment order must be >= 0")
     lam = as_rational(lam)
-    row = _degenerate_rows.setdefault((dist, lam), [])
+    row = _degenerate_rows[dist, lam]
     while len(row) <= n:
         row.append(_contract(len(row), lam, lambda m: raw_moment(dist, m)))
     return row[n]
@@ -93,14 +101,16 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
     if k < 0 or n < 0:
         raise ValueError("sum moments need k, n >= 0")
     lam = as_rational(lam)
-    row = _sum_degenerate_rows.setdefault((dist, k, lam), [])
+    row = _sum_degenerate_rows[dist, k, lam]
     while len(row) <= n:
         row.append(_contract(len(row), lam, lambda m: sum_raw_moment(dist, k, m)))
     return row[n]
 
 
 # Lower triangles of {n brace k}_{Y,lam} per (dist, lam); row n holds k = 0..n.
-_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = hooks.memo({})
+_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = hooks.memo(
+    defaultdict(lambda: [[Fraction(1)]])
+)
 
 
 def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
@@ -111,7 +121,7 @@ def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
     if n < 0:
         return []
     lam = as_rational(lam)
-    rows = _triangles.setdefault((dist, lam), [[Fraction(1)]])
+    rows = _triangles[dist, lam]
     while len(rows) <= n:
         m = len(rows)
         weights = [

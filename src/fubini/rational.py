@@ -17,7 +17,14 @@ _WIRE_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def as_rational(value: int | Fraction | str) -> Fraction:
-    """Coerce an exact value to Fraction, refusing floats."""
+    """Coerce an exact value to Fraction, refusing floats.
+
+    A Fraction comes back as the same object: Fractions are immutable, and a
+    memo key that holds the caller's own object matches the stored key by
+    identity, without building a Fraction or calling Fraction.__eq__.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass an int, Fraction, or 'p/q' string"

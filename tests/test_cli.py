@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from fubini.cli import cli
+from fubini.cli import cli, main
 from fubini.poly import Polynomial
 from fubini.rational import parse_rational
 
@@ -296,6 +296,21 @@ GOLDEN_DOCUMENTS = [
 ]
 
 
+# sha256 of the verify document, taken before the integer-scaled kernels and
+# the shared checker runs; any change in a verdict, a case count or a
+# counterexample fails here
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "all", "--n-max", "4"],
+        "c81f696295a7f830f3148b09e26a5704c134e1796d10df73f1fd96a436fd09d3",
+    ),
+    (
+        ["verify", "--suite", "all", "--n-max", "4", "--format", "csv"],
+        "728176f7115be4d8322e6cfd815f9e64da16e701bf31d9ee6ad69339dfce10e0",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "args,digest", GOLDEN_DOCUMENTS, ids=[" ".join(a) for a, _ in GOLDEN_DOCUMENTS]
 )
@@ -455,6 +470,59 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, args):
     assert "Traceback" not in res.stderr
     assert str(target) in res.stderr
     assert "No such file or directory" in res.stderr
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("unexpected fault")
+
+
+def test_unwritable_out_fails_before_any_computation(tmp_path, monkeypatch):
+    monkeypatch.setattr("fubini.cli.run_suite", _raise_runtime_error)
+    target = tmp_path / "missing" / "doc.json"
+    res = invoke(["verify", "--suite", "all", "--n-max", "6", "--out", str(target)])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.stderr
+    assert "No such file or directory" in res.stderr
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = invoke(["verify", "--suite", "EQ6", "--out", str(blocker / "doc.json")])
+    assert res.exit_code == 2
+    assert "Not a directory" in res.stderr
+    monkeypatch.setattr("fubini.cli.os.access", lambda path, mode: False)
+    res = invoke(["verify", "--suite", "EQ6", "--out", str(tmp_path / "doc.json")])
+    assert res.exit_code == 2
+    assert "Permission denied" in res.stderr
+
+
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, monkeypatch):
+    monkeypatch.setattr("fubini.cli.run_suite", _raise_runtime_error)
+    target = tmp_path / "doc.json"
+    target.write_text("kept")
+    res = invoke(["verify", "--suite", "EQ6", "--n-max", "1", "--out", str(target)])
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert "RuntimeError" in line and "unexpected fault" in line
+    assert target.read_text() == "kept"  # --out is not opened before the document exists
+
+
+def test_main_entry_point_keeps_exit_codes(monkeypatch):
+    args = ["verify", "--suite", "EQ6", "--n-max", "1", "--dists", "point:1"]
+    with pytest.raises(SystemExit) as exc:
+        main(args=args, prog_name="fubini", standalone_mode=True)
+    assert exc.value.code == 0
+    monkeypatch.setattr("fubini.cli.run_suite", _raise_runtime_error)
+    with pytest.raises(SystemExit) as exc:
+        main(args=args, prog_name="fubini", standalone_mode=True)
+    assert exc.value.code == 3
+
+
+def test_mc_rejects_negative_seed():
+    res = invoke(["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert "--seed" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_missing_required_flag_is_usage_error():

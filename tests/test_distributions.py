@@ -13,7 +13,7 @@ from fubini.distributions import (
     Poisson,
     parse_distribution,
 )
-from fubini.probabilistic import raw_moment
+from fubini.probabilistic import prob_stirling2, raw_moment, sum_degenerate_moment
 
 F = Fraction
 
@@ -145,3 +145,17 @@ def test_distributions_hashable_and_frozen():
         d.alpha = F(2)
     s = {PointMass(1), PointMass(1), PointMass(F(5, 2))}
     assert len(s) == 2
+
+
+def test_equal_distributions_built_apart_share_memo_rows():
+    a = FiniteDiscrete(((F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(1, 3))))
+    b = parse_distribution("discrete:0=1/6,1=1/2,3=1/3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(a)  # the stored hash is returned again
+    assert a != parse_distribution("discrete:0=1/6,1=1/2,2=1/3")
+    assert Bernoulli(F(1, 2)) != PointMass(F(1, 2))
+    lam = F(1, 3)
+    value = sum_degenerate_moment(a, 3, 4, lam)
+    assert sum_degenerate_moment(b, 3, 4, F(1, 3)) is value
+    assert prob_stirling2(b, 5, 2, lam) is prob_stirling2(a, 5, 2, lam)
+    assert raw_moment(b, 4) is raw_moment(a, 4)

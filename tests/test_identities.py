@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubini import hooks
+from fubini import hooks, identities
 from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
 from fubini.distributions import Bernoulli, Gamma, PointMass, Poisson
 from fubini.families import degenerate_bell_poly
@@ -105,6 +105,33 @@ def test_check_accepts_string_names():
     assert rep.identity is IdentityId.EQ6
 
 
+def test_run_suite_reports_equal_one_check_per_identity():
+    cfg = small_config()
+    suite = [r.to_dict() for r in run_suite(cfg)]
+    assert suite == [check_identity(i, cfg).to_dict() for i in IdentityId]
+
+
+def test_run_suite_shares_one_run_between_identities(monkeypatch):
+    calls = []
+    real = identities.check_identity
+
+    def counting(identity, cfg):
+        calls.append(identity)
+        return real(identity, cfg)
+
+    monkeypatch.setattr(identities, "check_identity", counting)
+    reports = run_suite(small_config())
+    assert IdentityId.THM2_1 not in calls and IdentityId.THM2_10 not in calls
+    assert len(calls) == len(IdentityId) - 2
+    by_id = {r.identity: r for r in reports}
+    assert by_id[IdentityId.THM2_1].cases == by_id[IdentityId.EQ23_GF].cases
+    assert by_id[IdentityId.THM2_10].cases == by_id[IdentityId.THM2_2].cases
+    # a selection without the first identity of the pair still runs the checker
+    only = run_suite(small_config(), ["THM2_10"])
+    assert calls[-1] is IdentityId.THM2_10
+    assert only[0].to_dict() == by_id[IdentityId.THM2_10].to_dict()
+
+
 def test_run_suite_selection_order():
     sel = [IdentityId.THM2_16, IdentityId.EQ6]
     reports = run_suite(small_config(), sel)
@@ -162,6 +189,15 @@ def test_perturb_shifts_one_entry_and_restores():
         assert lah(4, 2) == base + 1
         assert lah(4, 3) == 12  # neighbors untouched
     assert lah(4, 2) == base
+
+
+def test_shifted_is_identity_unless_the_entry_is_perturbed():
+    value = F(7, 3)
+    assert hooks.shifted("raw_moment", ("d", 2), value) is value
+    with hooks.perturb("raw_moment", ("d", 2), F(1, 2)):
+        assert hooks.shifted("raw_moment", ("d", 2), value) == F(17, 6)
+        assert hooks.shifted("raw_moment", ("d", 3), value) is value
+    assert hooks.shifted("raw_moment", ("d", 2), value) is value
 
 
 def test_perturb_rejects_unknown_table():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fubini.poly import Polynomial, gamma_weight_integral
+from fubini.poly import Polynomial, convolve, gamma_weight_integral
 from fubini.rational import as_rational, format_rational, parse_rational
 from fubini.series import TruncatedSeries
 
@@ -49,7 +49,10 @@ def test_as_rational_rejects_float():
     with pytest.raises(TypeError):
         as_rational(0.5)
     assert as_rational(3) == F(3)
-    assert as_rational(F(1, 3)) == F(1, 3)
+    assert type(as_rational(3)) is F
+    assert as_rational("-7/2") == F(-7, 2)
+    f = F(1, 3)
+    assert as_rational(f) is f
 
 
 @given(rationals, rationals)
@@ -67,6 +70,67 @@ def test_eval_examples():
     assert Polynomial().evaluate(F(7, 2)) == 0
     assert Polynomial([0, 1, 2]).evaluate(1) == 3
     assert Polynomial([0, F(1, 2), 2]).evaluate(1) == F(5, 2)
+
+
+# The Fraction loops the integer-scaled kernels replaced, kept as oracles.
+
+
+def naive_convolve(a, b, size):
+    out = [F(0)] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
+
+
+def naive_evaluate(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+KERNEL_CASES = [
+    (),
+    (F(0),),
+    (F(0), F(0), F(0)),
+    (F(3),),
+    (F(1, 3), F(-2, 5), F(7, 2)),
+    (F(0), F(0), F(-9, 4), F(0), F(5, 6)),
+    (F(-1), F(2), F(-3), F(4)),
+]
+
+
+@pytest.mark.parametrize("a", KERNEL_CASES)
+@pytest.mark.parametrize("b", KERNEL_CASES)
+def test_convolve_matches_fraction_loop(a, b):
+    for size in range(len(a) + len(b) + 1):
+        got = convolve(a, b, size)
+        assert got == naive_convolve(a, b, size)
+        assert all(type(c) is F for c in got)
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_CASES)
+def test_evaluate_matches_fraction_loop(coeffs):
+    p = Polynomial(coeffs)
+    for x in (0, 1, -1, 3, -4, F(0), F(1, 2), F(-5, 3), F(7, 9)):
+        got = p.evaluate(x)
+        assert got == naive_evaluate(p.coeffs, F(x))
+        assert type(got) is F
+
+
+@given(
+    st.lists(rationals, max_size=7),
+    st.lists(rationals, max_size=7),
+    st.integers(min_value=0, max_value=15),
+)
+def test_convolve_matches_fraction_loop_property(a, b, size):
+    assert convolve(a, b, size) == naive_convolve(a, b, size)
+
+
+@given(poly_strategy(8), rationals)
+def test_evaluate_matches_fraction_loop_property(p, x):
+    assert p.evaluate(x) == naive_evaluate(p.coeffs, x)
 
 
 def test_derivative_examples():
