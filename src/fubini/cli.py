@@ -32,7 +32,7 @@ from .probabilistic import (
     prob_fubini_poly_order,
 )
 from .rational import format_rational, parse_rational
-from .sampling import MIN_SAMPLES, estimate_sum_moment
+from .sampling import MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, estimate_sum_moment
 
 
 def _parse_dist(spec: str):
@@ -359,6 +359,10 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     lam = _parse_rat(lam_text, "--lambda")
     if samples < MIN_SAMPLES:
         raise click.UsageError(f"--samples must be >= {MIN_SAMPLES}")
+    if samples > MAX_SAMPLES:
+        raise click.UsageError(f"--samples must be <= {MAX_SAMPLES}")
+    if k * samples > MAX_DRAWS:
+        raise click.UsageError(f"--k times --samples must be <= {MAX_DRAWS}")
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except ValueError as exc:

@@ -93,14 +93,16 @@ def lah(n: int, k: int) -> int:
     return hooks.shifted("lah", (n, k), val)
 
 
-# Rows of the degenerate falling factorials per lam; row n is (x)_{n,lam}.
-_ff_rows: dict[Fraction, list[Polynomial]] = hooks.memo(
+# Rows of the degenerate falling factorials per lam, keyed by its numerator
+# and denominator (a tuple of ints hashes without Fraction.__hash__); row n is
+# (x)_{n,lam}.
+_ff_rows: dict[tuple[int, int], list[Polynomial]] = hooks.memo(
     defaultdict(lambda: [Polynomial([1])])
 )
 
 
 def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
-    rows = _ff_rows[lam]
+    rows = _ff_rows[lam.numerator, lam.denominator]
     while len(rows) <= n:
         m = len(rows)
         # row m = row m-1 times (x - (m-1) lam)
@@ -132,8 +134,11 @@ def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
     return total
 
 
-# Rows of the degenerate Stirling numbers per lam; row n holds k = 0..n.
-_s2_degenerate_rows: dict[Fraction, list[list[Fraction]]] = hooks.memo(defaultdict(list))
+# Rows of the degenerate Stirling numbers per (lam numerator, lam
+# denominator); row n holds k = 0..n.
+_s2_degenerate_rows: dict[tuple[int, int], list[list[Fraction]]] = hooks.memo(
+    defaultdict(list)
+)
 
 
 def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
@@ -141,7 +146,7 @@ def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
     if n < 0:
         raise ValueError("stirling2_degenerate_row needs n >= 0")
     lam = as_rational(lam)
-    rows = _s2_degenerate_rows[lam]
+    rows = _s2_degenerate_rows[lam.numerator, lam.denominator]
     while len(rows) <= n:
         m = len(rows)
         rows.append([_stirling2_degenerate(m, k, lam) for k in range(m + 1)])

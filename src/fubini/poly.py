@@ -5,13 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rational import as_rational
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Integer numerators of exact values over their least common denominator."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
+from .rational import as_rational, scaled
 
 
 def convolve(a, b, size: int) -> list[Fraction]:
@@ -22,8 +16,8 @@ def convolve(a, b, size: int) -> list[Fraction]:
     vector is put over one common denominator, the products are summed in
     Python ints, and one Fraction is built per output coefficient.
     """
-    xs, da = _scaled(a[:size])
-    ys, db = _scaled(b[:size])
+    xs, da = scaled(a[:size])
+    ys, db = scaled(b[:size])
     out = [0] * size
     for i, x in enumerate(xs):
         if x:
@@ -74,7 +68,7 @@ class Polynomial:
         x = as_rational(x)
         if not self.coeffs:
             return Fraction(0)
-        nums, den = _scaled(self.coeffs)
+        nums, den = scaled(self.coeffs)
         u, v = x.numerator, x.denominator
         acc = 0
         vpow = 1

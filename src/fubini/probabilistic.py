@@ -6,7 +6,11 @@ recurrence in O(m**2) for any k. The probabilistic degenerate Stirling
 numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
-Everything is exact.
+Everything is exact. The recurrences and contractions run on integer cores:
+their inputs are put over one common denominator (rational.scaled), the sums
+of products run in Python ints, and one Fraction is built per result.
+Tables indexed by lam are keyed by (lam.numerator, lam.denominator), which
+hashes without Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -19,21 +23,22 @@ from . import hooks
 from .combinat import binomial, factorial, falling_factorial_poly
 from .distributions import Distribution
 from .poly import Polynomial
-from .rational import as_rational
+from .rational import as_rational, scaled
 from .series import TruncatedSeries
 
 
 # Memo rows, grown on demand: E[Y**m] per dist, E[S_k**m] per (dist, k),
-# E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam).
-# A defaultdict builds the empty row only on a miss, not on every lookup.
+# E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam), lam
+# as its numerator and denominator. A defaultdict builds the empty row only
+# on a miss, not on every lookup.
 _raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo(defaultdict(list))
 _sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = hooks.memo(
     defaultdict(lambda: [Fraction(1)])
 )
-_degenerate_rows: dict[tuple[Distribution, Fraction], list[Fraction]] = hooks.memo(
+_degenerate_rows: dict[tuple[Distribution, int, int], list[Fraction]] = hooks.memo(
     defaultdict(list)
 )
-_sum_degenerate_rows: dict[tuple[Distribution, int, Fraction], list[Fraction]] = (
+_sum_degenerate_rows: dict[tuple[Distribution, int, int, int], list[Fraction]] = (
     hooks.memo(defaultdict(list))
 )
 
@@ -56,16 +61,19 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
     n beta_n = sum_{j=1..n} ((k+1) j - n) C(n, j) mu_j beta_{n-j}.
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment table; a fault injected at raw_moment(dist, 0) does not reach here.
+    The sum runs on mu_1..mu_n and beta_0..beta_{n-1} over their common
+    denominators.
     """
     row = _sum_moment_rows[dist, k]
     while len(row) <= m:
         n = len(row)
-        total = Fraction(0)
-        for j in range(1, n + 1):
-            mu = raw_moment(dist, j)
+        mus, mu_den = scaled([raw_moment(dist, j) for j in range(1, n + 1)])
+        betas, beta_den = scaled(row)
+        total = 0
+        for j, mu in enumerate(mus, 1):
             if mu:
-                total += ((k + 1) * j - n) * binomial(n, j) * mu * row[n - j]
-        row.append(total / n)
+                total += ((k + 1) * j - n) * binomial(n, j) * mu * betas[n - j]
+        row.append(Fraction(total, n * mu_den * beta_den))
     return row
 
 
@@ -77,12 +85,17 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
 
 
 def _contract(n: int, lam: Fraction, moment) -> Fraction:
-    """sum_m [x**m](x)_{n,lam} * moment(m): a moment row against (x)_{n,lam}."""
-    poly = falling_factorial_poly(n, lam)
-    return sum(
-        (c * moment(m) for m, c in enumerate(poly.coeffs) if c),
-        start=Fraction(0),
+    """sum_m [x**m](x)_{n,lam} * moment(m): a moment row against (x)_{n,lam}.
+
+    moment(m) is read only where [x**m](x)_{n,lam} is nonzero; both vectors
+    go over their common denominators for one integer dot product.
+    """
+    coeffs, coeff_den = scaled(falling_factorial_poly(n, lam).coeffs)
+    moments, moment_den = scaled(
+        [moment(m) if c else Fraction(0) for m, c in enumerate(coeffs)]
     )
+    total = sum(c * mu for c, mu in zip(coeffs, moments))
+    return Fraction(total, coeff_den * moment_den)
 
 
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
@@ -90,7 +103,7 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     if n < 0:
         raise ValueError("moment order must be >= 0")
     lam = as_rational(lam)
-    row = _degenerate_rows[dist, lam]
+    row = _degenerate_rows[dist, lam.numerator, lam.denominator]
     while len(row) <= n:
         row.append(_contract(len(row), lam, lambda m: raw_moment(dist, m)))
     return row[n]
@@ -101,15 +114,18 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
     if k < 0 or n < 0:
         raise ValueError("sum moments need k, n >= 0")
     lam = as_rational(lam)
-    row = _sum_degenerate_rows[dist, k, lam]
+    row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
     while len(row) <= n:
         row.append(_contract(len(row), lam, lambda m: sum_raw_moment(dist, k, m)))
     return row[n]
 
 
-# Lower triangles of {n brace k}_{Y,lam} per (dist, lam); row n holds k = 0..n.
-_triangles: dict[tuple[Distribution, Fraction], list[list[Fraction]]] = hooks.memo(
-    defaultdict(lambda: [[Fraction(1)]])
+# Lower triangles of {n brace k}_{Y,lam} per (dist, lam numerator, lam
+# denominator); row n holds k = 0..n. Each entry keeps the rows in two forms,
+# as Fractions and as integer numerators over one common denominator, so
+# hooks.clear_caches drops both at once.
+_triangles: dict[tuple, tuple[list[list[Fraction]], list[tuple[list[int], int]]]] = (
+    hooks.memo(defaultdict(lambda: ([[Fraction(1)]], [([1], 1)])))
 )
 
 
@@ -117,25 +133,34 @@ def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
     """Row n of the triangle (empty for n < 0): T(0,0) = 1, T(n,0) = 0 for
     n >= 1 and k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with
     a_j = E[(Y)_{j,lam}].
+
+    The term of w_j = C(n,j) a_j has denominator w_j.denominator times that
+    of row n-j for every k, so the sum over j runs in ints over the lcm L of
+    those denominators, and T(n,k) = Fraction(acc[k], k L).
     """
     if n < 0:
         return []
     lam = as_rational(lam)
-    rows = _triangles[dist, lam]
+    rows, scaled_rows = _triangles[dist, lam.numerator, lam.denominator]
     while len(rows) <= n:
         m = len(rows)
-        weights = [
-            binomial(m, j) * degenerate_moment(dist, j, lam) for j in range(m + 1)
-        ]
-        row = [Fraction(0)] * (m + 1)
-        for k in range(1, m + 1):
-            total = Fraction(0)
-            for j in range(1, m - k + 2):
-                prev = rows[m - j][k - 1]
-                if prev and weights[j]:
-                    total += weights[j] * prev
-            row[k] = total / k
+        terms = []
+        for j in range(1, m + 1):
+            w = binomial(m, j) * degenerate_moment(dist, j, lam)
+            if w:
+                prev, prev_den = scaled_rows[m - j]
+                terms.append((w.numerator, w.denominator * prev_den, prev))
+        common = math.lcm(*(den for _, den, _ in terms))
+        acc = [0] * (m + 1)
+        for num, den, prev in terms:
+            factor = num * (common // den)
+            for k, t in enumerate(prev, 1):
+                if t:
+                    acc[k] += factor * t
+        row = [Fraction(0)]
+        row.extend(Fraction(acc[k], k * common) for k in range(1, m + 1))
         rows.append(row)
+        scaled_rows.append(scaled(row))
     return rows[n]
 
 

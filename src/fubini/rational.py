@@ -8,6 +8,7 @@ silently; integers pass through because they are exact.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -30,6 +31,16 @@ def as_rational(value: int | Fraction | str) -> Fraction:
             f"refusing float {value!r}: pass an int, Fraction, or 'p/q' string"
         )
     return Fraction(value)
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator.
+
+    The integer cores of the package work on these: sums of products run in
+    Python ints, and one Fraction is built per result.
+    """
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def format_rational(value: int | Fraction) -> str:

@@ -2,7 +2,8 @@
 
 Floats live only here. Sampling uses a counter-based generator so a
 (seed, spec) pair reproduces the identical stream regardless of platform
-or call order.
+or call order. numpy is imported inside the functions that sample, so
+importing the package (and every command but `mc`) does not load it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .distributions import (
     Bernoulli,
@@ -25,6 +24,10 @@ from .probabilistic import sum_degenerate_moment
 from .rational import as_rational
 
 MIN_SAMPLES = 1000
+# Upper bounds, checked before any array is allocated: each array holds
+# `samples` float64s (80 MB at the bound), and a run makes k * samples draws.
+MAX_SAMPLES = 10**7
+MAX_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,15 @@ class MCResult:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed))
 
 
 def draw(dist: Distribution, size: int, seed: int) -> np.ndarray:
     """Vector of `size` iid samples as float64."""
+    import numpy as np
+
     rng = _rng(seed)
     if isinstance(dist, PointMass):
         return np.full(size, float(dist.value))
@@ -86,14 +93,21 @@ def estimate_sum_moment(
     The statistic per replicate is the degenerate falling factorial of the
     k-fold sample sum; the z-score uses the sample standard error with one
     degree of freedom removed. A statistic equal in every replicate has
-    stderr 0 and no z-score.
+    stderr 0 and no z-score. MIN_SAMPLES <= samples <= MAX_SAMPLES and
+    k * samples <= MAX_DRAWS, checked before anything is computed.
     """
+    import numpy as np
+
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 0:
         raise ValueError("n must be >= 0")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
+    if k * samples > MAX_DRAWS:
+        raise ValueError(f"k * samples must be <= {MAX_DRAWS}")
     lam = as_rational(lam)
     exact = sum_degenerate_moment(dist, k, n, lam)
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +14,7 @@ from click.testing import CliRunner
 from fubini.cli import cli, main
 from fubini.poly import Polynomial
 from fubini.rational import parse_rational
+from fubini.sampling import MAX_DRAWS, MAX_SAMPLES, MCResult
 
 F = Fraction
 
@@ -325,6 +330,136 @@ def test_mc_rejects_small_sample_count():
         ["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--samples", "10"]
     )
     assert res.exit_code == 2
+
+
+def _record_estimate(calls):
+    def estimate(dist, k, n, lam, samples, seed):
+        calls.append((k, samples))
+        return MCResult(estimate=1.0, stderr=0.0, exact=F(1), zscore=None, samples=samples)
+
+    return estimate
+
+
+@pytest.mark.parametrize(
+    "k, samples, flag",
+    [
+        (1, MAX_SAMPLES + 1, "--samples"),
+        (0, 10**30, "--samples"),
+        (MAX_DRAWS // 1000 + 1, 1000, "--k times --samples"),
+        (10**20, MAX_SAMPLES, "--k times --samples"),
+    ],
+)
+def test_mc_refuses_extreme_samples_and_k_before_sampling(monkeypatch, k, samples, flag):
+    calls = []
+    monkeypatch.setattr("fubini.cli.estimate_sum_moment", _record_estimate(calls))
+    res = invoke(
+        ["mc", "--dist", "bernoulli:1/2", "--k", str(k), "--n", "2",
+         "--samples", str(samples)]
+    )
+    assert res.exit_code == 2
+    assert f"Error: {flag} must be <=" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "k, samples",
+    [
+        (2, 100_000),  # the README example
+        (60, 20_000),  # the largest k * samples of the benchmark's mc ops
+        (1000, 1000),
+        (MAX_DRAWS // MAX_SAMPLES, MAX_SAMPLES),
+        (MAX_DRAWS // 1000, 1000),
+    ],
+)
+def test_mc_bounds_admit_documented_runs(monkeypatch, k, samples):
+    calls = []
+    monkeypatch.setattr("fubini.cli.estimate_sum_moment", _record_estimate(calls))
+    res = invoke(
+        ["mc", "--dist", "bernoulli:1/2", "--k", str(k), "--n", "2",
+         "--samples", str(samples)]
+    )
+    assert res.exit_code == 0, res.stderr
+    assert calls == [(k, samples)]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_NUMPY_FREE_SCRIPT = """
+import sys
+import fubini, fubini.cli
+assert "numpy" not in sys.modules, "import fubini loaded numpy"
+from fubini.cli import main
+
+def run(*args):
+    try:
+        main(args=list(args), prog_name="fubini", standalone_mode=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+
+run("table", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--n-max", "4")
+run("series", "--dist", "bernoulli:2/5", "--order", "4", "--x", "1/2")
+run("verify", "--suite", "EQ6", "--n-max", "2")
+assert "numpy" not in sys.modules, "table, series or verify loaded numpy"
+run("mc", "--dist", "bernoulli:2/5", "--k", "2", "--n", "2", "--samples", "1000")
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_is_loaded_only_by_mc():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"command": "mc"') == 1
+    assert '"estimate"' in proc.stdout
+
+
+# Hostile but well-formed arguments: each gives its document (exit 0) or a
+# usage error (exit 2), never a traceback.
+HOSTILE_ARGS = [
+    (["table", "--dist", "bernoulli:1/2", "--n-max", "0"], 0),
+    (["series", "--dist", "bernoulli:1/2", "--order", "0"], 0),
+    (["table", "--dist", "poisson:12345678901234567890123", "--n-max", "3"], 0),
+    (["series", "--dist", "poisson:12345678901234567890123/7", "--order", "3"], 0),
+    (["table", "--dist", "gamma:3/2,2", "--lambda", "1/99999999999999999999",
+      "--n-max", "4"], 0),
+    (["series", "--dist", "gamma:3/2,2", "--lambda", "1/99999999999999999999",
+      "--order", "4", "--x", "-1/3"], 0),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "2", "--n", "2", "--samples", "1000",
+      "--seed", str(2**64)], 0),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "2", "--n", "2", "--samples", "1000",
+      "--seed", "12345678901234567890123456"], 0),
+    (["table", "--dist", "discrete:", "--n-max", "2"], 2),
+    (["table", "--dist", "discrete:1=1/2,1=1/2", "--n-max", "2"], 2),
+    (["table", "--dist", "discrete:0=0,1=1", "--n-max", "2"], 2),
+    (["mc", "--dist", "discrete:", "--k", "1", "--n", "1"], 2),
+    (["table", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--n-max", "2"], 2),
+    (["series", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--order", "2"], 2),
+    (["table", "--dist", "point:1e3", "--n-max", "2"], 2),
+    (["verify", "--suite", "EQ6", "--dists", "point:1e3"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code", HOSTILE_ARGS, ids=[" ".join(args) for args, _ in HOSTILE_ARGS]
+)
+def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
+    res = invoke(args)
+    assert "Traceback" not in res.stderr
+    assert res.exit_code == code, res.stderr
+    if code == 0:
+        doc = json.loads(res.stdout)
+        assert doc["command"] == args[0]
+        assert doc["rows"]
+    else:
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1].startswith("Error: ")
 
 
 def test_verify_single_identity_document():

@@ -1,0 +1,137 @@
+"""The integer cores of the probabilistic layer against naive Fraction loops.
+
+The triangle, the Miller recurrence for sum moments and the moment
+contraction put their inputs over one common denominator and sum in Python
+ints. The oracles below are the same recurrences written as plain Fraction
+loops; they share only the raw moments and the falling factorials with the
+library.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from fubini import hooks
+from fubini.combinat import falling_factorial_poly
+from fubini.distributions import Bernoulli, PointMass
+from fubini.identities import default_config
+from fubini.probabilistic import (
+    degenerate_moment,
+    prob_stirling2,
+    raw_moment,
+    sum_degenerate_moment,
+    sum_raw_moment,
+)
+from fubini.rational import scaled
+
+F = Fraction
+
+GRID_DISTS = list(default_config().dists)
+ZERO_MOMENT_DISTS = [Bernoulli(F(0)), PointMass(F(0))]
+TINY_LAMBDA = F(1, 99999999999999999999)
+
+
+def _ids(dist):
+    return dist.spec_string()
+
+
+def _naive_sum_raw_row(dist, k, m):
+    row = [F(1)]
+    for n in range(1, m + 1):
+        total = F(0)
+        for j in range(1, n + 1):
+            mu = raw_moment(dist, j)
+            if mu:
+                total += ((k + 1) * j - n) * math.comb(n, j) * mu * row[n - j]
+        row.append(total / n)
+    return row
+
+
+def _naive_contract(n, lam, moment):
+    coeffs = falling_factorial_poly(n, lam).coeffs
+    return sum((c * moment(m) for m, c in enumerate(coeffs) if c), start=F(0))
+
+
+def _naive_triangle(dist, n_max, lam):
+    a = [
+        _naive_contract(j, lam, lambda m: raw_moment(dist, m))
+        for j in range(n_max + 1)
+    ]
+    rows = [[F(1)]]
+    for m in range(1, n_max + 1):
+        row = [F(0)] * (m + 1)
+        for k in range(1, m + 1):
+            total = F(0)
+            for j in range(1, m - k + 2):
+                total += math.comb(m, j) * a[j] * rows[m - j][k - 1]
+            row[k] = total / k
+        rows.append(row)
+    return rows
+
+
+def test_scaled_puts_values_over_their_lcm():
+    assert scaled([]) == ([], 1)
+    assert scaled([F(1, 2), F(0), F(-5, 6), F(3)]) == ([3, 0, -5, 18], 6)
+
+
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+@pytest.mark.parametrize("k", [0, 1, 2, 500])
+def test_miller_core_matches_fraction_loop(dist, k):
+    expected = _naive_sum_raw_row(dist, k, 16)
+    # descending, so the first call grows the whole row at once
+    got = [sum_raw_moment(dist, k, m) for m in range(16, -1, -1)][::-1]
+    assert got == expected
+
+
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+@pytest.mark.parametrize("lam", [F(0), F(-7, 2), TINY_LAMBDA], ids=str)
+def test_contraction_core_matches_fraction_loop(dist, lam):
+    for n in range(21):
+        assert degenerate_moment(dist, n, lam) == _naive_contract(
+            n, lam, lambda m: raw_moment(dist, m)
+        ), n
+    for k in (0, 1, 3):
+        for n in range(13):
+            assert sum_degenerate_moment(dist, k, n, lam) == _naive_contract(
+                n, lam, lambda m: sum_raw_moment(dist, k, m)
+            ), (k, n)
+
+
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+def test_triangle_core_matches_fraction_loop(dist):
+    for lam in default_config().lambdas + (TINY_LAMBDA,):
+        expected = _naive_triangle(dist, 20, lam)
+        for n in range(20, -1, -1):
+            assert [prob_stirling2(dist, n, k, lam) for k in range(n + 1)] == (
+                expected[n]
+            ), (lam, n)
+
+
+def test_raw_moment_fault_reaches_every_integer_core_and_is_undone():
+    dist, lam, k, n = GRID_DISTS[5], F(1, 3), 3, 8
+
+    def tables():
+        return (
+            [prob_stirling2(dist, n, j, lam) for j in range(n + 1)],
+            [sum_degenerate_moment(dist, k, m, lam) for m in range(n + 1)],
+        )
+
+    def oracle():
+        return (
+            _naive_triangle(dist, n, lam)[n],
+            [
+                _naive_contract(
+                    m, lam, lambda i: _naive_sum_raw_row(dist, k, m)[i]
+                )
+                for m in range(n + 1)
+            ],
+        )
+
+    before = tables()  # grows both forms of every row before the fault
+    assert before == oracle()
+    with hooks.perturb("raw_moment", (dist, 2)):
+        inside = tables()
+        assert inside == oracle()
+    assert inside[0] != before[0] and inside[1] != before[1]
+    assert tables() == before

@@ -12,7 +12,13 @@ from fubini.distributions import (
     PointMass,
     Poisson,
 )
-from fubini.sampling import draw, estimate_sum_moment
+from fubini.sampling import (
+    MAX_DRAWS,
+    MAX_SAMPLES,
+    MIN_SAMPLES,
+    draw,
+    estimate_sum_moment,
+)
 
 F = Fraction
 
@@ -95,6 +101,25 @@ def test_estimate_validates_inputs():
         estimate_sum_moment(Bernoulli(F(1, 2)), -1, 2, F(0), 1000, seed=0)
     with pytest.raises(ValueError):
         estimate_sum_moment(Bernoulli(F(1, 2)), 2, -1, F(0), 1000, seed=0)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("reached past the bound checks")
+
+
+@pytest.mark.parametrize(
+    "k, samples, message",
+    [
+        (1, MAX_SAMPLES + 1, "samples must be <="),
+        (MAX_DRAWS // MIN_SAMPLES + 1, MIN_SAMPLES, r"k \* samples must be <="),
+        (10**40, 10**40, "samples must be <="),
+    ],
+)
+def test_estimate_refuses_extreme_sizes_before_any_work(monkeypatch, k, samples, message):
+    monkeypatch.setattr("fubini.sampling.draw", _must_not_run)
+    monkeypatch.setattr("fubini.sampling.sum_degenerate_moment", _must_not_run)
+    with pytest.raises(ValueError, match=message):
+        estimate_sum_moment(Bernoulli(F(1, 2)), k, 2, F(0), samples, seed=0)
 
 
 def test_k_zero_degenerates_to_indicator():
