@@ -367,6 +367,10 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    except (OverflowError, FloatingPointError) as exc:
+        raise click.UsageError(
+            f"--n {n} is too large for the float estimator ({exc}); lower --n"
+        ) from exc
 
     params = {
         "dist": dist.spec_string(),

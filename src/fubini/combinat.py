@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import hooks
 from .poly import Polynomial
-from .rational import as_rational
+from .rational import as_rational, scaled
 
 
 def factorial(n: int) -> int:
@@ -102,16 +102,18 @@ _ff_rows: dict[tuple[int, int], list[Polynomial]] = hooks.memo(
 
 
 def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
-    rows = _ff_rows[lam.numerator, lam.denominator]
+    u, v = lam.numerator, lam.denominator
+    rows = _ff_rows[u, v]
     while len(rows) <= n:
         m = len(rows)
-        # row m = row m-1 times (x - (m-1) lam)
-        prev = rows[m - 1].coeffs
-        root = (m - 1) * lam
-        row = [-root * prev[0]]
-        row.extend(prev[k - 1] - root * prev[k] for k in range(1, m))
-        row.append(prev[m - 1])
-        rows.append(Polynomial(row))
+        # with lam = u/v, row m = (v x - (m-1) u) row(m-1) over v den(m-1)
+        prev = rows[m - 1]
+        p = prev.nums
+        root = (m - 1) * u
+        row = [-root * p[0]]
+        row.extend(v * p[k - 1] - root * p[k] for k in range(1, m))
+        row.append(v * p[m - 1])
+        rows.append(Polynomial.from_scaled(row, v * prev.den))
     return rows[n]
 
 
@@ -123,6 +125,23 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
     return _falling_factorial_poly(n, as_rational(lam))
+
+
+# The order-r Fubini weights C(k+r-1, k) k! for k < size, per (size, r), as
+# integer numerators over one denominator. They are read through binomial and
+# factorial, so under hooks.perturb they may be Fractions.
+_order_weights: dict[tuple[int, int], tuple[list[int], int]] = hooks.memo({})
+
+
+def weighted_by_order(nums, den: int, r: int) -> Polynomial:
+    """sum_k C(k+r-1, k) k! nums[k] / den x**k, from integer numerators."""
+    key = len(nums), r
+    if key not in _order_weights:
+        _order_weights[key] = scaled(
+            [binomial(k + r - 1, k) * factorial(k) for k in range(len(nums))]
+        )
+    weights, wden = _order_weights[key]
+    return Polynomial.from_scaled([c * w for c, w in zip(nums, weights)], den * wden)
 
 
 def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:

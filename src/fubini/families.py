@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinat import binomial, factorial, stirling2_degenerate_row
+from .combinat import stirling2_degenerate_row, weighted_by_order
 from .poly import Polynomial
-from .rational import as_rational
+from .rational import as_rational, scaled
 from .series import TruncatedSeries
 
 
@@ -62,7 +62,4 @@ def degenerate_fubini_poly_order(n: int, r: int, lam) -> Polynomial:
         raise ValueError("degree must be >= 0")
     if r < 1:
         raise ValueError("order r must be >= 1")
-    row = stirling2_degenerate_row(n, lam)
-    return Polynomial(
-        [binomial(k + r - 1, k) * factorial(k) * c for k, c in enumerate(row)]
-    )
+    return weighted_by_order(*scaled(stirling2_degenerate_row(n, lam)), r)

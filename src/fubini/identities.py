@@ -32,7 +32,6 @@ and passes the full grid.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -257,6 +256,9 @@ def _drive(identity: IdentityId, cases) -> CheckReport:
     return _report(identity, count, cex)
 
 
+# Kept apart from combinat.falling_factorial_poly(k, 1), which is the same
+# polynomial: EQ6 reads its left side from that table, and lam = 1 is in the
+# default grid, so at lam = 1 both sides would come from one table.
 def _classical_falling(x, k: int) -> Fraction:
     val = Fraction(1)
     for j in range(k):
@@ -717,8 +719,8 @@ def _thm2_12(cfg):
 
 
 def _thm2_13(cfg):
-    # Order-(r+1) geometric expansion: integer cores over a common
-    # denominator keep the inner sums in machine-int arithmetic, exactly.
+    # Order-(r+1) geometric expansion: the inner sums run on the polynomial's
+    # integer numerators and divide by its denominator once.
     depth = cfg.coeff_depth
     comb = _comb_rows(depth + cfg.r_max)
     for dist in cfg.dists:
@@ -726,17 +728,12 @@ def _thm2_13(cfg):
             for r in range(1, cfg.r_max + 1):
                 for n in range(cfg.n_max + 1):
                     w = prob_fubini_poly_order(dist, n, r + 1, lam)
-                    dens = [w.coefficient(l).denominator for l in range(n + 1)]
-                    common = math.lcm(*dens) if dens else 1
-                    nums = [
-                        int(w.coefficient(l) * common) for l in range(n + 1)
-                    ]
                     for i in range(depth + 1):
                         row = comb[i + r]
                         core = sum(
-                            nums[l] * row[i - l] for l in range(min(n, i) + 1)
+                            c * row[i - l] for l, c in enumerate(w.nums[: i + 1])
                         )
-                        lhs = Fraction(core, common)
+                        lhs = Fraction(core, w.den)
                         rhs = row[i] * sum_degenerate_moment(dist, i, n, lam)
                         yield lhs, rhs, {
                             "dist": dist,

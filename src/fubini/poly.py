@@ -1,135 +1,185 @@
-"""Dense univariate polynomials with exact rational coefficients."""
+"""Dense univariate polynomials with exact rational coefficients.
+
+A polynomial is stored as integer numerators over one positive denominator,
+as FLINT's fmpq_poly is: ``nums[k] / den`` multiplies x**k. Every operation
+works on the integers and divides out their common factor once per result
+(``rational.reduced``); the Fraction coefficients are built only when
+``coeffs`` is first read.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
-from .rational import as_rational, scaled
+from .rational import as_rational, ratio, reduced, scaled
 
 
-def convolve(a, b, size: int) -> list[Fraction]:
-    """The first ``size`` coefficients of the product of coefficient vectors a, b.
+def convolve(a, b, size: int) -> list[int]:
+    """The first ``size`` coefficients of the product of integer vectors a, b.
 
     The one dense-coefficient kernel: Polynomial multiplication keeps every
-    coefficient, TruncatedSeries multiplication stops at its order. Each
-    vector is put over one common denominator, the products are summed in
-    Python ints, and one Fraction is built per output coefficient.
+    coefficient, TruncatedSeries multiplication stops at its order. Both
+    multiply numerators here and denominators apart.
     """
-    xs, da = scaled(a[:size])
-    ys, db = scaled(b[:size])
     out = [0] * size
-    for i, x in enumerate(xs):
+    for i, x in enumerate(a[:size]):
         if x:
-            for j, y in enumerate(ys[: size - i], i):
+            for j, y in enumerate(b[: size - i], i):
                 out[j] += x * y
-    den = da * db
-    return [Fraction(c, den) for c in out]
+    return out
+
+
+def combine(a, da: int, b, db: int, sign: int = 1) -> tuple[list[int], int]:
+    """Numerators of a/da + sign * b/db over a common denominator, and that
+    denominator; the shorter vector is padded with zeros."""
+    if da == db:
+        fa = fb = 1
+    else:
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+    fb *= sign
+    nums = [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
+    return nums, da * fa
 
 
 class Polynomial:
     """Immutable dense polynomial; ``coeffs[k]`` multiplies x**k.
 
-    Trailing zero coefficients are stripped on construction, so structurally
-    equal polynomials compare equal. The zero polynomial has an empty
-    coefficient tuple and degree -inf.
+    Canonical form: ``nums`` (a tuple of ints) over ``den`` (a positive int),
+    trailing zero numerators stripped and gcd(den, *nums) == 1, so equal
+    polynomials have equal (nums, den) and compare by tuple. The zero
+    polynomial has empty ``nums``, ``den == 1`` and degree -inf.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        nums, den = scaled([as_rational(c) for c in coeffs])
+        self._set(nums, den)
+
+    @classmethod
+    def from_scaled(cls, nums, den: int) -> "Polynomial":
+        """The polynomial sum_k nums[k] / den * x**k, from ints and den != 0."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums, den: int) -> None:
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        self.nums, self.den = reduced(nums[:n], den)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
 
     @classmethod
     def monomial(cls, k: int, coeff=1) -> "Polynomial":
         if k < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls([0] * k + [coeff])
+        p, q = ratio(coeff)
+        return cls.from_scaled([0] * k + [p], q)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+        return len(self.nums) - 1 if self.nums else -math.inf
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return Fraction(0)
 
     def evaluate(self, x) -> Fraction:
-        """p(x) by Horner's rule on integer cores, one Fraction at the end.
+        """p(x) by Horner's rule on the numerators, one Fraction at the end.
 
-        With x = u/v and coefficients c_k = n_k / d over a common d, the
-        loop builds sum_k n_k u**k v**(deg-k); the value is that over
-        d v**deg.
+        With x = u/v, the loop builds sum_k nums[k] u**k v**(deg-k); the
+        value is that over den v**deg.
         """
-        x = as_rational(x)
-        if not self.coeffs:
+        u, v = ratio(x)
+        if not self.nums:
             return Fraction(0)
-        nums, den = scaled(self.coeffs)
-        u, v = x.numerator, x.denominator
         acc = 0
         vpow = 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * u + c * vpow
             vpow *= v
-        return Fraction(acc, den * (vpow // v))
+        return Fraction(acc, self.den * (vpow // v))
 
     __call__ = evaluate
 
     def derivative(self, r: int = 1) -> "Polynomial":
         if r < 0:
             raise ValueError("derivative order must be >= 0")
-        p = self
-        for _ in range(r):
-            p = Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
-        return p
+        nums = self.nums
+        return Polynomial.from_scaled(
+            [math.perm(k, r) * nums[k] for k in range(r, len(nums))], self.den
+        )
 
     def scale_argument(self, c) -> "Polynomial":
-        """The polynomial x -> p(c*x)."""
-        c = as_rational(c)
-        return Polynomial([a * c**k for k, a in enumerate(self.coeffs)])
+        """The polynomial x -> p(c*x).
+
+        With c = u/v, coefficient k is nums[k] u**k v**(deg-k) over
+        den v**deg.
+        """
+        u, v = ratio(c)
+        nums = self.nums
+        if not nums:
+            return self
+        deg = len(nums) - 1
+        return Polynomial.from_scaled(
+            [a * u**k * v ** (deg - k) for k, a in enumerate(nums)], self.den * v**deg
+        )
+
+    def _combined(self, other, sign: int) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            b, db = other.nums, other.den
+        else:
+            p, db = ratio(other)
+            b = (p,)
+        return Polynomial.from_scaled(*combine(self.nums, self.den, b, db, sign))
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial.from_scaled([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial([other]).__neg__())
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            size = len(self.coeffs) + len(other.coeffs) - 1
-            return Polynomial(convolve(self.coeffs, other.coeffs, size))
-        c = as_rational(other)
-        return Polynomial([a * c for a in self.coeffs])
+            size = len(self.nums) + len(other.nums) - 1
+            return Polynomial.from_scaled(
+                convolve(self.nums, other.nums, size), self.den * other.den
+            )
+        p, q = ratio(other)
+        return Polynomial.from_scaled([a * p for a in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __repr__(self):
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
@@ -143,8 +193,5 @@ def gamma_weight_integral(poly: Polynomial, r: int) -> Fraction:
     """
     if r < 1:
         raise ValueError("weight exponent r must be an integer >= 1")
-    total = Fraction(0)
-    for k, c in enumerate(poly.coeffs):
-        if c:
-            total += c * math.factorial(r + k - 1)
-    return total
+    total = sum(c * math.factorial(r + k - 1) for k, c in enumerate(poly.nums) if c)
+    return Fraction(total, poly.den)

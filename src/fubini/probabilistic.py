@@ -20,7 +20,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from . import hooks
-from .combinat import binomial, factorial, falling_factorial_poly
+from .combinat import binomial, falling_factorial_poly, weighted_by_order
 from .distributions import Distribution
 from .poly import Polynomial
 from .rational import as_rational, scaled
@@ -87,15 +87,16 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
 def _contract(n: int, lam: Fraction, moment) -> Fraction:
     """sum_m [x**m](x)_{n,lam} * moment(m): a moment row against (x)_{n,lam}.
 
-    moment(m) is read only where [x**m](x)_{n,lam} is nonzero; both vectors
-    go over their common denominators for one integer dot product.
+    moment(m) is read only where [x**m](x)_{n,lam} is nonzero. The
+    polynomial already holds its coefficients as integers over one
+    denominator; the moments go over theirs, for one integer dot product.
     """
-    coeffs, coeff_den = scaled(falling_factorial_poly(n, lam).coeffs)
+    ff = falling_factorial_poly(n, lam)
     moments, moment_den = scaled(
-        [moment(m) if c else Fraction(0) for m, c in enumerate(coeffs)]
+        [moment(m) if c else Fraction(0) for m, c in enumerate(ff.nums)]
     )
-    total = sum(c * mu for c, mu in zip(coeffs, moments))
-    return Fraction(total, coeff_den * moment_den)
+    total = sum(c * mu for c, mu in zip(ff.nums, moments))
+    return Fraction(total, ff.den * moment_den)
 
 
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
@@ -129,17 +130,15 @@ _triangles: dict[tuple, tuple[list[list[Fraction]], list[tuple[list[int], int]]]
 )
 
 
-def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
-    """Row n of the triangle (empty for n < 0): T(0,0) = 1, T(n,0) = 0 for
-    n >= 1 and k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with
-    a_j = E[(Y)_{j,lam}].
+def _triangle(dist: Distribution, n: int, lam) -> tuple[list, list]:
+    """The triangle of (dist, lam) grown to row n, in both of its forms.
 
+    T(0,0) = 1, T(n,0) = 0 for n >= 1 and
+    k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with a_j = E[(Y)_{j,lam}].
     The term of w_j = C(n,j) a_j has denominator w_j.denominator times that
     of row n-j for every k, so the sum over j runs in ints over the lcm L of
     those denominators, and T(n,k) = Fraction(acc[k], k L).
     """
-    if n < 0:
-        return []
     lam = as_rational(lam)
     rows, scaled_rows = _triangles[dist, lam.numerator, lam.denominator]
     while len(rows) <= n:
@@ -161,7 +160,7 @@ def _stirling2_row(dist: Distribution, n: int, lam) -> list[Fraction]:
         row.extend(Fraction(acc[k], k * common) for k in range(1, m + 1))
         rows.append(row)
         scaled_rows.append(scaled(row))
-    return rows[n]
+    return rows, scaled_rows
 
 
 def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
@@ -174,12 +173,16 @@ def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
         raise ValueError("prob_stirling2 needs n, k >= 0")
     if k > n:
         return Fraction(0)
-    return _stirling2_row(dist, n, lam)[k]
+    rows, _ = _triangle(dist, n, lam)
+    return rows[n][k]
 
 
 def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} x**k."""
-    return Polynomial(_stirling2_row(dist, n, lam))
+    if n < 0:
+        return Polynomial()
+    _, scaled_rows = _triangle(dist, n, lam)
+    return Polynomial.from_scaled(*scaled_rows[n])
 
 
 def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
@@ -191,10 +194,10 @@ def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomia
     """Order-r variant with weight C(k+r-1, k) k!; r = 1 gives prob_fubini_poly."""
     if r < 1:
         raise ValueError("order r must be >= 1")
-    row = _stirling2_row(dist, n, lam)
-    return Polynomial(
-        [binomial(k + r - 1, k) * factorial(k) * c for k, c in enumerate(row)]
-    )
+    if n < 0:
+        return Polynomial()
+    _, scaled_rows = _triangle(dist, n, lam)
+    return weighted_by_order(*scaled_rows[n], r)
 
 
 def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSeries:

@@ -43,6 +43,28 @@ def scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
+def ratio(value: int | Fraction | str) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact value, refusing floats."""
+    if type(value) is int:
+        return value, 1
+    value = as_rational(value)
+    return value.numerator, value.denominator
+
+
+def reduced(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over a nonzero den, divided by their common factor.
+
+    The result has a positive denominator and gcd(den, *nums) == 1, so two
+    vectors hold the same values exactly when their reduced forms are equal.
+    """
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(c // g for c in nums), den // g
+
+
 def format_rational(value: int | Fraction) -> str:
     """Render in lowest terms as 'n' or '-p/q' (the wire format)."""
     return str(as_rational(value))

@@ -95,6 +95,10 @@ def estimate_sum_moment(
     degree of freedom removed. A statistic equal in every replicate has
     stderr 0 and no z-score. MIN_SAMPLES <= samples <= MAX_SAMPLES and
     k * samples <= MAX_DRAWS, checked before anything is computed.
+
+    Raises OverflowError, before any draw, when the exact value is too large
+    for a float, and FloatingPointError when the float statistic, its mean
+    or its spread overflows; the degree n drives both.
     """
     import numpy as np
 
@@ -110,26 +114,28 @@ def estimate_sum_moment(
         raise ValueError(f"k * samples must be <= {MAX_DRAWS}")
     lam = as_rational(lam)
     exact = sum_degenerate_moment(dist, k, n, lam)
+    exact_float = float(exact)
 
     total = np.zeros(samples)
     for j in range(k):
         # stream split: one independent substream per summand
         total += draw(dist, samples, seed * 1_000_003 + j)
     lamf = float(lam)
-    stat = np.ones(samples)
-    for j in range(n):
-        stat = stat * (total - j * lamf)
+    with np.errstate(over="raise"):
+        stat = np.ones(samples)
+        for j in range(n):
+            stat = stat * (total - j * lamf)
 
-    if np.all(stat == stat[0]):
-        # a deterministic statistic: the mean and spread would only add
-        # float rounding, which can fake a huge z-score
-        estimate = float(stat[0])
-        stderr = 0.0
-        zscore = None
-    else:
-        estimate = float(stat.mean())
-        stderr = float(stat.std(ddof=1)) / math.sqrt(samples)
-        zscore = (estimate - float(exact)) / stderr
+        if np.all(stat == stat[0]):
+            # a deterministic statistic: the mean and spread would only add
+            # float rounding, which can fake a huge z-score
+            estimate = float(stat[0])
+            stderr = 0.0
+            zscore = None
+        else:
+            estimate = float(stat.mean())
+            stderr = float(stat.std(ddof=1)) / math.sqrt(samples)
+            zscore = (estimate - exact_float) / stderr
     return MCResult(
         estimate=estimate,
         stderr=stderr,

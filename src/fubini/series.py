@@ -3,6 +3,12 @@
 Coefficients live in the plain t**k basis. Exponential-generating-function
 callers convert at the boundary via ``from_egf``/``egf_coefficient``, which
 divide/multiply by k!; nothing inside the arithmetic ever rounds.
+
+A series is stored as Polynomial is: integer numerators ``nums`` over one
+positive denominator ``den`` with gcd(den, *nums) == 1 (trailing zeros are
+kept, because they carry the order). The ring operations are integer
+operations with one reduction per result, and the Fraction coefficients are
+built only when ``coeffs`` is first read.
 """
 
 from __future__ import annotations
@@ -10,29 +16,73 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import convolve
-from .rational import as_rational
+from .poly import combine, convolve
+from .rational import as_rational, ratio, reduced, scaled
+
+
+def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
+    """out_0 = 1 and out_k = sum_{i=1..k} weights[i] out_{k-i} / divisor(k).
+
+    weights are ints and divisor(k) a positive int. Each out_k is reduced to
+    lowest terms before the next step, and the outputs are kept over the lcm
+    of their denominators, so the integers grow only as the exact values do.
+    Returns the numerators of out_0..out_order over that lcm.
+    """
+    nums = [1]
+    common = 1
+    for k in range(1, order + 1):
+        acc = 0
+        for w, b in zip(weights[1 : k + 1], reversed(nums)):
+            if w:
+                acc += w * b
+        den = divisor(k) * common
+        g = math.gcd(acc, den)
+        num, den = acc // g, den // g
+        grow = den // math.gcd(common, den)
+        if grow > 1:
+            nums = [b * grow for b in nums]
+            common *= grow
+        nums.append(num * (common // den))
+    return nums, common
 
 
 class TruncatedSeries:
     """Power series truncated after t**order; all ops stay at that order."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den", "_coeffs")
 
     def __init__(self, coeffs):
-        cs = tuple(as_rational(c) for c in coeffs)
+        cs = [as_rational(c) for c in coeffs]
         if not cs:
             raise ValueError("a truncated series needs at least the t**0 coefficient")
-        self.coeffs = cs
-        self.order = len(cs) - 1
+        self._set(*scaled(cs))
+
+    @classmethod
+    def from_scaled(cls, nums, den: int) -> "TruncatedSeries":
+        """The series sum_k nums[k] / den * t**k, from ints and den != 0."""
+        s = cls.__new__(cls)
+        s._set(nums, den)
+        return s
+
+    def _set(self, nums, den: int) -> None:
+        self.nums, self.den = reduced(nums, den)
+        self.order = len(nums) - 1
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
+        return cls.from_scaled([0] * (order + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
+        return cls.from_scaled([1] + [0] * order, 1)
 
     @classmethod
     def from_egf(cls, egf_values) -> "TruncatedSeries":
@@ -43,10 +93,10 @@ class TruncatedSeries:
         """Coefficient of t**n/n!."""
         if not 0 <= n <= self.order:
             raise ValueError(f"order {n} outside truncation order {self.order}")
-        return self.coeffs[n] * math.factorial(n)
+        return Fraction(self.nums[n] * math.factorial(n), self.den)
 
     def egf_coefficients(self) -> list[Fraction]:
-        return [self.coeffs[n] * math.factorial(n) for n in range(self.order + 1)]
+        return [self.egf_coefficient(n) for n in range(self.order + 1)]
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if other.order != self.order:
@@ -54,23 +104,25 @@ class TruncatedSeries:
                 f"series order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other):
+    def _combined(self, other, sign: int) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        c = as_rational(other)
-        return TruncatedSeries((self.coeffs[0] + c,) + self.coeffs[1:])
+            b, db = other.nums, other.den
+        else:
+            p, db = ratio(other)
+            b = (p,)
+        return TruncatedSeries.from_scaled(*combine(self.nums, self.den, b, db, sign))
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries.from_scaled([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return self + (-as_rational(other))
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -78,9 +130,11 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries(convolve(self.coeffs, other.coeffs, self.order + 1))
-        c = as_rational(other)
-        return TruncatedSeries([a * c for a in self.coeffs])
+            return TruncatedSeries.from_scaled(
+                convolve(self.nums, other.nums, self.order + 1), self.den * other.den
+            )
+        p, q = ratio(other)
+        return TruncatedSeries.from_scaled([a * p for a in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
@@ -93,41 +147,41 @@ class TruncatedSeries:
         return result
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse; needs a nonzero constant term.
+
+        With a_i = nums[i] / den, b = 1/a is (den / nums[0]) times the
+        solution of out_k = -sum_i (nums[i] / nums[0]) out_{k-i}.
+        """
+        a0 = self.nums[0]
+        if a0 == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = 1 / a[0]
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out)
+        sign = 1 if a0 > 0 else -1
+        weights = [-sign * c for c in self.nums]
+        nums, common = _recurrence(weights, lambda k: sign * a0, self.order)
+        return TruncatedSeries.from_scaled(
+            [sign * self.den * b for b in nums], abs(a0) * common
+        )
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential; needs a zero constant term."""
-        a = self.coeffs
-        if a[0] != 0:
+        """Series exponential; needs a zero constant term.
+
+        With a_j = nums[j] / den, out_k = sum_j j a_j out_{k-j} / k.
+        """
+        if self.nums[0] != 0:
             raise ValueError("series exponential requires zero constant term")
-        out = [Fraction(1)]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += j * a[j] * out[k - j]
-            out.append(acc / k)
-        return TruncatedSeries(out)
+        den = self.den
+        weights = [j * c for j, c in enumerate(self.nums)]
+        return TruncatedSeries.from_scaled(
+            *_recurrence(weights, lambda k: k * den, self.order)
+        )
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"TruncatedSeries([{', '.join(str(c) for c in self.coeffs)}])"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -443,6 +444,8 @@ HOSTILE_ARGS = [
     (["series", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--order", "2"], 2),
     (["table", "--dist", "point:1e3", "--n-max", "2"], 2),
     (["verify", "--suite", "EQ6", "--dists", "point:1e3"], 2),
+    (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
+    (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
 ]
 
 
@@ -460,6 +463,36 @@ def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
     else:
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize(
+    "dist, k, n, draws",
+    [
+        ("gamma:1,1", 2, 400, 0),  # the exact value has no float: refused before any draw
+        ("poisson:100", 1, 140, 1),  # the squares of the statistic overflow
+    ],
+)
+def test_mc_degree_beyond_the_float_range_is_a_usage_error(monkeypatch, dist, k, n, draws):
+    import fubini.sampling
+
+    calls = []
+    real_draw = fubini.sampling.draw
+
+    def counting_draw(*args):
+        calls.append(args)
+        return real_draw(*args)
+
+    monkeypatch.setattr(fubini.sampling, "draw", counting_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke(
+            ["mc", "--dist", dist, "--k", str(k), "--n", str(n), "--samples", "1000"]
+        )
+    assert res.exit_code == 2, res.stderr
+    assert res.stdout == ""
+    assert f"Error: --n {n} is too large" in res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    assert len(calls) == draws
 
 
 def test_verify_single_identity_document():

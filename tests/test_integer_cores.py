@@ -13,11 +13,13 @@ from fractions import Fraction
 import pytest
 
 from fubini import hooks
-from fubini.combinat import falling_factorial_poly
+from fubini.combinat import falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, PointMass
+from fubini.families import degenerate_fubini_poly_order
 from fubini.identities import default_config
 from fubini.probabilistic import (
     degenerate_moment,
+    prob_fubini_poly_order,
     prob_stirling2,
     raw_moment,
     sum_degenerate_moment,
@@ -135,3 +137,44 @@ def test_raw_moment_fault_reaches_every_integer_core_and_is_undone():
         assert inside == oracle()
     assert inside[0] != before[0] and inside[1] != before[1]
     assert tables() == before
+
+
+# Under hooks.perturb, factorial and binomial return Fractions; the order-r
+# weights C(k+r-1, k) k! are then rational and must still reach the result.
+@pytest.mark.parametrize(
+    "table, key", [("factorial", (2,)), ("binomial", (3, 2)), ("binomial", (4, 4))]
+)
+@pytest.mark.parametrize("r", [1, 2])
+def test_perturbed_order_weights_reach_the_fubini_polynomials(table, key, r):
+    dist, lam, n, delta = GRID_DISTS[3], F(-1, 4), 5, F(1, 3)
+
+    def weight(k):
+        b = math.comb(k + r - 1, k) + (delta if hits("binomial", (k + r - 1, k)) else 0)
+        f = math.factorial(k) + (delta if hits("factorial", (k,)) else 0)
+        return b * f
+
+    def hits(*slot):
+        return slot == (table, key)
+
+    def oracle():
+        return (
+            [weight(k) * prob_stirling2(dist, n, k, lam) for k in range(n + 1)],
+            [weight(k) * stirling2_degenerate(n, k, lam) for k in range(n + 1)],
+        )
+
+    def polys():
+        return (
+            prob_fubini_poly_order(dist, n, r, lam),
+            degenerate_fubini_poly_order(n, r, lam),
+        )
+
+    before = polys()
+    with hooks.perturb(table, key, delta):
+        inside = polys()
+        expected = oracle()
+        for got, want in zip(inside, expected):
+            assert [got.coefficient(k) for k in range(n + 1)] == want
+            assert math.gcd(got.den, *got.nums) == 1
+    if any(weight(k) != math.comb(k + r - 1, k) * math.factorial(k) for k in range(n + 1)):
+        assert inside[0] != before[0] and inside[1] != before[1]
+    assert polys() == before

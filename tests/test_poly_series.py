@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fubini.poly import Polynomial, convolve, gamma_weight_integral
-from fubini.rational import as_rational, format_rational, parse_rational
+from fubini.rational import as_rational, format_rational, parse_rational, scaled
 from fubini.series import TruncatedSeries
 
 F = Fraction
@@ -104,10 +104,12 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("a", KERNEL_CASES)
 @pytest.mark.parametrize("b", KERNEL_CASES)
 def test_convolve_matches_fraction_loop(a, b):
+    # convolve multiplies numerators; the denominators multiply apart
+    (xs, da), (ys, db) = scaled(a), scaled(b)
     for size in range(len(a) + len(b) + 1):
-        got = convolve(a, b, size)
-        assert got == naive_convolve(a, b, size)
-        assert all(type(c) is F for c in got)
+        got = convolve(xs, ys, size)
+        assert all(type(c) is int for c in got)
+        assert [F(c, da * db) for c in got] == naive_convolve(a, b, size)
 
 
 @pytest.mark.parametrize("coeffs", KERNEL_CASES)
@@ -125,7 +127,9 @@ def test_evaluate_matches_fraction_loop(coeffs):
     st.integers(min_value=0, max_value=15),
 )
 def test_convolve_matches_fraction_loop_property(a, b, size):
-    assert convolve(a, b, size) == naive_convolve(a, b, size)
+    (xs, da), (ys, db) = scaled(a), scaled(b)
+    got = convolve(xs, ys, size)
+    assert [F(c, da * db) for c in got] == naive_convolve(a, b, size)
 
 
 @given(poly_strategy(8), rationals)
@@ -275,3 +279,207 @@ def test_series_scalar_ops():
     assert (s * F(1, 2)).coeffs == (F(1, 2), 1, F(3, 2))
     assert (s**0).coeffs == (1, 0, 0)
     assert (s**2).coeffs == (s * s).coeffs
+
+
+# --- the stored form: integer numerators over one denominator ---
+#
+# The oracles are the Fraction loops the integer operations replaced. Every
+# result is checked in canonical form: a positive den, gcd(den, *nums) == 1,
+# no trailing zero numerator (polynomials), and coeffs equal to nums / den.
+
+
+def assert_canonical(obj, strip=True):
+    assert type(obj.nums) is tuple
+    assert all(type(c) is int for c in obj.nums)
+    assert type(obj.den) is int and obj.den > 0
+    assert math.gcd(obj.den, *obj.nums) == 1
+    if strip:
+        assert not obj.nums or obj.nums[-1] != 0
+    assert obj.coeffs == tuple(F(c, obj.den) for c in obj.nums)
+    assert all(type(c) is F for c in obj.coeffs)
+
+
+def stripped(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def naive_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [F(0)] * (n - len(a))
+    b = list(b) + [F(0)] * (n - len(b))
+    return stripped(x + sign * y for x, y in zip(a, b))
+
+
+def naive_derivative(cs, r):
+    cs = list(cs)
+    for _ in range(r):
+        cs = [k * c for k, c in enumerate(cs)][1:]
+    return stripped(cs)
+
+
+def naive_reciprocal(a):
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = F(0)
+        for i in range(1, k + 1):
+            acc += a[i] * out[k - i]
+        out.append(-inv0 * acc)
+    return tuple(out)
+
+
+def naive_exp(a):
+    out = [F(1)]
+    for k in range(1, len(a)):
+        acc = F(0)
+        for j in range(1, k + 1):
+            acc += j * a[j] * out[k - j]
+        out.append(acc / k)
+    return tuple(out)
+
+
+SCALARS = [0, 1, -2, F(-5, 3), F(7, 9), "3/4"]
+POLY_CASES = KERNEL_CASES + [
+    (F(6, 4), F(-10, 4), F(0)),
+    (F(-1, 12), F(0), F(1, 18), F(-1, 8)),
+]
+
+
+def check_poly_ops(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    results = {
+        "+": (p + q, naive_add(a, b)),
+        "-": (p - q, naive_add(a, b, -1)),
+        "*": (p * q, stripped(naive_convolve(a, b, max(len(a) + len(b) - 1, 0)))),
+        "neg": (-p, stripped(-c for c in a)),
+    }
+    for name, (got, expected) in results.items():
+        assert_canonical(got)
+        assert got.coeffs == expected, name
+
+
+def check_poly_scalar_ops(a, c):
+    p, cf = Polynomial(a), as_rational(c)
+    results = {
+        "p*c": (p * c, stripped(x * cf for x in a)),
+        "c*p": (c * p, stripped(x * cf for x in a)),
+        "p+c": (p + c, naive_add(a, (cf,))),
+        "c+p": (c + p, naive_add(a, (cf,))),
+        "p-c": (p - c, naive_add(a, (cf,), -1)),
+        "c-p": (c - p, naive_add((cf,), a, -1)),
+        "scale": (p.scale_argument(c), stripped(x * cf**k for k, x in enumerate(a))),
+        "monomial": (Polynomial.monomial(2, c), stripped((0, 0, cf))),
+    }
+    for name, (got, expected) in results.items():
+        assert_canonical(got)
+        assert got.coeffs == expected, name
+    assert p.evaluate(c) == naive_evaluate(stripped(a), cf)
+
+
+@pytest.mark.parametrize("a", POLY_CASES)
+@pytest.mark.parametrize("b", POLY_CASES)
+def test_polynomial_ops_match_fraction_loops(a, b):
+    check_poly_ops(a, b)
+
+
+@pytest.mark.parametrize("a", POLY_CASES)
+def test_polynomial_scalar_ops_and_derivatives_match_fraction_loops(a):
+    for c in SCALARS:
+        check_poly_scalar_ops(a, c)
+    p = Polynomial(a)
+    assert_canonical(p)
+    for r in range(6):
+        got = p.derivative(r)
+        assert_canonical(got)
+        assert got.coeffs == naive_derivative(a, r), r
+
+
+def test_from_scaled_reduces_to_the_canonical_form():
+    p = Polynomial.from_scaled([2, -4, 6, 0, 0], -6)
+    assert (p.nums, p.den) == ((-1, 2, -3), 3)
+    assert p == Polynomial([F(-1, 3), F(2, 3), -1])
+    zero = Polynomial.from_scaled([0, 0], -5)
+    assert (zero.nums, zero.den) == ((), 1)
+    assert zero == Polynomial() == Polynomial([0, 0])
+    s = TruncatedSeries.from_scaled([0, 4, -8, 0], 12)
+    assert (s.nums, s.den, s.order) == ((0, 1, -2, 0), 3, 3)
+    z = TruncatedSeries.zero(2)
+    assert (z.nums, z.den) == ((0, 0, 0), 1)
+
+
+@pytest.mark.parametrize("a", POLY_CASES)
+@pytest.mark.parametrize("b", POLY_CASES)
+def test_equality_and_hash_follow_fraction_coefficients(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    assert (p == q) == (stripped(a) == stripped(b))
+    # the same polynomial built over an unreduced, negative denominator
+    nums, den = scaled([F(c) for c in b])
+    r = Polynomial.from_scaled([-6 * c for c in nums], -6 * den)
+    assert r == q and hash(r) == hash(q)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+SERIES_CASES = [
+    (F(0), F(0), F(0), F(0)),
+    (F(1), F(0), F(0), F(0)),
+    (F(-3, 2), F(1, 3), F(0), F(5, 7)),
+    (F(2), F(-1, 4), F(3, 10), F(-7, 6)),
+    (F(0), F(2, 9), F(-1), F(1, 6)),
+    (F(-1), F(12), F(-30), F(4, 15)),
+]
+
+
+@pytest.mark.parametrize("a", SERIES_CASES)
+@pytest.mark.parametrize("b", SERIES_CASES)
+def test_series_ops_match_fraction_loops(a, b):
+    s, t = TruncatedSeries(a), TruncatedSeries(b)
+    results = {
+        "+": (s + t, tuple(x + y for x, y in zip(a, b))),
+        "-": (s - t, tuple(x - y for x, y in zip(a, b))),
+        "*": (s * t, tuple(naive_convolve(a, b, len(a)))),
+        "neg": (-s, tuple(-x for x in a)),
+    }
+    for c in SCALARS:
+        cf = as_rational(c)
+        results[f"*{c}"] = (s * c, tuple(x * cf for x in a))
+        results[f"{c}-"] = (c - s, (cf - a[0],) + tuple(-x for x in a[1:]))
+    if a[0]:
+        results["reciprocal"] = (s.reciprocal(), naive_reciprocal(a))
+    else:
+        results["exp"] = (s.exp(), naive_exp(a))
+    for name, (got, expected) in results.items():
+        assert_canonical(got, strip=False)
+        assert got.order == len(a) - 1
+        assert got.coeffs == expected, name
+    assert (s == t) == (a == b)
+    if s == t:
+        assert hash(s) == hash(t)
+    assert s.egf_coefficients() == [x * math.factorial(n) for n, x in enumerate(a)]
+
+
+@settings(max_examples=80)
+@given(poly_strategy(7), poly_strategy(7), rationals)
+def test_polynomial_ops_match_fraction_loops_property(p, q, c):
+    check_poly_ops(p.coeffs, q.coeffs)
+    check_poly_scalar_ops(p.coeffs, c)
+    for r in range(3):
+        assert p.derivative(r).coeffs == naive_derivative(p.coeffs, r)
+
+
+@settings(max_examples=80)
+@given(series_strategy(6))
+def test_reciprocal_and_exp_match_fraction_loops_property(s):
+    a = s.coeffs
+    assert_canonical(s, strip=False)
+    if a[0]:
+        got = s.reciprocal()
+        assert got.coeffs == naive_reciprocal(a)
+        assert_canonical(got, strip=False)
+    shifted = s - a[0]
+    got = shifted.exp()
+    assert got.coeffs == naive_exp(shifted.coeffs)
+    assert_canonical(got, strip=False)
