@@ -32,7 +32,7 @@ from .probabilistic import (
     prob_fubini_poly_order,
 )
 from .rational import format_rational, parse_rational
-from .sampling import MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, estimate_sum_moment
+from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, estimate_sum_moment
 
 
 def _parse_dist(spec: str):
@@ -347,7 +347,7 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
 @cli.command("mc")
 @click.option("--dist", "dist_spec", required=True)
 @click.option("--k", "k", type=int, required=True, help="Number of iid summands.")
-@click.option("--n", "n", type=int, required=True, help="Degenerate falling-factorial degree.")
+@click.option("--n", "n", type=int, required=True, help=f"Degenerate falling-factorial degree, at most {MAX_DEGREE}.")
 @click.option("--lambda", "lam_text", default="0", show_default=True)
 @click.option("--samples", "samples", type=int, default=100_000, show_default=True)
 @click.option("--seed", "seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -363,6 +363,8 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         raise click.UsageError(f"--samples must be <= {MAX_SAMPLES}")
     if k * samples > MAX_DRAWS:
         raise click.UsageError(f"--k times --samples must be <= {MAX_DRAWS}")
+    if n > MAX_DEGREE:
+        raise click.UsageError(f"--n must be <= {MAX_DEGREE}")
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except ValueError as exc:

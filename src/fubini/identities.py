@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .combinat import (
     binomial,
@@ -64,7 +65,7 @@ from .probabilistic import (
     prob_stirling2,
     sum_degenerate_moment,
 )
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, scaled
 from .series import TruncatedSeries
 
 
@@ -390,33 +391,32 @@ def _eq15_gf(cfg):
 
 
 def _eq19_inv(cfg):
-    # Binomial-inversion roundtrip from the column numbers back to sum moments
+    # Binomial-inversion roundtrip from the column numbers back to sum
+    # moments; the sums over j run on the triangle row's integer numerators.
+    weights = [
+        [binomial(k, j) * factorial(j) for j in range(k + 1)]
+        for k in range(cfg.n_max + 1)
+    ]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for n in range(cfg.n_max + 1):
+                bell = prob_bell_poly(dist, n, lam)
                 for k in range(cfg.n_max + 1):
                     lhs = sum_degenerate_moment(dist, k, n, lam)
-                    rhs = sum(
-                        (
-                            binomial(k, j)
-                            * factorial(j)
-                            * prob_stirling2(dist, n, j, lam)
-                            for j in range(min(k, n) + 1)
-                        ),
-                        start=Fraction(0),
-                    )
+                    core = sum(map(mul, weights[k], bell.nums))
+                    rhs = Fraction(core, bell.den)
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
 
 
 def _stirling2_by_difference(dist, n, k, lam) -> Fraction:
     # The defining alternating sum: k-th finite difference of
-    # j -> E[(S_j)_{n,lam}] at 0, divided by k!
-    total = Fraction(0)
-    for j in range(k + 1):
-        term = sum_degenerate_moment(dist, j, n, lam)
-        if term:
-            total += binomial(k, j) * (-1) ** (k - j) * term
-    return total / factorial(k)
+    # j -> E[(S_j)_{n,lam}] at 0, divided by k!, summed in ints over the
+    # common denominator of the k + 1 sum moments
+    terms, den = scaled([sum_degenerate_moment(dist, j, n, lam) for j in range(k + 1)])
+    total = sum(
+        binomial(k, j) * (-1) ** (k - j) * term for j, term in enumerate(terms) if term
+    )
+    return Fraction(total, den * factorial(k))
 
 
 def _eq20_gf(cfg):
@@ -482,19 +482,14 @@ def _eq29_bell(cfg):
                     )
 
 
-def _geometric_expansion_rows(cfg, dist, lam, depth):
-    # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum moments
+def _geometric_expansion_rows(cfg, dist, lam, comb):
+    # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum
+    # moments, to depth len(comb) - 1; the sums over k run on the polynomial's
+    # integer numerators and divide by its denominator once.
     for n in range(cfg.n_max + 1):
         fub = prob_fubini_poly(dist, n, lam)
-        for i in range(depth + 1):
-            lhs = sum(
-                (
-                    fub.coefficient(k) * binomial(i, k)
-                    for k in range(min(n, i) + 1)
-                    if fub.coefficient(k)
-                ),
-                start=Fraction(0),
-            )
+        for i, row in enumerate(comb):
+            lhs = Fraction(sum(map(mul, fub.nums, row[: i + 1])), fub.den)
             rhs = sum_degenerate_moment(dist, i, n, lam)
             yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "i": i}
 
@@ -503,9 +498,10 @@ def _thm2_2(cfg):
     # Geometric moment series; exactly the substitution image u = x/(1+x)
     # of the expansion checked coefficient-wise (the tail is additionally
     # spot-checked numerically via thm2_2_numeric_spotcheck).
+    comb = _comb_rows(cfg.coeff_depth)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            yield from _geometric_expansion_rows(cfg, dist, lam, cfg.coeff_depth)
+            yield from _geometric_expansion_rows(cfg, dist, lam, comb)
 
 
 def _thm2_3(cfg):
@@ -705,6 +701,7 @@ def _thm2_11(cfg):
 def _thm2_12(cfg):
     # Poisson sum moments are the classical Bell polynomials at k*alpha,
     # and the geometric expansion then reduces to the THM2_10 rows.
+    comb = _comb_rows(cfg.coeff_depth)
     for dist in _poissons(cfg):
         for lam in cfg.lambdas:
             for n in range(cfg.n_max + 1):
@@ -715,7 +712,7 @@ def _thm2_12(cfg):
                         sum_degenerate_moment(dist, k, n, lam),
                         {"dist": dist, "lambda": lam, "n": n, "k": k},
                     )
-            yield from _geometric_expansion_rows(cfg, dist, lam, cfg.coeff_depth)
+            yield from _geometric_expansion_rows(cfg, dist, lam, comb)
 
 
 def _thm2_13(cfg):

@@ -7,10 +7,14 @@ numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
 Everything is exact. The recurrences and contractions run on integer cores:
-their inputs are put over one common denominator (rational.scaled), the sums
-of products run in Python ints, and one Fraction is built per result.
-Tables indexed by lam are keyed by (lam.numerator, lam.denominator), which
-hashes without Fraction.__hash__.
+the sums of products run in Python ints over one common denominator, and one
+Fraction is built per result. The moment rows E[Y**m] and E[S_k**m] are
+stored in that form (rational.ScaledRow, integer numerators over the lcm of
+the entries' denominators), so Miller's recurrence and the contractions
+against the numerators of (x)_{n,lam} read them as they are; the triangle
+puts each row over its denominator once (rational.scaled). Tables indexed by
+lam are keyed by (lam.numerator, lam.denominator), which hashes without
+Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -18,28 +22,38 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 from . import hooks
 from .combinat import binomial, falling_factorial_poly, weighted_by_order
 from .distributions import Distribution
 from .poly import Polynomial
-from .rational import as_rational, scaled
+from .rational import ScaledRow, as_rational, scaled
 from .series import TruncatedSeries
 
 
-# Memo rows, grown on demand: E[Y**m] per dist, E[S_k**m] per (dist, k),
-# E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam), lam
-# as its numerator and denominator. A defaultdict builds the empty row only
-# on a miss, not on every lookup.
+# Memo rows, grown on demand. E[Y**m] per dist, as the moment formula gives
+# it; E[S_k**m] per (dist, k), grown by Miller's recurrence; E[(Y)_{n,lam}]
+# per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam), lam as its
+# numerator and denominator. A defaultdict builds the empty row only on a
+# miss, not on every lookup.
 _raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo(defaultdict(list))
-_sum_moment_rows: dict[tuple[Distribution, int], list[Fraction]] = hooks.memo(
-    defaultdict(lambda: [Fraction(1)])
+_sum_moment_rows: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
+    defaultdict(lambda: ScaledRow([1]))
 )
 _degenerate_rows: dict[tuple[Distribution, int, int], list[Fraction]] = hooks.memo(
     defaultdict(list)
 )
 _sum_degenerate_rows: dict[tuple[Distribution, int, int, int], list[Fraction]] = (
     hooks.memo(defaultdict(list))
+)
+# The moments as their accessors return them, for the recurrences and
+# contractions: E[Y**m] per dist from raw_moment and E[S_k**m] per (dist, k)
+# from sum_raw_moment, so a fault injected at either accessor reaches every
+# row built on it.
+_raw_moment_reads: dict[Distribution, ScaledRow] = hooks.memo(defaultdict(ScaledRow))
+_sum_moment_reads: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
+    defaultdict(ScaledRow)
 )
 
 
@@ -53,27 +67,36 @@ def raw_moment(dist: Distribution, m: int) -> Fraction:
     return hooks.shifted("raw_moment", (dist, m), row[m])
 
 
-def _sum_raw_moments(dist: Distribution, k: int, m: int) -> list[Fraction]:
-    """E[S_k**0..m] by J. C. P. Miller's power recurrence (TAOCP Vol. 2, 4.7).
+def _read_raw_moments(dist: Distribution, m: int) -> ScaledRow:
+    """raw_moment(dist, 0..m) (at least), as one ScaledRow."""
+    row = _raw_moment_reads[dist]
+    while len(row) <= m:
+        row.append(raw_moment(dist, len(row)))
+    return row
+
+
+def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
+    """E[S_k**0..m] (at least) by J. C. P. Miller's power recurrence (TAOCP 4.7).
 
     With mu_j = E[Y**j] and mu_0 = 1, the k-th power of sum_j mu_j t**j / j!
     has EGF coefficients beta_0 = 1 and
     n beta_n = sum_{j=1..n} ((k+1) j - n) C(n, j) mu_j beta_{n-j}.
     mu_0 = 1 holds for every distribution, so it is not read from the
-    moment table; a fault injected at raw_moment(dist, 0) does not reach here.
-    The sum runs on mu_1..mu_n and beta_0..beta_{n-1} over their common
-    denominators.
+    moment row; a fault injected at raw_moment(dist, 0) does not reach here.
+    The sum runs on the stored numerators of mu_1..mu_n and
+    beta_0..beta_{n-1}, and builds one Fraction per new entry.
     """
     row = _sum_moment_rows[dist, k]
     while len(row) <= m:
         n = len(row)
-        mus, mu_den = scaled([raw_moment(dist, j) for j in range(1, n + 1)])
-        betas, beta_den = scaled(row)
+        mus = _read_raw_moments(dist, n)
+        betas = row.nums
         total = 0
-        for j, mu in enumerate(mus, 1):
+        for j in range(1, n + 1):
+            mu = mus.nums[j]
             if mu:
                 total += ((k + 1) * j - n) * binomial(n, j) * mu * betas[n - j]
-        row.append(Fraction(total, n * mu_den * beta_den))
+        row.append(Fraction(total, n * mus.den * row.den))
     return row
 
 
@@ -84,19 +107,23 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     return hooks.shifted("sum_moment", (dist, k, m), _sum_raw_moments(dist, k, m)[m])
 
 
-def _contract(n: int, lam: Fraction, moment) -> Fraction:
-    """sum_m [x**m](x)_{n,lam} * moment(m): a moment row against (x)_{n,lam}.
+def _read_sum_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
+    """sum_raw_moment(dist, k, 0..m) (at least), as one ScaledRow."""
+    row = _sum_moment_reads[dist, k]
+    while len(row) <= m:
+        row.append(sum_raw_moment(dist, k, len(row)))
+    return row
 
-    moment(m) is read only where [x**m](x)_{n,lam} is nonzero. The
-    polynomial already holds its coefficients as integers over one
-    denominator; the moments go over theirs, for one integer dot product.
+
+def _contract(n: int, lam: Fraction, moments: ScaledRow) -> Fraction:
+    """sum_m [x**m](x)_{n,lam} * moments[m]: one integer dot product.
+
+    Both the polynomial and the moment row (grown to at least n + 1 entries)
+    hold integer numerators over one denominator.
     """
     ff = falling_factorial_poly(n, lam)
-    moments, moment_den = scaled(
-        [moment(m) if c else Fraction(0) for m, c in enumerate(ff.nums)]
-    )
-    total = sum(c * mu for c, mu in zip(ff.nums, moments))
-    return Fraction(total, ff.den * moment_den)
+    total = sum(map(mul, ff.nums, moments.nums))
+    return Fraction(total, ff.den * moments.den)
 
 
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
@@ -106,7 +133,8 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     lam = as_rational(lam)
     row = _degenerate_rows[dist, lam.numerator, lam.denominator]
     while len(row) <= n:
-        row.append(_contract(len(row), lam, lambda m: raw_moment(dist, m)))
+        m = len(row)
+        row.append(_contract(m, lam, _read_raw_moments(dist, m)))
     return row[n]
 
 
@@ -117,7 +145,8 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
     lam = as_rational(lam)
     row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
     while len(row) <= n:
-        row.append(_contract(len(row), lam, lambda m: sum_raw_moment(dist, k, m)))
+        m = len(row)
+        row.append(_contract(m, lam, _read_sum_moments(dist, k, m)))
     return row[n]
 
 

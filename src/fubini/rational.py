@@ -43,6 +43,37 @@ def scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
+class ScaledRow:
+    """A growing row of exact values kept as integer numerators over one den.
+
+    den is the lcm of the entries' denominators in lowest terms, so den > 0,
+    gcd(den, *nums) == 1 and entry m is nums[m] / den. Appending a value whose
+    denominator does not divide den rescales the earlier numerators once.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values=()):
+        self.nums: list[int] = []
+        self.den = 1
+        for value in values:
+            self.append(value)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, m: int) -> Fraction:
+        return Fraction(self.nums[m], self.den)
+
+    def append(self, value: int | Fraction) -> None:
+        num, den = value.numerator, value.denominator
+        grow = den // math.gcd(self.den, den)
+        if grow > 1:
+            self.nums = [c * grow for c in self.nums]
+            self.den *= grow
+        self.nums.append(num * (self.den // den))
+
+
 def ratio(value: int | Fraction | str) -> tuple[int, int]:
     """Numerator and positive denominator of an exact value, refusing floats."""
     if type(value) is int:

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .poly import combine, convolve
-from .rational import as_rational, ratio, reduced, scaled
+from .rational import ScaledRow, as_rational, ratio, reduced, scaled
 
 
 def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
@@ -25,25 +25,17 @@ def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
 
     weights are ints and divisor(k) a positive int. Each out_k is reduced to
     lowest terms before the next step, and the outputs are kept over the lcm
-    of their denominators, so the integers grow only as the exact values do.
-    Returns the numerators of out_0..out_order over that lcm.
+    of their denominators (a ScaledRow), so the integers grow only as the
+    exact values do. Returns the numerators of out_0..out_order over that lcm.
     """
-    nums = [1]
-    common = 1
+    out = ScaledRow([1])
     for k in range(1, order + 1):
         acc = 0
-        for w, b in zip(weights[1 : k + 1], reversed(nums)):
+        for w, b in zip(weights[1 : k + 1], reversed(out.nums)):
             if w:
                 acc += w * b
-        den = divisor(k) * common
-        g = math.gcd(acc, den)
-        num, den = acc // g, den // g
-        grow = den // math.gcd(common, den)
-        if grow > 1:
-            nums = [b * grow for b in nums]
-            common *= grow
-        nums.append(num * (common // den))
-    return nums, common
+        out.append(Fraction(acc, divisor(k) * out.den))
+    return out.nums, out.den
 
 
 class TruncatedSeries:

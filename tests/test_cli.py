@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from fubini.cli import cli, main
 from fubini.poly import Polynomial
 from fubini.rational import parse_rational
-from fubini.sampling import MAX_DRAWS, MAX_SAMPLES, MCResult
+from fubini.sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MCResult
 
 F = Fraction
 
@@ -446,6 +446,7 @@ HOSTILE_ARGS = [
     (["verify", "--suite", "EQ6", "--dists", "point:1e3"], 2),
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
 ]
 
 
@@ -493,6 +494,18 @@ def test_mc_degree_beyond_the_float_range_is_a_usage_error(monkeypatch, dist, k,
     assert f"Error: --n {n} is too large" in res.stderr
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     assert len(calls) == draws
+
+
+def test_mc_degree_above_the_bound_is_refused_before_the_exact_value(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the exact value was computed")
+
+    monkeypatch.setattr("fubini.cli.estimate_sum_moment", must_not_run)
+    n = MAX_DEGREE + 1
+    res = invoke(["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", str(n), "--samples", "1000"])
+    assert res.exit_code == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == f"Error: --n must be <= {MAX_DEGREE}"
 
 
 def test_verify_single_identity_document():

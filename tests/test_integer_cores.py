@@ -1,10 +1,10 @@
 """The integer cores of the probabilistic layer against naive Fraction loops.
 
 The triangle, the Miller recurrence for sum moments and the moment
-contraction put their inputs over one common denominator and sum in Python
-ints. The oracles below are the same recurrences written as plain Fraction
-loops; they share only the raw moments and the falling factorials with the
-library.
+contraction sum in Python ints over one common denominator; the moment rows
+are stored in that form (rational.ScaledRow). The oracles below are the same
+recurrences written as plain Fraction loops; they share only the raw moments
+and the falling factorials with the library.
 """
 
 import math
@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from fubini import hooks
+from fubini import hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, PointMass
 from fubini.families import degenerate_fubini_poly_order
-from fubini.identities import default_config
+from fubini.identities import _stirling2_by_difference, default_config
 from fubini.probabilistic import (
     degenerate_moment,
     prob_fubini_poly_order,
@@ -25,7 +25,7 @@ from fubini.probabilistic import (
     sum_degenerate_moment,
     sum_raw_moment,
 )
-from fubini.rational import scaled
+from fubini.rational import ScaledRow, scaled
 
 F = Fraction
 
@@ -75,6 +75,98 @@ def _naive_triangle(dist, n_max, lam):
 def test_scaled_puts_values_over_their_lcm():
     assert scaled([]) == ([], 1)
     assert scaled([F(1, 2), F(0), F(-5, 6), F(3)]) == ([3, 0, -5, 18], 6)
+
+
+def _assert_canonical(row, values):
+    assert row.den > 0
+    assert all(type(c) is int for c in row.nums)
+    assert math.gcd(row.den, *row.nums) == 1
+    assert [F(c, row.den) for c in row.nums] == values
+    assert [row[m] for m in range(len(row))] == values
+
+
+def test_scaled_row_rescales_only_when_a_denominator_does_not_divide():
+    values = [F(1), F(-1, 2), F(0), F(5, 6), 7, F(-3, 4), F(1, 3), F(9, 8), F(2)]
+    row = ScaledRow()
+    _assert_canonical(row, [])
+    dens = []
+    for i, v in enumerate(values):
+        row.append(v)
+        _assert_canonical(row, [F(x) for x in values[: i + 1]])
+        dens.append(row.den)
+    assert dens == [1, 2, 2, 6, 6, 12, 12, 24, 24]
+    assert ScaledRow(values).nums == row.nums
+
+
+def _stored_moment_rows(dist, k):
+    return [
+        probabilistic._raw_moment_reads[dist],
+        probabilistic._sum_moment_rows[dist, k],
+        probabilistic._sum_moment_reads[dist, k],
+    ]
+
+
+# GRID_DISTS[5] is gamma:3/2,2: E[Y**m] and E[S_k**m] have denominator 4**m,
+# so every appended moment rescales its row.
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+@pytest.mark.parametrize("k", [1, 3])
+def test_moment_rows_grown_in_steps_equal_rows_grown_at_once(dist, k):
+    lam = F(-7, 2)
+
+    def grow(steps):
+        hooks.clear_caches()
+        for m in steps:
+            sum_raw_moment(dist, k, m)
+            sum_degenerate_moment(dist, k, m, lam)
+        return [(list(row.nums), row.den) for row in _stored_moment_rows(dist, k)]
+
+    stepped = grow([3, 9, 20])
+    assert stepped == grow([20])
+    raw, miller, reads = _stored_moment_rows(dist, k)
+    expected = _naive_sum_raw_row(dist, k, 20)
+    _assert_canonical(raw, [raw_moment(dist, j) for j in range(len(raw))])
+    _assert_canonical(miller, expected)
+    _assert_canonical(reads, expected)
+    assert [sum_degenerate_moment(dist, k, n, lam) for n in range(21)] == [
+        _naive_contract(n, lam, lambda m: expected[m]) for n in range(21)
+    ]
+
+
+def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undone():
+    dist, k, m, lam, delta, order, n_max = GRID_DISTS[5], 2, 3, F(-7, 2), F(1, 3), 3, 8
+
+    def tables():
+        return (
+            [sum_degenerate_moment(dist, k, n, lam) for n in range(n_max + 1)],
+            [_stirling2_by_difference(dist, n, order, lam) for n in range(n_max + 1)],
+        )
+
+    def oracle(shifted):
+        def degenerate(j, n):
+            row = _naive_sum_raw_row(dist, j, n_max)
+            if shifted and j == k:
+                row[m] += delta
+            return _naive_contract(n, lam, lambda i: row[i])
+
+        def difference(n):
+            total = sum(
+                math.comb(order, j) * (-1) ** (order - j) * degenerate(j, n)
+                for j in range(order + 1)
+            )
+            return total / math.factorial(order)
+
+        return (
+            [degenerate(k, n) for n in range(n_max + 1)],
+            [difference(n) for n in range(n_max + 1)],
+        )
+
+    before = tables()
+    assert before == oracle(False)
+    with hooks.perturb("sum_moment", (dist, k, m), delta):
+        inside = tables()
+        assert inside == oracle(True)
+    assert inside[0][m:] != before[0][m:] and inside[1][m:] != before[1][m:]
+    assert tables() == before
 
 
 @pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)

@@ -13,6 +13,7 @@ from fubini.distributions import (
     Poisson,
 )
 from fubini.sampling import (
+    MAX_DEGREE,
     MAX_DRAWS,
     MAX_SAMPLES,
     MIN_SAMPLES,
@@ -120,6 +121,13 @@ def test_estimate_refuses_extreme_sizes_before_any_work(monkeypatch, k, samples,
     monkeypatch.setattr("fubini.sampling.sum_degenerate_moment", _must_not_run)
     with pytest.raises(ValueError, match=message):
         estimate_sum_moment(Bernoulli(F(1, 2)), k, 2, F(0), samples, seed=0)
+
+
+def test_estimate_refuses_a_degree_above_the_bound_before_any_work(monkeypatch):
+    monkeypatch.setattr("fubini.sampling.draw", _must_not_run)
+    monkeypatch.setattr("fubini.sampling.sum_degenerate_moment", _must_not_run)
+    with pytest.raises(ValueError, match=f"n must be <= {MAX_DEGREE}"):
+        estimate_sum_moment(Bernoulli(F(1, 2)), 1, MAX_DEGREE + 1, F(0), 1000, seed=0)
 
 
 def test_k_zero_degenerates_to_indicator():
