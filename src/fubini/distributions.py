@@ -107,10 +107,15 @@ class Poisson(Distribution):
             )
 
     def moment_formula(self, m: int) -> Fraction:
-        return sum(
-            (stirling2(m, k) * self.alpha**k for k in range(1, m + 1)),
-            start=Fraction(1 if m == 0 else 0),
-        )
+        # Touchard: sum_k S(m,k) alpha**k; with alpha = p/q the sum runs in
+        # ints as sum_k S(m,k) p**k q**(m-k) over q**m
+        p, q = self.alpha.numerator, self.alpha.denominator
+        total, ppow, qpow = int(m == 0), 1, q**m
+        for k in range(1, m + 1):
+            ppow *= p
+            qpow //= q
+            total += stirling2(m, k) * ppow * qpow
+        return Fraction(total, q**m)
 
     def spec_string(self) -> str:
         return f"poisson:{format_rational(self.alpha)}"
@@ -132,10 +137,14 @@ class Gamma(Distribution):
             )
 
     def moment_formula(self, m: int) -> Fraction:
-        rising = Fraction(1)
+        # rising factorial of alpha over beta**m; with alpha = a/b and
+        # beta = c/d that is prod_{j<m} (a + j b) d**m over (b c)**m
+        a, b = self.alpha.numerator, self.alpha.denominator
+        c, d = self.beta.numerator, self.beta.denominator
+        rising = 1
         for j in range(m):
-            rising *= self.alpha + j
-        return rising / self.beta**m
+            rising *= a + j * b
+        return Fraction(rising * d**m, (b * c) ** m)
 
     def spec_string(self) -> str:
         return f"gamma:{format_rational(self.alpha)},{format_rational(self.beta)}"

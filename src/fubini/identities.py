@@ -1,11 +1,28 @@
 """Machine verification of the identity catalog.
 
-Every checker compares exact rationals (or exact coefficient vectors); a
-``pass`` means rational equality held in every grid case, never approximate
-agreement. Each identity is, for fixed shape parameters, a polynomial in the
-degeneracy parameter lam of degree <= n, so passing on n+1 distinct lam
-values certifies it identically in lam; the default grid carries 12 distinct
-values against n_max = 10.
+Every checker compares exact values; a ``pass`` means exact equality held in
+every grid case, never approximate agreement. A checker yields
+(lhs, rhs, params) cases. A ``Polynomial`` side is compared with ``==`` on
+its canonical stored form. A scalar side is an int, a Fraction, or a pair
+(num, den) with den != 0, not necessarily in lowest terms: checkers build
+pairs straight from the integer numerators that polynomials, series and
+triangle rows store, and take an int or Fraction as it is where a public
+accessor returns it ready-made. ``_drive`` compares two scalars by
+cross-multiplication, num_l * den_r == num_r * den_l, and builds Fractions
+only for a counterexample, which prints both sides in lowest terms. (Under
+``hooks.perturb`` the parts of a pair may be Fractions; the comparison stays
+exact.)
+
+What a pass shows about lam: for fixed shape parameters both sides of a
+case at index n are polynomials in the degeneracy parameter lam of degree at
+most n - 1 (the lam-degree of (x)_{n,lam}; {n brace k}_{Y,lam} has degree
+n - k). A nonzero difference of degree d has at most d roots, so a case
+passed at d + 1 distinct lam holds identically in lam. The generating
+function checkers run n up to series_order, so they need series_order
+distinct lam. The default grid has 12 distinct lam and series_order 12,
+which is exactly tight. ``verify --n-max N`` sets series_order to N + 2, so
+for N >= 11, or with fewer distinct ``--lambda`` values than series_order,
+a pass is evidence on the grid only, not a certificate in lam.
 
 The probabilistic degenerate Stirling numbers {n brace k}_{Y,lam} have two
 independent paths: the kernel ``prob_stirling2`` (a triangle grown by the
@@ -32,6 +49,7 @@ and passes the full grid.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -227,6 +245,8 @@ def _fmt(value) -> str:
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
     if isinstance(value, Distribution):
         return value.spec_string()
+    if isinstance(value, tuple):
+        return format_rational(Fraction(*value))
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
     return str(value)
@@ -247,7 +267,14 @@ def _drive(identity: IdentityId, cases) -> CheckReport:
     cex = None
     for lhs, rhs, params in cases:
         count += 1
-        if lhs != rhs:
+        if type(lhs) is Polynomial:
+            same = lhs == rhs
+        else:
+            # scalars: (num, den) pairs as given, ints and Fractions split
+            ln, ld = lhs if type(lhs) is tuple else (lhs.numerator, lhs.denominator)
+            rn, rd = rhs if type(rhs) is tuple else (rhs.numerator, rhs.denominator)
+            same = ln * rd == rn * ld
+        if not same:
             cex = Counterexample(
                 params={k: _fmt(v) for k, v in params.items()},
                 lhs=_fmt(lhs),
@@ -260,8 +287,8 @@ def _drive(identity: IdentityId, cases) -> CheckReport:
 # Kept apart from combinat.falling_factorial_poly(k, 1), which is the same
 # polynomial: EQ6 reads its left side from that table, and lam = 1 is in the
 # default grid, so at lam = 1 both sides would come from one table.
-def _classical_falling(x, k: int) -> Fraction:
-    val = Fraction(1)
+def _classical_falling(x: int, k: int) -> int:
+    val = 1
     for j in range(k):
         val *= x - j
     return val
@@ -269,6 +296,17 @@ def _classical_falling(x, k: int) -> Fraction:
 
 def _comb_rows(max_n: int) -> list[list[int]]:
     return [[binomial(m, j) for j in range(max_n + 1)] for m in range(max_n + 1)]
+
+
+def _factorials(order: int) -> list[int]:
+    # n! for n <= order from math.factorial, which egf_coefficient reads: the
+    # EGF coefficient n of a series s is the pair (s.nums[n] * n!, s.den)
+    return [math.factorial(n) for n in range(order + 1)]
+
+
+def _numerator(p: Polynomial, k: int) -> int:
+    # the stored numerator of [x**k] p, over p.den
+    return p.nums[k] if k < len(p.nums) else 0
 
 
 def _fubini_base_series(dist, lam, x0, order) -> TruncatedSeries:
@@ -280,101 +318,109 @@ def _fubini_base_series(dist, lam, x0, order) -> TruncatedSeries:
 
 
 def _eq6(cfg):
-    # (x)_{n,lam} = sum_k {n brace k}_lam (x)_k at every integer x in 0..n
+    # (x)_{n,lam} = sum_k {n brace k}_lam (x)_k at every integer x in 0..n;
+    # the sum over k runs on the row's numerators over one denominator
     for lam in cfg.lambdas:
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
+            nums, den = scaled([stirling2_degenerate(n, k, lam) for k in range(n + 1)])
             for x in range(n + 1):
-                rhs = sum(
-                    (
-                        stirling2_degenerate(n, k, lam) * _classical_falling(x, k)
-                        for k in range(n + 1)
-                    ),
-                    start=Fraction(0),
-                )
-                yield ff.evaluate(x), rhs, {"lambda": lam, "n": n, "x": x}
+                rhs = sum(c * _classical_falling(x, k) for k, c in enumerate(nums))
+                yield ff.evaluate(x), (rhs, den), {"lambda": lam, "n": n, "x": x}
 
 
 def _eq10_gf(cfg):
     # EGF of the degenerate Fubini values: 1 / (1 - x0 (e_lam(t) - 1))
+    facts = _factorials(cfg.series_order)
     for lam in cfg.lambdas:
         e = degenerate_exp_series(1, lam, cfg.series_order)
+        fubs = [degenerate_fubini_poly(n, lam) for n in range(cfg.series_order + 1)]
         for x0 in cfg.x_points:
             s = (1 - (e - 1) * x0).reciprocal()
-            for n in range(cfg.series_order + 1):
+            for n, fub in enumerate(fubs):
                 yield (
-                    s.egf_coefficient(n),
-                    degenerate_fubini_poly(n, lam).evaluate(x0),
+                    (s.nums[n] * facts[n], s.den),
+                    fub.evaluate(x0),
                     {"lambda": lam, "x": x0, "n": n},
                 )
 
 
 def _eq11(cfg):
-    # Coefficients of F_{n,lam}(x/(1-x))/(1-x): C(k, j) j! {n brace j}_lam sums
+    # Coefficients of F_{n,lam}(x/(1-x))/(1-x): C(k, j) j! {n brace j}_lam sums,
+    # on the weights' numerators over one denominator
     for lam in cfg.lambdas:
         for n in range(min(8, cfg.n_max) + 1):
             ff = falling_factorial_poly(n, lam)
-            weights = [
-                stirling2_degenerate(n, j, lam) * factorial(j) for j in range(n + 1)
-            ]
+            weights, den = scaled(
+                [stirling2_degenerate(n, j, lam) * factorial(j) for j in range(n + 1)]
+            )
             for k in range(2 * n + 7):
                 lhs = sum(
-                    (
-                        weights[j] * binomial(k, j)
-                        for j in range(min(n, k) + 1)
-                        if weights[j]
-                    ),
-                    start=Fraction(0),
+                    weights[j] * binomial(k, j)
+                    for j in range(min(n, k) + 1)
+                    if weights[j]
                 )
-                yield lhs, ff.evaluate(k), {"lambda": lam, "n": n, "k": k}
+                yield (lhs, den), ff.evaluate(k), {"lambda": lam, "n": n, "k": k}
 
 
 def _eq12_gf(cfg):
     # Order-r generating function: the r-th power of the reciprocal series
+    facts = _factorials(cfg.series_order)
     for lam in cfg.lambdas:
         e = degenerate_exp_series(1, lam, cfg.series_order)
+        ords = [
+            [degenerate_fubini_poly_order(n, r, lam) for n in range(cfg.series_order + 1)]
+            for r in range(1, cfg.r_max + 1)
+        ]
         for x0 in cfg.x_points:
             base = (1 - (e - 1) * x0).reciprocal()
             power = base
             for r in range(1, cfg.r_max + 1):
-                for n in range(cfg.series_order + 1):
+                for n, fub in enumerate(ords[r - 1]):
                     yield (
-                        power.egf_coefficient(n),
-                        degenerate_fubini_poly_order(n, r, lam).evaluate(x0),
+                        (power.nums[n] * facts[n], power.den),
+                        fub.evaluate(x0),
                         {"lambda": lam, "x": x0, "r": r, "n": n},
                     )
                 power = power * base
 
 
 def _eq14(cfg):
-    # Order-(r+1) coefficients against C(k+r, r) (k)_{n,lam}
+    # Order-(r+1) coefficients against C(k+r, r) (k)_{n,lam}, on the weights'
+    # numerators over one denominator
     for lam in cfg.lambdas:
         for n in range(min(8, cfg.n_max) + 1):
             ff = falling_factorial_poly(n, lam)
+            values = [ff.evaluate(k) for k in range(2 * n + 7)]
             for r in range(1, cfg.r_max + 1):
-                weights = [
-                    stirling2_degenerate(n, l, lam)
-                    * factorial(l)
-                    * binomial(l + r, l)
-                    for l in range(n + 1)
-                ]
-                for k in range(2 * n + 7):
+                weights, den = scaled(
+                    [
+                        stirling2_degenerate(n, l, lam)
+                        * factorial(l)
+                        * binomial(l + r, l)
+                        for l in range(n + 1)
+                    ]
+                )
+                for k, value in enumerate(values):
                     lhs = sum(
-                        (
-                            weights[l] * binomial(k + r, k - l)
-                            for l in range(min(n, k) + 1)
-                            if weights[l]
-                        ),
-                        start=Fraction(0),
+                        weights[l] * binomial(k + r, k - l)
+                        for l in range(min(n, k) + 1)
+                        if weights[l]
                     )
-                    rhs = binomial(k + r, r) * ff.evaluate(k)
-                    yield lhs, rhs, {"lambda": lam, "n": n, "r": r, "k": k}
+                    rhs = binomial(k + r, r) * value.numerator
+                    yield (lhs, den), (rhs, value.denominator), {
+                        "lambda": lam,
+                        "n": n,
+                        "r": r,
+                        "k": k,
+                    }
 
 
 def _eq15_gf(cfg):
     # Partial Bell polynomials against k-th powers of a random EGF
     rng = random.Random(_EQ15_SEED)
     order = cfg.n_max
+    facts = _factorials(order)
     for draw in range(3):
         xs = [
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -383,8 +429,9 @@ def _eq15_gf(cfg):
         series = TruncatedSeries.from_egf([Fraction(0)] + xs[:order])
         power = TruncatedSeries.one(order)
         for k in range(min(5, cfg.n_max) + 1):
+            kfact = factorial(k)
             for n in range(k, cfg.n_max + 1):
-                lhs = power.egf_coefficient(n) / factorial(k)
+                lhs = power.nums[n] * facts[n], power.den * kfact
                 rhs = partial_bell(n, k, xs[: max(n - k + 1, 0)])
                 yield lhs, rhs, {"draw": draw, "k": k, "n": n}
             power = power * series
@@ -403,35 +450,45 @@ def _eq19_inv(cfg):
                 bell = prob_bell_poly(dist, n, lam)
                 for k in range(cfg.n_max + 1):
                     lhs = sum_degenerate_moment(dist, k, n, lam)
-                    core = sum(map(mul, weights[k], bell.nums))
-                    rhs = Fraction(core, bell.den)
+                    rhs = sum(map(mul, weights[k], bell.nums)), bell.den
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
 
 
-def _stirling2_by_difference(dist, n, k, lam) -> Fraction:
+def _stirling2_by_difference(moments, k: int) -> tuple[int, int]:
     # The defining alternating sum: k-th finite difference of
-    # j -> E[(S_j)_{n,lam}] at 0, divided by k!, summed in ints over the
-    # common denominator of the k + 1 sum moments
-    terms, den = scaled([sum_degenerate_moment(dist, j, n, lam) for j in range(k + 1)])
+    # j -> E[(S_j)_{n,lam}] at 0, divided by k!. moments = (terms, den) holds
+    # those sum moments for j = 0..k (at least) as integer numerators over one
+    # denominator; the result is a (num, den) pair.
+    terms, den = moments
     total = sum(
-        binomial(k, j) * (-1) ** (k - j) * term for j, term in enumerate(terms) if term
+        binomial(k, j) * (-1) ** (k - j) * term
+        for j, term in enumerate(terms[: k + 1])
+        if term
     )
-    return Fraction(total, den * factorial(k))
+    return total, den * factorial(k)
 
 
 def _eq20_gf(cfg):
     # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the
-    # sum moments
+    # sum moments; those are read once per (dist, lam) and put over one
+    # denominator per n
+    facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
+            rows = [
+                scaled(
+                    [sum_degenerate_moment(dist, j, n, lam) for j in range(cfg.n_max + 1)]
+                )
+                for n in range(cfg.series_order + 1)
+            ]
             power = TruncatedSeries.one(cfg.series_order)
             for k in range(cfg.n_max + 1):
                 kfact = factorial(k)
-                for n in range(cfg.series_order + 1):
+                for n, row in enumerate(rows):
                     yield (
-                        power.egf_coefficient(n) / kfact,
-                        _stirling2_by_difference(dist, n, k, lam),
+                        (power.nums[n] * facts[n], power.den * kfact),
+                        _stirling2_by_difference(row, k),
                         {"dist": dist, "lambda": lam, "k": k, "n": n},
                     )
                 power = power * base
@@ -439,29 +496,33 @@ def _eq20_gf(cfg):
 
 def _eq22_gf(cfg):
     # exp(x0 (E[e_lam^Y(t)] - 1)) against the Bell polynomials
+    facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
+            bells = [prob_bell_poly(dist, n, lam) for n in range(cfg.series_order + 1)]
             for x0 in cfg.x_points:
                 s = (base * x0).exp()
-                for n in range(cfg.series_order + 1):
+                for n, bell in enumerate(bells):
                     yield (
-                        s.egf_coefficient(n),
-                        prob_bell_poly(dist, n, lam).evaluate(x0),
+                        (s.nums[n] * facts[n], s.den),
+                        bell.evaluate(x0),
                         {"dist": dist, "lambda": lam, "x": x0, "n": n},
                     )
 
 
 def _eq23_gf(cfg):
     # 1/(1 - x0 (E[e_lam^Y(t)] - 1)) against the Fubini polynomials
+    facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
+            fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.series_order + 1)]
             for x0 in cfg.x_points:
                 s = _fubini_base_series(dist, lam, x0, cfg.series_order)
-                for n in range(cfg.series_order + 1):
+                for n, fub in enumerate(fubs):
                     yield (
-                        s.egf_coefficient(n),
-                        prob_fubini_poly(dist, n, lam).evaluate(x0),
+                        (s.nums[n] * facts[n], s.den),
+                        fub.evaluate(x0),
                         {"dist": dist, "lambda": lam, "x": x0, "n": n},
                     )
 
@@ -485,11 +546,11 @@ def _eq29_bell(cfg):
 def _geometric_expansion_rows(cfg, dist, lam, comb):
     # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum
     # moments, to depth len(comb) - 1; the sums over k run on the polynomial's
-    # integer numerators and divide by its denominator once.
+    # integer numerators over its denominator.
     for n in range(cfg.n_max + 1):
         fub = prob_fubini_poly(dist, n, lam)
         for i, row in enumerate(comb):
-            lhs = Fraction(sum(map(mul, fub.nums, row[: i + 1])), fub.den)
+            lhs = sum(map(mul, fub.nums, row[: i + 1])), fub.den
             rhs = sum_degenerate_moment(dist, i, n, lam)
             yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "i": i}
 
@@ -526,46 +587,49 @@ def _thm2_3(cfg):
 
 def _thm2_4(cfg):
     # Exponential-weight integral of phi^Y(x y) recovers F^Y coefficient-wise
+    integrals = [
+        gamma_weight_integral(Polynomial.monomial(k), 1) for k in range(cfg.n_max + 1)
+    ]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for n in range(cfg.n_max + 1):
                 bell = prob_bell_poly(dist, n, lam)
                 fub = prob_fubini_poly(dist, n, lam)
                 for k in range(n + 1):
-                    lhs = bell.coefficient(k) * gamma_weight_integral(
-                        Polynomial.monomial(k), 1
-                    )
+                    g = integrals[k]
                     yield (
-                        lhs,
-                        fub.coefficient(k),
+                        (_numerator(bell, k) * g.numerator, bell.den * g.denominator),
+                        (_numerator(fub, k), fub.den),
                         {"dist": dist, "lambda": lam, "n": n, "k": k},
                     )
 
 
 def _thm2_5(cfg):
-    # Value at 1 as a k!-weighted sum of partial Bell polynomials
+    # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
+    # numerators over one denominator
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             moments = [
                 degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)
             ]
             for n in range(cfg.n_max + 1):
-                rhs = sum(
-                    (
-                        factorial(k) * partial_bell(n, k, moments[: max(n - k + 1, 0)])
+                bells, den = scaled(
+                    [
+                        partial_bell(n, k, moments[: max(n - k + 1, 0)])
                         for k in range(n + 1)
-                    ),
-                    start=Fraction(0),
+                    ]
                 )
+                rhs = sum(factorial(k) * b for k, b in enumerate(bells))
                 yield (
                     prob_fubini_poly(dist, n, lam).evaluate(1),
-                    rhs,
+                    (rhs, den),
                     {"dist": dist, "lambda": lam, "n": n},
                 )
 
 
 def _thm2_6(cfg):
     # Order-r explicit formula against the r-th power of the base series
+    facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             # the polynomials do not depend on x0: build them once per (dist, lam)
@@ -580,10 +644,10 @@ def _thm2_6(cfg):
                 base = _fubini_base_series(dist, lam, x0, cfg.series_order)
                 power = base
                 for r in range(1, cfg.r_max + 1):
-                    for n in range(cfg.series_order + 1):
+                    for n, fub in enumerate(ords[r - 1]):
                         yield (
-                            power.egf_coefficient(n),
-                            ords[r - 1][n].evaluate(x0),
+                            (power.nums[n] * facts[n], power.den),
+                            fub.evaluate(x0),
                             {"dist": dist, "lambda": lam, "x": x0, "r": r, "n": n},
                         )
                     power = power * base
@@ -717,21 +781,23 @@ def _thm2_12(cfg):
 
 def _thm2_13(cfg):
     # Order-(r+1) geometric expansion: the inner sums run on the polynomial's
-    # integer numerators and divide by its denominator once.
+    # integer numerators over its denominator. The sum moments do not depend
+    # on r: they are read once per (dist, lam).
     depth = cfg.coeff_depth
     comb = _comb_rows(depth + cfg.r_max)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
+            moments = [
+                [sum_degenerate_moment(dist, i, n, lam) for i in range(depth + 1)]
+                for n in range(cfg.n_max + 1)
+            ]
             for r in range(1, cfg.r_max + 1):
                 for n in range(cfg.n_max + 1):
                     w = prob_fubini_poly_order(dist, n, r + 1, lam)
-                    for i in range(depth + 1):
+                    for i, m in enumerate(moments[n]):
                         row = comb[i + r]
-                        core = sum(
-                            c * row[i - l] for l, c in enumerate(w.nums[: i + 1])
-                        )
-                        lhs = Fraction(core, w.den)
-                        rhs = row[i] * sum_degenerate_moment(dist, i, n, lam)
+                        lhs = sum(map(mul, w.nums, row[i::-1])), w.den
+                        rhs = row[i] * m.numerator, m.denominator
                         yield lhs, rhs, {
                             "dist": dist,
                             "lambda": lam,
@@ -743,6 +809,13 @@ def _thm2_13(cfg):
 
 def _thm2_14(cfg):
     # Gamma-weight integral of order r recovers the order-r polynomial
+    integrals = {
+        r: [
+            gamma_weight_integral(Polynomial.monomial(k), r)
+            for k in range(cfg.n_max + 1)
+        ]
+        for r in range(1, cfg.r_max + 1)
+    }
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for r in range(1, cfg.r_max + 1):
@@ -751,14 +824,14 @@ def _thm2_14(cfg):
                     bell = prob_bell_poly(dist, n, lam)
                     fub_r = prob_fubini_poly_order(dist, n, r, lam)
                     for k in range(n + 1):
+                        g = integrals[r][k]
                         lhs = (
-                            bell.coefficient(k)
-                            * gamma_weight_integral(Polynomial.monomial(k), r)
-                            / rweight
+                            _numerator(bell, k) * g.numerator,
+                            bell.den * g.denominator * rweight,
                         )
                         yield (
                             lhs,
-                            fub_r.coefficient(k),
+                            (_numerator(fub_r, k), fub_r.den),
                             {"dist": dist, "lambda": lam, "r": r, "n": n, "k": k},
                         )
 
@@ -916,14 +989,19 @@ def thm2_2_numeric_spotcheck(
     for dist in cfg.dists:
         for lam in lams:
             for n in range(min(4, cfg.n_max) + 1):
+                fub = prob_fubini_poly(dist, n, lam)
+                moments = [
+                    float(sum_degenerate_moment(dist, k, n, lam))
+                    for k in range(terms + 1)
+                ]
                 for x0 in points:
                     u = x0 / (1 + x0)
                     uf = float(u)
-                    exact = float(prob_fubini_poly(dist, n, lam).evaluate(x0))
+                    exact = float(fub.evaluate(x0))
                     acc = 0.0
                     upow = 1.0
-                    for k in range(terms + 1):
-                        acc += upow * float(sum_degenerate_moment(dist, k, n, lam))
+                    for m in moments:
+                        acc += upow * m
                         upow *= uf
                     approx = acc / float(1 + x0)
                     err = abs(approx - exact) / max(1.0, abs(exact))

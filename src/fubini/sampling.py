@@ -30,9 +30,9 @@ MAX_SAMPLES = 10**7
 MAX_DRAWS = 10**8
 # Upper bound on the degree n, checked before the exact value is computed.
 # The exact value costs O(n**2) big-integer operations (Miller's recurrence
-# and the contraction against (x)_{n,lam}); at n = 400 it takes about 2 s
-# on a 2-vCPU Xeon VM for poisson:3/2 at lambda -7/2, and 3 to 4 times that
-# at n = 600.
+# and the contraction against (x)_{n,lam}); with k = 1 at lambda -7/2 on a
+# 2-vCPU Xeon VM it takes about 0.8 s at n = 400 for poisson:3/2 and 1.0 s
+# for gamma:3/2,2 (medians of 5 CPU times), and about 4 s and 5 s at n = 600.
 MAX_DEGREE = 400
 
 

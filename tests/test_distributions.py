@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fubini.combinat import stirling2
 from fubini.distributions import (
     Bernoulli,
     DistributionSpecError,
@@ -13,6 +14,7 @@ from fubini.distributions import (
     Poisson,
     parse_distribution,
 )
+from fubini.hooks import perturb
 from fubini.probabilistic import prob_stirling2, raw_moment, sum_degenerate_moment
 
 F = Fraction
@@ -45,6 +47,52 @@ def test_gamma_moments():
     # rising factorial over rate power
     d = Gamma(F(3, 2), F(2))
     assert raw_moment(d, 2) == F(3, 2) * F(5, 2) / 4
+
+
+# The Fraction forms of the closed moment formulas, as oracles for the
+# integer cores in Poisson.moment_formula and Gamma.moment_formula.
+def _touchard(alpha, m):
+    return sum(
+        (stirling2(m, k) * alpha**k for k in range(1, m + 1)),
+        start=F(1 if m == 0 else 0),
+    )
+
+
+def _rising_over_rate(alpha, beta, m):
+    rising = F(1)
+    for j in range(m):
+        rising *= alpha + j
+    return rising / beta**m
+
+
+RATIONALS = [F(1), F(3, 2), F(2, 7), F(13, 4), F(1, 99), F(100, 3)]
+
+
+@pytest.mark.parametrize("alpha", RATIONALS, ids=str)
+def test_poisson_integer_core_matches_fraction_formula(alpha):
+    d = Poisson(alpha)
+    for m in range(61):
+        got = d.moment_formula(m)
+        assert type(got) is Fraction and got == _touchard(alpha, m), m
+
+
+@pytest.mark.parametrize("alpha", RATIONALS[:3], ids=str)
+@pytest.mark.parametrize("beta", RATIONALS[3:], ids=str)
+def test_gamma_integer_core_matches_fraction_formula(alpha, beta):
+    d = Gamma(alpha, beta)
+    for m in range(61):
+        got = d.moment_formula(m)
+        assert type(got) is Fraction and got == _rising_over_rate(alpha, beta, m), m
+
+
+def test_poisson_moments_still_read_stirling2():
+    d, m = Poisson(F(3, 2)), 5
+    before = d.moment_formula(m)
+    with perturb("stirling2", (m, 2), F(1, 3)):
+        inside = d.moment_formula(m)
+        assert inside == _touchard(d.alpha, m)
+    assert inside == before + F(1, 3) * F(3, 2) ** 2
+    assert d.moment_formula(m) == before
 
 
 def test_finite_discrete_moments():

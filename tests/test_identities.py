@@ -6,7 +6,7 @@ import pytest
 
 from fubini import hooks, identities
 from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
-from fubini.distributions import Bernoulli, Gamma, PointMass, Poisson
+from fubini.distributions import Bernoulli, FiniteDiscrete, Gamma, PointMass, Poisson
 from fubini.families import degenerate_bell_poly
 from fubini.identities import (
     CheckConfig,
@@ -50,8 +50,9 @@ def test_default_config_shape():
     assert len(cfg.dists) == 7
     assert cfg.series_order == 12
     assert cfg.coeff_depth == 26
-    # enough distinct lambdas to certify degree <= n_max identities
-    assert len(cfg.lambdas) >= cfg.n_max + 1
+    # the generating-function cases reach lambda-degree series_order - 1, so
+    # series_order distinct lambdas certify them; the default grid is tight
+    assert len(set(cfg.lambdas)) == cfg.series_order
 
 
 def test_config_validation():
@@ -161,6 +162,119 @@ def test_printed_thm29_documented_counterexample():
     assert cex.rhs == "[2/5, 4/5]"
     # the corrected form holds on the same grid
     assert check_identity(IdentityId.THM2_9_CORRECTED, cfg).status == "pass"
+
+
+# --- how _drive compares the two sides of a case ---
+
+
+def _drive(cases):
+    return identities._drive(IdentityId.EQ6, cases)
+
+
+def test_scalar_sides_compare_by_cross_multiplication():
+    equal = [
+        ((2, 4), F(1, 2)),
+        ((-3, -6), (1, 2)),
+        ((3, -6), F(-1, 2)),
+        ((-5, 10), (1, -2)),
+        ((0, 5), 0),
+        ((0, -7), (0, 1)),
+        (F(5, 3), (10, 6)),
+        (4, (8, 2)),
+        (-4, (12, -3)),
+        ((F(3, 2), 3), F(1, 2)),
+        (F(7, 9), F(7, 9)),
+    ]
+    rep = _drive((lhs, rhs, {"i": i}) for i, (lhs, rhs) in enumerate(equal))
+    assert rep.status == "pass" and rep.cases == len(equal)
+    assert rep.counterexample is None
+
+
+def test_drive_stops_at_the_first_failing_case():
+    pulled = []
+
+    def cases():
+        for i, (lhs, rhs) in enumerate(
+            [((1, 2), F(1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 4)), ((0, 1), 1)]
+        ):
+            pulled.append(i)
+            yield lhs, rhs, {"i": i}
+
+    rep = _drive(cases())
+    assert rep.status == "fail" and rep.cases == 2 and pulled == [0, 1]
+    assert rep.counterexample.params == {"i": "1"}
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, shown",
+    [
+        ((6, -4), F(5, 7), ("-3/2", "5/7")),
+        (F(-10, 4), (15, 9), ("-5/2", "5/3")),
+        ((0, -3), (2, 2), ("0", "1")),
+        ((F(3, 2), 9), 7, ("1/6", "7")),
+        (-2, (-14, -21), ("-2", "2/3")),
+    ],
+)
+def test_a_counterexample_prints_both_sides_in_lowest_terms(lhs, rhs, shown):
+    rep = _drive(iter([(lhs, rhs, {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4)})]))
+    cex = rep.counterexample
+    assert rep.status == "fail" and (cex.lhs, cex.rhs) == shown
+    assert cex.params == {"dist": "poisson:3/2", "lambda": "-1/4"}
+
+
+# Which identities each fault of the acceptance mutation test trips, on that
+# test's grid. A change that reroutes a side of a check through a different
+# accessor changes these sets.
+_FAULT_GRID = dict(
+    lambdas=(F(0), F(1, 2), F(-1, 4)),
+    n_max=5,
+    r_max=2,
+    x_points=(F(1), F(1, 2), F(-1, 3)),
+    series_order=6,
+    coeff_depth=10,
+)
+_DISCRETE = FiniteDiscrete(((F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(1, 3))))
+_SUM_MOMENT_TRIPS = "EQ19_INV EQ20_GF THM2_2 THM2_10 THM2_13"
+_FAULT_FINGERPRINT = [
+    (
+        "stirling1",
+        (5, 2),
+        "EQ6 EQ10_GF EQ11 EQ12_GF EQ14 THM2_3 THM2_11 THM2_12 THM2_16",
+    ),
+    ("stirling2", (4, 2), "EQ6 EQ10_GF EQ11 EQ12_GF EQ14 THM2_11 THM2_12 THM2_16"),
+    ("lah", (4, 2), "THM2_3"),
+    (
+        "binomial",
+        (4, 2),
+        "EQ11 EQ14 EQ19_INV EQ20_GF EQ22_GF EQ23_GF EQ29_BELL THM2_1 THM2_2 "
+        "THM2_3 THM2_5 THM2_6 THM2_8 THM2_9_CORRECTED THM2_10 THM2_11 THM2_12 "
+        "THM2_13 THM2_15 THM2_16",
+    ),
+    (
+        "factorial",
+        (5,),
+        "EQ10_GF EQ11 EQ12_GF EQ14 EQ15_GF EQ19_INV EQ23_GF EQ29_BELL THM2_1 "
+        "THM2_2 THM2_4 THM2_5 THM2_6 THM2_7 THM2_8 THM2_9_CORRECTED THM2_10 "
+        "THM2_12 THM2_13 THM2_14 THM2_15",
+    ),
+    ("raw_moment", (Poisson(F(3, 2)), 3), "THM2_11 THM2_12"),
+    ("raw_moment", (Bernoulli(F(2, 5)), 2), "THM2_16"),
+    ("raw_moment", (Gamma(1, 1), 2), "THM2_3"),
+    ("sum_moment", (_DISCRETE, 2, 2), _SUM_MOMENT_TRIPS),
+    ("sum_moment", (PointMass(F(5, 2)), 3, 2), _SUM_MOMENT_TRIPS),
+]
+
+
+@pytest.mark.parametrize(
+    "table, key, tripped",
+    _FAULT_FINGERPRINT,
+    ids=[f"{t}-{i}" for i, (t, _, _) in enumerate(_FAULT_FINGERPRINT)],
+)
+def test_each_fault_trips_exactly_its_identities(table, key, tripped):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    with hooks.perturb(table, key):
+        reports = run_suite(cfg)
+    assert [r.identity.value for r in reports if r.status == "fail"] == tripped.split()
 
 
 def test_report_serialization():

@@ -135,10 +135,15 @@ def test_moment_rows_grown_in_steps_equal_rows_grown_at_once(dist, k):
 def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undone():
     dist, k, m, lam, delta, order, n_max = GRID_DISTS[5], 2, 3, F(-7, 2), F(1, 3), 3, 8
 
+    def by_difference(n):
+        # a row longer than order + 1 entries, as _eq20_gf passes it
+        row = scaled([sum_degenerate_moment(dist, j, n, lam) for j in range(order + 2)])
+        return F(*_stirling2_by_difference(row, order))
+
     def tables():
         return (
             [sum_degenerate_moment(dist, k, n, lam) for n in range(n_max + 1)],
-            [_stirling2_by_difference(dist, n, order, lam) for n in range(n_max + 1)],
+            [by_difference(n) for n in range(n_max + 1)],
         )
 
     def oracle(shifted):
