@@ -207,6 +207,12 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
 
+    # checked here, so that the message names the flag and not the
+    # CheckConfig field behind it
+    for flag, value in (("--n-max", n_max), ("--r-max", r_max)):
+        if value is not None and value < 1:
+            raise click.UsageError(f"{flag} must be >= 1")
+
     cfg = default_config()
     overrides = {}
     if dists:

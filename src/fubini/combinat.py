@@ -199,24 +199,49 @@ def _partition_multiplicities(n: int, k: int, part: int):
             yield [(part, c)] + rest if c else rest
 
 
+# The terms of B_{n,k} per (n, k), one per multiplicity vector: the
+# coefficient n! / prod(l_i! (i!)**l_i) and the pairs (i - 1, l_i), i - 1
+# indexing x_i in xs. The coefficients are read through factorial, so under
+# hooks.perturb they may be Fractions.
+_bell_terms: dict[tuple[int, int], list[tuple]] = hooks.memo({})
+
+
+def _partial_bell_terms(n: int, k: int) -> list[tuple]:
+    key = n, k
+    if key not in _bell_terms:
+        terms = []
+        for mult in _partition_multiplicities(n, k, n - k + 1):
+            div = 1
+            for size, count in mult:
+                div *= factorial(count) * factorial(size) ** count
+            coef = factorial(n)
+            if type(coef) is int and type(div) is int:
+                coef //= div
+            else:
+                coef = Fraction(coef) / div
+            terms.append((coef, tuple((size - 1, count) for size, count in mult)))
+        _bell_terms[key] = terms
+    return _bell_terms[key]
+
+
 def partial_bell(n: int, k: int, xs) -> Fraction:
     """Partial (incomplete) exponential Bell polynomial B_{n,k}(x_1, x_2, ...).
 
     Sums n! / prod(l_i! * (i!)**l_i) * prod(x_i**l_i) over all multiplicity
     vectors with sum l_i = k and sum i*l_i = n. Needs xs to supply at least
-    x_1..x_{n-k+1}.
+    x_1..x_{n-k+1}. Every term has degree k in the xs, so with x_i = a_i / d
+    over their common denominator the sum runs on the ints a_i and is
+    divided by d**k once.
     """
     if n < 0 or not 0 <= k <= n:
         raise ValueError("partial_bell needs 0 <= k <= n")
     xs = [as_rational(x) for x in xs]
     if n > 0 and len(xs) < n - k + 1:
         raise ValueError(f"partial_bell(n={n}, k={k}) needs {n - k + 1} arguments")
-    total = Fraction(0)
-    for mult in _partition_multiplicities(n, k, n - k + 1):
-        term = Fraction(factorial(n))
-        for size, count in mult:
-            term /= factorial(count) * factorial(size) ** count
-            term *= xs[size - 1] ** count
-        total += term
-    return total
-
+    nums, den = scaled(xs[: n - k + 1])
+    total = 0
+    for coef, mult in _partial_bell_terms(n, k):
+        for i, count in mult:
+            coef *= nums[i] ** count
+        total += coef
+    return Fraction(total, den**k)

@@ -73,7 +73,7 @@ from .families import (
     degenerate_fubini_poly,
     degenerate_fubini_poly_order,
 )
-from .poly import Polynomial, gamma_weight_integral
+from .poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
 from .probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
@@ -307,6 +307,29 @@ def _factorials(order: int) -> list[int]:
 def _numerator(p: Polynomial, k: int) -> int:
     # the stored numerator of [x**k] p, over p.den
     return p.nums[k] if k < len(p.nums) else 0
+
+
+def _sum(terms) -> Polynomial:
+    # sum of weight * nums / den over (nums, den, weight) terms, reduced once
+    return Polynomial.from_scaled(*weighted_sum(terms))
+
+
+def _x_times_sum(terms) -> Polynomial:
+    # x times _sum(terms): the numerators shifted up by one degree
+    nums, den = weighted_sum(terms)
+    return Polynomial.from_scaled([0, *nums], den)
+
+
+def _term(p: Polynomial, scalar, weight=1) -> tuple:
+    # the term weight * scalar * p, the scalar's denominator moved into the
+    # term's, so that an int weight stays an int
+    return p.nums, p.den * scalar.denominator, weight * scalar.numerator
+
+
+def _product(a: Polynomial, b: Polynomial, weight) -> tuple:
+    # the term weight * a * b, its numerators the unreduced convolution
+    size = len(a.nums) + len(b.nums) - 1
+    return convolve(a.nums, b.nums, size), a.den * b.den, weight
 
 
 def _fubini_base_series(dist, lam, x0, order) -> TruncatedSeries:
@@ -658,13 +681,12 @@ def _thm2_7(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.n_max + 1)]
+            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
             for n in range(1, cfg.n_max + 1):
-                acc = Polynomial()
-                for k in range(1, n + 1):
-                    m = degenerate_moment(dist, k, lam)
-                    if m:
-                        acc = acc + fubs[n - k] * (binomial(n, k) * m)
-                rhs = Polynomial.monomial(1) * acc
+                rhs = _x_times_sum(
+                    _term(fubs[n - k], moments[k], binomial(n, k))
+                    for k in range(1, n + 1)
+                )
                 yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
@@ -673,41 +695,43 @@ def _thm2_8(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.n_max + 1)]
-            conv = []
-            for k in range(cfg.n_max):
-                h = Polynomial()
-                for i in range(k + 1):
-                    h = h + (fubs[i] * fubs[k - i]) * binomial(k, i)
-                conv.append(h)
+            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
+            conv = [
+                _sum(
+                    _product(fubs[i], fubs[k - i], binomial(k, i))
+                    for i in range(k + 1)
+                )
+                for k in range(cfg.n_max)
+            ]
             for n in range(cfg.n_max):
-                acc = Polynomial()
-                for k in range(n + 1):
-                    m = degenerate_moment(dist, n - k + 1, lam)
-                    if m:
-                        acc = acc + conv[k] * (binomial(n, k) * m)
-                rhs = Polynomial.monomial(1) * acc
+                rhs = _x_times_sum(
+                    _term(conv[k], moments[n - k + 1], binomial(n, k))
+                    for k in range(n + 1)
+                )
                 yield fubs[n + 1], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_9_printed(cfg):
     # Derivative identity as usually stated: r-fold sum moments as weights.
     # n starts at 1; at n = 0 the form already fails trivially (0 vs r!).
+    top = min(8, cfg.n_max)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for r in range(1, cfg.r_max + 1):
                 rfact = factorial(r)
-                for n in range(1, min(8, cfg.n_max) + 1):
+                ords = [
+                    prob_fubini_poly_order(dist, i, r + 1, lam) for i in range(top + 1)
+                ]
+                moments = [
+                    sum_degenerate_moment(dist, r, m, lam) for m in range(top + 1)
+                ]
+                for n in range(1, top + 1):
                     lhs = prob_fubini_poly(dist, n, lam).derivative(r)
-                    acc = Polynomial()
-                    for i in range(n + 1):
-                        w = binomial(n, i) * sum_degenerate_moment(
-                            dist, r, n - i, lam
-                        )
-                        if w:
-                            acc = acc + prob_fubini_poly_order(
-                                dist, i, r + 1, lam
-                            ) * w
-                    yield lhs, acc * rfact, {
+                    rhs = _sum(
+                        _term(ords[i], moments[n - i], binomial(n, i) * rfact)
+                        for i in range(n + 1)
+                    )
+                    yield lhs, rhs, {
                         "dist": dist,
                         "lambda": lam,
                         "n": n,
@@ -717,20 +741,22 @@ def _thm2_9_printed(cfg):
 
 def _thm2_9_corrected(cfg):
     # Repaired derivative identity: (r!)^2 weights by the column numbers
+    top = min(8, cfg.n_max)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for r in range(1, cfg.r_max + 1):
                 rfact2 = factorial(r) ** 2
-                for n in range(min(8, cfg.n_max) + 1):
+                ords = [
+                    prob_fubini_poly_order(dist, i, r + 1, lam) for i in range(top + 1)
+                ]
+                column = [prob_stirling2(dist, m, r, lam) for m in range(top + 1)]
+                for n in range(top + 1):
                     lhs = prob_fubini_poly(dist, n, lam).derivative(r)
-                    acc = Polynomial()
-                    for i in range(n + 1):
-                        w = binomial(n, i) * prob_stirling2(dist, n - i, r, lam)
-                        if w:
-                            acc = acc + prob_fubini_poly_order(
-                                dist, i, r + 1, lam
-                            ) * w
-                    yield lhs, acc * rfact2, {
+                    rhs = _sum(
+                        _term(ords[i], column[n - i], binomial(n, i) * rfact2)
+                        for i in range(n + 1)
+                    )
+                    yield lhs, rhs, {
                         "dist": dist,
                         "lambda": lam,
                         "n": n,
@@ -745,16 +771,15 @@ def _poissons(cfg):
 
 def _thm2_11(cfg):
     # Poisson: Fubini polynomial as a Bell-number mixture of classical ones
+    classical = [classical_fubini_poly(i) for i in range(cfg.n_max + 1)]
     for dist in _poissons(cfg):
+        apows = [dist.alpha**i for i in range(cfg.n_max + 1)]
         for lam in cfg.lambdas:
             for n in range(cfg.n_max + 1):
-                rhs = Polynomial()
-                apow = Fraction(1)
-                for i in range(n + 1):
-                    w = stirling2_degenerate(n, i, lam) * apow
-                    if w:
-                        rhs = rhs + classical_fubini_poly(i) * w
-                    apow *= dist.alpha
+                rhs = _sum(
+                    _term(classical[i], stirling2_degenerate(n, i, lam) * apows[i])
+                    for i in range(n + 1)
+                )
                 yield (
                     prob_fubini_poly(dist, n, lam),
                     rhs,
@@ -844,24 +869,24 @@ def _thm2_15(cfg):
             shifted = [
                 degenerate_moment(dist, j + 1, lam) for j in range(cfg.n_max)
             ]
-            drivers = []
-            for k in range(cfg.n_max):
-                g = Polynomial()
-                for j in range(k + 1):
-                    if shifted[j]:
-                        g = g + fubs[k - j] * (binomial(k, j) * shifted[j])
-                drivers.append(g)
+            drivers = [
+                _sum(
+                    _term(fubs[k - j], shifted[j], binomial(k, j))
+                    for j in range(k + 1)
+                )
+                for k in range(cfg.n_max)
+            ]
             for r in range(1, cfg.r_max + 1):
                 ords = [
                     prob_fubini_poly_order(dist, m, r, lam)
                     for m in range(cfg.n_max + 1)
                 ]
                 for n in range(cfg.n_max):
-                    acc = Polynomial()
-                    for k in range(n + 1):
-                        if drivers[k]:
-                            acc = acc + ords[n - k] * drivers[k] * binomial(n, k)
-                    rhs = Polynomial.monomial(1) * acc * r
+                    rhs = _x_times_sum(
+                        _product(ords[n - k], drivers[k], binomial(n, k) * r)
+                        for k in range(n + 1)
+                        if drivers[k]
+                    )
                     yield ords[n + 1], rhs, {
                         "dist": dist,
                         "lambda": lam,

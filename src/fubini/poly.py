@@ -5,13 +5,19 @@ as FLINT's fmpq_poly is: ``nums[k] / den`` multiplies x**k. Every operation
 works on the integers and divides out their common factor once per result
 (``rational.reduced``); the Fraction coefficients are built only when
 ``coeffs`` is first read.
+
+Two integer kernels serve both Polynomial and TruncatedSeries: ``convolve``
+multiplies numerator vectors, and ``weighted_sum`` adds any number of
+weighted vectors over one running common denominator. ``+`` and ``-`` are
+two-term weighted sums; a caller that sums many terms (a recurrence, a
+convolution of polynomials) feeds them all to one ``weighted_sum`` and
+reduces once, instead of once per ``+``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from .rational import as_rational, ratio, reduced, scaled
 
@@ -31,17 +37,36 @@ def convolve(a, b, size: int) -> list[int]:
     return out
 
 
-def combine(a, da: int, b, db: int, sign: int = 1) -> tuple[list[int], int]:
-    """Numerators of a/da + sign * b/db over a common denominator, and that
-    denominator; the shorter vector is padded with zeros."""
-    if da == db:
-        fa = fb = 1
-    else:
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-    fb *= sign
-    nums = [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
-    return nums, da * fa
+def weighted_sum(terms) -> tuple[list[int], int]:
+    """Numerators and denominator of the sum of weight * nums / den over terms.
+
+    Each term is (nums, den, weight): an int vector, not necessarily reduced
+    (a raw ``convolve`` product, say), over a nonzero int den, and an int or
+    Fraction weight. The sum runs in ints over one running denominator, which
+    grows only when a term's denominator does not divide it; shorter vectors
+    are padded with zeros and zero weights are skipped. The result is not
+    reduced: the caller builds it with ``from_scaled``, which reduces once.
+    No terms give ([], 1).
+    """
+    acc: list[int] = []
+    common = 1
+    for nums, den, weight in terms:
+        if type(weight) is not int:
+            den *= weight.denominator
+            weight = weight.numerator
+        if not weight:
+            continue
+        grow = den // math.gcd(common, den)
+        if grow != 1:
+            acc = [c * grow for c in acc]
+            common *= grow
+        factor = weight * (common // den)
+        if len(nums) > len(acc):
+            acc.extend([0] * (len(nums) - len(acc)))
+        for k, c in enumerate(nums):
+            if c:
+                acc[k] += factor * c
+    return acc, common
 
 
 class Polynomial:
@@ -143,7 +168,9 @@ class Polynomial:
         else:
             p, db = ratio(other)
             b = (p,)
-        return Polynomial.from_scaled(*combine(self.nums, self.den, b, db, sign))
+        return Polynomial.from_scaled(
+            *weighted_sum(((self.nums, self.den, 1), (b, db, sign)))
+        )
 
     def __add__(self, other):
         return self._combined(other, 1)

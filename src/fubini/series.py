@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import combine, convolve
+from .poly import convolve, weighted_sum
 from .rational import ScaledRow, as_rational, ratio, reduced, scaled
 
 
@@ -103,7 +103,9 @@ class TruncatedSeries:
         else:
             p, db = ratio(other)
             b = (p,)
-        return TruncatedSeries.from_scaled(*combine(self.nums, self.den, b, db, sign))
+        return TruncatedSeries.from_scaled(
+            *weighted_sum(((self.nums, self.den, 1), (b, db, sign)))
+        )
 
     def __add__(self, other):
         return self._combined(other, 1)
@@ -129,14 +131,6 @@ class TruncatedSeries:
         return TruncatedSeries.from_scaled([a * p for a in self.nums], self.den * q)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series power needs an integer exponent >= 0")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a nonzero constant term.

@@ -444,10 +444,18 @@ HOSTILE_ARGS = [
     (["series", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--order", "2"], 2),
     (["table", "--dist", "point:1e3", "--n-max", "2"], 2),
     (["verify", "--suite", "EQ6", "--dists", "point:1e3"], 2),
+    (["verify", "--suite", "EQ6", "--n-max", "0"], 2),
+    (["verify", "--suite", "EQ6", "--r-max", "0"], 2),
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
 ]
+
+# Usage errors whose message must name the flag at fault.
+NAMED_FLAG_ERRORS = {
+    "verify --suite EQ6 --n-max 0": "Error: --n-max must be >= 1",
+    "verify --suite EQ6 --r-max 0": "Error: --r-max must be >= 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -464,6 +472,8 @@ def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
     else:
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1].startswith("Error: ")
+        named = NAMED_FLAG_ERRORS.get(" ".join(args))
+        assert named is None or res.stderr.splitlines()[-1] == named
 
 
 @pytest.mark.parametrize(

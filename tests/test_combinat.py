@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fubini import combinat, hooks
 from fubini.combinat import (
     binomial,
     factorial,
@@ -249,6 +250,86 @@ def test_partial_bell_counts_partitions():
     for n in range(7):
         for k in range(n + 1):
             assert partial_bell(n, k, [1] * max(n - k + 1, 0)) == stirling2(n, k)
+
+
+def fraction_partial_bell(n, k, xs):
+    """The Fraction definition partial_bell had before its integer core.
+
+    Walks the multiplicity vectors with its own recursion and reads the
+    factorials through combinat.factorial, so a perturbed factorial reaches
+    it as it reaches the library.
+    """
+
+    def multiplicities(n, k, part):
+        if k == 0:
+            if n == 0:
+                yield []
+            return
+        if part < 1 or n < k or n > k * part:
+            return
+        for c in range(min(k, n // part), -1, -1):
+            for rest in multiplicities(n - c * part, k - c, part - 1):
+                yield [(part, c)] + rest if c else rest
+
+    total = F(0)
+    for mult in multiplicities(n, k, n - k + 1):
+        term = F(factorial(n))
+        for size, count in mult:
+            term /= factorial(count) * factorial(size) ** count
+            term *= F(xs[size - 1]) ** count
+        total += term
+    return total
+
+
+BELL_XS = [F(-7, 3), F(0), F(5, 4), F(-1, 6), F(9, 2), F(0), F(-3), F(2, 9), F(1, 10),
+           F(-8, 5), F(11, 7)]
+
+
+def test_partial_bell_matches_the_fraction_definition():
+    # rational xs with zeros, negatives and unlike denominators, n <= 10
+    for n in range(11):
+        for k in range(n + 1):
+            xs = BELL_XS[: n - k + 1]
+            got = partial_bell(n, k, xs)
+            assert type(got) is F
+            assert got == fraction_partial_bell(n, k, xs), (n, k)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 8), st.data())
+def test_partial_bell_matches_the_fraction_definition_property(n, data):
+    k = data.draw(st.integers(0, n))
+    xs = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            min_size=n - k + 1,
+            max_size=n - k + 3,
+        )
+    )
+    assert partial_bell(n, k, xs) == fraction_partial_bell(n, k, xs)
+
+
+def test_partial_bell_reads_a_perturbed_factorial():
+    # the coefficient table is rebuilt from the perturbed factorial, and
+    # dropped again on exit
+    cases = [(n, k) for n in range(7) for k in range(n + 1)]
+    clean = {(n, k): partial_bell(n, k, BELL_XS[: n - k + 1]) for n, k in cases}
+    changed = 0
+    with hooks.perturb("factorial", (2,)):
+        for (n, k), value in clean.items():
+            expected = fraction_partial_bell(n, k, BELL_XS[: n - k + 1])
+            assert partial_bell(n, k, BELL_XS[: n - k + 1]) == expected, (n, k)
+            changed += expected != value
+    assert changed
+    for (n, k), value in clean.items():
+        assert partial_bell(n, k, BELL_XS[: n - k + 1]) == value
+
+
+def test_clear_caches_empties_the_partial_bell_table():
+    partial_bell(6, 3, BELL_XS[:4])
+    assert combinat._bell_terms
+    hooks.clear_caches()
+    assert not combinat._bell_terms
 
 
 # --- cache hygiene ---

