@@ -14,6 +14,7 @@ import errno
 import json
 import os
 import sys
+from fractions import Fraction
 
 import click
 
@@ -35,11 +36,11 @@ from .rational import format_rational, parse_rational
 from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, estimate_sum_moment
 
 
-def _parse_dist(spec: str):
+def _parse_dist(spec: str, flag: str):
     try:
         return parse_distribution(spec)
     except DistributionSpecError as exc:
-        raise click.UsageError(f"bad --dist {spec!r}: {exc}") from exc
+        raise click.UsageError(f"bad {flag} {spec!r}: {exc}") from exc
 
 
 def _parse_rat(text: str, flag: str):
@@ -143,7 +144,7 @@ def cli():
 @click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out, help="Write to file instead of stdout.")
 def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     """Coefficient table of the Fubini polynomials for one distribution."""
-    dist = _parse_dist(dist_spec)
+    dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
@@ -156,7 +157,10 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
             poly = prob_fubini_poly(dist, n, lam)
         else:
             poly = prob_fubini_poly_order(dist, n, order_r, lam)
-        coeffs = [format_rational(poly.coefficient(k)) for k in range(n + 1)]
+        # formatted from the stored numerators: reading poly.coeffs would
+        # keep a Fraction tuple on the memoised polynomial
+        coeffs = [format_rational(Fraction(c, poly.den)) for c in poly.nums]
+        coeffs.extend(["0"] * (n + 1 - len(coeffs)))
         rows.append(
             {
                 "n": n,
@@ -216,7 +220,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     cfg = default_config()
     overrides = {}
     if dists:
-        overrides["dists"] = tuple(_parse_dist(s) for s in dists)
+        overrides["dists"] = tuple(_parse_dist(s, "--dists") for s in dists)
     if lams:
         overrides["lambdas"] = tuple(_parse_rat(s, "--lambda") for s in lams)
     if n_max is not None:
@@ -323,7 +327,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
 @click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
 def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     """Truncated generating function 1/(1 - x (E[e_lam^Y(t)] - 1))."""
-    dist = _parse_dist(dist_spec)
+    dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     x0 = _parse_rat(x_text, "--x")
     if order < 0:
@@ -361,7 +365,7 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
 @click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
 def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     """Monte Carlo estimate of E[(S_k)_{n,lambda}] against the exact value."""
-    dist = _parse_dist(dist_spec)
+    dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     if samples < MIN_SAMPLES:
         raise click.UsageError(f"--samples must be >= {MIN_SAMPLES}")

@@ -81,7 +81,7 @@ from .probabilistic import (
     prob_fubini_poly,
     prob_fubini_poly_order,
     prob_stirling2,
-    sum_degenerate_moment,
+    sum_degenerate_row,
 )
 from .rational import as_rational, format_rational, scaled
 from .series import TruncatedSeries
@@ -321,9 +321,11 @@ def _x_times_sum(terms) -> Polynomial:
 
 
 def _term(p: Polynomial, scalar, weight=1) -> tuple:
-    # the term weight * scalar * p, the scalar's denominator moved into the
-    # term's, so that an int weight stays an int
-    return p.nums, p.den * scalar.denominator, weight * scalar.numerator
+    # the term weight * scalar * p, the scalar (an int, a Fraction or a
+    # (num, den) pair) its denominator moved into the term's, so that an int
+    # weight stays an int
+    num, den = scalar if type(scalar) is tuple else (scalar.numerator, scalar.denominator)
+    return p.nums, p.den * den, weight * num
 
 
 def _product(a: Polynomial, b: Polynomial, weight) -> tuple:
@@ -332,9 +334,18 @@ def _product(a: Polynomial, b: Polynomial, weight) -> tuple:
     return convolve(a.nums, b.nums, size), a.den * b.den, weight
 
 
-def _fubini_base_series(dist, lam, x0, order) -> TruncatedSeries:
-    base = mgf_degenerate_series(dist, lam, order) - 1
+def _fubini_base_series(base: TruncatedSeries, x0) -> TruncatedSeries:
+    # 1 / (1 - x0 base) for base = E[e_lam^Y(t)] - 1, which the caller builds
+    # once per (dist, lam) and not once per x0
     return (1 - base * x0).reciprocal()
+
+
+def _sum_moment_rows(dist, lam, k_max: int, n_max: int) -> list[tuple]:
+    # E[(S_k)_{n,lam}] for k = 0..k_max and n = 0..n_max (at least), one
+    # (nums, den) per k: entry n of row k is nums[n] / den. The pair is taken
+    # at once, so a later rescaling of the stored row does not split it.
+    rows = [sum_degenerate_row(dist, k, n_max, lam) for k in range(k_max + 1)]
+    return [(row.nums, row.den) for row in rows]
 
 
 # --- checkers; each yields (lhs, rhs, params) and stops at the driver ---
@@ -469,10 +480,11 @@ def _eq19_inv(cfg):
     ]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
+            moments = _sum_moment_rows(dist, lam, cfg.n_max, cfg.n_max)
             for n in range(cfg.n_max + 1):
                 bell = prob_bell_poly(dist, n, lam)
-                for k in range(cfg.n_max + 1):
-                    lhs = sum_degenerate_moment(dist, k, n, lam)
+                for k, (nums, den) in enumerate(moments):
+                    lhs = nums[n], den
                     rhs = sum(map(mul, weights[k], bell.nums)), bell.den
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
 
@@ -493,16 +505,17 @@ def _stirling2_by_difference(moments, k: int) -> tuple[int, int]:
 
 def _eq20_gf(cfg):
     # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the
-    # sum moments; those are read once per (dist, lam) and put over one
-    # denominator per n
+    # sum moments; those are read once per (dist, lam), one row per j, and
+    # put over the lcm of the rows' denominators, one column per n
     facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
+            moments = _sum_moment_rows(dist, lam, cfg.n_max, cfg.series_order)
+            common = math.lcm(*(den for _, den in moments))
+            scales = [(nums, common // den) for nums, den in moments]
             rows = [
-                scaled(
-                    [sum_degenerate_moment(dist, j, n, lam) for j in range(cfg.n_max + 1)]
-                )
+                ([nums[n] * scale for nums, scale in scales], common)
                 for n in range(cfg.series_order + 1)
             ]
             power = TruncatedSeries.one(cfg.series_order)
@@ -540,8 +553,9 @@ def _eq23_gf(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.series_order + 1)]
+            base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
             for x0 in cfg.x_points:
-                s = _fubini_base_series(dist, lam, x0, cfg.series_order)
+                s = _fubini_base_series(base, x0)
                 for n, fub in enumerate(fubs):
                     yield (
                         (s.nums[n] * facts[n], s.den),
@@ -566,16 +580,16 @@ def _eq29_bell(cfg):
                     )
 
 
-def _geometric_expansion_rows(cfg, dist, lam, comb):
+def _geometric_expansion_rows(cfg, dist, lam, comb, moments):
     # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum
-    # moments, to depth len(comb) - 1; the sums over k run on the polynomial's
-    # integer numerators over its denominator.
+    # moments (the _sum_moment_rows of i = 0..len(comb) - 1); the sums over k
+    # run on the polynomial's integer numerators over its denominator.
     for n in range(cfg.n_max + 1):
         fub = prob_fubini_poly(dist, n, lam)
         for i, row in enumerate(comb):
             lhs = sum(map(mul, fub.nums, row[: i + 1])), fub.den
-            rhs = sum_degenerate_moment(dist, i, n, lam)
-            yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "i": i}
+            nums, den = moments[i]
+            yield lhs, (nums[n], den), {"dist": dist, "lambda": lam, "n": n, "i": i}
 
 
 def _thm2_2(cfg):
@@ -585,7 +599,8 @@ def _thm2_2(cfg):
     comb = _comb_rows(cfg.coeff_depth)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            yield from _geometric_expansion_rows(cfg, dist, lam, comb)
+            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
+            yield from _geometric_expansion_rows(cfg, dist, lam, comb, moments)
 
 
 def _thm2_3(cfg):
@@ -663,8 +678,9 @@ def _thm2_6(cfg):
                 ]
                 for r in range(1, cfg.r_max + 1)
             ]
+            mgf_base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
             for x0 in cfg.x_points:
-                base = _fubini_base_series(dist, lam, x0, cfg.series_order)
+                base = _fubini_base_series(mgf_base, x0)
                 power = base
                 for r in range(1, cfg.r_max + 1):
                     for n, fub in enumerate(ords[r - 1]):
@@ -722,13 +738,12 @@ def _thm2_9_printed(cfg):
                 ords = [
                     prob_fubini_poly_order(dist, i, r + 1, lam) for i in range(top + 1)
                 ]
-                moments = [
-                    sum_degenerate_moment(dist, r, m, lam) for m in range(top + 1)
-                ]
+                row = sum_degenerate_row(dist, r, top, lam)
+                moments, den = row.nums, row.den
                 for n in range(1, top + 1):
                     lhs = prob_fubini_poly(dist, n, lam).derivative(r)
                     rhs = _sum(
-                        _term(ords[i], moments[n - i], binomial(n, i) * rfact)
+                        _term(ords[i], (moments[n - i], den), binomial(n, i) * rfact)
                         for i in range(n + 1)
                     )
                     yield lhs, rhs, {
@@ -793,36 +808,34 @@ def _thm2_12(cfg):
     comb = _comb_rows(cfg.coeff_depth)
     for dist in _poissons(cfg):
         for lam in cfg.lambdas:
+            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
             for n in range(cfg.n_max + 1):
                 bell = degenerate_bell_poly(n, lam)
-                for k in range(cfg.coeff_depth + 1):
+                for k, (nums, den) in enumerate(moments):
                     yield (
                         bell.evaluate(k * dist.alpha),
-                        sum_degenerate_moment(dist, k, n, lam),
+                        (nums[n], den),
                         {"dist": dist, "lambda": lam, "n": n, "k": k},
                     )
-            yield from _geometric_expansion_rows(cfg, dist, lam, comb)
+            yield from _geometric_expansion_rows(cfg, dist, lam, comb, moments)
 
 
 def _thm2_13(cfg):
     # Order-(r+1) geometric expansion: the inner sums run on the polynomial's
     # integer numerators over its denominator. The sum moments do not depend
-    # on r: they are read once per (dist, lam).
+    # on r: they are read once per (dist, lam), one row per i.
     depth = cfg.coeff_depth
     comb = _comb_rows(depth + cfg.r_max)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = [
-                [sum_degenerate_moment(dist, i, n, lam) for i in range(depth + 1)]
-                for n in range(cfg.n_max + 1)
-            ]
+            moments = _sum_moment_rows(dist, lam, depth, cfg.n_max)
             for r in range(1, cfg.r_max + 1):
                 for n in range(cfg.n_max + 1):
                     w = prob_fubini_poly_order(dist, n, r + 1, lam)
-                    for i, m in enumerate(moments[n]):
+                    for i, (nums, den) in enumerate(moments):
                         row = comb[i + r]
                         lhs = sum(map(mul, w.nums, row[i::-1])), w.den
-                        rhs = row[i] * m.numerator, m.denominator
+                        rhs = row[i] * nums[n], den
                         yield lhs, rhs, {
                             "dist": dist,
                             "lambda": lam,
@@ -1011,14 +1024,15 @@ def thm2_2_numeric_spotcheck(
     cases = 0
     worst = 0.0
     failures = []
+    top = min(4, cfg.n_max)
     for dist in cfg.dists:
         for lam in lams:
-            for n in range(min(4, cfg.n_max) + 1):
+            # int / int is correctly rounded, so each float is the one that
+            # float(Fraction(num, den)) gives
+            rows = _sum_moment_rows(dist, lam, terms, top)
+            for n in range(top + 1):
                 fub = prob_fubini_poly(dist, n, lam)
-                moments = [
-                    float(sum_degenerate_moment(dist, k, n, lam))
-                    for k in range(terms + 1)
-                ]
+                moments = [nums[n] / den for nums, den in rows]
                 for x0 in points:
                     u = x0 / (1 + x0)
                     uf = float(u)

@@ -7,14 +7,18 @@ numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
 Everything is exact. The recurrences and contractions run on integer cores:
-the sums of products run in Python ints over one common denominator, and one
-Fraction is built per result. The moment rows E[Y**m] and E[S_k**m] are
-stored in that form (rational.ScaledRow, integer numerators over the lcm of
-the entries' denominators), so Miller's recurrence and the contractions
-against the numerators of (x)_{n,lam} read them as they are; the triangle
-puts each row over its denominator once (rational.scaled). Tables indexed by
-lam are keyed by (lam.numerator, lam.denominator), which hashes without
-Fraction.__hash__.
+the sums of products run in Python ints over one common denominator. The
+moment rows E[Y**m], E[S_k**m] and E[(S_k)_{n,lam}] are stored in that form
+(rational.ScaledRow, integer numerators over the lcm of the entries'
+denominators), so Miller's recurrence and the contractions against the
+numerators of (x)_{n,lam} read them as they are, and a row of E[(S_k)_{n,lam}]
+takes its dot products as integer pairs, one pass per request; callers that
+read many entries take the row itself (sum_degenerate_row), and
+sum_degenerate_moment builds one Fraction per read. E[(Y)_{n,lam}] is kept
+as Fractions, one per entry. The triangle keeps each row in both forms (its
+integer form from rational.scaled), and the order-r Fubini polynomials are
+memoised per (dist, r, lam). Tables indexed by lam are keyed by
+(lam.numerator, lam.denominator), which hashes without Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ _sum_moment_rows: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
 _degenerate_rows: dict[tuple[Distribution, int, int], list[Fraction]] = hooks.memo(
     defaultdict(list)
 )
-_sum_degenerate_rows: dict[tuple[Distribution, int, int, int], list[Fraction]] = (
-    hooks.memo(defaultdict(list))
+_sum_degenerate_rows: dict[tuple[Distribution, int, int, int], ScaledRow] = (
+    hooks.memo(defaultdict(ScaledRow))
 )
 # The moments as their accessors return them, for the recurrences and
 # contractions: E[Y**m] per dist from raw_moment and E[S_k**m] per (dist, k)
@@ -115,15 +119,14 @@ def _read_sum_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
     return row
 
 
-def _contract(n: int, lam: Fraction, moments: ScaledRow) -> Fraction:
-    """sum_m [x**m](x)_{n,lam} * moments[m]: one integer dot product.
+def _contract(n: int, lam: Fraction, moments: ScaledRow) -> tuple[int, int]:
+    """sum_m [x**m](x)_{n,lam} * moments[m] as a (num, den) pair, not reduced.
 
-    Both the polynomial and the moment row (grown to at least n + 1 entries)
-    hold integer numerators over one denominator.
+    One integer dot product: both the polynomial and the moment row (grown
+    to at least n + 1 entries) hold integer numerators over one denominator.
     """
     ff = falling_factorial_poly(n, lam)
-    total = sum(map(mul, ff.nums, moments.nums))
-    return Fraction(total, ff.den * moments.den)
+    return sum(map(mul, ff.nums, moments.nums)), ff.den * moments.den
 
 
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
@@ -134,20 +137,30 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     row = _degenerate_rows[dist, lam.numerator, lam.denominator]
     while len(row) <= n:
         m = len(row)
-        row.append(_contract(m, lam, _read_raw_moments(dist, m)))
+        row.append(Fraction(*_contract(m, lam, _read_raw_moments(dist, m))))
     return row[n]
 
 
-def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
-    """E[(S_k)_{n,lam}] for the k-fold independent sum."""
+def sum_degenerate_row(dist: Distribution, k: int, n: int, lam) -> ScaledRow:
+    """E[(S_k)_{m,lam}] for m = 0..n (at least), as the stored ScaledRow.
+
+    Entry m is row.nums[m] / row.den. A later request may grow the row and
+    rescale it, which replaces row.nums and row.den together, so a caller
+    reads the pair (row.nums[m], row.den) at once, or keeps both.
+    """
     if k < 0 or n < 0:
         raise ValueError("sum moments need k, n >= 0")
     lam = as_rational(lam)
     row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
-    while len(row) <= n:
-        m = len(row)
-        row.append(_contract(m, lam, _read_sum_moments(dist, k, m)))
-    return row[n]
+    if len(row) <= n:
+        moments = _read_sum_moments(dist, k, n)
+        row.extend_ratios(_contract(m, lam, moments) for m in range(len(row), n + 1))
+    return row
+
+
+def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
+    """E[(S_k)_{n,lam}] for the k-fold independent sum."""
+    return sum_degenerate_row(dist, k, n, lam)[n]
 
 
 # Lower triangles of {n brace k}_{Y,lam} per (dist, lam numerator, lam
@@ -219,14 +232,27 @@ def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
     return prob_fubini_poly_order(dist, n, 1, lam)
 
 
+# The order-r Fubini polynomials per (dist, r, lam numerator, lam
+# denominator); entry n is F^Y_{n,lam} of order r.
+_fubini_order_rows: dict[tuple[Distribution, int, int, int], list[Polynomial]] = (
+    hooks.memo(defaultdict(list))
+)
+
+
 def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomial:
     """Order-r variant with weight C(k+r-1, k) k!; r = 1 gives prob_fubini_poly."""
     if r < 1:
         raise ValueError("order r must be >= 1")
     if n < 0:
         return Polynomial()
-    _, scaled_rows = _triangle(dist, n, lam)
-    return weighted_by_order(*scaled_rows[n], r)
+    lam = as_rational(lam)
+    polys = _fubini_order_rows[dist, r, lam.numerator, lam.denominator]
+    if len(polys) <= n:
+        _, scaled_rows = _triangle(dist, n, lam)
+        polys.extend(
+            weighted_by_order(*scaled_rows[m], r) for m in range(len(polys), n + 1)
+        )
+    return polys[n]
 
 
 def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSeries:

@@ -73,6 +73,26 @@ class ScaledRow:
             self.den *= grow
         self.nums.append(num * (self.den // den))
 
+    def extend_ratios(self, pairs) -> None:
+        """Append num / den for each (num, den) pair of ints, den > 0.
+
+        The pairs need not be in lowest terms. The new denominator is found
+        first, so the earlier numerators are rescaled at most once, however
+        many entries are appended.
+        """
+        entries = []
+        common = self.den
+        for num, den in pairs:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            common *= den // math.gcd(common, den)
+            entries.append((num, den))
+        grow = common // self.den
+        if grow > 1:
+            self.nums = [c * grow for c in self.nums]
+            self.den = common
+        self.nums.extend(num * (common // den) for num, den in entries)
+
 
 def ratio(value: int | Fraction | str) -> tuple[int, int]:
     """Numerator and positive denominator of an exact value, refusing floats."""

@@ -455,6 +455,14 @@ HOSTILE_ARGS = [
 NAMED_FLAG_ERRORS = {
     "verify --suite EQ6 --n-max 0": "Error: --n-max must be >= 1",
     "verify --suite EQ6 --r-max 0": "Error: --r-max must be >= 1",
+    "verify --suite EQ6 --dists point:1e3": (
+        "Error: bad --dists 'point:1e3': invalid distribution spec 'point:1e3': "
+        "bad rational '1e3'"
+    ),
+    "table --dist point:1e3 --n-max 2": (
+        "Error: bad --dist 'point:1e3': invalid distribution spec 'point:1e3': "
+        "bad rational '1e3'"
+    ),
 }
 
 

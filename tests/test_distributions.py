@@ -1,8 +1,10 @@
 """Moment providers: closed-form moments and the spec-string grammar."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fubini.combinat import stirling2
 from fubini.distributions import (
@@ -15,7 +17,13 @@ from fubini.distributions import (
     parse_distribution,
 )
 from fubini.hooks import perturb
-from fubini.probabilistic import prob_stirling2, raw_moment, sum_degenerate_moment
+from fubini.probabilistic import (
+    prob_stirling2,
+    raw_moment,
+    sum_degenerate_moment,
+    sum_degenerate_row,
+    sum_raw_moment,
+)
 
 F = Fraction
 
@@ -100,6 +108,59 @@ def test_finite_discrete_moments():
     assert raw_moment(d, 0) == 1
     assert raw_moment(d, 1) == F(3, 2)
     assert raw_moment(d, 2) == F(7, 2)
+
+
+@st.composite
+def finite_discretes(draw):
+    # 2 to 4 distinct rational atoms with positive rational weights summing to 1
+    values = draw(
+        st.lists(
+            st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return FiniteDiscrete(tuple((v, F(w, sum(raw))) for v, w in zip(values, raw)))
+
+
+def _atom_moment(law, m):
+    return sum((w * v**m for v, w in law), start=F(0))
+
+
+def _k_fold_law(atoms, k):
+    # the law of S_k as (value, weight) pairs: atoms convolved k times
+    law = {F(0): F(1)}
+    for _ in range(k):
+        step = defaultdict(F)
+        for s, p in law.items():
+            for v, w in atoms:
+                step[s + v] += p * w
+        law = step
+    return law.items()
+
+
+POSITIVE = st.fractions(min_value=F(1, 9), max_value=F(6), max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_discretes(), st.integers(0, 4))
+def test_finite_discrete_moments_match_the_atom_sums(dist, k):
+    law = _k_fold_law(dist.atoms, k)
+    for m in range(9):
+        assert raw_moment(dist, m) == _atom_moment(dist.atoms, m), m
+        assert sum_raw_moment(dist, k, m) == _atom_moment(law, m), (k, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(POSITIVE, POSITIVE, st.integers(0, 4))
+def test_gamma_moments_match_the_rising_factorials(alpha, beta, k):
+    # S_k is gamma with shape k alpha and the same rate; S_0 = 0
+    dist = Gamma(alpha, beta)
+    for m in range(9):
+        assert raw_moment(dist, m) == _rising_over_rate(alpha, beta, m), m
+        assert sum_raw_moment(dist, k, m) == _rising_over_rate(k * alpha, beta, m), (k, m)
 
 
 def test_domain_validation():
@@ -203,7 +264,10 @@ def test_equal_distributions_built_apart_share_memo_rows():
     assert a != parse_distribution("discrete:0=1/6,1=1/2,2=1/3")
     assert Bernoulli(F(1, 2)) != PointMass(F(1, 2))
     lam = F(1, 3)
-    value = sum_degenerate_moment(a, 3, 4, lam)
-    assert sum_degenerate_moment(b, 3, 4, F(1, 3)) is value
+    # the sum moments are shared as one stored row; each read builds its own
+    # Fraction from it
+    row = sum_degenerate_row(a, 3, 4, lam)
+    assert sum_degenerate_row(b, 3, 4, F(1, 3)) is row
+    assert sum_degenerate_moment(b, 3, 4, F(1, 3)) == sum_degenerate_moment(a, 3, 4, lam)
     assert prob_stirling2(b, 5, 2, lam) is prob_stirling2(a, 5, 2, lam)
     assert raw_moment(b, 4) is raw_moment(a, 4)

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fubini import hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
@@ -23,6 +24,7 @@ from fubini.probabilistic import (
     prob_stirling2,
     raw_moment,
     sum_degenerate_moment,
+    sum_degenerate_row,
     sum_raw_moment,
 )
 from fubini.rational import ScaledRow, scaled
@@ -96,6 +98,20 @@ def test_scaled_row_rescales_only_when_a_denominator_does_not_divide():
         dens.append(row.den)
     assert dens == [1, 2, 2, 6, 6, 12, 12, 24, 24]
     assert ScaledRow(values).nums == row.nums
+
+
+def test_scaled_row_extends_by_unreduced_pairs_as_by_appends():
+    head, tail = [F(1, 2), F(0)], [F(-5, 6), 7, F(-3, 4), F(1, 3), F(9, 8)]
+    row = ScaledRow(head)
+    nums = row.nums
+    # each pair scaled by a different factor, so none is in lowest terms
+    row.extend_ratios((v.numerator * g, v.denominator * g) for g, v in enumerate(tail, 2))
+    _assert_canonical(row, head + [F(v) for v in tail])
+    assert (row.nums, row.den) == (ScaledRow(head + tail).nums, 24)
+    assert nums == [1, 0]  # rescaled once, into a new list
+    row.extend_ratios([])
+    row.extend_ratios([(4, 2)])
+    _assert_canonical(row, head + [F(v) for v in tail] + [F(2)])
 
 
 def _stored_moment_rows(dist, k):
@@ -175,6 +191,45 @@ def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undo
 
 
 @pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+def test_sum_degenerate_row_grown_at_once_equals_row_grown_entry_by_entry(dist):
+    k, lam, n = 3, F(-7, 2), 12
+
+    hooks.clear_caches()
+    for m in range(n + 1):
+        stepped = sum_degenerate_row(dist, k, m, lam)
+    stepped = list(stepped.nums), stepped.den
+    hooks.clear_caches()
+    row = sum_degenerate_row(dist, k, n, lam)
+    assert (row.nums, row.den) == stepped
+    expected = _naive_sum_raw_row(dist, k, n)
+    _assert_canonical(row, [_naive_contract(m, lam, lambda i: expected[i]) for m in range(n + 1)])
+    assert sum_degenerate_row(dist, k, 5, lam) is row  # a shorter request reads it as it is
+
+
+# lam = 0, negative lam and lam not an integer, drawn apart so each is tried
+LAMBDAS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=F(-6), max_value=F(-1, 12), max_denominator=12),
+    st.fractions(min_value=F(-6), max_value=F(6), max_denominator=12).filter(
+        lambda v: v.denominator > 1
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GRID_DISTS + ZERO_MOMENT_DISTS),
+    st.integers(0, 30),
+    st.integers(0, 40),
+    LAMBDAS,
+)
+def test_sum_degenerate_moment_matches_the_fraction_contraction(dist, k, n, lam):
+    got = sum_degenerate_moment(dist, k, n, lam)
+    assert type(got) is Fraction
+    assert got == _naive_contract(n, lam, lambda m: sum_raw_moment(dist, k, m))
+
+
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
 @pytest.mark.parametrize("k", [0, 1, 2, 500])
 def test_miller_core_matches_fraction_loop(dist, k):
     expected = _naive_sum_raw_row(dist, k, 16)
@@ -234,6 +289,27 @@ def test_raw_moment_fault_reaches_every_integer_core_and_is_undone():
         assert inside == oracle()
     assert inside[0] != before[0] and inside[1] != before[1]
     assert tables() == before
+
+
+def test_raw_moment_fault_reaches_the_memoised_order_polynomials_and_is_undone():
+    dist, lam, n, r = GRID_DISTS[5], F(1, 3), 6, 2
+
+    def oracle():
+        row = _naive_triangle(dist, n, lam)[n]
+        return [
+            math.comb(k + r - 1, k) * math.factorial(k) * t for k, t in enumerate(row)
+        ]
+
+    before = prob_fubini_poly_order(dist, n, r, lam)
+    assert prob_fubini_poly_order(dist, n, r, lam) is before  # memoised
+    assert [before.coefficient(k) for k in range(n + 1)] == oracle()
+    with hooks.perturb("raw_moment", (dist, 2)):
+        inside = prob_fubini_poly_order(dist, n, r, lam)
+        assert [inside.coefficient(k) for k in range(n + 1)] == oracle()
+        assert prob_fubini_poly_order(dist, n, r, lam) is inside
+    assert inside != before
+    after = prob_fubini_poly_order(dist, n, r, lam)
+    assert after is not inside and after == before
 
 
 # Under hooks.perturb, factorial and binomial return Fractions; the order-r
