@@ -489,18 +489,20 @@ def _eq19_inv(cfg):
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
 
 
-def _stirling2_by_difference(moments, k: int) -> tuple[int, int]:
+def _difference_weights(k: int) -> list[int]:
+    # the signed weights C(k, j)(-1)^(k-j), j = 0..k, of a k-th finite difference
+    return [binomial(k, j) * (-1) ** (k - j) for j in range(k + 1)]
+
+
+def _stirling2_by_difference(moments, weights: list[int]) -> tuple[int, int]:
     # The defining alternating sum: k-th finite difference of
-    # j -> E[(S_j)_{n,lam}] at 0, divided by k!. moments = (terms, den) holds
-    # those sum moments for j = 0..k (at least) as integer numerators over one
-    # denominator; the result is a (num, den) pair.
+    # j -> E[(S_j)_{n,lam}] at 0, divided by k!, with weights =
+    # _difference_weights(k). moments = (terms, den) holds those sum moments
+    # for j = 0..k (at least) as integer numerators over one denominator; the
+    # result is a (num, den) pair.
     terms, den = moments
-    total = sum(
-        binomial(k, j) * (-1) ** (k - j) * term
-        for j, term in enumerate(terms[: k + 1])
-        if term
-    )
-    return total, den * factorial(k)
+    total = sum(w * term for w, term in zip(weights, terms) if term)
+    return total, den * factorial(len(weights) - 1)
 
 
 def _eq20_gf(cfg):
@@ -508,6 +510,7 @@ def _eq20_gf(cfg):
     # sum moments; those are read once per (dist, lam), one row per j, and
     # put over the lcm of the rows' denominators, one column per n
     facts = _factorials(cfg.series_order)
+    weights = [_difference_weights(k) for k in range(cfg.n_max + 1)]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
@@ -524,7 +527,7 @@ def _eq20_gf(cfg):
                 for n, row in enumerate(rows):
                     yield (
                         (power.nums[n] * facts[n], power.den * kfact),
-                        _stirling2_by_difference(row, k),
+                        _stirling2_by_difference(row, weights[k]),
                         {"dist": dist, "lambda": lam, "k": k, "n": n},
                     )
                 power = power * base

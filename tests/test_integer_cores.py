@@ -17,7 +17,7 @@ from fubini import hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, PointMass
 from fubini.families import degenerate_fubini_poly_order
-from fubini.identities import _stirling2_by_difference, default_config
+from fubini.identities import _difference_weights, _stirling2_by_difference, default_config
 from fubini.probabilistic import (
     degenerate_moment,
     prob_fubini_poly_order,
@@ -154,7 +154,7 @@ def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undo
     def by_difference(n):
         # a row longer than order + 1 entries, as _eq20_gf passes it
         row = scaled([sum_degenerate_moment(dist, j, n, lam) for j in range(order + 2)])
-        return F(*_stirling2_by_difference(row, order))
+        return F(*_stirling2_by_difference(row, _difference_weights(order)))
 
     def tables():
         return (

@@ -1,8 +1,10 @@
-"""Monte Carlo estimators: determinism, exact degenerate cases, z-scores."""
+"""Monte Carlo estimators: determinism, the laws of the samplers, exact
+degenerate cases, z-scores."""
 
+import math
+import statistics
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fubini.distributions import (
@@ -13,10 +15,15 @@ from fubini.distributions import (
     Poisson,
 )
 from fubini.sampling import (
+    CHUNK,
     MAX_DEGREE,
     MAX_DRAWS,
     MAX_SAMPLES,
     MIN_SAMPLES,
+    _Binomial,
+    _draw_sums,
+    _mean_and_stderr,
+    _sum_law,
     draw,
     estimate_sum_moment,
 )
@@ -34,9 +41,9 @@ def test_draw_is_deterministic():
     ):
         a = draw(dist, 500, seed=7)
         b = draw(dist, 500, seed=7)
-        assert np.array_equal(a, b)
+        assert len(a) == 500 and a == b
         c = draw(dist, 500, seed=8)
-        assert not np.array_equal(a, c) or isinstance(dist, PointMass)
+        assert a != c or isinstance(dist, PointMass)
 
 
 def test_point_mass_estimate_is_exact():
@@ -52,20 +59,160 @@ def test_point_mass_estimate_is_exact():
     assert res.zscore is None
     assert not res.suspicious
     assert res.estimate == pytest.approx(float(res.exact), rel=1e-12)
+    # a constant statistic near the float range: its square overflows, it does not
+    res = estimate_sum_moment(PointMass(10**100), 1, 3, F(0), 1000, seed=0)
+    assert res.stderr == 0.0 and res.zscore is None
+    assert res.estimate == pytest.approx(1e300, rel=1e-12)
+
+
+def test_mean_and_stderr_match_a_direct_two_pass_computation():
+    # several histograms, so Chan's merge runs; the reference is the plain
+    # per-draw loop the histograms replace
+    xs = draw(Gamma(F(3, 2), 2), 3 * CHUNK + 5, seed=4)
+    n, lam = 3, 1 / 3
+    stats = []
+    for x in xs:
+        s = 1.0
+        for j in range(n):
+            s *= x - j * lam
+        stats.append(s)
+    mean = statistics.fmean(stats)
+    stderr = statistics.stdev(stats) / math.sqrt(len(stats))
+    got_mean, got_stderr = _mean_and_stderr(xs, n, lam)
+    assert got_mean == pytest.approx(mean, rel=1e-12)
+    assert got_stderr == pytest.approx(stderr, rel=1e-9)
 
 
 def test_discrete_support_and_frequencies():
     dist = FiniteDiscrete(((F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(1, 3))))
     xs = draw(dist, 60_000, seed=11)
-    assert set(np.unique(xs)) <= {0.0, 1.0, 3.0}
-    freq_one = float(np.mean(xs == 1.0))
+    assert set(xs) <= {0.0, 1.0, 3.0}
+    freq_one = xs.count(1.0) / len(xs)
     assert abs(freq_one - 0.5) < 0.02
 
 
 def test_bernoulli_support():
     xs = draw(Bernoulli(F(2, 5)), 50_000, seed=3)
-    assert set(np.unique(xs)) <= {0.0, 1.0}
-    assert abs(float(xs.mean()) - 0.4) < 0.02
+    assert set(xs) <= {0.0, 1.0}
+    assert abs(sum(xs) / len(xs) - 0.4) < 0.02
+
+
+DISCRETE = FiniteDiscrete(((F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(1, 3))))
+LAW_DRAWS = 200_000
+
+
+def _sum_law_moments(dist, k):
+    """Mean, variance and fourth central moment of S_k from the closed-form
+    raw moments of Y: the cumulants of an iid sum are k times those of Y."""
+    m1, m2, m3, m4 = (dist.moment_formula(j) for j in range(1, 5))
+    var = m2 - m1**2
+    kappa4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4 - 3 * var**2
+    return k * m1, k * var, k * kappa4 + 3 * (k * var) ** 2
+
+
+@pytest.mark.parametrize(
+    "dist, k",
+    [
+        (Bernoulli(F(1, 2)), 400),
+        (Bernoulli(F(2, 5)), 10**5),
+        (Poisson(F(3, 2)), 1),
+        (Poisson(F(3, 2)), 20),  # Poisson(30)
+        (Poisson(10**10), 1),
+        (Gamma(F(1, 3), 2), 2),  # shape 2/3 < 1
+        (Gamma(F(3, 2), 2), 3),  # shape 9/2 > 1
+        (DISCRETE, 3),
+        (PointMass(F(5, 2)), 7),
+        (Poisson(F(3, 2)), 0),
+    ],
+    ids=lambda v: str(v),
+)
+def test_sum_draws_follow_the_law_of_s_k(dist, k):
+    xs = _draw_sums(dist, k, LAW_DRAWS, seed=2024)
+    assert len(xs) == LAW_DRAWS
+    mean, var, mu4 = _sum_law_moments(dist, k)
+    if var == 0:
+        assert set(xs) == {float(mean)}
+        return
+    n = len(xs)
+    got_mean = math.fsum(xs) / n
+    got_var = math.fsum((x - got_mean) ** 2 for x in xs) / (n - 1)
+    mean_se = math.sqrt(var / n)
+    var_se = math.sqrt((mu4 - var**2) / n)
+    assert abs(got_mean - float(mean)) < 5 * mean_se, (got_mean, float(mean))
+    assert abs(got_var - float(var)) < 5 * var_se, (got_var, float(var))
+
+
+def _chi_square_cells(xs, pmf, min_expected=5.0):
+    """(observed, expected) per cell: the support points whose expected count
+    is at least min_expected, with the two tails pooled into the end cells."""
+    n = len(xs)
+    keep = [j for j, p in enumerate(pmf) if n * p >= min_expected]
+    lo, hi = keep[0], keep[-1]
+    observed = [0] * (hi - lo + 1)
+    for x in xs:
+        observed[min(max(int(x), lo), hi) - lo] += 1
+    expected = [n * p for p in pmf[lo : hi + 1]]
+    expected[0] += n * sum(pmf[:lo])
+    expected[-1] += n * (1 - sum(pmf[: hi + 1]))
+    return observed, expected
+
+
+@pytest.mark.parametrize(
+    "law, pmf",
+    [
+        (
+            _Binomial(20, F(2, 5)),
+            [float(math.comb(20, j) * F(2, 5) ** j * F(3, 5) ** (20 - j)) for j in range(21)],
+        ),
+        (Poisson(3), [math.exp(-3) * 3**j / math.factorial(j) for j in range(60)]),
+        (Poisson(30), [math.exp(-30 + j * math.log(30) - math.lgamma(j + 1)) for j in range(150)]),
+    ],
+    ids=["binomial-20-2/5", "poisson-3", "poisson-30"],
+)
+def test_draws_pass_a_chi_square_against_the_pmf(law, pmf):
+    xs = draw(law, LAW_DRAWS, 77)
+    assert all(x == int(x) >= 0 for x in set(xs))
+    observed, expected = _chi_square_cells(xs, pmf)
+    terms = [(o - e) ** 2 / e for o, e in zip(observed, expected)]
+    df = len(terms) - 1
+    # each cell within 5 standard deviations, and the sum far below df + 5 sd
+    assert max(terms) < 25, terms
+    assert sum(terms) < df + 5 * math.sqrt(2 * df), (sum(terms), df)
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """The argument tuples of every `sampling.draw` call, as the tracer sees them."""
+    calls = []
+
+    def counting_draw(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr("fubini.sampling.draw", counting_draw)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dist, law",
+    [
+        (PointMass(F(5, 2)), PointMass(F(25, 2))),
+        (Bernoulli(F(2, 5)), _Binomial(5, F(2, 5))),
+        (Poisson(F(3, 2)), Poisson(F(15, 2))),
+        (Gamma(F(3, 2), 2), Gamma(F(15, 2), 2)),
+    ],
+    ids=lambda v: str(v),
+)
+def test_estimate_draws_s_k_once_from_its_law(draw_calls, dist, law):
+    assert _sum_law(dist, 5) == law
+    estimate_sum_moment(dist, 5, 2, F(1, 2), 1000, seed=3)
+    assert draw_calls == [(law, 1000, 3)]
+
+
+def test_estimate_draws_a_finite_discrete_sum_summand_by_summand(draw_calls):
+    assert _sum_law(DISCRETE, 3) is None
+    estimate_sum_moment(DISCRETE, 3, 2, F(1, 2), 1000, seed=3)
+    assert draw_calls == [(DISCRETE, 1000, 3 * 1_000_003 + j) for j in range(3)]
 
 
 def test_zscores_reasonable_across_dists():
