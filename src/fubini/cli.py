@@ -33,7 +33,7 @@ from .probabilistic import (
     prob_fubini_poly_order,
 )
 from .rational import format_rational, parse_rational
-from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, estimate_sum_moment
+from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, FloatRangeError, estimate_sum_moment
 
 
 def _parse_dist(spec: str, flag: str):
@@ -377,6 +377,8 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         raise click.UsageError(f"--n must be <= {MAX_DEGREE}")
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
+    except FloatRangeError as exc:
+        raise click.UsageError(f"bad --dist {dist_spec!r}: {exc}") from exc
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     except (OverflowError, FloatingPointError) as exc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import hooks
 from .poly import Polynomial
-from .rational import as_rational, scaled
+from .rational import ScaledRow, as_rational, scaled
 
 
 def factorial(n: int) -> int:
@@ -127,21 +127,22 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
     return _falling_factorial_poly(n, as_rational(lam))
 
 
-# The order-r Fubini weights C(k+r-1, k) k! for k < size, per (size, r), as
-# integer numerators over one denominator. They are read through binomial and
-# factorial, so under hooks.perturb they may be Fractions.
-_order_weights: dict[tuple[int, int], tuple[list[int], int]] = hooks.memo({})
+# The order-r Fubini weights C(k+r-1, k) k! for k < size, per (size, r). They
+# are read through binomial and factorial, so under hooks.perturb they may be
+# Fractions.
+_order_weights: dict[tuple[int, int], ScaledRow] = hooks.memo({})
 
 
-def weighted_by_order(nums, den: int, r: int) -> Polynomial:
-    """sum_k C(k+r-1, k) k! nums[k] / den x**k, from integer numerators."""
-    key = len(nums), r
+def weighted_by_order(row: ScaledRow, r: int) -> Polynomial:
+    """sum_k C(k+r-1, k) k! row[k] x**k, from the row's integer numerators."""
+    key = len(row), r
     if key not in _order_weights:
-        _order_weights[key] = scaled(
-            [binomial(k + r - 1, k) * factorial(k) for k in range(len(nums))]
+        _order_weights[key] = ScaledRow(
+            binomial(k + r - 1, k) * factorial(k) for k in range(len(row))
         )
-    weights, wden = _order_weights[key]
-    return Polynomial.from_scaled([c * w for c, w in zip(nums, weights)], den * wden)
+    weights = _order_weights[key]
+    nums = [c * w for c, w in zip(row.nums, weights.nums)]
+    return Polynomial.from_scaled(nums, row.den * weights.den)
 
 
 def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
@@ -154,21 +155,21 @@ def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
 
 
 # Rows of the degenerate Stirling numbers per (lam numerator, lam
-# denominator); row n holds k = 0..n.
-_s2_degenerate_rows: dict[tuple[int, int], list[list[Fraction]]] = hooks.memo(
+# denominator); row n is a ScaledRow of k = 0..n.
+_s2_degenerate_rows: dict[tuple[int, int], list[ScaledRow]] = hooks.memo(
     defaultdict(list)
 )
 
 
-def stirling2_degenerate_row(n: int, lam) -> list[Fraction]:
-    """{n brace k}_lam for k = 0..n (see stirling2_degenerate)."""
+def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
+    """{n brace k}_lam for k = 0..n (see stirling2_degenerate), as stored."""
     if n < 0:
         raise ValueError("stirling2_degenerate_row needs n >= 0")
     lam = as_rational(lam)
     rows = _s2_degenerate_rows[lam.numerator, lam.denominator]
     while len(rows) <= n:
         m = len(rows)
-        rows.append([_stirling2_degenerate(m, k, lam) for k in range(m + 1)])
+        rows.append(ScaledRow(_stirling2_degenerate(m, k, lam) for k in range(m + 1)))
     return rows[n]
 
 

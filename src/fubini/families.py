@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .combinat import stirling2_degenerate_row, weighted_by_order
 from .poly import Polynomial
-from .rational import as_rational, scaled
+from .rational import as_rational
 from .series import TruncatedSeries
 
 
@@ -40,7 +40,8 @@ def degenerate_bell_poly(n: int, lam) -> Polynomial:
     """phi_{n,lam}(x) = sum_k {n brace k}_lam x**k."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return Polynomial(stirling2_degenerate_row(n, lam))
+    row = stirling2_degenerate_row(n, lam)
+    return Polynomial.from_scaled(row.nums, row.den)
 
 
 def degenerate_fubini_poly(n: int, lam) -> Polynomial:
@@ -62,4 +63,4 @@ def degenerate_fubini_poly_order(n: int, r: int, lam) -> Polynomial:
         raise ValueError("degree must be >= 0")
     if r < 1:
         raise ValueError("order r must be >= 1")
-    return weighted_by_order(*scaled(stirling2_degenerate_row(n, lam)), r)
+    return weighted_by_order(stirling2_degenerate_row(n, lam), r)

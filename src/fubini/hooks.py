@@ -1,21 +1,28 @@
 """Fault-injection hooks for mutation-sensitivity testing.
 
 ``perturb`` additively shifts one entry of one table (a combinatorial number
-or a stored moment) while active. Shifts apply at the public accessors, after
-the memoized true value is computed; internal recurrences read the unshifted
-tables, so a perturbation is a genuine single-entry fault rather than a
-consistent redefinition.
+or a stored moment) while active, as a genuine single-entry fault rather
+than a consistent redefinition: no recurrence reads the shifted entry in
+place of the true one. The combinatorial numbers shift at their public
+accessors (``shifted``), after the memoized true value is read. E[Y**m]
+(``raw_moment``) comes from a closed form, so its row takes the shift as the
+entry is stored. E[S_k**m] (``sum_moment``) grows by a recurrence from its
+own entries, so its row is stored unshifted and shifted when read
+(``shifted_row``) by every reader but that recurrence.
 
 This module also holds the one memo registry of the package. Every memo table
 (a dict of rows or a list of rows, grown on demand) is created through
 ``memo``; ``clear_caches`` empties all of them, and ``perturb`` calls it on
-entry and exit so stale values never mask a fault.
+entry and exit, so stale values never mask a fault and no stored shift
+outlives its block.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+
+from .rational import ScaledRow
 
 TABLES = (
     "factorial",
@@ -49,6 +56,18 @@ def shifted(table: str, key: tuple, value):
         return value
     delta = _active.get((table, key))
     return value if delta is None else value + delta
+
+
+def shifted_row(table: str, prefix: tuple, row: ScaledRow) -> ScaledRow:
+    """row, entry m being table[prefix + (m,)], with the active deltas added.
+
+    The row object itself when no entry of it is perturbed (every run outside
+    ``perturb``), else a shifted copy; the stored row is never changed.
+    """
+    deltas = {key[-1]: d for (t, key), d in _active.items() if (t, key[:-1]) == (table, prefix)}
+    if not deltas:
+        return row
+    return ScaledRow(row[m] + deltas.get(m, 0) for m in range(len(row)))
 
 
 @contextmanager

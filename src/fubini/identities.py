@@ -64,6 +64,7 @@ from .combinat import (
     partial_bell,
     stirling1,
     stirling2_degenerate,
+    stirling2_degenerate_row,
 )
 from .distributions import Bernoulli, Distribution, Gamma, PointMass, Poisson, FiniteDiscrete
 from .families import (
@@ -357,10 +358,10 @@ def _eq6(cfg):
     for lam in cfg.lambdas:
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
-            nums, den = scaled([stirling2_degenerate(n, k, lam) for k in range(n + 1)])
+            row = stirling2_degenerate_row(n, lam)
             for x in range(n + 1):
-                rhs = sum(c * _classical_falling(x, k) for k, c in enumerate(nums))
-                yield ff.evaluate(x), (rhs, den), {"lambda": lam, "n": n, "x": x}
+                rhs = sum(c * _classical_falling(x, k) for k, c in enumerate(row.nums))
+                yield ff.evaluate(x), (rhs, row.den), {"lambda": lam, "n": n, "x": x}
 
 
 def _eq10_gf(cfg):

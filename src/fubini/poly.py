@@ -1,17 +1,19 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense vectors of exact rationals: polynomials and the shared ring kernel.
 
-A polynomial is stored as integer numerators over one positive denominator,
-as FLINT's fmpq_poly is: ``nums[k] / den`` multiplies x**k. Every operation
-works on the integers and divides out their common factor once per result
+A vector is stored as integer numerators over one positive denominator, as
+FLINT's fmpq_poly is: ``nums[k] / den`` is entry k (the coefficient of x**k
+of a Polynomial, of t**k of a series.TruncatedSeries). ``ScaledVector``
+holds the ring operations of both types once. Every operation works on the
+integers and divides out their common factor once per result
 (``rational.reduced``); the Fraction coefficients are built only when
 ``coeffs`` is first read.
 
-Two integer kernels serve both Polynomial and TruncatedSeries: ``convolve``
-multiplies numerator vectors, and ``weighted_sum`` adds any number of
-weighted vectors over one running common denominator. ``+`` and ``-`` are
-two-term weighted sums; a caller that sums many terms (a recurrence, a
-convolution of polynomials) feeds them all to one ``weighted_sum`` and
-reduces once, instead of once per ``+``.
+Two integer kernels serve both types: ``convolve`` multiplies numerator
+vectors, and ``weighted_sum`` adds any number of weighted vectors over one
+running common denominator. ``+`` and ``-`` are two-term weighted sums; a
+caller that sums many terms (a recurrence, a convolution of polynomials)
+feeds them all to one ``weighted_sum`` and reduces once, instead of once
+per ``+``.
 """
 
 from __future__ import annotations
@@ -69,27 +71,92 @@ def weighted_sum(terms) -> tuple[list[int], int]:
     return acc, common
 
 
-class Polynomial:
-    """Immutable dense polynomial; ``coeffs[k]`` multiplies x**k.
+class ScaledVector:
+    """Immutable dense vector of exact rationals; ``coeffs[k]`` is entry k.
 
-    Canonical form: ``nums`` (a tuple of ints) over ``den`` (a positive int),
-    trailing zero numerators stripped and gcd(den, *nums) == 1, so equal
-    polynomials have equal (nums, den) and compare by tuple. The zero
-    polynomial has empty ``nums``, ``den == 1`` and degree -inf.
+    The one stored form of Polynomial and TruncatedSeries: ``nums`` (a tuple
+    of ints) over ``den`` (a positive int) with gcd(den, *nums) == 1, so
+    equal vectors of one type have equal (nums, den) and compare by tuple.
+    The ring operations live here; a subclass says how a vector is stored
+    (``_set``), how long a product is and which operands it accepts
+    (``_product_size``, ``_check``), and adds its own methods.
     """
 
     __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        nums, den = scaled([as_rational(c) for c in coeffs])
-        self._set(nums, den)
+        self._set(*scaled([as_rational(c) for c in coeffs]))
 
     @classmethod
-    def from_scaled(cls, nums, den: int) -> "Polynomial":
-        """The polynomial sum_k nums[k] / den * x**k, from ints and den != 0."""
-        p = cls.__new__(cls)
-        p._set(nums, den)
-        return p
+    def from_scaled(cls, nums, den: int):
+        """The vector with entries nums[k] / den, from ints and den != 0."""
+        v = cls.__new__(cls)
+        v._set(nums, den)
+        return v
+
+    def _check(self, other) -> None:
+        """Raise if other, of the same type, cannot meet self in + or *."""
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
+
+    def _combined(self, other, sign: int):
+        if isinstance(other, type(self)):
+            self._check(other)
+            b, db = other.nums, other.den
+        else:
+            p, db = ratio(other)
+            b = (p,)
+        return self.from_scaled(*weighted_sum(((self.nums, self.den, 1), (b, db, sign))))
+
+    def __add__(self, other):
+        return self._combined(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.from_scaled([-c for c in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self._combined(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            nums = convolve(self.nums, other.nums, self._product_size(other))
+            return self.from_scaled(nums, self.den * other.den)
+        p, q = ratio(other)
+        return self.from_scaled([a * p for a in self.nums], self.den * q)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.nums == other.nums and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+class Polynomial(ScaledVector):
+    """Immutable dense polynomial; ``coeffs[k]`` multiplies x**k.
+
+    Trailing zero numerators are stripped, so the zero polynomial has empty
+    ``nums``, ``den == 1`` and degree -inf.
+    """
+
+    __slots__ = ()
 
     def _set(self, nums, den: int) -> None:
         n = len(nums)
@@ -98,12 +165,8 @@ class Polynomial:
         self.nums, self.den = reduced(nums[:n], den)
         self._coeffs = None
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
-        return self._coeffs
+    def _product_size(self, other) -> int:
+        return len(self.nums) + len(other.nums) - 1
 
     @classmethod
     def monomial(cls, k: int, coeff=1) -> "Polynomial":
@@ -162,54 +225,8 @@ class Polynomial:
             [a * u**k * v ** (deg - k) for k, a in enumerate(nums)], self.den * v**deg
         )
 
-    def _combined(self, other, sign: int) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            b, db = other.nums, other.den
-        else:
-            p, db = ratio(other)
-            b = (p,)
-        return Polynomial.from_scaled(
-            *weighted_sum(((self.nums, self.den, 1), (b, db, sign)))
-        )
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial.from_scaled([-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            size = len(self.nums) + len(other.nums) - 1
-            return Polynomial.from_scaled(
-                convolve(self.nums, other.nums, size), self.den * other.den
-            )
-        p, q = ratio(other)
-        return Polynomial.from_scaled([a * p for a in self.nums], self.den * q)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
     def __bool__(self):
         return bool(self.nums)
-
-    def __repr__(self):
-        return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
 def gamma_weight_integral(poly: Polynomial, r: int) -> Fraction:

@@ -6,19 +6,15 @@ recurrence in O(m**2) for any k. The probabilistic degenerate Stirling
 numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
-Everything is exact. The recurrences and contractions run on integer cores:
-the sums of products run in Python ints over one common denominator. The
-moment rows E[Y**m], E[S_k**m] and E[(S_k)_{n,lam}] are stored in that form
-(rational.ScaledRow, integer numerators over the lcm of the entries'
-denominators), so Miller's recurrence and the contractions against the
-numerators of (x)_{n,lam} read them as they are, and a row of E[(S_k)_{n,lam}]
-takes its dot products as integer pairs, one pass per request; callers that
-read many entries take the row itself (sum_degenerate_row), and
-sum_degenerate_moment builds one Fraction per read. E[(Y)_{n,lam}] is kept
-as Fractions, one per entry. The triangle keeps each row in both forms (its
-integer form from rational.scaled), and the order-r Fubini polynomials are
-memoised per (dist, r, lam). Tables indexed by lam are keyed by
-(lam.numerator, lam.denominator), which hashes without Fraction.__hash__.
+Everything is exact. Every memo row (the moments E[Y**m], E[S_k**m],
+E[(Y)_{n,lam}] and E[(S_k)_{n,lam}], and each triangle row) is stored once,
+as a rational.ScaledRow: integer numerators over the lcm of the entries'
+denominators. The recurrences, the contractions against the numerators of
+(x)_{n,lam} and the polynomial builders run on those numerators in Python
+ints; callers that read many entries take a row itself (sum_degenerate_row),
+and the scalar accessors build one Fraction per read. The order-r Fubini
+polynomials are memoised per (dist, r, lam). Tables indexed by lam are keyed
+by (lam.numerator, lam.denominator), which hashes without Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -32,68 +28,59 @@ from . import hooks
 from .combinat import binomial, falling_factorial_poly, weighted_by_order
 from .distributions import Distribution
 from .poly import Polynomial
-from .rational import ScaledRow, as_rational, scaled
+from .rational import ScaledRow, as_rational, ratio
 from .series import TruncatedSeries
 
 
-# Memo rows, grown on demand. E[Y**m] per dist, as the moment formula gives
-# it; E[S_k**m] per (dist, k), grown by Miller's recurrence; E[(Y)_{n,lam}]
-# per (dist, lam) and E[(S_k)_{n,lam}] per (dist, k, lam), lam as its
-# numerator and denominator. A defaultdict builds the empty row only on a
-# miss, not on every lookup.
-_raw_moment_rows: dict[Distribution, list[Fraction]] = hooks.memo(defaultdict(list))
+# Memo rows, grown on demand, one ScaledRow each. E[Y**m] per dist, as the
+# moment formula gives it; E[S_k**m] per (dist, k), grown by Miller's
+# recurrence; E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per
+# (dist, k, lam), lam as its numerator and denominator. A defaultdict builds
+# the empty row only on a miss, not on every lookup.
+_raw_moment_rows: dict[Distribution, ScaledRow] = hooks.memo(defaultdict(ScaledRow))
 _sum_moment_rows: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
     defaultdict(lambda: ScaledRow([1]))
 )
-_degenerate_rows: dict[tuple[Distribution, int, int], list[Fraction]] = hooks.memo(
-    defaultdict(list)
+_degenerate_rows: dict[tuple[Distribution, int, int], ScaledRow] = hooks.memo(
+    defaultdict(ScaledRow)
 )
 _sum_degenerate_rows: dict[tuple[Distribution, int, int, int], ScaledRow] = (
     hooks.memo(defaultdict(ScaledRow))
 )
-# The moments as their accessors return them, for the recurrences and
-# contractions: E[Y**m] per dist from raw_moment and E[S_k**m] per (dist, k)
-# from sum_raw_moment, so a fault injected at either accessor reaches every
-# row built on it.
-_raw_moment_reads: dict[Distribution, ScaledRow] = hooks.memo(defaultdict(ScaledRow))
-_sum_moment_reads: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
-    defaultdict(ScaledRow)
-)
+
+
+def _raw_moments(dist: Distribution, m: int) -> ScaledRow:
+    """E[Y**0..m] (at least), as stored; a fault at raw_moment is stored too."""
+    row = _raw_moment_rows[dist]
+    while len(row) <= m:
+        j = len(row)
+        row.append(hooks.shifted("raw_moment", (dist, j), as_rational(dist.moment_formula(j))))
+    return row
 
 
 def raw_moment(dist: Distribution, m: int) -> Fraction:
     """E[Y**m], exactly; m >= 0."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
-    row = _raw_moment_rows[dist]
-    while len(row) <= m:
-        row.append(as_rational(dist.moment_formula(len(row))))
-    return hooks.shifted("raw_moment", (dist, m), row[m])
-
-
-def _read_raw_moments(dist: Distribution, m: int) -> ScaledRow:
-    """raw_moment(dist, 0..m) (at least), as one ScaledRow."""
-    row = _raw_moment_reads[dist]
-    while len(row) <= m:
-        row.append(raw_moment(dist, len(row)))
-    return row
+    return _raw_moments(dist, m)[m]
 
 
 def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
-    """E[S_k**0..m] (at least) by J. C. P. Miller's power recurrence (TAOCP 4.7).
+    """E[S_k**0..m] (at least), as its readers see it (hooks.shifted_row).
 
-    With mu_j = E[Y**j] and mu_0 = 1, the k-th power of sum_j mu_j t**j / j!
-    has EGF coefficients beta_0 = 1 and
+    J. C. P. Miller's power recurrence (TAOCP 4.7): with mu_j = E[Y**j] and
+    mu_0 = 1, the k-th power of sum_j mu_j t**j / j! has EGF coefficients
+    beta_0 = 1 and
     n beta_n = sum_{j=1..n} ((k+1) j - n) C(n, j) mu_j beta_{n-j}.
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment row; a fault injected at raw_moment(dist, 0) does not reach here.
-    The sum runs on the stored numerators of mu_1..mu_n and
+    The sum runs on the stored numerators of mu_1..mu_n and of the unshifted
     beta_0..beta_{n-1}, and builds one Fraction per new entry.
     """
     row = _sum_moment_rows[dist, k]
     while len(row) <= m:
         n = len(row)
-        mus = _read_raw_moments(dist, n)
+        mus = _raw_moments(dist, n)
         betas = row.nums
         total = 0
         for j in range(1, n + 1):
@@ -101,22 +88,14 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
             if mu:
                 total += ((k + 1) * j - n) * binomial(n, j) * mu * betas[n - j]
         row.append(Fraction(total, n * mus.den * row.den))
-    return row
+    return hooks.shifted_row("sum_moment", (dist, k), row)
 
 
 def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     """E[S_k**m] for the sum S_k of k independent copies of Y."""
     if k < 0 or m < 0:
         raise ValueError("sum moments need k, m >= 0")
-    return hooks.shifted("sum_moment", (dist, k, m), _sum_raw_moments(dist, k, m)[m])
-
-
-def _read_sum_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
-    """sum_raw_moment(dist, k, 0..m) (at least), as one ScaledRow."""
-    row = _sum_moment_reads[dist, k]
-    while len(row) <= m:
-        row.append(sum_raw_moment(dist, k, len(row)))
-    return row
+    return _sum_raw_moments(dist, k, m)[m]
 
 
 def _contract(n: int, lam: Fraction, moments: ScaledRow) -> tuple[int, int]:
@@ -129,16 +108,20 @@ def _contract(n: int, lam: Fraction, moments: ScaledRow) -> tuple[int, int]:
     return sum(map(mul, ff.nums, moments.nums)), ff.den * moments.den
 
 
+def _degenerate_row(dist: Distribution, n: int, lam: Fraction) -> ScaledRow:
+    """E[(Y)_{m,lam}] for m = 0..n (at least), as the stored ScaledRow."""
+    row = _degenerate_rows[dist, lam.numerator, lam.denominator]
+    if len(row) <= n:
+        moments = _raw_moments(dist, n)
+        row.extend_ratios(_contract(m, lam, moments) for m in range(len(row), n + 1))
+    return row
+
+
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
     """E[(Y)_{n,lam}]: the raw moments contracted against (x)_{n,lam}."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    lam = as_rational(lam)
-    row = _degenerate_rows[dist, lam.numerator, lam.denominator]
-    while len(row) <= n:
-        m = len(row)
-        row.append(Fraction(*_contract(m, lam, _read_raw_moments(dist, m))))
-    return row[n]
+    return _degenerate_row(dist, n, as_rational(lam))[n]
 
 
 def sum_degenerate_row(dist: Distribution, k: int, n: int, lam) -> ScaledRow:
@@ -153,7 +136,7 @@ def sum_degenerate_row(dist: Distribution, k: int, n: int, lam) -> ScaledRow:
     lam = as_rational(lam)
     row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
     if len(row) <= n:
-        moments = _read_sum_moments(dist, k, n)
+        moments = _sum_raw_moments(dist, k, n)
         row.extend_ratios(_contract(m, lam, moments) for m in range(len(row), n + 1))
     return row
 
@@ -164,33 +147,35 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
 
 
 # Lower triangles of {n brace k}_{Y,lam} per (dist, lam numerator, lam
-# denominator); row n holds k = 0..n. Each entry keeps the rows in two forms,
-# as Fractions and as integer numerators over one common denominator, so
-# hooks.clear_caches drops both at once.
-_triangles: dict[tuple, tuple[list[list[Fraction]], list[tuple[list[int], int]]]] = (
-    hooks.memo(defaultdict(lambda: ([[Fraction(1)]], [([1], 1)])))
+# denominator); row n is a ScaledRow of k = 0..n.
+_triangles: dict[tuple[Distribution, int, int], list[ScaledRow]] = hooks.memo(
+    defaultdict(lambda: [ScaledRow([1])])
 )
 
 
-def _triangle(dist: Distribution, n: int, lam) -> tuple[list, list]:
-    """The triangle of (dist, lam) grown to row n, in both of its forms.
+def _triangle(dist: Distribution, n: int, lam) -> list[ScaledRow]:
+    """The triangle of (dist, lam) grown to row n.
 
     T(0,0) = 1, T(n,0) = 0 for n >= 1 and
     k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with a_j = E[(Y)_{j,lam}].
-    The term of w_j = C(n,j) a_j has denominator w_j.denominator times that
-    of row n-j for every k, so the sum over j runs in ints over the lcm L of
-    those denominators, and T(n,k) = Fraction(acc[k], k L).
+    The term of w_j = C(n,j) a_j has denominator that of w_j times that of
+    row n-j for every k, so the sum over j runs in ints over the lcm L of
+    those denominators, and T(n,k) = acc[k] / (k L).
     """
     lam = as_rational(lam)
-    rows, scaled_rows = _triangles[dist, lam.numerator, lam.denominator]
-    while len(rows) <= n:
-        m = len(rows)
+    rows = _triangles[dist, lam.numerator, lam.denominator]
+    if len(rows) > n:
+        return rows
+    moments = _degenerate_row(dist, n, lam)
+    for m in range(len(rows), n + 1):
         terms = []
         for j in range(1, m + 1):
-            w = binomial(m, j) * degenerate_moment(dist, j, lam)
-            if w:
-                prev, prev_den = scaled_rows[m - j]
-                terms.append((w.numerator, w.denominator * prev_den, prev))
+            a = moments.nums[j]
+            if a:
+                c, c_den = ratio(binomial(m, j))  # a Fraction under hooks.perturb
+                num, den = c * a, c_den * moments.den
+                g = math.gcd(num, den)
+                terms.append((num // g, den // g * rows[m - j].den, rows[m - j].nums))
         common = math.lcm(*(den for _, den, _ in terms))
         acc = [0] * (m + 1)
         for num, den, prev in terms:
@@ -198,11 +183,10 @@ def _triangle(dist: Distribution, n: int, lam) -> tuple[list, list]:
             for k, t in enumerate(prev, 1):
                 if t:
                     acc[k] += factor * t
-        row = [Fraction(0)]
-        row.extend(Fraction(acc[k], k * common) for k in range(1, m + 1))
+        row = ScaledRow([0])
+        row.extend_ratios((acc[k], k * common) for k in range(1, m + 1))
         rows.append(row)
-        scaled_rows.append(scaled(row))
-    return rows, scaled_rows
+    return rows
 
 
 def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
@@ -215,16 +199,15 @@ def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
         raise ValueError("prob_stirling2 needs n, k >= 0")
     if k > n:
         return Fraction(0)
-    rows, _ = _triangle(dist, n, lam)
-    return rows[n][k]
+    return _triangle(dist, n, lam)[n][k]
 
 
 def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} x**k."""
     if n < 0:
         return Polynomial()
-    _, scaled_rows = _triangle(dist, n, lam)
-    return Polynomial.from_scaled(*scaled_rows[n])
+    row = _triangle(dist, n, lam)[n]
+    return Polynomial.from_scaled(row.nums, row.den)
 
 
 def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
@@ -248,10 +231,8 @@ def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomia
     lam = as_rational(lam)
     polys = _fubini_order_rows[dist, r, lam.numerator, lam.denominator]
     if len(polys) <= n:
-        _, scaled_rows = _triangle(dist, n, lam)
-        polys.extend(
-            weighted_by_order(*scaled_rows[m], r) for m in range(len(polys), n + 1)
-        )
+        rows = _triangle(dist, n, lam)
+        polys.extend(weighted_by_order(rows[m], r) for m in range(len(polys), n + 1))
     return polys[n]
 
 
@@ -259,8 +240,5 @@ def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSerie
     """Truncation of E[e_lam^Y(t)]: EGF coefficients are E[(Y)_{n,lam}]."""
     if order < 0:
         raise ValueError("series order must be >= 0")
-    lam = as_rational(lam)
-    return TruncatedSeries(
-        [degenerate_moment(dist, n, lam) / math.factorial(n) for n in range(order + 1)]
-    )
-
+    row = _degenerate_row(dist, order, as_rational(lam))
+    return TruncatedSeries([row[n] / math.factorial(n) for n in range(order + 1)])

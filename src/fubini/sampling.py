@@ -165,30 +165,61 @@ def _poisson_ptrs(rng: random.Random, mean: float):
     return one
 
 
+class FloatRangeError(ValueError):
+    """A parameter of the law of S_k that no float can hold."""
+
+
+def _float(value: Fraction, name: str, *, underflow: bool = True) -> float:
+    """value as a float; FloatRangeError, naming it, when it lies above the
+    float range, or below it (rounds to 0.0) where underflow is False."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if result == math.inf or not (result or underflow):
+        raise FloatRangeError(f"parameter {name} of the law of S_k lies beyond the float range")
+    return result
+
+
+def _float_parameters(dist) -> list[float]:
+    """The parameters the sampler of dist reads, as floats: the point mass,
+    the atoms, the Poisson mean, or the Gamma shape and scale 1/beta
+    (gammavariate cannot draw with scale 0.0). None for a Binomial, whose
+    weights are built from its exact p."""
+    if isinstance(dist, PointMass):
+        return [_float(dist.value, "value")]
+    if isinstance(dist, FiniteDiscrete):
+        return [_float(v, "atom") for v, _ in dist.atoms]
+    if isinstance(dist, Poisson):
+        return [_float(dist.alpha, "alpha")]
+    if isinstance(dist, Gamma):
+        return [_float(dist.alpha, "alpha"), _float(1 / dist.beta, "beta", underflow=False)]
+    return []
+
+
 def _sampler(dist, rng: random.Random):
     """A function m -> an iterable of m iid draws of dist."""
-    if isinstance(dist, PointMass):
-        value = float(dist.value)
-        return lambda m: repeat(value, m)
     if isinstance(dist, Bernoulli):
         dist = _Binomial(1, dist.p)
     if isinstance(dist, _Binomial):
         values = [float(j) for j in range(dist.k + 1)]
         cdf = _binomial_cdf(dist.k, dist.p)
         return lambda m: rng.choices(values, cum_weights=cdf, k=m)
+    params = _float_parameters(dist)
+    if isinstance(dist, PointMass):
+        return lambda m: repeat(params[0], m)
     if isinstance(dist, FiniteDiscrete):
-        values = [float(v) for v, _ in dist.atoms]
         cdf = [float(c) for c in accumulate(w for _, w in dist.atoms)]
-        return lambda m: rng.choices(values, cum_weights=cdf, k=m)
+        return lambda m: rng.choices(params, cum_weights=cdf, k=m)
     if isinstance(dist, Poisson):
-        mean = float(dist.alpha)
+        mean = params[0]
         if mean < PTRS_MIN_MEAN:
             one = _poisson_by_multiplication(rng, mean)
         else:
             one = _poisson_ptrs(rng, mean)
         return lambda m: (one() for _ in repeat(None, m))
     if isinstance(dist, Gamma):
-        shape, scale = float(dist.alpha), float(1 / dist.beta)
+        shape, scale = params
         if shape == 0:
             # a shape below the float range: every draw rounds to 0.0
             return lambda m: repeat(0.0, m)
@@ -291,7 +322,9 @@ def estimate_sum_moment(
     z-score. MIN_SAMPLES <= samples <= MAX_SAMPLES, k * samples <= MAX_DRAWS
     and n <= MAX_DEGREE, checked before anything is computed.
 
-    Raises OverflowError, before any draw, when the exact value is too large
+    Raises FloatRangeError (a ValueError), before the exact value is
+    computed, when a parameter of the law of S_k lies beyond the float range;
+    OverflowError, before any draw, when the exact value is too large
     for a float, and FloatingPointError when the float statistic, its mean
     or its spread overflows; the degree n drives both.
     """
@@ -308,6 +341,10 @@ def estimate_sum_moment(
     if k * samples > MAX_DRAWS:
         raise ValueError(f"k * samples must be <= {MAX_DRAWS}")
     lam = as_rational(lam)
+    law = _sum_law(dist, k)
+    # a parameter beyond the float range is refused before the exact value,
+    # whose size the degree n drives
+    _float_parameters(dist if law is None else law)
     exact = sum_degenerate_moment(dist, k, n, lam)
     exact_float = float(exact)
 

@@ -4,11 +4,11 @@ Coefficients live in the plain t**k basis. Exponential-generating-function
 callers convert at the boundary via ``from_egf``/``egf_coefficient``, which
 divide/multiply by k!; nothing inside the arithmetic ever rounds.
 
-A series is stored as Polynomial is: integer numerators ``nums`` over one
-positive denominator ``den`` with gcd(den, *nums) == 1 (trailing zeros are
-kept, because they carry the order). The ring operations are integer
-operations with one reduction per result, and the Fraction coefficients are
-built only when ``coeffs`` is first read.
+A series is a ``poly.ScaledVector``, stored as Polynomial is and sharing its
+ring operations: integer numerators ``nums`` over one positive denominator
+``den`` with gcd(den, *nums) == 1. Trailing zeros are kept, because they
+carry the order; a sum or product of two series needs equal orders, and a
+product stops at that order.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import convolve, weighted_sum
-from .rational import ScaledRow, as_rational, ratio, reduced, scaled
+from .poly import ScaledVector
+from .rational import ScaledRow, as_rational, reduced
 
 
 def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
@@ -38,35 +38,28 @@ def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
     return out.nums, out.den
 
 
-class TruncatedSeries:
+class TruncatedSeries(ScaledVector):
     """Power series truncated after t**order; all ops stay at that order."""
 
-    __slots__ = ("order", "nums", "den", "_coeffs")
+    __slots__ = ("order",)
 
     def __init__(self, coeffs):
-        cs = [as_rational(c) for c in coeffs]
-        if not cs:
+        coeffs = list(coeffs)
+        if not coeffs:
             raise ValueError("a truncated series needs at least the t**0 coefficient")
-        self._set(*scaled(cs))
-
-    @classmethod
-    def from_scaled(cls, nums, den: int) -> "TruncatedSeries":
-        """The series sum_k nums[k] / den * t**k, from ints and den != 0."""
-        s = cls.__new__(cls)
-        s._set(nums, den)
-        return s
+        super().__init__(coeffs)
 
     def _set(self, nums, den: int) -> None:
         self.nums, self.den = reduced(nums, den)
         self.order = len(nums) - 1
         self._coeffs = None
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
-        return self._coeffs
+    def _check(self, other: "TruncatedSeries") -> None:
+        if other.order != self.order:
+            raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
+
+    def _product_size(self, other) -> int:
+        return self.order + 1
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -86,51 +79,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"order {n} outside truncation order {self.order}")
         return Fraction(self.nums[n] * math.factorial(n), self.den)
-
-    def egf_coefficients(self) -> list[Fraction]:
-        return [self.egf_coefficient(n) for n in range(self.order + 1)]
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if other.order != self.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
-
-    def _combined(self, other, sign: int) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            b, db = other.nums, other.den
-        else:
-            p, db = ratio(other)
-            b = (p,)
-        return TruncatedSeries.from_scaled(
-            *weighted_sum(((self.nums, self.den, 1), (b, db, sign)))
-        )
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries.from_scaled([-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries.from_scaled(
-                convolve(self.nums, other.nums, self.order + 1), self.den * other.den
-            )
-        p, q = ratio(other)
-        return TruncatedSeries.from_scaled([a * p for a in self.nums], self.den * q)
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a nonzero constant term.
@@ -160,14 +108,3 @@ class TruncatedSeries:
         return TruncatedSeries.from_scaled(
             *_recurrence(weights, lambda k: k * den, self.order)
         )
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def __repr__(self):
-        return f"TruncatedSeries([{', '.join(str(c) for c in self.coeffs)}])"

@@ -445,6 +445,18 @@ HOSTILE_ARGS = [
     (["mc", "--dist", f"gamma:1/{10**400},1", "--k", "2", "--n", "1", "--samples", "1000"], 0),
     (["mc", "--dist", f"poisson:1/{10**400}", "--k", "2", "--n", "1", "--samples", "1000"], 0),
     (["mc", "--dist", f"bernoulli:1/{10**400}", "--k", "2", "--n", "1", "--samples", "1000"], 0),
+    # parameters beyond the float range: refused, naming --dist
+    *(
+        (["mc", "--dist", spec, "--k", "2", "--n", "0", "--samples", "1000"], 2)
+        for spec in (
+            f"poisson:{10**400}",
+            f"gamma:1,1/{10**400}",
+            f"gamma:1,{10**400}",
+            f"gamma:{10**400},1",
+            f"point:{10**400}",
+            f"discrete:{10**400}=1",
+        )
+    ),
     (["table", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--n-max", "2"], 2),
     (["series", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--order", "2"], 2),
     (["table", "--dist", "point:1e3", "--n-max", "2"], 2),
@@ -487,6 +499,32 @@ def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
         assert res.stderr.splitlines()[-1].startswith("Error: ")
         named = NAMED_FLAG_ERRORS.get(" ".join(args))
         assert named is None or res.stderr.splitlines()[-1] == named
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (f"poisson:{10**400}", "alpha"),
+        (f"gamma:1,1/{10**400}", "beta"),
+        (f"gamma:1,{10**400}", "beta"),
+        (f"gamma:{10**400},1", "alpha"),
+        (f"point:{10**400}", "value"),
+        (f"discrete:{10**400}=1", "atom"),
+    ],
+    ids=lambda v: v.replace(str(10**400), "10**400"),
+)
+def test_mc_parameter_beyond_the_float_range_names_the_dist(monkeypatch, spec, name):
+    def must_not_run(*args):
+        raise AssertionError("the exact value was computed")
+
+    monkeypatch.setattr("fubini.sampling.sum_degenerate_moment", must_not_run)
+    res = invoke(["mc", "--dist", spec, "--k", "2", "--n", "0", "--samples", "1000"])
+    assert res.exit_code == 2, res.stderr
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1] == (
+        f"Error: bad --dist {spec!r}: "
+        f"parameter {name} of the law of S_k lies beyond the float range"
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fubini import probabilistic
 from fubini.combinat import stirling2
 from fubini.distributions import (
     Bernoulli,
@@ -269,5 +270,8 @@ def test_equal_distributions_built_apart_share_memo_rows():
     row = sum_degenerate_row(a, 3, 4, lam)
     assert sum_degenerate_row(b, 3, 4, F(1, 3)) is row
     assert sum_degenerate_moment(b, 3, 4, F(1, 3)) == sum_degenerate_moment(a, 3, 4, lam)
-    assert prob_stirling2(b, 5, 2, lam) is prob_stirling2(a, 5, 2, lam)
-    assert raw_moment(b, 4) is raw_moment(a, 4)
+    # so are the triangle rows and the raw moments
+    assert prob_stirling2(b, 5, 2, lam) == prob_stirling2(a, 5, 2, lam)
+    assert probabilistic._triangle(b, 5, F(1, 3))[5] is probabilistic._triangle(a, 5, lam)[5]
+    assert raw_moment(b, 4) == raw_moment(a, 4)
+    assert probabilistic._raw_moment_rows[b] is probabilistic._raw_moment_rows[a]

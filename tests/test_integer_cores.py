@@ -13,11 +13,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fubini import hooks, probabilistic
+from fubini import combinat, hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, PointMass
 from fubini.families import degenerate_fubini_poly_order
-from fubini.identities import _difference_weights, _stirling2_by_difference, default_config
+from fubini.identities import (
+    CheckConfig,
+    _difference_weights,
+    _stirling2_by_difference,
+    default_config,
+    run_suite,
+)
 from fubini.probabilistic import (
     degenerate_moment,
     prob_fubini_poly_order,
@@ -116,9 +122,8 @@ def test_scaled_row_extends_by_unreduced_pairs_as_by_appends():
 
 def _stored_moment_rows(dist, k):
     return [
-        probabilistic._raw_moment_reads[dist],
+        probabilistic._raw_moment_rows[dist],
         probabilistic._sum_moment_rows[dist, k],
-        probabilistic._sum_moment_reads[dist, k],
     ]
 
 
@@ -138,14 +143,88 @@ def test_moment_rows_grown_in_steps_equal_rows_grown_at_once(dist, k):
 
     stepped = grow([3, 9, 20])
     assert stepped == grow([20])
-    raw, miller, reads = _stored_moment_rows(dist, k)
+    raw, miller = _stored_moment_rows(dist, k)
     expected = _naive_sum_raw_row(dist, k, 20)
     _assert_canonical(raw, [raw_moment(dist, j) for j in range(len(raw))])
     _assert_canonical(miller, expected)
+    # the row as its readers see it, outside hooks.perturb the stored row itself
+    reads = probabilistic._sum_raw_moments(dist, k, 20)
+    assert reads is miller
     _assert_canonical(reads, expected)
     assert [sum_degenerate_moment(dist, k, n, lam) for n in range(21)] == [
         _naive_contract(n, lam, lambda m: expected[m]) for n in range(21)
     ]
+
+
+def test_unperturbed_row_read_is_the_stored_row():
+    dist, k = GRID_DISTS[5], 3
+    hooks.clear_caches()
+    read = probabilistic._sum_raw_moments(dist, k, 6)
+    assert read is probabilistic._sum_moment_rows[dist, k]
+    assert hooks.shifted_row("sum_moment", (dist, k), read) is read
+    # a perturbation of another entry or table leaves the read alone
+    with hooks.perturb("sum_moment", (dist, k + 1, 2)):
+        row = probabilistic._sum_raw_moments(dist, k, 6)
+        assert row is probabilistic._sum_moment_rows[dist, k]
+    with hooks.perturb("binomial", (4, 2)):
+        row = probabilistic._sum_raw_moments(dist, k, 6)
+        assert row is probabilistic._sum_moment_rows[dist, k]
+
+
+def test_sum_moment_fault_shifts_one_entry_of_the_read_only():
+    dist, k, m, delta, top = GRID_DISTS[5], 2, 3, F(1, 3), 8
+    expected = _naive_sum_raw_row(dist, k, top)
+    with hooks.perturb("sum_moment", (dist, k, m), delta):
+        read = probabilistic._sum_raw_moments(dist, k, top)
+        stored = probabilistic._sum_moment_rows[dist, k]
+        assert read is not stored
+        # the read: entry m shifted, every other entry as the recurrence gives it
+        _assert_canonical(read, [v + delta if i == m else v for i, v in enumerate(expected)])
+        # the stored Miller row, and E[S_k**(m+1)] grown from it, are unshifted
+        _assert_canonical(stored, expected)
+        assert sum_raw_moment(dist, k, m + 1) == expected[m + 1]
+        assert sum_raw_moment(dist, k, m) == expected[m] + delta
+
+
+def _fraction_sequences(value):
+    """The lists and tuples inside value (itself included) that hold a Fraction."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        if any(type(v) is Fraction for v in value):
+            yield value
+        for v in value:
+            yield from _fraction_sequences(v)
+
+
+def test_memo_tables_hold_no_fraction_rows_after_a_suite():
+    cfg = CheckConfig(
+        lambdas=(F(0), F(1, 2), F(-1, 4)),
+        n_max=4,
+        r_max=2,
+        dists=tuple(GRID_DISTS),
+        x_points=(F(1), F(-1, 3)),
+        series_order=5,
+        coeff_depth=8,
+    )
+    run_suite(cfg)
+    tables = [
+        (module.__name__, name, table)
+        for module in (probabilistic, combinat)
+        for name, table in vars(module).items()
+        if any(table is memo for memo in hooks._memos)
+    ]
+    assert {name for _, name, _ in tables} >= {
+        "_raw_moment_rows",
+        "_sum_moment_rows",
+        "_degenerate_rows",
+        "_sum_degenerate_rows",
+        "_triangles",
+        "_s2_degenerate_rows",
+    }
+    for module, name, table in tables:
+        assert table, f"{module}.{name} was not grown"
+        assert not list(_fraction_sequences(table)), f"{module}.{name} holds Fractions"
 
 
 def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undone():
@@ -282,7 +361,7 @@ def test_raw_moment_fault_reaches_every_integer_core_and_is_undone():
             ],
         )
 
-    before = tables()  # grows both forms of every row before the fault
+    before = tables()  # grows every row before the fault
     assert before == oracle()
     with hooks.perturb("raw_moment", (dist, 2)):
         inside = tables()

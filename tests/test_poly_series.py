@@ -213,6 +213,22 @@ def test_series_mul_examples():
 def test_series_order_mismatch():
     with pytest.raises(ValueError, match="order mismatch"):
         TruncatedSeries([1, 2]) * TruncatedSeries([1, 2, 3])
+    with pytest.raises(ValueError, match="order mismatch"):
+        TruncatedSeries([1, 2]) - TruncatedSeries([1, 2, 3])
+
+
+def test_polynomial_and_series_share_a_base_but_stay_apart():
+    p, s = Polynomial([1, F(1, 2), 0]), TruncatedSeries([1, F(1, 2), 0])
+    assert (p.nums, p.den) == ((2, 1), 2) and (s.nums, s.den) == ((2, 1, 0), 2)
+    assert not isinstance(s, Polynomial) and not isinstance(p, TruncatedSeries)
+    assert p != s and s != p
+    assert repr(p) == "Polynomial([1, 1/2])"
+    assert repr(s) == "TruncatedSeries([1, 1/2, 0])"
+    # each operation returns its operand's type
+    assert type(p + 1) is type(1 - p) is type(-p) is type(p * p) is Polynomial
+    assert type(s + 1) is type(1 - s) is type(-s) is type(s * s) is TruncatedSeries
+    with pytest.raises(TypeError):
+        p + s
 
 
 def test_series_reciprocal_examples():
@@ -242,7 +258,7 @@ def test_series_exp_examples():
 def test_egf_conversion_roundtrip():
     values = [F(1), F(3, 2), F(-2), F(7)]
     s = TruncatedSeries.from_egf(values)
-    assert s.egf_coefficients() == values
+    assert [s.egf_coefficient(n) for n in range(s.order + 1)] == values
     assert s.coeffs == (1, F(3, 2), -1, F(7, 6))
     with pytest.raises(ValueError):
         s.egf_coefficient(4)
@@ -456,7 +472,9 @@ def test_series_ops_match_fraction_loops(a, b):
     assert (s == t) == (a == b)
     if s == t:
         assert hash(s) == hash(t)
-    assert s.egf_coefficients() == [x * math.factorial(n) for n, x in enumerate(a)]
+    assert [s.egf_coefficient(n) for n in range(s.order + 1)] == [
+        x * math.factorial(n) for n, x in enumerate(a)
+    ]
 
 
 @settings(max_examples=80)
