@@ -9,14 +9,13 @@ failure (failed identity, failed spot-check, |z| > 5), 2 usage or parse error,
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import errno
 import json
 import os
 import sys
 from fractions import Fraction
-
-import click
 
 from .distributions import DistributionSpecError, parse_distribution
 from .identities import (
@@ -35,38 +34,104 @@ from .probabilistic import (
 from .rational import format_rational, parse_rational
 from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, FloatRangeError, estimate_sum_moment
 
+_DESCRIPTION = """\
+  Exact tables, identity verification, generating functions, and Monte Carlo
+  cross-checks for probabilistic degenerate Fubini polynomials."""
+
+# ANSI colours of the stderr status lines
+_GREEN, _YELLOW, _RED = 32, 33, 31
+
+
+class UsageError(Exception):
+    """A bad flag or flag value: exit 2, ending in one `Error: ` line on stderr."""
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Help whose first line starts `Usage: `, as it always has."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a parse error as a UsageError."""
+
+    def __init__(self, prog: str, description: str, usage: str = "%(prog)s [OPTIONS]", epilog=None):
+        super().__init__(
+            prog=prog,
+            usage=usage,
+            description=description,
+            epilog=epilog,
+            formatter_class=_Formatter,
+            add_help=False,
+            allow_abbrev=False,
+        )
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _joined(args: list[str], flags) -> list[str]:
+    """Each `--flag value` of `flags` as `--flag=value`.
+
+    Every option of a command takes exactly one value, so the token after
+    its flag is that value, whatever it looks like: argparse alone would take
+    `--lambda -7/2` for two flags.
+    """
+    joined, tokens = [], iter(args)
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
+def _seed(text: str) -> int:
+    """The --seed type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
+
 
 def _parse_dist(spec: str, flag: str):
     try:
         return parse_distribution(spec)
     except DistributionSpecError as exc:
-        raise click.UsageError(f"bad {flag} {spec!r}: {exc}") from exc
+        raise UsageError(f"bad {flag} {spec!r}: {exc}") from exc
 
 
 def _parse_rat(text: str, flag: str):
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise click.UsageError(f"bad {flag} {text!r}: {exc}") from exc
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
 
-def _check_out(ctx, param, out: str | None) -> str | None:
-    """Refuse an --out path whose directory cannot take a new file.
+def _check_out(out: str | None) -> None:
+    """Refuse an --out path that is a directory, or that cannot take a file.
 
-    Runs while the flags are parsed, so a bad path costs no computation. The
+    Runs once the flags are parsed, so a bad path costs no computation. The
     file itself is not opened here: an existing file keeps its contents until
     the document is ready, and _emit still turns a late OSError into exit 2.
     """
     if not out:
-        return out
+        return
     parent = os.path.dirname(os.path.abspath(out))
-    if not os.path.isdir(parent):
+    if os.path.isdir(out):
+        reason = errno.EISDIR
+    elif os.path.exists(out) and not os.access(out, os.W_OK):
+        reason = errno.EACCES
+    elif not os.path.isdir(parent):
         reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     elif not os.access(parent, os.W_OK | os.X_OK):
         reason = errno.EACCES
     else:
-        return out
-    raise click.UsageError(f"cannot write --out {out!r}: {os.strerror(reason)}", ctx)
+        return
+    raise UsageError(f"cannot write --out {out!r}: {os.strerror(reason)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -75,11 +140,12 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.UsageError(
+            raise UsageError(
                 f"cannot write --out {out!r}: {exc.strerror or exc}"
             ) from exc
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _json_doc(command: str, params: dict, rows: list, extra: dict | None = None) -> str:
@@ -101,55 +167,52 @@ def _use_color() -> bool:
     return sys.stderr.isatty() and not os.environ.get("NO_COLOR")
 
 
+def _note(text: str, ansi: int, color: bool) -> None:
+    """One status line on stderr, in the ANSI colour `ansi` when `color` is set."""
+    if color:
+        text = f"\x1b[{ansi}m{text}\x1b[0m"
+    sys.stderr.write(text + "\n")
+
+
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-class _Group(click.Group):
-    """Maps an exception that escapes a command to exit 3 and one stderr line.
-
-    Click's own errors (usage errors, exit requests, aborts) and SystemExit
-    keep their codes: 1 is reserved for check failures, 2 for usage errors.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception as exc:
-            tb = exc.__traceback__
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
-            click.echo(
-                f"Error: internal error {type(exc).__name__} at {where}: {exc}",
-                err=True,
-            )
-            ctx.exit(3)
+# name -> (handler, options); each option is (flag, add_argument keywords),
+# and the handler takes the parsed values as keywords and returns the exit code
+_COMMANDS: dict = {}
 
 
-@click.group(cls=_Group)
-def cli():
-    """Exact tables, identity verification, generating functions, and
-    Monte Carlo cross-checks for probabilistic degenerate Fubini polynomials."""
+def _command(name: str, *options):
+    def register(handler):
+        _COMMANDS[name] = (handler, options)
+        return handler
+
+    return register
 
 
-@cli.command("table")
-@click.option("--dist", "dist_spec", required=True, help="Distribution spec, e.g. bernoulli:2/5.")
-@click.option("--lambda", "lam_text", default="0", show_default=True, help="Degeneracy parameter (rational).")
-@click.option("--n-max", "n_max", type=int, required=True, help="Emit rows for n = 0..n-max.")
-@click.option("--r", "order_r", type=int, default=None, help="Emit the order-r family instead (r >= 1).")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out, help="Write to file instead of stdout.")
+_FORMAT = ("--format", dict(dest="fmt", choices=("json", "csv"), default="json", help="[default: json]"))
+_OUT = ("--out", dict(metavar="FILE", help="Write to file instead of stdout."))
+_LAMBDA = ("--lambda", dict(dest="lam_text", metavar="TEXT", default="0", help="Degeneracy parameter (rational).  [default: 0]"))
+
+
+@_command(
+    "table",
+    ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec, e.g. bernoulli:2/5.  [required]")),
+    _LAMBDA,
+    ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, required=True, help="Emit rows for n = 0..n-max.  [required]")),
+    ("--r", dict(dest="order_r", metavar="INTEGER", type=int, help="Emit the order-r family instead (r >= 1).")),
+    _FORMAT,
+    _OUT,
+)
 def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     """Coefficient table of the Fubini polynomials for one distribution."""
     dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
+        raise UsageError("--n-max must be >= 0")
     if order_r is not None and order_r < 1:
-        raise click.UsageError("--r must be >= 1")
+        raise UsageError("--r must be >= 1")
 
     rows = []
     for n in range(n_max + 1):
@@ -191,31 +254,34 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
             )
         text = "\n".join(lines) + "\n"
     _emit(text, out)
+    return 0
 
 
-@cli.command("verify")
-@click.option("--suite", "suite", multiple=True, default=("all",), show_default=True, help="Identity name or 'all'; repeatable.")
-@click.option("--dists", "dists", multiple=True, help="Override the distribution grid; repeatable.")
-@click.option("--lambda", "lams", multiple=True, help="Override the lambda grid; repeatable.")
-@click.option("--n-max", "n_max", type=int, default=None, help="Override n_max (series depths scale with it).")
-@click.option("--r-max", "r_max", type=int, default=None, help="Override r_max.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
+@_command(
+    "verify",
+    ("--suite", dict(metavar="TEXT", action="append", help="Identity name or 'all'; repeatable.  [default: all]")),
+    ("--dists", dict(metavar="TEXT", action="append", help="Override the distribution grid; repeatable.")),
+    ("--lambda", dict(dest="lams", metavar="TEXT", action="append", help="Override the lambda grid; repeatable.")),
+    ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, help="Override n_max (series depths scale with it).")),
+    ("--r-max", dict(dest="r_max", metavar="INTEGER", type=int, help="Override r_max.")),
+    _FORMAT,
+    _OUT,
+)
 def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     """Run the identity verification suite and report each outcome."""
-    if "all" in suite:
+    if suite is None or "all" in suite:
         selected = list(IdentityId)
     else:
         try:
             selected = [resolve_identity(name) for name in suite]
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
 
     # checked here, so that the message names the flag and not the
     # CheckConfig field behind it
     for flag, value in (("--n-max", n_max), ("--r-max", r_max)):
         if value is not None and value < 1:
-            raise click.UsageError(f"{flag} must be >= 1")
+            raise UsageError(f"{flag} must be >= 1")
 
     cfg = default_config()
     overrides = {}
@@ -233,7 +299,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         try:
             cfg = dataclasses.replace(cfg, **overrides)
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
 
     reports = run_suite(cfg, selected)
     spot = (
@@ -291,47 +357,37 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     _emit(text, out)
 
     color = _use_color()
-    palette = {"pass": "green", "fail": "red", "known-discrepancy": "yellow"}
+    palette = {"pass": _GREEN, "fail": _RED, "known-discrepancy": _YELLOW}
     for r in reports:
-        click.secho(
-            f"{r.identity.value}: {r.status} ({r.cases} cases)",
-            err=True,
-            fg=palette[r.status],
-            color=color,
-        )
+        _note(f"{r.identity.value}: {r.status} ({r.cases} cases)", palette[r.status], color)
     if spot is not None:
         state = "ok" if spot["ok"] else "FAILED"
-        click.secho(
+        _note(
             f"THM2_2 numeric spot-check: {state} "
             f"(max rel err {spot['max_rel_err']:.3e} over {spot['cases']} cases)",
-            err=True,
-            fg="green" if spot["ok"] else "red",
-            color=color,
+            _GREEN if spot["ok"] else _RED,
+            color,
         )
-    click.secho(
-        "suite ok" if ok else "suite FAILED",
-        err=True,
-        fg="green" if ok else "red",
-        color=color,
-    )
-    if not ok:
-        raise SystemExit(1)
+    _note("suite ok" if ok else "suite FAILED", _GREEN if ok else _RED, color)
+    return 0 if ok else 1
 
 
-@cli.command("series")
-@click.option("--dist", "dist_spec", required=True)
-@click.option("--lambda", "lam_text", default="0", show_default=True)
-@click.option("--order", "order", type=int, required=True, help="Truncation order N; coefficients for n = 0..N.")
-@click.option("--x", "x_text", default="1", show_default=True, help="Evaluation point (rational).")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
+@_command(
+    "series",
+    ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec.  [required]")),
+    _LAMBDA,
+    ("--order", dict(metavar="INTEGER", type=int, required=True, help="Truncation order N; coefficients for n = 0..N.  [required]")),
+    ("--x", dict(dest="x_text", metavar="TEXT", default="1", help="Evaluation point (rational).  [default: 1]")),
+    _FORMAT,
+    _OUT,
+)
 def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     """Truncated generating function 1/(1 - x (E[e_lam^Y(t)] - 1))."""
     dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     x0 = _parse_rat(x_text, "--x")
     if order < 0:
-        raise click.UsageError("--order must be >= 0")
+        raise UsageError("--order must be >= 0")
 
     base = mgf_degenerate_series(dist, lam, order) - 1
     series = (1 - base * x0).reciprocal()
@@ -352,38 +408,50 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
         lines.extend(f"{row['n']},{row['egf_coefficient']}" for row in rows)
         text = "\n".join(lines) + "\n"
     _emit(text, out)
+    return 0
 
 
-@cli.command("mc")
-@click.option("--dist", "dist_spec", required=True)
-@click.option("--k", "k", type=int, required=True, help="Number of iid summands.")
-@click.option("--n", "n", type=int, required=True, help=f"Degenerate falling-factorial degree, at most {MAX_DEGREE}.")
-@click.option("--lambda", "lam_text", default="0", show_default=True)
-@click.option("--samples", "samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", "seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out)
+@_command(
+    "mc",
+    ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec.  [required]")),
+    ("--k", dict(metavar="INTEGER", type=int, required=True, help="Number of iid summands.  [required]")),
+    ("--n", dict(metavar="INTEGER", type=int, required=True, help=f"Degenerate falling-factorial degree, at most {MAX_DEGREE}.  [required]")),
+    _LAMBDA,
+    ("--samples", dict(metavar="INTEGER", type=int, default=100_000, help="[default: 100000]")),
+    ("--seed", dict(metavar="INTEGER", type=_seed, default=0, help="Integer >= 0.  [default: 0]")),
+    _FORMAT,
+    _OUT,
+)
 def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     """Monte Carlo estimate of E[(S_k)_{n,lambda}] against the exact value."""
     dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
+    for flag, value in (("--k", k), ("--n", n)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0")
     if samples < MIN_SAMPLES:
-        raise click.UsageError(f"--samples must be >= {MIN_SAMPLES}")
+        raise UsageError(f"--samples must be >= {MIN_SAMPLES}")
     if samples > MAX_SAMPLES:
-        raise click.UsageError(f"--samples must be <= {MAX_SAMPLES}")
+        raise UsageError(f"--samples must be <= {MAX_SAMPLES}")
     if k * samples > MAX_DRAWS:
-        raise click.UsageError(f"--k times --samples must be <= {MAX_DRAWS}")
+        raise UsageError(f"--k times --samples must be <= {MAX_DRAWS}")
     if n > MAX_DEGREE:
-        raise click.UsageError(f"--n must be <= {MAX_DEGREE}")
+        raise UsageError(f"--n must be <= {MAX_DEGREE}")
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except FloatRangeError as exc:
-        raise click.UsageError(f"bad --dist {dist_spec!r}: {exc}") from exc
+        raise UsageError(f"bad --dist {dist_spec!r}: {exc}") from exc
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except (OverflowError, FloatingPointError) as exc:
-        raise click.UsageError(
+        raise UsageError(str(exc)) from exc
+    except OverflowError as exc:
+        raise UsageError(
             f"--n {n} is too large for the float estimator ({exc}); lower --n"
+        ) from exc
+    except FloatingPointError as exc:
+        # the scale of the law overflows the statistic as surely as the degree
+        raise UsageError(
+            f"--n {n} is too large for the float estimator at --dist {dist_spec!r} "
+            f"({exc}); lower --n or the scale of --dist"
         ) from exc
 
     params = {
@@ -415,16 +483,70 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         text = "\n".join(lines) + "\n"
     _emit(text, out)
     if result.suspicious:
-        click.secho(
+        _note(
             f"z-score {result.zscore:.2f} exceeds 5; estimate disagrees with exact value",
-            err=True,
-            fg="red",
-            color=_use_color(),
+            _RED,
+            _use_color(),
         )
-        raise SystemExit(1)
+        return 1
+    return 0
 
 
-main = cli
+def _run(argv: list[str], prog: str) -> int:
+    """Parse argv, run its command and return the exit code."""
+    listing = "\n".join(
+        f"  {name:<6}  {handler.__doc__.splitlines()[0]}"
+        for name, (handler, _) in sorted(_COMMANDS.items())
+    )
+    parser = _Parser(prog, _DESCRIPTION, "%(prog)s [OPTIONS] COMMAND [ARGS]...", f"Commands:\n{listing}")
+    try:
+        if not argv:
+            parser.print_help(sys.stderr)
+            return 2
+        name, args = argv[0], argv[1:]
+        if name.startswith("-"):
+            parser.parse_args([name])  # --help prints the help and exits 0
+        if name not in _COMMANDS:
+            raise UsageError(f"No such command {name!r}.")
+        handler, options = _COMMANDS[name]
+        parser = _Parser(f"{prog} {name}", f"  {handler.__doc__}")
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        opts = vars(parser.parse_args(_joined(args, {flag for flag, _ in options})))
+        _check_out(opts["out"])
+        return handler(**opts)
+    except UsageError as exc:
+        sys.stderr.write(
+            f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}\n"
+        )
+        return 2
+    except SystemExit as exc:  # --help
+        return exc.code
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        return 1
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        sys.stderr.write(f"Error: internal error {type(exc).__name__} at {where}: {exc}\n")
+        return 3
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run the CLI on args (default sys.argv[1:]).
+
+    In standalone mode the exit code is raised as SystemExit, as a console
+    script needs; otherwise it is returned.
+    """
+    if prog_name is None:
+        prog_name = "python -m fubini.cli" if __name__ == "__main__" else os.path.basename(sys.argv[0])
+    code = _run(sys.argv[1:] if args is None else list(args), prog_name)
+    if standalone_mode:
+        sys.exit(code)
+    return code
+
 
 if __name__ == "__main__":
     main()

@@ -11,10 +11,9 @@ import math
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
+from cli_runner import invoke
 
 from fubini import hooks
-from fubini.cli import cli
 from fubini.combinat import binomial, factorial, partial_bell
 from fubini.distributions import (
     Bernoulli,
@@ -56,14 +55,6 @@ def criterion(num, label):
         return wrapper
 
     return deco
-
-
-def invoke(args, env=None):
-    try:
-        runner = CliRunner(mix_stderr=False)
-    except TypeError:
-        runner = CliRunner()
-    return runner.invoke(cli, args, env=env)
 
 
 def set_partitions(elems):

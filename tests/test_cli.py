@@ -10,22 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
-from fubini.cli import cli, main
+from fubini.cli import main
 from fubini.poly import Polynomial
 from fubini.rational import parse_rational
 from fubini.sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MCResult
 
 F = Fraction
-
-
-def invoke(args, env=None):
-    try:
-        runner = CliRunner(mix_stderr=False)
-    except TypeError:  # click >= 8.2 always separates the streams
-        runner = CliRunner()
-    return runner.invoke(cli, args, env=env)
 
 
 def test_table_json_document():
@@ -317,6 +309,26 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# Values that start with "-", after a space or after "=": the same documents
+# as the spaced forms above, and digests taken from the click-parsed CLI
+GOLDEN_DOCUMENTS += [
+    (
+        ["table", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda=-7/2",
+         "--n-max", "10", "--r", "3"],
+        "a515b815551a2968c5d9a10524acee017c4a43ca42732748106350a0e835eee3",
+    ),
+    (
+        ["series", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda=-1/4",
+         "--order", "20", "--x=-1/3", "--format", "csv"],
+        "760644841920994057409e0782e08e2b9f99176e4384a878e8ac794cbb58f5c9",
+    ),
+    (
+        ["verify", "--suite", "EQ6", "--lambda", "-1/2", "--n-max", "3"],
+        "de15af739880c0424c1f366de3d62b676545a51ea8aa1df3c965b99007e5faa6",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "args,digest", GOLDEN_DOCUMENTS, ids=[" ".join(a) for a, _ in GOLDEN_DOCUMENTS]
 )
@@ -405,6 +417,7 @@ for dist in ("bernoulli:2/5", "poisson:3/2", "poisson:30", "gamma:3/2,2",
              "point:5/2", "discrete:0=1/6,1=1/2,3=1/3"):
     run("mc", "--dist", dist, "--k", "2", "--n", "2", "--samples", "1000")
 assert "numpy" not in sys.modules, "a command loaded numpy"
+assert "click" not in sys.modules, "a command loaded click"
 """
 
 
@@ -466,6 +479,13 @@ HOSTILE_ARGS = [
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "-1", "--n", "2", "--samples", "1000"], 2),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "-1", "--samples", "1000"], 2),
+    # a scale inside the float range whose statistic overflows at n = 1
+    (["mc", "--dist", f"gamma:1,1/{10**300}", "--k", "2", "--n", "1", "--samples", "1000"], 2),
+    # parse errors: no abbreviated flags, no negative seed
+    (["table", "--dist", "point:1", "--lam", "1/2", "--n-max", "2"], 2),
+    (["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--seed", "-1"], 2),
 ]
 
 # Usage errors whose message must name the flag at fault.
@@ -479,6 +499,12 @@ NAMED_FLAG_ERRORS = {
     "table --dist point:1e3 --n-max 2": (
         "Error: bad --dist 'point:1e3': invalid distribution spec 'point:1e3': "
         "bad rational '1e3'"
+    ),
+    "mc --dist bernoulli:1/2 --k -1 --n 2 --samples 1000": "Error: --k must be >= 0",
+    "mc --dist bernoulli:1/2 --k 1 --n -1 --samples 1000": "Error: --n must be >= 0",
+    f"mc --dist gamma:1,1/{10**300} --k 2 --n 1 --samples 1000": (
+        f"Error: --n 1 is too large for the float estimator at --dist 'gamma:1,1/{10**300}' "
+        "(overflow in the mean or spread of the statistic); lower --n or the scale of --dist"
     ),
 }
 
@@ -770,3 +796,88 @@ def test_mc_rejects_negative_seed():
 def test_missing_required_flag_is_usage_error():
     assert invoke(["table", "--n-max", "2"]).exit_code == 2
     assert invoke(["mc", "--dist", "point:1"]).exit_code == 2
+
+
+# Every option of each command, as its --help must list it.
+COMMAND_OPTIONS = {
+    "table": ["--dist", "--lambda", "--n-max", "--r", "--format", "--out"],
+    "verify": ["--suite", "--dists", "--lambda", "--n-max", "--r-max", "--format", "--out"],
+    "series": ["--dist", "--lambda", "--order", "--x", "--format", "--out"],
+    "mc": ["--dist", "--k", "--n", "--lambda", "--samples", "--seed", "--format", "--out"],
+}
+
+
+def test_help_names_the_four_commands():
+    res = invoke(["--help"])
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout.startswith("Usage: fubini ")
+    commands = res.stdout.split("Commands:")[1].split()
+    for name in COMMAND_OPTIONS:
+        assert name in commands
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_command_help_lists_each_option(command):
+    res = invoke([command, "--help"])
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout.startswith(f"Usage: fubini {command} ")
+    listed = [line.split()[0] for line in res.stdout.splitlines() if line.startswith("  --")]
+    assert listed == ["--help"] + COMMAND_OPTIONS[command]
+
+
+def test_no_command_is_a_usage_error():
+    res = invoke([])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Commands:" in res.stderr
+    res = invoke(["nope"])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == "Error: No such command 'nope'."
+
+
+def test_usage_error_block():
+    res = invoke(["table", "--dist", "point:1", "--n-max", "-1"])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "Usage: fubini table [OPTIONS]\n"
+        "Try 'fubini table --help' for help.\n"
+        "\n"
+        "Error: --n-max must be >= 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--dist", "point:1", "--n-max", "2", "--format", "xml"],
+        ["table", "--dist", "point:1", "--n-max", "x"],
+        ["table", "--dist", "point:1", "--n-max", "2", "extra"],
+        ["table", "--dist"],
+        ["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--seed", "x"],
+    ],
+    ids=" ".join,
+)
+def test_parse_errors_name_the_flag_or_token(args):
+    res = invoke(args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("Error: ")
+    assert args[-2] in last or args[-1] in last
+
+
+def test_out_flag_refuses_a_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr("fubini.cli.run_suite", _raise_runtime_error)
+    res = invoke(["verify", "--suite", "EQ6", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == f"Error: cannot write --out {str(tmp_path)!r}: Is a directory"
+
+
+def test_verify_colours_status_lines_on_a_terminal(monkeypatch):
+    monkeypatch.setattr("fubini.cli._use_color", lambda: True)
+    res = invoke(["verify", "--suite", "EQ6", "--n-max", "1", "--dists", "point:1"])
+    assert res.exit_code == 0
+    assert res.stderr.splitlines() == [
+        "\x1b[32mEQ6: pass (36 cases)\x1b[0m",
+        "\x1b[32msuite ok\x1b[0m",
+    ]
