@@ -10,7 +10,6 @@ failure (failed identity, failed spot-check, |z| > 5), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -297,7 +296,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         overrides["r_max"] = r_max
     if overrides:
         try:
-            cfg = dataclasses.replace(cfg, **overrides)
+            cfg = cfg.replace(**overrides)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 

@@ -9,41 +9,33 @@ the CLI is ``point:c``, ``bernoulli:p``, ``poisson:a``, ``gamma:a,b`` and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .combinat import stirling2
 from .rational import as_rational, format_rational, parse_rational
+from .record import Record
 
 
 class DistributionSpecError(ValueError):
     """Raised when a distribution spec string cannot be parsed or validated."""
 
 
-class Distribution(ABC):
+class Distribution(Record, ABC):
     """A random variable given by its exact raw moment sequence.
 
-    Subclasses are frozen dataclasses declared with ``eq=False`` so that
-    equality and hashing come from here. A distribution keys every moment
-    and triangle memo, so its hash is computed once and stored: rehashing
-    each Fraction field on every lookup would cost a modular ``pow`` each.
-    Equal distributions built separately still compare and hash equal.
+    Subclasses are immutable value classes: each coerces and validates its
+    parameters in its own ``__init__``, and equal parameters give equal
+    distributions. A distribution keys every moment and triangle memo, so
+    its hash is computed once in ``__init__`` and stored: rehashing each
+    Fraction field on every lookup would cost a modular ``pow`` each.
     """
 
-    def _params(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._params() == other._params()
+    def _init(self, *values) -> None:
+        super()._init(*values)
+        self.__dict__["_hash"] = hash(values)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self._params())
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
 
     @abstractmethod
     def moment_formula(self, m: int) -> Fraction:
@@ -57,14 +49,13 @@ class Distribution(ABC):
         return self.spec_string()
 
 
-@dataclass(frozen=True, eq=False)
 class PointMass(Distribution):
     """Y = c with probability 1."""
 
-    value: Fraction
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_rational(self.value))
+    def __init__(self, value: Fraction):
+        self._init(as_rational(value))
 
     def moment_formula(self, m: int) -> Fraction:
         return self.value**m
@@ -73,18 +64,16 @@ class PointMass(Distribution):
         return f"point:{format_rational(self.value)}"
 
 
-@dataclass(frozen=True, eq=False)
 class Bernoulli(Distribution):
     """Y in {0, 1} with P(Y=1) = p."""
 
-    p: Fraction
+    _fields = ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        if not 0 <= self.p <= 1:
-            raise DistributionSpecError(
-                f"bernoulli parameter must lie in [0, 1], got {self.p}"
-            )
+    def __init__(self, p: Fraction):
+        p = as_rational(p)
+        if not 0 <= p <= 1:
+            raise DistributionSpecError(f"bernoulli parameter must lie in [0, 1], got {p}")
+        self._init(p)
 
     def moment_formula(self, m: int) -> Fraction:
         return Fraction(1) if m == 0 else self.p
@@ -93,18 +82,16 @@ class Bernoulli(Distribution):
         return f"bernoulli:{format_rational(self.p)}"
 
 
-@dataclass(frozen=True, eq=False)
 class Poisson(Distribution):
     """Poisson with mean alpha > 0; moments via Stirling numbers."""
 
-    alpha: Fraction
+    _fields = ("alpha",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        if self.alpha <= 0:
-            raise DistributionSpecError(
-                f"poisson parameter must be > 0, got {self.alpha}"
-            )
+    def __init__(self, alpha: Fraction):
+        alpha = as_rational(alpha)
+        if alpha <= 0:
+            raise DistributionSpecError(f"poisson parameter must be > 0, got {alpha}")
+        self._init(alpha)
 
     def moment_formula(self, m: int) -> Fraction:
         # Touchard: sum_k S(m,k) alpha**k; with alpha = p/q the sum runs in
@@ -121,20 +108,16 @@ class Poisson(Distribution):
         return f"poisson:{format_rational(self.alpha)}"
 
 
-@dataclass(frozen=True, eq=False)
 class Gamma(Distribution):
     """Gamma with shape alpha > 0 and rate beta > 0; E[Y] = alpha/beta."""
 
-    alpha: Fraction
-    beta: Fraction
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        object.__setattr__(self, "beta", as_rational(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DistributionSpecError(
-                f"gamma parameters must be > 0, got {self.alpha},{self.beta}"
-            )
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        alpha, beta = as_rational(alpha), as_rational(beta)
+        if alpha <= 0 or beta <= 0:
+            raise DistributionSpecError(f"gamma parameters must be > 0, got {alpha},{beta}")
+        self._init(alpha, beta)
 
     def moment_formula(self, m: int) -> Fraction:
         # rising factorial of alpha over beta**m; with alpha = a/b and
@@ -150,17 +133,13 @@ class Gamma(Distribution):
         return f"gamma:{format_rational(self.alpha)},{format_rational(self.beta)}"
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteDiscrete(Distribution):
     """Finite support: atoms ((value, weight), ...) with weights summing to 1."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        atoms = tuple(
-            (as_rational(v), as_rational(w)) for v, w in self.atoms
-        )
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...]):
+        atoms = tuple((as_rational(v), as_rational(w)) for v, w in atoms)
         if not atoms:
             raise DistributionSpecError("discrete distribution needs at least one atom")
         if any(w <= 0 for _, w in atoms):
@@ -170,6 +149,7 @@ class FiniteDiscrete(Distribution):
         values = [v for v, _ in atoms]
         if len(set(values)) != len(values):
             raise DistributionSpecError("discrete values must be distinct")
+        self._init(atoms)
 
     def moment_formula(self, m: int) -> Fraction:
         return sum((w * v**m for v, w in self.atoms), start=Fraction(0))

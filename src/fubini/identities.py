@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -85,6 +84,7 @@ from .probabilistic import (
     sum_degenerate_row,
 )
 from .rational import as_rational, format_rational, scaled
+from .record import Record
 from .series import TruncatedSeries
 
 
@@ -127,47 +127,46 @@ EXPECTED_DISCREPANCIES = frozenset({IdentityId.THM2_9_PRINTED})
 _EQ15_SEED = 170823
 
 
-@dataclass(frozen=True)
-class CheckConfig:
-    """Grid over which every checker runs.
+class CheckConfig(Record):
+    """Grid over which every checker runs; immutable, validated when built.
 
     coeff_depth bounds the power-series expansions of the closed geometric
     forms; it deliberately exceeds n_max so indices beyond the k <= n regime
     (where the column numbers vanish by definition) are exercised too.
     """
 
-    lambdas: tuple[Fraction, ...]
-    n_max: int
-    r_max: int
-    dists: tuple[Distribution, ...]
-    x_points: tuple[Fraction, ...]
-    series_order: int
-    coeff_depth: int
+    _fields = ("lambdas", "n_max", "r_max", "dists", "x_points", "series_order", "coeff_depth")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "lambdas", tuple(as_rational(v) for v in self.lambdas)
-        )
-        object.__setattr__(self, "dists", tuple(self.dists))
-        object.__setattr__(
-            self, "x_points", tuple(as_rational(v) for v in self.x_points)
-        )
-        if not self.lambdas:
+    def __init__(
+        self,
+        lambdas: tuple[Fraction, ...],
+        n_max: int,
+        r_max: int,
+        dists: tuple[Distribution, ...],
+        x_points: tuple[Fraction, ...],
+        series_order: int,
+        coeff_depth: int,
+    ):
+        lambdas = tuple(as_rational(v) for v in lambdas)
+        dists = tuple(dists)
+        x_points = tuple(as_rational(v) for v in x_points)
+        if not lambdas:
             raise ValueError("lambda grid must be nonempty")
-        if not self.dists:
+        if not dists:
             raise ValueError("distribution list must be nonempty")
-        if not all(isinstance(d, Distribution) for d in self.dists):
+        if not all(isinstance(d, Distribution) for d in dists):
             raise ValueError("dists must be Distribution instances")
-        if not self.x_points:
+        if not x_points:
             raise ValueError("x-point list must be nonempty")
-        if self.n_max < 1:
+        if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.r_max < 1:
+        if r_max < 1:
             raise ValueError("r_max must be >= 1")
-        if self.series_order < 1:
+        if series_order < 1:
             raise ValueError("series_order must be >= 1")
-        if self.coeff_depth < 1:
+        if coeff_depth < 1:
             raise ValueError("coeff_depth must be >= 1")
+        self._init(lambdas, n_max, r_max, dists, x_points, series_order, coeff_depth)
 
 
 def default_config() -> CheckConfig:
@@ -204,22 +203,28 @@ def default_config() -> CheckConfig:
     )
 
 
-@dataclass
-class Counterexample:
-    params: dict[str, str]
-    lhs: str
-    rhs: str
+class Counterexample(Record):
+    _fields = ("params", "lhs", "rhs")
+
+    def __init__(self, params: dict[str, str], lhs: str, rhs: str):
+        self._init(params, lhs, rhs)
 
     def to_dict(self) -> dict:
         return {"params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
-class CheckReport:
-    identity: IdentityId
-    status: str  # "pass" | "fail" | "known-discrepancy"
-    cases: int
-    counterexample: Counterexample | None = field(default=None)
+class CheckReport(Record):
+    # status is "pass", "fail" or "known-discrepancy"
+    _fields = ("identity", "status", "cases", "counterexample")
+
+    def __init__(
+        self,
+        identity: IdentityId,
+        status: str,
+        cases: int,
+        counterexample: Counterexample | None = None,
+    ):
+        self._init(identity, status, cases, counterexample)
 
     @property
     def ok(self) -> bool:

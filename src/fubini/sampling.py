@@ -16,7 +16,6 @@ import math
 import random
 from array import array
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
@@ -31,6 +30,7 @@ from .distributions import (
 )
 from .probabilistic import sum_degenerate_moment
 from .rational import as_rational
+from .record import Record
 
 MIN_SAMPLES = 1000
 # Upper bounds, checked before anything is drawn: the draws of one run are
@@ -52,13 +52,13 @@ CHUNK = 1 << 16
 PTRS_MIN_MEAN = 10
 
 
-@dataclass(frozen=True)
-class MCResult:
-    estimate: float
-    stderr: float
-    exact: Fraction
-    zscore: float | None
-    samples: int
+class MCResult(Record):
+    _fields = ("estimate", "stderr", "exact", "zscore", "samples")
+
+    def __init__(
+        self, estimate: float, stderr: float, exact: Fraction, zscore: float | None, samples: int
+    ):
+        self._init(estimate, stderr, exact, zscore, samples)
 
     @property
     def suspicious(self) -> bool:
@@ -77,9 +77,7 @@ class MCResult:
         }
 
 
-# Binomial(k, p), the law of a sum of k Bernoulli(p) draws. A namedtuple, not
-# a dataclass: it is built at every import, `fubini --help` included, and a
-# dataclass costs about 1 ms to build.
+# Binomial(k, p), the law of a sum of k Bernoulli(p) draws.
 _Binomial = namedtuple("_Binomial", "k p")
 
 

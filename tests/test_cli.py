@@ -402,6 +402,9 @@ _NUMPY_FREE_SCRIPT = """
 import sys
 import fubini, fubini.cli
 assert "numpy" not in sys.modules, "import fubini loaded numpy"
+# building a dataclass at import costs its own import, which pulls in inspect
+for slow in ("dataclasses", "inspect"):
+    assert slow not in sys.modules, f"import fubini loaded {slow}"
 from fubini.cli import main
 
 def run(*args):
@@ -418,6 +421,8 @@ for dist in ("bernoulli:2/5", "poisson:3/2", "poisson:30", "gamma:3/2,2",
     run("mc", "--dist", dist, "--k", "2", "--n", "2", "--samples", "1000")
 assert "numpy" not in sys.modules, "a command loaded numpy"
 assert "click" not in sys.modules, "a command loaded click"
+for slow in ("dataclasses", "inspect"):
+    assert slow not in sys.modules, f"a command loaded {slow}"
 """
 
 

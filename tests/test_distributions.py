@@ -1,5 +1,7 @@
 """Moment providers: closed-form moments and the spec-string grammar."""
 
+import copy
+import pickle
 from collections import defaultdict
 from fractions import Fraction
 
@@ -275,3 +277,76 @@ def test_equal_distributions_built_apart_share_memo_rows():
     assert probabilistic._triangle(b, 5, F(1, 3))[5] is probabilistic._triangle(a, 5, lam)[5]
     assert raw_moment(b, 4) == raw_moment(a, 4)
     assert probabilistic._raw_moment_rows[b] is probabilistic._raw_moment_rows[a]
+
+
+# --- value-type contract: immutable, compared by type and parameters ---
+
+_ONE_OF_EACH = [
+    (PointMass(F(5, 2)), "value"),
+    (Bernoulli(F(2, 5)), "p"),
+    (Poisson(F(3, 2)), "alpha"),
+    (Gamma(F(3, 2), 2), "beta"),
+    (FiniteDiscrete(((F(0), F(1, 2)), (F(1), F(1, 2)))), "atoms"),
+]
+
+
+@pytest.mark.parametrize("dist, field", _ONE_OF_EACH)
+def test_assigning_a_distribution_field_raises(dist, field):
+    before = getattr(dist, field)
+    with pytest.raises(AttributeError):
+        setattr(dist, field, F(1))
+    with pytest.raises(AttributeError):
+        delattr(dist, field)
+    assert getattr(dist, field) == before
+
+
+def test_parameters_compare_by_value_whatever_their_exact_type():
+    a, b = Gamma(F(3, 2), 2), Gamma(F(3, 2), F(2))
+    assert a == b and hash(a) == hash(b)
+    assert type(a.beta) is Fraction
+    assert Gamma(F(3, 2), 2) != Gamma(F(3, 2), 3)
+    assert PointMass(1) != Bernoulli(1)
+    assert PointMass(1) != 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PointMass(0.5),
+        lambda: Bernoulli(0.5),
+        lambda: Poisson(1.5),
+        lambda: Gamma(1, 2.0),
+        lambda: FiniteDiscrete(((0.0, F(1)),)),
+    ],
+    ids=["point", "bernoulli", "poisson", "gamma", "discrete"],
+)
+def test_every_constructor_rejects_a_float(build):
+    with pytest.raises(TypeError, match="refusing float"):
+        build()
+
+
+@pytest.mark.parametrize("dist, field", _ONE_OF_EACH)
+def test_repr_names_the_type_and_its_parameters(dist, field):
+    text = repr(dist)
+    assert text.startswith(type(dist).__name__ + "(")
+    assert f"{field}=" in text
+
+
+def test_replace_rebuilds_through_the_constructor():
+    assert Gamma(F(3, 2), 2).replace(beta=3) == Gamma(F(3, 2), 3)
+    assert Gamma(F(3, 2), 2)._fields == ("alpha", "beta")
+    with pytest.raises(DistributionSpecError):
+        Bernoulli(F(1, 2)).replace(p=2)
+
+
+@pytest.mark.parametrize("dist, field", _ONE_OF_EACH)
+def test_copies_and_pickles_compare_and_hash_equal(dist, field):
+    for twin in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
+        assert twin == dist and hash(twin) == hash(dist)
+
+
+def test_every_distribution_defines_its_own_init():
+    # the benchmark's tracer counts constructions by wrapping each class's
+    # own __init__; an inherited one would go uncounted
+    for cls in (PointMass, Bernoulli, Poisson, Gamma, FiniteDiscrete):
+        assert "__init__" in vars(cls), cls

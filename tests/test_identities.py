@@ -358,3 +358,46 @@ def test_perturbed_stirling1_detected():
     assert stirling1(4, 2) == 11
     assert stirling2_degenerate(4, 2, lam) == s2_before
     assert degenerate_bell_poly(4, lam) == bell_before
+
+
+_CONFIG_FIELDS = ("lambdas", "n_max", "r_max", "dists", "x_points", "series_order", "coeff_depth")
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("lambdas", ()),
+        ("n_max", 0),
+        ("r_max", 0),
+        ("dists", ()),
+        ("dists", (F(1),)),
+        ("x_points", ()),
+        ("series_order", 0),
+        ("coeff_depth", 0),
+    ],
+)
+def test_an_invalid_override_of_the_default_config_raises(name, bad):
+    fields = {f: getattr(default_config(), f) for f in _CONFIG_FIELDS}
+    # the fields keep their positional order
+    cfg = CheckConfig(*fields.values())
+    assert all(getattr(cfg, f) == v for f, v in fields.items())
+    with pytest.raises(ValueError):
+        CheckConfig(**{**fields, name: bad})
+
+
+def test_config_is_immutable_and_coerces_its_grids():
+    cfg = CheckConfig(lambdas=[0, F(1, 2)], n_max=2, r_max=1, dists=[PointMass(1)],
+                      x_points=[1], series_order=3, coeff_depth=4)
+    assert cfg.lambdas == (F(0), F(1, 2)) and type(cfg.lambdas[0]) is Fraction
+    assert cfg.dists == (PointMass(1),) and cfg.x_points == (F(1),)
+    with pytest.raises(AttributeError):
+        cfg.n_max = 3
+
+
+def test_replace_validates_the_changed_config():
+    cfg = default_config()
+    narrow = cfg.replace(n_max=3, r_max=1)
+    assert (narrow.n_max, narrow.r_max, narrow.dists) == (3, 1, cfg.dists)
+    assert cfg.n_max == 10 and narrow != cfg
+    with pytest.raises(ValueError, match="n_max"):
+        cfg.replace(n_max=0)

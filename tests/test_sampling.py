@@ -20,6 +20,7 @@ from fubini.sampling import (
     MAX_DRAWS,
     MAX_SAMPLES,
     MIN_SAMPLES,
+    MCResult,
     _Binomial,
     _draw_sums,
     _mean_and_stderr,
@@ -299,3 +300,17 @@ def test_result_dict_shape():
     }
     assert doc["exact"] == "18/25"
     assert doc["samples"] == 2000
+
+
+def test_result_keeps_its_fields_and_dict_order():
+    res = MCResult(estimate=0.5, stderr=0.1, exact=F(1, 3), zscore=-0.5 / 0.3, samples=10)
+    assert (res.estimate, res.stderr, res.exact, res.samples) == (0.5, 0.1, F(1, 3), 10)
+    assert not res.suspicious
+    assert list(res.to_dict()) == [
+        "estimate", "stderr", "exact", "exact_float", "zscore", "samples", "suspicious"
+    ]
+    assert res.to_dict()["exact"] == "1/3"
+    flagged = MCResult(estimate=1.0, stderr=0.01, exact=F(0), zscore=100.0, samples=10)
+    assert flagged.suspicious and flagged.to_dict()["suspicious"] is True
+    with pytest.raises(AttributeError):
+        res.samples = 11
