@@ -133,6 +133,20 @@ def _check_out(out: str | None) -> None:
     raise UsageError(f"cannot write --out {out!r}: {os.strerror(reason)}")
 
 
+def _lift_digit_limit() -> None:
+    """Let the command write exact values of any length.
+
+    CPython 3.11+ (and 3.10 from 3.10.7) refuses to convert an int of more than
+    sys.get_int_max_str_digits() digits (4,300 by default) to or from a
+    string, and an exact table, series or counterexample can pass that. A
+    command calls this once its flag values are parsed, so a flag value of
+    that length is still refused with exit 2; _run restores the limit when
+    the command returns. An interpreter without the limit has nothing to lift.
+    """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -212,6 +226,7 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
         raise UsageError("--n-max must be >= 0")
     if order_r is not None and order_r < 1:
         raise UsageError("--r must be >= 1")
+    _lift_digit_limit()
 
     rows = []
     for n in range(n_max + 1):
@@ -299,6 +314,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
             cfg = cfg.replace(**overrides)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    _lift_digit_limit()
 
     reports = run_suite(cfg, selected)
     spot = (
@@ -387,6 +403,7 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     x0 = _parse_rat(x_text, "--x")
     if order < 0:
         raise UsageError("--order must be >= 0")
+    _lift_digit_limit()
 
     base = mgf_degenerate_series(dist, lam, order) - 1
     series = (1 - base * x0).reciprocal()
@@ -436,6 +453,7 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         raise UsageError(f"--k times --samples must be <= {MAX_DRAWS}")
     if n > MAX_DEGREE:
         raise UsageError(f"--n must be <= {MAX_DEGREE}")
+    _lift_digit_limit()
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except FloatRangeError as exc:
@@ -493,6 +511,7 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
 
 def _run(argv: list[str], prog: str) -> int:
     """Parse argv, run its command and return the exit code."""
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     listing = "\n".join(
         f"  {name:<6}  {handler.__doc__.splitlines()[0]}"
         for name, (handler, _) in sorted(_COMMANDS.items())
@@ -531,6 +550,9 @@ def _run(argv: list[str], prog: str) -> int:
         where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         sys.stderr.write(f"Error: internal error {type(exc).__name__} at {where}: {exc}\n")
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def main(args=None, prog_name=None, standalone_mode=True):

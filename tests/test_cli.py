@@ -491,7 +491,17 @@ HOSTILE_ARGS = [
     # parse errors: no abbreviated flags, no negative seed
     (["table", "--dist", "point:1", "--lam", "1/2", "--n-max", "2"], 2),
     (["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--seed", "-1"], 2),
+    # a flag value past CPython's int/str digit limit (3.11+, 3.10.7+) is
+    # refused as it is parsed; an interpreter without the limit computes
+    (["table", "--dist", "bernoulli:1/2", "--lambda", "1" + "0" * 4999, "--n-max", "2"],
+     2 if hasattr(sys, "get_int_max_str_digits") else 0),
 ]
+
+
+def _case_id(args):
+    # a token too long to read in a test id shows as its length
+    return " ".join(a if len(a) <= 1000 else f"<{len(a)} chars>" for a in args)
+
 
 # Usage errors whose message must name the flag at fault.
 NAMED_FLAG_ERRORS = {
@@ -515,7 +525,7 @@ NAMED_FLAG_ERRORS = {
 
 
 @pytest.mark.parametrize(
-    "args, code", HOSTILE_ARGS, ids=[" ".join(args) for args, _ in HOSTILE_ARGS]
+    "args, code", HOSTILE_ARGS, ids=[_case_id(args) for args, _ in HOSTILE_ARGS]
 )
 def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
     res = invoke(args)
@@ -789,6 +799,46 @@ def test_main_entry_point_keeps_exit_codes(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(args=args, prog_name="fubini", standalone_mode=True)
     assert exc.value.code == 3
+
+
+# Exact output past CPython's int/str digit limit (4,300 digits by default,
+# CPython 3.11+ and 3.10.7+): each command lifts the limit once its flags are
+# parsed.
+_HUGE = "1" + "0" * 100
+LARGE_OUTPUT = [
+    ["table", "--dist", "poisson:3/2", "--lambda", _HUGE, "--n-max", "55"],
+    ["series", "--dist", f"gamma:1,1/{_HUGE}", "--lambda", "1/2", "--order", "50", "--x", "1/2"],
+]
+
+
+@pytest.mark.parametrize("args", LARGE_OUTPUT, ids=["table", "series"])
+def test_exact_output_past_the_digit_limit(args):
+    res = invoke(args)
+    assert res.exit_code == 0, res.stderr
+    values = [
+        value
+        for row in json.loads(res.stdout)["rows"]
+        for value in [*row.get("coefficients", ()), row.get("value_at_1") or row["egf_coefficient"]]
+    ]
+    assert max(len(v.split("/")[0].lstrip("-")) for v in values) > 4300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no int/str digit limit"
+)
+def test_the_digit_limit_is_back_in_force_after_main_returns(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    assert invoke(LARGE_OUTPUT[1]).exit_code == 0
+    assert sys.get_int_max_str_digits() == limit
+    # a usage error, and an internal error after the limit was lifted
+    assert invoke(["series", "--dist", "point:1", "--order", "-1"]).exit_code == 2
+    assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setattr("fubini.cli.run_suite", _raise_runtime_error)
+    assert invoke(["verify", "--suite", "EQ6", "--n-max", "1"]).exit_code == 3
+    assert sys.get_int_max_str_digits() == limit
+    if limit:
+        with pytest.raises(ValueError):
+            str(10**limit)
 
 
 def test_mc_rejects_negative_seed():

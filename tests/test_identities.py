@@ -1,5 +1,7 @@
 """Identity suite behavior on reduced grids, plus the injection hooks."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -223,8 +225,11 @@ def test_a_counterexample_prints_both_sides_in_lowest_terms(lhs, rhs, shown):
 
 
 # Which identities each fault of the acceptance mutation test trips, on that
-# test's grid. A change that reroutes a side of a check through a different
-# accessor changes these sets.
+# test's grid, and the sha256 of the whole run's reports (to_dict, in suite
+# order, through json.dumps): case counts, counterexample params and both
+# sides included. A change that reroutes a side of a check through a
+# different accessor changes these sets; one that changes which case fails
+# first, or how it prints, changes the digest.
 _FAULT_GRID = dict(
     lambdas=(F(0), F(1, 2), F(-1, 4)),
     n_max=5,
@@ -240,15 +245,27 @@ _FAULT_FINGERPRINT = [
         "stirling1",
         (5, 2),
         "EQ6 EQ10_GF EQ11 EQ12_GF EQ14 THM2_3 THM2_11 THM2_12 THM2_16",
+        "6959b3dff15834505e34cdb4d17dd8aedda0d133707a131875fcb4d2e384396f",
     ),
-    ("stirling2", (4, 2), "EQ6 EQ10_GF EQ11 EQ12_GF EQ14 THM2_11 THM2_12 THM2_16"),
-    ("lah", (4, 2), "THM2_3"),
+    (
+        "stirling2",
+        (4, 2),
+        "EQ6 EQ10_GF EQ11 EQ12_GF EQ14 THM2_11 THM2_12 THM2_16",
+        "5394de10e43227d28e2068827d045f33d8ee48c3c6b6e638a2c4c801e62fcbd8",
+    ),
+    (
+        "lah",
+        (4, 2),
+        "THM2_3",
+        "4652b23d3a631f20b0dfa65b3f9f55c6c9996407204ed125b8d5ab3a564af7d6",
+    ),
     (
         "binomial",
         (4, 2),
         "EQ11 EQ14 EQ19_INV EQ20_GF EQ22_GF EQ23_GF EQ29_BELL THM2_1 THM2_2 "
         "THM2_3 THM2_5 THM2_6 THM2_8 THM2_9_CORRECTED THM2_10 THM2_11 THM2_12 "
         "THM2_13 THM2_15 THM2_16",
+        "43faddc275459f434f73997006987d6ac030be7e755da9e372c540efbc2a1a32",
     ),
     (
         "factorial",
@@ -256,25 +273,53 @@ _FAULT_FINGERPRINT = [
         "EQ10_GF EQ11 EQ12_GF EQ14 EQ15_GF EQ19_INV EQ23_GF EQ29_BELL THM2_1 "
         "THM2_2 THM2_4 THM2_5 THM2_6 THM2_7 THM2_8 THM2_9_CORRECTED THM2_10 "
         "THM2_12 THM2_13 THM2_14 THM2_15",
+        "66989821f03d96c12a1d0d0b8331ddade558dafed695b69186fdb15d672d841a",
     ),
-    ("raw_moment", (Poisson(F(3, 2)), 3), "THM2_11 THM2_12"),
-    ("raw_moment", (Bernoulli(F(2, 5)), 2), "THM2_16"),
-    ("raw_moment", (Gamma(1, 1), 2), "THM2_3"),
-    ("sum_moment", (_DISCRETE, 2, 2), _SUM_MOMENT_TRIPS),
-    ("sum_moment", (PointMass(F(5, 2)), 3, 2), _SUM_MOMENT_TRIPS),
+    (
+        "raw_moment",
+        (Poisson(F(3, 2)), 3),
+        "THM2_11 THM2_12",
+        "13d20c2604a2acbfd0bb499afff510aac8b3b9fcacf174a548fa10601f8624b3",
+    ),
+    (
+        "raw_moment",
+        (Bernoulli(F(2, 5)), 2),
+        "THM2_16",
+        "f11a6297d82ff9f4bcca451f8e5e9a621abb46d43445cf00012679608e8e2da8",
+    ),
+    (
+        "raw_moment",
+        (Gamma(1, 1), 2),
+        "THM2_3",
+        "9c98fb568295348b16786828586fda28cf6026e72eb304c7f58296c3cb2ce7d3",
+    ),
+    (
+        "sum_moment",
+        (_DISCRETE, 2, 2),
+        _SUM_MOMENT_TRIPS,
+        "bd99e72fe3bfe7f588ad2bb9867713d021fc01e7d26e99dfe4f85e5d3812518b",
+    ),
+    (
+        "sum_moment",
+        (PointMass(F(5, 2)), 3, 2),
+        _SUM_MOMENT_TRIPS,
+        "25bc87eb023905d8481214b1a2de597de5e3b5fa8ada71aaaaf1115da27b623d",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "table, key, tripped",
+    "table, key, tripped, digest",
     _FAULT_FINGERPRINT,
-    ids=[f"{t}-{i}" for i, (t, _, _) in enumerate(_FAULT_FINGERPRINT)],
+    ids=[f"{t}-{i}" for i, (t, *_) in enumerate(_FAULT_FINGERPRINT)],
 )
-def test_each_fault_trips_exactly_its_identities(table, key, tripped):
+def test_each_fault_trips_exactly_its_identities(table, key, tripped, digest):
     cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
     with hooks.perturb(table, key):
         reports = run_suite(cfg)
     assert [r.identity.value for r in reports if r.status == "fail"] == tripped.split()
+    document = json.dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 def test_report_serialization():
