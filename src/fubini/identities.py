@@ -484,12 +484,14 @@ def _eq15_gf(cfg):
         series = TruncatedSeries.from_egf([Fraction(0)] + xs[:order])
         power = TruncatedSeries.one(order)
         for k in range(min(5, cfg.n_max) + 1):
+            # the powers stop at the last k
+            if k:
+                power = power * series
             kfact = factorial(k)
             for n in range(k, cfg.n_max + 1):
                 lhs = power.nums[n] * facts[n], power.den * kfact
                 rhs = partial_bell(n, k, xs[: max(n - k + 1, 0)])
                 yield lhs, rhs, {"draw": draw, "k": k, "n": n}
-            power = power * series
 
 
 def _eq19_inv(cfg):
@@ -544,6 +546,9 @@ def _eq20_gf(cfg):
             ]
             power = TruncatedSeries.one(cfg.series_order)
             for k in range(cfg.n_max + 1):
+                # the powers stop at the last k
+                if k:
+                    power = power * base
                 kfact = factorial(k)
                 for n, row in enumerate(rows):
                     yield (
@@ -551,7 +556,6 @@ def _eq20_gf(cfg):
                         _stirling2_by_difference(row, weights[k]),
                         {"dist": dist, "lambda": lam, "k": k, "n": n},
                     )
-                power = power * base
 
 
 def _eq22_gf(cfg):

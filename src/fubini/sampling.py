@@ -5,9 +5,12 @@ own law where that law is closed: a point mass at k*c, Binomial(k, p),
 Poisson(k*alpha) and Gamma(k*alpha, beta). A finite discrete Y is drawn k
 times and summed. Every draw comes from the standard library's
 `random.Random(seed)` (the Mersenne Twister), so a (seed, spec) pair
-reproduces the same estimate on every platform; Python promises the stream
-of `random()` across versions, not the variates `choices` and
-`gammavariate` derive from it.
+reproduces the same estimate on every platform. Python promises the stream
+of `random()` across versions, not the variates its other methods derive
+from it, so the Poisson and Gamma samplers here read `random()` alone. The
+laws drawn from a table (Binomial, Poisson below `PTRS_MIN_MEAN`, a finite
+discrete Y) use `choices` with cumulative weights, which bisects one
+`random()` per draw into the table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from array import array
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, mul, sub
 
 from .distributions import (
@@ -44,12 +47,17 @@ MAX_DRAWS = 10**8
 # 2-vCPU Xeon VM it takes about 0.8 s at n = 400 for poisson:3/2 and 1.0 s
 # for gamma:3/2,2 (medians of 5 CPU times), and about 4 s and 5 s at n = 600.
 MAX_DEGREE = 400
-# Draws are generated, and folded into histograms, this many at a time, so
+# Draws are generated, and folded into the statistic, this many at a time, so
 # the working memory beyond the draws themselves stays bounded.
 CHUNK = 1 << 16
-# At and above this mean a Poisson draw uses PTRS instead of multiplication,
-# whose cost grows with the mean.
-PTRS_MIN_MEAN = 10
+# At and above this mean a Poisson draw uses PTRS instead of inverting a pmf
+# table, whose build cost grows with the mean. The crossover is measured at
+# MIN_SAMPLES draws (Python 3.11, 2-vCPU Xeon VM, best of 7): building the
+# table and drawing from it took 1.03 ms at mean 400, 1.12 ms at 500 and
+# 1.63 ms at 1000, and PTRS 1.05-1.16 ms at each.
+PTRS_MIN_MEAN = 500
+# A Poisson pmf table stops where the upper tail it omits is below this.
+POISSON_TAIL = 1e-30
 
 
 class MCResult(Record):
@@ -101,41 +109,48 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _cdf(log_pmf) -> list[float]:
+    """Cumulative weights at 0, 1, ... from the log pmf there: the table is
+    built in log space, so no factorial or power overflows on the way."""
+    return list(accumulate(map(math.exp, log_pmf)))
+
+
 def _binomial_cdf(k: int, p: Fraction) -> list[float]:
-    """Cumulative Binomial(k, p) weights at 0..k; the pmf is built in log space."""
+    """Cumulative Binomial(k, p) weights at 0..k."""
     if p in (0, 1):
         # all mass at 0 or all mass at k
         return [float(1 - p)] * k + [1.0]
     lp, lq, top = _log(p), _log(1 - p), math.lgamma(k + 1)
-    return list(
-        accumulate(
-            math.exp(top - math.lgamma(j + 1) - math.lgamma(k - j + 1) + j * lp + (k - j) * lq)
-            for j in range(k + 1)
-        )
+    return _cdf(
+        top - math.lgamma(j + 1) - math.lgamma(k - j + 1) + j * lp + (k - j) * lq
+        for j in range(k + 1)
     )
 
 
-def _poisson_by_multiplication(rng: random.Random, mean: float):
-    """A function making one Poisson(mean) draw by multiplication: the number
-    of uniforms whose running product stays above exp(-mean). A draw costs
-    about mean + 1 uniforms, so this is for small means."""
-    limit = math.exp(-mean)
-    uniform = rng.random
+def _poisson_log_pmf(mean: Fraction):
+    """The log pmf of Poisson(mean) at 0, 1, ..., ending where the upper tail
+    left out is below POISSON_TAIL."""
+    m, log_mean, log_tail = float(mean), _log(mean), math.log(POISSON_TAIL)
+    for j in count():
+        log_w = j * log_mean - m - math.lgamma(j + 1)
+        # past the mean each term is at most m / (j + 1) times the one
+        # before, so the tail from j on is at most pmf(j) (j + 1) / (j + 1 - m)
+        if j > m and log_w + math.log((j + 1) / (j + 1 - m)) < log_tail:
+            return
+        yield log_w
 
-    def one() -> int:
-        x, product = 0, uniform()
-        while product > limit:
-            x += 1
-            product *= uniform()
-        return x
 
-    return one
+def _poisson_cdf(mean: Fraction) -> list[float]:
+    """Cumulative Poisson(mean) weights, scaled so that the last is 1.0."""
+    cdf = _cdf(_poisson_log_pmf(mean))
+    return [c / cdf[-1] for c in cdf]
 
 
 def _poisson_ptrs(rng: random.Random, mean: float):
     """A function making one Poisson(mean) draw, for mean >= 10, by Hormann's
     transformed rejection with squeeze (PTRS, 1993); a draw costs at most
-    about 1.35 pairs of uniforms (1.33 at mean 10, 1.12 at mean 10**10)."""
+    about 1.35 pairs of uniforms (1.33 at mean 10, 1.12 at mean 10**10), so
+    it is for means whose pmf table would be long."""
     slam, loglam = math.sqrt(mean), math.log(mean)
     b = 0.931 + 2.53 * slam
     a = -0.059 + 0.02483 * b
@@ -163,6 +178,43 @@ def _poisson_ptrs(rng: random.Random, mean: float):
     return one
 
 
+def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
+    """A function m -> a list of m Gamma(shape, scale) draws, shape > 0, by
+    Marsaglia and Tsang's method ("A simple method for generating gamma
+    variables", ACM TOMS 26(3), 2000): d v with v = (1 + c x)^3 for a normal
+    x, accepted by their squeeze or by the log test. The normals come in
+    pairs by Box-Muller. A shape below 1 is drawn at shape + 1 and each draw
+    multiplied by U^(1/shape)."""
+    boost = shape < 1
+    d = (shape + 1 if boost else shape) - 1 / 3
+    c, power = 1 / math.sqrt(9 * d), 1 / shape
+    uniform = rng.random
+    log, sqrt, cos, sin, tau = math.log, math.sqrt, math.cos, math.sin, math.tau
+
+    def sample(m: int) -> list[float]:
+        vs = []
+        while len(vs) < m:
+            # 1 - random() lies in (0, 1], so its log is finite
+            r = sqrt(-2.0 * log(1.0 - uniform()))
+            t = tau * uniform()
+            for x in (r * cos(t), r * sin(t)):
+                v = 1.0 + c * x
+                if v <= 0.0:
+                    continue
+                v = v * v * v
+                u = 1.0 - uniform()
+                xx = x * x
+                if u < 1.0 - 0.0331 * xx * xx or log(u) < 0.5 * xx + d * (1.0 - v + log(v)):
+                    vs.append(v)
+        # the second normal of the last pair may be left over
+        del vs[m:]
+        if boost:
+            return [d * v * uniform() ** power * scale for v in vs]
+        return [d * v * scale for v in vs]
+
+    return sample
+
+
 class FloatRangeError(ValueError):
     """A parameter of the law of S_k that no float can hold."""
 
@@ -181,8 +233,8 @@ def _float(value: Fraction, name: str, *, underflow: bool = True) -> float:
 
 def _float_parameters(dist) -> list[float]:
     """The parameters the sampler of dist reads, as floats: the point mass,
-    the atoms, the Poisson mean, or the Gamma shape and scale 1/beta
-    (gammavariate cannot draw with scale 0.0). None for a Binomial, whose
+    the atoms, the Poisson mean, or the Gamma shape and scale 1/beta (a
+    scale of 0.0 would make every draw 0.0). None for a Binomial, whose
     weights are built from its exact p."""
     if isinstance(dist, PointMass):
         return [_float(dist.value, "value")]
@@ -195,14 +247,19 @@ def _float_parameters(dist) -> list[float]:
     return []
 
 
+def _inversion(rng: random.Random, cdf: list[float]):
+    """A function m -> m draws of the law on 0.0, 1.0, ... with cumulative
+    weights cdf, by inversion: one `random()` per draw."""
+    values = [float(j) for j in range(len(cdf))]
+    return lambda m: rng.choices(values, cum_weights=cdf, k=m)
+
+
 def _sampler(dist, rng: random.Random):
     """A function m -> an iterable of m iid draws of dist."""
     if isinstance(dist, Bernoulli):
         dist = _Binomial(1, dist.p)
     if isinstance(dist, _Binomial):
-        values = [float(j) for j in range(dist.k + 1)]
-        cdf = _binomial_cdf(dist.k, dist.p)
-        return lambda m: rng.choices(values, cum_weights=cdf, k=m)
+        return _inversion(rng, _binomial_cdf(dist.k, dist.p))
     params = _float_parameters(dist)
     if isinstance(dist, PointMass):
         return lambda m: repeat(params[0], m)
@@ -210,19 +267,16 @@ def _sampler(dist, rng: random.Random):
         cdf = [float(c) for c in accumulate(w for _, w in dist.atoms)]
         return lambda m: rng.choices(params, cum_weights=cdf, k=m)
     if isinstance(dist, Poisson):
-        mean = params[0]
-        if mean < PTRS_MIN_MEAN:
-            one = _poisson_by_multiplication(rng, mean)
-        else:
-            one = _poisson_ptrs(rng, mean)
+        if params[0] < PTRS_MIN_MEAN:
+            return _inversion(rng, _poisson_cdf(dist.alpha))
+        one = _poisson_ptrs(rng, params[0])
         return lambda m: (one() for _ in repeat(None, m))
     if isinstance(dist, Gamma):
         shape, scale = params
         if shape == 0:
             # a shape below the float range: every draw rounds to 0.0
             return lambda m: repeat(0.0, m)
-        gamma = rng.gammavariate
-        return lambda m: (gamma(shape, scale) for _ in repeat(None, m))
+        return _gamma_marsaglia_tsang(rng, shape, scale)
     raise TypeError(f"no sampler for distribution type {type(dist).__name__}")
 
 
@@ -248,15 +302,24 @@ def _draw_sums(dist: Distribution, k: int, samples: int, seed: int) -> array:
 
 
 def _histograms(draws: array):
-    """Counters of the draws, each with fewer than 2 * CHUNK distinct values."""
+    """The distinct draws and their counts, in groups of fewer than 2 * CHUNK
+    distinct values."""
     hist = Counter()
     for start in range(0, len(draws), CHUNK):
         hist.update(draws[start : start + CHUNK])
         if len(hist) >= CHUNK:
-            yield hist
+            yield list(hist), list(hist.values())
             hist = Counter()
     if hist:
-        yield hist
+        yield list(hist), list(hist.values())
+
+
+def _chunks(draws: array):
+    """The draws CHUNK at a time, each with count 1: for draws that do not
+    repeat, whose histogram would only copy them."""
+    for start in range(0, len(draws), CHUNK):
+        values = draws[start : start + CHUNK]
+        yield values, [1] * len(values)
 
 
 def _histogram_moments(stats: list[float], counts: list[int]) -> tuple[int, float, float]:
@@ -277,10 +340,13 @@ def _histogram_moments(stats: list[float], counts: list[int]) -> tuple[int, floa
         raise FloatingPointError("overflow in the spread of the statistic") from None
 
 
-def _mean_and_stderr(draws: array, n: int, lam: float) -> tuple[float, float]:
+def _mean_and_stderr(
+    draws: array, n: int, lam: float, repeats: bool = True
+) -> tuple[float, float]:
     """Mean and standard error of (s)_{n,lam} over the draws s.
 
-    The statistic is evaluated once per distinct draw. The histograms'
+    Where the draws repeat, the statistic is evaluated once per distinct
+    draw; otherwise once per draw, CHUNK draws at a time. The groups'
     moments merge by Chan's update, so no difference of large sums of
     squares cancels. A statistic equal in every draw gives that value and
     stderr 0 exactly: a mean of equal values computed as a sum would add
@@ -289,18 +355,18 @@ def _mean_and_stderr(draws: array, n: int, lam: float) -> tuple[float, float]:
     """
     shifts = [j * lam for j in range(n)]
     count, mean, m2 = 0, 0.0, 0.0
-    for hist in _histograms(draws):
+    for values, counts in (_histograms if repeats else _chunks)(draws):
         # the first factor is t - 0 * lam = t itself
-        stats = list(hist) if n else [1.0] * len(hist)
+        stats = list(values) if n else [1.0] * len(values)
         for shift in shifts[1:]:
-            stats = list(map(mul, stats, map(sub, hist, repeat(shift))))
+            stats = list(map(mul, stats, map(sub, values, repeat(shift))))
         if not all(map(math.isfinite, stats)):
             raise FloatingPointError("overflow in the statistic")
-        size, h_mean, h_m2 = _histogram_moments(stats, list(hist.values()))
+        size, h_mean, h_m2 = _histogram_moments(stats, counts)
         total = count + size
         delta = h_mean - mean
         mean += delta * (size / total)
-        # delta * 0 first: on the first histogram delta**2 alone may overflow
+        # delta * 0 first: on the first group delta**2 alone may overflow
         m2 += h_m2 + delta * (delta * (count * size / total))
         count = total
     if not (math.isfinite(mean) and math.isfinite(m2)):
@@ -346,7 +412,9 @@ def estimate_sum_moment(
     exact = sum_degenerate_moment(dist, k, n, lam)
     exact_float = float(exact)
 
-    estimate, stderr = _mean_and_stderr(_draw_sums(dist, k, samples, seed), n, float(lam))
+    draws = _draw_sums(dist, k, samples, seed)
+    # Gamma draws are continuous, so they do not repeat
+    estimate, stderr = _mean_and_stderr(draws, n, float(lam), not isinstance(law, Gamma))
     zscore = None if stderr == 0 else (estimate - exact_float) / stderr
     return MCResult(
         estimate=estimate,

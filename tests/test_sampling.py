@@ -2,8 +2,11 @@
 degenerate cases, z-scores."""
 
 import math
+import random
 import statistics
+from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,10 +23,14 @@ from fubini.sampling import (
     MAX_DRAWS,
     MAX_SAMPLES,
     MIN_SAMPLES,
+    PTRS_MIN_MEAN,
     MCResult,
     _Binomial,
     _draw_sums,
     _mean_and_stderr,
+    _poisson_cdf,
+    _poisson_ptrs,
+    _sampler,
     _sum_law,
     draw,
     estimate_sum_moment,
@@ -82,6 +89,10 @@ def test_mean_and_stderr_match_a_direct_two_pass_computation():
     got_mean, got_stderr = _mean_and_stderr(xs, n, lam)
     assert got_mean == pytest.approx(mean, rel=1e-12)
     assert got_stderr == pytest.approx(stderr, rel=1e-9)
+    # without histograms, one chunk of draws at a time: the draws never
+    # repeat, so the groups and their merge are the histograms' own
+    assert len(set(xs)) == len(xs)
+    assert _mean_and_stderr(xs, n, lam, repeats=False) == (got_mean, got_stderr)
 
 
 def test_discrete_support_and_frequencies():
@@ -121,6 +132,9 @@ def _sum_law_moments(dist, k):
         (Poisson(10**10), 1),
         (Gamma(F(1, 3), 2), 2),  # shape 2/3 < 1
         (Gamma(F(3, 2), 2), 3),  # shape 9/2 > 1
+        (Gamma(F(1, 3), 2), 1),  # shape 1/3 < 1
+        (Gamma(1, 2), 1),
+        (Gamma(400, 2), 1),
         (DISCRETE, 3),
         (PointMass(F(5, 2)), 7),
         (Poisson(F(3, 2)), 0),
@@ -158,6 +172,10 @@ def _chi_square_cells(xs, pmf, min_expected=5.0):
     return observed, expected
 
 
+def _poisson_pmf(mean, size):
+    return [math.exp(-mean + j * math.log(mean) - math.lgamma(j + 1)) for j in range(size)]
+
+
 @pytest.mark.parametrize(
     "law, pmf",
     [
@@ -167,8 +185,14 @@ def _chi_square_cells(xs, pmf, min_expected=5.0):
         ),
         (Poisson(3), [math.exp(-3) * 3**j / math.factorial(j) for j in range(60)]),
         (Poisson(30), [math.exp(-30 + j * math.log(30) - math.lgamma(j + 1)) for j in range(150)]),
+        # the pmf table at the mean of an mc-sums op and at the top of its
+        # range, and PTRS just above it
+        (Poisson(F(15, 2)), _poisson_pmf(7.5, 60)),
+        (Poisson(PTRS_MIN_MEAN - F(1, 2)), _poisson_pmf(PTRS_MIN_MEAN - 0.5, 2 * PTRS_MIN_MEAN)),
+        (Poisson(PTRS_MIN_MEAN + F(1, 2)), _poisson_pmf(PTRS_MIN_MEAN + 0.5, 2 * PTRS_MIN_MEAN)),
     ],
-    ids=["binomial-20-2/5", "poisson-3", "poisson-30"],
+    ids=["binomial-20-2/5", "poisson-3", "poisson-30", "poisson-15/2",
+         "poisson-below-ptrs", "poisson-ptrs"],
 )
 def test_draws_pass_a_chi_square_against_the_pmf(law, pmf):
     xs = draw(law, LAW_DRAWS, 77)
@@ -179,6 +203,36 @@ def test_draws_pass_a_chi_square_against_the_pmf(law, pmf):
     # each cell within 5 standard deviations, and the sum far below df + 5 sd
     assert max(terms) < 25, terms
     assert sum(terms) < df + 5 * math.sqrt(2 * df), (sum(terms), df)
+
+
+def test_draw_takes_ptrs_from_the_cutoff_on():
+    # below it the same draw would invert the pmf table
+    rng = SimpleNamespace(random=random.Random(79).random)
+    one = _poisson_ptrs(rng, PTRS_MIN_MEAN + 0.5)
+    ptrs = array("d", (one() for _ in range(1000)))
+    assert draw(Poisson(PTRS_MIN_MEAN + F(1, 2)), 1000, 79) == ptrs
+    assert draw(Poisson(PTRS_MIN_MEAN - F(1, 2)), 1000, 79) != ptrs
+
+
+@pytest.mark.parametrize("mean", [F(15, 2), PTRS_MIN_MEAN - F(1, 2), F(1, 10**400)], ids=str)
+def test_poisson_table_ends_where_its_omitted_tail_is_negligible(mean):
+    cdf = _poisson_cdf(mean)
+    assert cdf[-1] == 1.0
+    assert all(map(float.__le__, cdf, cdf[1:]))
+    m = float(mean)
+    if not m:
+        # a mean below the float range: all the mass at 0
+        assert cdf == [1.0]
+        return
+    # the tail beyond the table, summed until its terms vanish in floats
+    tail = math.fsum(_poisson_pmf(m, len(cdf) + 500)[len(cdf) :])
+    assert 0 < tail < 1e-30
+
+
+def test_gamma_draws_read_random_alone():
+    rng = SimpleNamespace(random=random.Random(5).random)
+    for shape in (F(1, 3), F(9, 2)):
+        assert len(_sampler(Gamma(shape, 2), rng)(1000)) == 1000
 
 
 @pytest.fixture
