@@ -46,11 +46,12 @@ it is reported as ``known-discrepancy`` with the first counterexample.
 THM2_9_CORRECTED carries the repaired weight (r!)^2 {n-i brace r}_{Y,lam}
 and passes the full grid.
 
-Three first-order identities are the r = 1 case of an order-r one, and are
-checked as that case: EQ10_GF of EQ12_GF, EQ23_GF (and with it THM2_1) of
-THM2_6, and THM2_4 of THM2_14. Each runs its order-r checker with r_max = 1
-and drops r from the params, so its cases, params and counterexamples are
-those of the first-order statement.
+Six catalog entries are checked as one order slice of an order-r checker:
+EQ11 is EQ14 at r = 0; THM2_2 and THM2_10 are THM2_13 at r = 0, whose rows
+THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
+THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1. Each runs its order-r checker at
+that one r and drops r from the params, so its cases, params and
+counterexamples are those of the lower-order statement.
 """
 
 from __future__ import annotations
@@ -370,11 +371,13 @@ def _fubini_egf_cases(base: TruncatedSeries, ords, x0, facts: list[int], params:
         yield from _egf_cases(power, polys, x0, facts, {**params, "r": r})
 
 
-def _first_order(checker):
-    # The r = 1 cases of an order-r checker without their "r" param: the
-    # first-order identity's cases, params and order
+def _order_slice(checker, r: int):
+    # The cases of an order-r checker at the one order r, without their "r"
+    # param: the lower-order identity's cases, params and order. Each order-r
+    # checker takes the orders to run as rs, by default 1..r_max; EQ12_GF and
+    # THM2_6 run the orders 1..R only, so they are sliced at r = 1.
     def cases(cfg):
-        for lhs, rhs, params in checker(cfg.replace(r_max=1)):
+        for lhs, rhs, params in checker(cfg, (r,)):
             del params["r"]
             yield lhs, rhs, params
 
@@ -409,45 +412,28 @@ def _eq6(cfg):
                 yield ff.evaluate(x), (rhs, row.den), {"lambda": lam, "n": n, "x": x}
 
 
-def _eq11(cfg):
-    # Coefficients of F_{n,lam}(x/(1-x))/(1-x): C(k, j) j! {n brace j}_lam sums,
-    # on the weights' numerators over one denominator
-    for lam in cfg.lambdas:
-        for n in range(min(_N_CAP, cfg.n_max) + 1):
-            ff = falling_factorial_poly(n, lam)
-            weights, den = scaled(
-                [stirling2_degenerate(n, j, lam) * factorial(j) for j in range(n + 1)]
-            )
-            for k in range(2 * n + 7):
-                lhs = sum(
-                    weights[j] * binomial(k, j)
-                    for j in range(min(n, k) + 1)
-                    if weights[j]
-                )
-                yield (lhs, den), ff.evaluate(k), {"lambda": lam, "n": n, "k": k}
-
-
-def _eq12_gf(cfg):
+def _eq12_gf(cfg, rs=None):
     # Order-r generating function: the r-th power of 1 / (1 - x0 (e_lam(t) - 1))
     facts = _factorials(cfg.series_order)
     for lam in cfg.lambdas:
         base = degenerate_exp_series(1, lam, cfg.series_order) - 1
         ords = [
             [degenerate_fubini_poly_order(n, r, lam) for n in range(cfg.series_order + 1)]
-            for r in range(1, cfg.r_max + 1)
+            for r in rs or range(1, cfg.r_max + 1)
         ]
         for x0 in cfg.x_points:
             yield from _fubini_egf_cases(base, ords, x0, facts, {"lambda": lam, "x": x0})
 
 
-def _eq14(cfg):
+def _eq14(cfg, rs=None):
     # Order-(r+1) coefficients against C(k+r, r) (k)_{n,lam}, on the weights'
-    # numerators over one denominator
+    # numerators over one denominator; r = 0 is EQ11, the coefficients of
+    # F_{n,lam}(x/(1-x))/(1-x)
     for lam in cfg.lambdas:
         for n in range(min(_N_CAP, cfg.n_max) + 1):
             ff = falling_factorial_poly(n, lam)
             values = [ff.evaluate(k) for k in range(2 * n + 7)]
-            for r in range(1, cfg.r_max + 1):
+            for r in rs or range(1, cfg.r_max + 1):
                 weights, den = scaled(
                     [
                         stirling2_degenerate(n, l, lam)
@@ -463,12 +449,8 @@ def _eq14(cfg):
                         if weights[l]
                     )
                     rhs = binomial(k + r, r) * value.numerator
-                    yield (lhs, den), (rhs, value.denominator), {
-                        "lambda": lam,
-                        "n": n,
-                        "r": r,
-                        "k": k,
-                    }
+                    params = {"lambda": lam, "n": n, "r": r, "k": k}
+                    yield (lhs, den), (rhs, value.denominator), params
 
 
 def _eq15_gf(cfg):
@@ -586,29 +568,6 @@ def _eq29_bell(cfg):
                     )
 
 
-def _geometric_expansion_rows(cfg, dist, lam, comb, moments):
-    # Coefficients of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u, vs sum
-    # moments (the _sum_moment_rows of i = 0..len(comb) - 1); the sums over k
-    # run on the polynomial's integer numerators over its denominator.
-    for n in range(cfg.n_max + 1):
-        fub = prob_fubini_poly(dist, n, lam)
-        for i, row in enumerate(comb):
-            lhs = sum(map(mul, fub.nums, row[: i + 1])), fub.den
-            nums, den = moments[i]
-            yield lhs, (nums[n], den), {"dist": dist, "lambda": lam, "n": n, "i": i}
-
-
-def _thm2_2(cfg):
-    # Geometric moment series; exactly the substitution image u = x/(1+x)
-    # of the expansion checked coefficient-wise (the tail is additionally
-    # spot-checked numerically via thm2_2_numeric_spotcheck).
-    comb = _comb_rows(cfg.coeff_depth)
-    for dist in cfg.dists:
-        for lam in cfg.lambdas:
-            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
-            yield from _geometric_expansion_rows(cfg, dist, lam, comb, moments)
-
-
 def _thm2_3(cfg):
     # Unit-rate gamma closed form through Lah and first-kind Stirling numbers
     dist = Gamma(Fraction(1), Fraction(1))
@@ -652,7 +611,7 @@ def _thm2_5(cfg):
                 )
 
 
-def _thm2_6(cfg):
+def _thm2_6(cfg, rs=None):
     # Order-r explicit formula against 1 / (1 - x0 (E[e_lam^Y(t)] - 1))^r
     facts = _factorials(cfg.series_order)
     for dist in cfg.dists:
@@ -663,7 +622,7 @@ def _thm2_6(cfg):
                     prob_fubini_poly_order(dist, n, r, lam)
                     for n in range(cfg.series_order + 1)
                 ]
-                for r in range(1, cfg.r_max + 1)
+                for r in rs or range(1, cfg.r_max + 1)
             ]
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
             for x0 in cfg.x_points:
@@ -778,52 +737,54 @@ def _thm2_12(cfg):
                         (nums[n], den),
                         {"dist": dist, "lambda": lam, "n": n, "k": k},
                     )
-            yield from _geometric_expansion_rows(cfg, dist, lam, comb, moments)
+            params = {"dist": dist, "lambda": lam}
+            yield from _geometric_rows(cfg, dist, lam, 0, comb, moments, params)
 
 
-def _thm2_13(cfg):
-    # Order-(r+1) geometric expansion: the inner sums run on the polynomial's
-    # integer numerators over its denominator. The sum moments do not depend
-    # on r: they are read once per (dist, lam), one row per i.
-    depth = cfg.coeff_depth
-    comb = _comb_rows(depth + cfg.r_max)
+def _geometric_rows(cfg, dist, lam, r: int, comb, moments, params: dict):
+    # THM2_13 at one (dist, lam, r): the coefficients of u^i in
+    # F^{(r+1),Y}_{n,lam}(u/(1-u))/(1-u)^(r+1), summed on the polynomial's
+    # numerators, against C(i+r, r) times the sum moments
+    for n in range(cfg.n_max + 1):
+        w = prob_fubini_poly_order(dist, n, r + 1, lam)
+        for i, (nums, den) in enumerate(moments):
+            row = comb[i + r]
+            lhs = sum(map(mul, w.nums, row[i::-1])), w.den
+            rhs = row[i] * nums[n], den
+            yield lhs, rhs, {**params, "n": n, "i": i}
+
+
+def _thm2_13(cfg, rs=None):
+    # Order-(r+1) geometric expansion. The sum moments do not depend on r:
+    # they are read once per (dist, lam), one row per i.
+    rs = rs or range(1, cfg.r_max + 1)
+    comb = _comb_rows(cfg.coeff_depth + max(rs))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = _sum_moment_rows(dist, lam, depth, cfg.n_max)
-            for r in range(1, cfg.r_max + 1):
-                for n in range(cfg.n_max + 1):
-                    w = prob_fubini_poly_order(dist, n, r + 1, lam)
-                    for i, (nums, den) in enumerate(moments):
-                        row = comb[i + r]
-                        lhs = sum(map(mul, w.nums, row[i::-1])), w.den
-                        rhs = row[i] * nums[n], den
-                        yield lhs, rhs, {
-                            "dist": dist,
-                            "lambda": lam,
-                            "r": r,
-                            "n": n,
-                            "i": i,
-                        }
+            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
+            for r in rs:
+                params = {"dist": dist, "lambda": lam, "r": r}
+                yield from _geometric_rows(cfg, dist, lam, r, comb, moments, params)
 
 
-def _thm2_14(cfg):
+def _thm2_14(cfg, rs=None):
     # Gamma-weight integral of order r recovers the order-r polynomial
     integrals = {
         r: [
             gamma_weight_integral(Polynomial.monomial(k), r)
             for k in range(cfg.n_max + 1)
         ]
-        for r in range(1, cfg.r_max + 1)
+        for r in rs or range(1, cfg.r_max + 1)
     }
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            for r in range(1, cfg.r_max + 1):
+            for r, weights in integrals.items():
                 rweight = factorial(r - 1)
                 for n in range(cfg.n_max + 1):
                     bell = prob_bell_poly(dist, n, lam)
                     fub_r = prob_fubini_poly_order(dist, n, r, lam)
                     for k in range(n + 1):
-                        g = integrals[r][k]
+                        g = weights[k]
                         lhs = (
                             _numerator(bell, k) * g.numerator,
                             bell.den * g.denominator * rweight,
@@ -883,28 +844,31 @@ def _thm2_16(cfg):
                 )
 
 
-# EQ23_GF and THM2_1 share this one checker object; see THM2_1 below
-_first_order_thm2_6 = _first_order(_thm2_6)
+# each shared by two identities; see THM2_1 and THM2_10 below
+_thm2_6_at_1 = _order_slice(_thm2_6, 1)
+_thm2_13_at_0 = _order_slice(_thm2_13, 0)
 
 _CHECKERS = {
     IdentityId.EQ6: _eq6,
-    IdentityId.EQ10_GF: _first_order(_eq12_gf),
-    IdentityId.EQ11: _eq11,
+    IdentityId.EQ10_GF: _order_slice(_eq12_gf, 1),
+    IdentityId.EQ11: _order_slice(_eq14, 0),
     IdentityId.EQ12_GF: _eq12_gf,
     IdentityId.EQ14: _eq14,
     IdentityId.EQ15_GF: _eq15_gf,
     IdentityId.EQ19_INV: _eq19_inv,
     IdentityId.EQ20_GF: _eq20_gf,
     IdentityId.EQ22_GF: _eq22_gf,
-    IdentityId.EQ23_GF: _first_order_thm2_6,
+    IdentityId.EQ23_GF: _thm2_6_at_1,
     IdentityId.EQ29_BELL: _eq29_bell,
     # THM2_1, the column expansion sum_k {n brace k}_{Y,lam} k! x^k, is the
     # Fubini polynomial at x: the same comparison as EQ23_GF. run_suite runs
     # the shared checker once and reports its result under both identities.
-    IdentityId.THM2_1: _first_order_thm2_6,
-    IdentityId.THM2_2: _thm2_2,
+    IdentityId.THM2_1: _thm2_6_at_1,
+    # THM2_2, the geometric moment series, is the substitution u = x/(1+x) in
+    # the expansion checked here; thm2_2_numeric_spotcheck spot-checks its tail
+    IdentityId.THM2_2: _thm2_13_at_0,
     IdentityId.THM2_3: _thm2_3,
-    IdentityId.THM2_4: _first_order(_thm2_14),
+    IdentityId.THM2_4: _order_slice(_thm2_14, 1),
     IdentityId.THM2_5: _thm2_5,
     IdentityId.THM2_6: _thm2_6,
     IdentityId.THM2_7: _thm2_7,
@@ -914,7 +878,7 @@ _CHECKERS = {
     # THM2_10, the expansion of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u
     # against the sum moments, is coefficient for coefficient THM2_2's check;
     # run_suite reuses THM2_2's result, as for THM2_1 above.
-    IdentityId.THM2_10: _thm2_2,
+    IdentityId.THM2_10: _thm2_13_at_0,
     IdentityId.THM2_11: _thm2_11,
     IdentityId.THM2_12: _thm2_12,
     IdentityId.THM2_13: _thm2_13,

@@ -315,27 +315,29 @@ def _histograms(draws: array):
 
 
 def _chunks(draws: array):
-    """The draws CHUNK at a time, each with count 1: for draws that do not
-    repeat, whose histogram would only copy them."""
+    """The draws CHUNK at a time, each taken once (counts None): for draws
+    that do not repeat, whose histogram would only copy them."""
     for start in range(0, len(draws), CHUNK):
-        values = draws[start : start + CHUNK]
-        yield values, [1] * len(values)
+        yield draws[start : start + CHUNK], None
 
 
-def _histogram_moments(stats: list[float], counts: list[int]) -> tuple[int, float, float]:
+def _histogram_moments(stats: list[float], counts: list[int] | None) -> tuple[int, float, float]:
     """Count, mean and sum of squared deviations of the statistic values
-    `stats` taken `counts` times, by two passes."""
-    size = sum(counts)
+    `stats` taken `counts` times, by two passes. counts None takes each once,
+    by plain sums, which equal those over counts of 1 (a product by 1 is exact)."""
+    size = len(stats) if counts is None else sum(counts)
     if min(stats) == max(stats):
         # keeps a deterministic statistic exact through Chan's update
         return size, stats[0], 0.0
-    weighted = list(map(mul, counts, stats))
-    if not all(map(math.isfinite, weighted)):
+    # the caller has checked that the stats are finite
+    weighted = stats if counts is None else list(map(mul, counts, stats))
+    if counts is not None and not all(map(math.isfinite, weighted)):
         raise FloatingPointError("overflow in the mean of the statistic")
     try:
         mean = math.fsum(weighted) / size
         devs = list(map(sub, stats, repeat(mean)))
-        return size, mean, math.fsum(map(mul, counts, map(mul, devs, devs)))
+        squares = map(mul, devs, devs)
+        return size, mean, math.fsum(squares if counts is None else map(mul, counts, squares))
     except OverflowError:
         raise FloatingPointError("overflow in the spread of the statistic") from None
 

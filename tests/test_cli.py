@@ -329,6 +329,19 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# The order-r identities and their order slices past n_max 4: EQ11 is EQ14 at
+# r = 0, THM2_2 and THM2_10 are THM2_13 at r = 0, and THM2_12 reads THM2_13's
+# rows at r = 0. Digest taken before they ran as slices.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "EQ11", "--suite", "EQ14", "--suite", "THM2_2",
+         "--suite", "THM2_10", "--suite", "THM2_12", "--suite", "THM2_13",
+         "--n-max", "6"],
+        "383f9fe00d187f091540913913946d2c8ef57f14d101c22372d962fe60bd743b",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "args,digest", GOLDEN_DOCUMENTS, ids=[" ".join(a) for a, _ in GOLDEN_DOCUMENTS]
 )

@@ -322,6 +322,28 @@ def test_each_fault_trips_exactly_its_identities(table, key, tripped, digest):
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
+# Binomial faults off the diagonal k = i - k. An order slice reads C(i, i - k)
+# where a first-order body of its own would read C(i, k), so these keys trip
+# the sliced identities through the other entry of the pair. Only the sets
+# are pinned: the first counterexample of a slice may sit at another case.
+@pytest.mark.parametrize(
+    "key, tripped",
+    [
+        ((7, 3), "EQ11 EQ14 THM2_2 THM2_10 THM2_12 THM2_13"),
+        (
+            (6, 1),
+            "EQ11 EQ14 EQ20_GF EQ22_GF EQ23_GF THM2_1 THM2_2 THM2_6 THM2_10 "
+            "THM2_12 THM2_13",
+        ),
+    ],
+)
+def test_an_off_diagonal_binomial_fault_trips_its_identities(key, tripped):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    with hooks.perturb("binomial", key):
+        reports = run_suite(cfg)
+    assert [r.identity.value for r in reports if r.status == "fail"] == tripped.split()
+
+
 def test_report_serialization():
     rep = check_identity(IdentityId.THM2_16, small_config())
     doc = rep.to_dict()
