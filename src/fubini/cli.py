@@ -2,9 +2,12 @@
 
 stdout carries exactly one machine-readable document per invocation (JSON by
 default, CSV on request); anything meant for humans goes to stderr. Identical
-flags and seed produce byte-identical stdout. Exit codes: 0 success, 1 check
-failure (failed identity, failed spot-check, |z| > 5), 2 usage or parse error,
-3 unexpected internal error (one line on stderr, no traceback).
+flags and seed produce byte-identical stdout. Every command writes its
+document through _document: the CSV form is one header line of the JSON row
+keys, then one line per row (verify flattens its counterexample into quoted
+`params`, `lhs` and `rhs` cells). Exit codes: 0 success, 1 check failure
+(failed identity, failed spot-check, |z| > 5), 2 usage or parse error, 3
+unexpected internal error (one line on stderr, no traceback), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -161,19 +164,26 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.flush()
 
 
-def _json_doc(command: str, params: dict, rows: list, extra: dict | None = None) -> str:
-    doc = {"command": command, "params": params, "rows": rows}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+def _cell(value) -> str:
+    """One CSV cell; a list is one quoted field of its items joined by commas."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return '"' + ",".join(value).replace('"', '""') + '"'
+    return str(value)
 
 
-def _csv_line(fields) -> str:
-    return ",".join(fields)
-
-
-def _quoted(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"'
+def _document(command: str, fmt: str, params: dict, rows: list, extra: dict | None = None) -> str:
+    """The stdout document: JSON of everything, or CSV of the rows alone."""
+    if fmt == "json":
+        doc = {"command": command, "params": params, "rows": rows, **(extra or {})}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _use_color() -> bool:
@@ -187,12 +197,9 @@ def _note(text: str, ansi: int, color: bool) -> None:
     sys.stderr.write(text + "\n")
 
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
-# name -> (handler, options); each option is (flag, add_argument keywords),
-# and the handler takes the parsed values as keywords and returns the exit code
+# name -> (handler, options); each option is (flag, add_argument keywords), and
+# _run adds _FORMAT and _OUT to them. The handler takes the parsed values as
+# keywords and returns the exit code.
 _COMMANDS: dict = {}
 
 
@@ -215,8 +222,6 @@ _LAMBDA = ("--lambda", dict(dest="lam_text", metavar="TEXT", default="0", help="
     _LAMBDA,
     ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, required=True, help="Emit rows for n = 0..n-max.  [required]")),
     ("--r", dict(dest="order_r", metavar="INTEGER", type=int, help="Emit the order-r family instead (r >= 1).")),
-    _FORMAT,
-    _OUT,
 )
 def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     """Coefficient table of the Fubini polynomials for one distribution."""
@@ -252,22 +257,7 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
         "n_max": n_max,
         "r": order_r,
     }
-    if fmt == "json":
-        text = _json_doc("table", params, rows)
-    else:
-        lines = ["n,coefficients,value_at_1"]
-        for row in rows:
-            lines.append(
-                _csv_line(
-                    [
-                        str(row["n"]),
-                        _quoted(",".join(row["coefficients"])),
-                        row["value_at_1"],
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(_document("table", fmt, params, rows), out)
     return 0
 
 
@@ -278,8 +268,6 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     ("--lambda", dict(dest="lams", metavar="TEXT", action="append", help="Override the lambda grid; repeatable.")),
     ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, help="Override n_max (series depths scale with it).")),
     ("--r-max", dict(dest="r_max", metavar="INTEGER", type=int, help="Override r_max.")),
-    _FORMAT,
-    _OUT,
 )
 def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     """Run the identity verification suite and report each outcome."""
@@ -332,44 +320,37 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         "series_order": cfg.series_order,
         "coeff_depth": cfg.coeff_depth,
     }
-    rows = [r.to_dict() for r in reports]
-    if fmt == "json":
-        counts = {"pass": 0, "fail": 0, "known-discrepancy": 0}
-        for r in reports:
-            counts[r.status] += 1
-        extra = {
-            "summary": {
-                "ok": ok,
-                "passes": counts["pass"],
-                "failures": counts["fail"],
-                "known_discrepancies": counts["known-discrepancy"],
-                "total_cases": sum(r.cases for r in reports),
-            }
+    statuses = [r.status for r in reports]
+    extra = {
+        "summary": {
+            "ok": ok,
+            "passes": statuses.count("pass"),
+            "failures": statuses.count("fail"),
+            "known_discrepancies": statuses.count("known-discrepancy"),
+            "total_cases": sum(r.cases for r in reports),
         }
-        if spot is not None:
-            extra["numeric_spotcheck"] = spot
-        text = _json_doc("verify", params, rows, extra)
+    }
+    if spot is not None:
+        extra["numeric_spotcheck"] = spot
+    if fmt == "json":
+        rows = [r.to_dict() for r in reports]
     else:
-        lines = ["identity,status,cases,params,lhs,rhs"]
+        # the counterexample, if any, as three one-item lists: quoted cells
+        rows = []
         for r in reports:
             cex = r.counterexample
-            detail = (
-                ";".join(f"{k}={v}" for k, v in cex.params.items()) if cex else ""
+            detail = ";".join(f"{k}={v}" for k, v in cex.params.items()) if cex else ""
+            rows.append(
+                {
+                    "identity": r.identity.value,
+                    "status": r.status,
+                    "cases": r.cases,
+                    "params": [detail],
+                    "lhs": [cex.lhs if cex else ""],
+                    "rhs": [cex.rhs if cex else ""],
+                }
             )
-            lines.append(
-                _csv_line(
-                    [
-                        r.identity.value,
-                        r.status,
-                        str(r.cases),
-                        _quoted(detail),
-                        _quoted(cex.lhs if cex else ""),
-                        _quoted(cex.rhs if cex else ""),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(_document("verify", fmt, params, rows, extra), out)
 
     color = _use_color()
     palette = {"pass": _GREEN, "fail": _RED, "known-discrepancy": _YELLOW}
@@ -393,8 +374,6 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     _LAMBDA,
     ("--order", dict(metavar="INTEGER", type=int, required=True, help="Truncation order N; coefficients for n = 0..N.  [required]")),
     ("--x", dict(dest="x_text", metavar="TEXT", default="1", help="Evaluation point (rational).  [default: 1]")),
-    _FORMAT,
-    _OUT,
 )
 def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     """Truncated generating function 1/(1 - x (E[e_lam^Y(t)] - 1))."""
@@ -417,13 +396,7 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
         "order": order,
         "x": format_rational(x0),
     }
-    if fmt == "json":
-        text = _json_doc("series", params, rows)
-    else:
-        lines = ["n,egf_coefficient"]
-        lines.extend(f"{row['n']},{row['egf_coefficient']}" for row in rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(_document("series", fmt, params, rows), out)
     return 0
 
 
@@ -435,8 +408,6 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     _LAMBDA,
     ("--samples", dict(metavar="INTEGER", type=int, default=100_000, help="[default: 100000]")),
     ("--seed", dict(metavar="INTEGER", type=_seed, default=0, help="Integer >= 0.  [default: 0]")),
-    _FORMAT,
-    _OUT,
 )
 def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     """Monte Carlo estimate of E[(S_k)_{n,lambda}] against the exact value."""
@@ -479,26 +450,7 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
         "samples": samples,
         "seed": seed,
     }
-    rows = [result.to_dict()]
-    if fmt == "json":
-        text = _json_doc("mc", params, rows)
-    else:
-        lines = [
-            "estimate,stderr,exact,exact_float,zscore,samples,suspicious",
-            _csv_line(
-                [
-                    repr(result.estimate),
-                    repr(result.stderr),
-                    str(result.exact),
-                    repr(float(result.exact)),
-                    _fmt_float(result.zscore),
-                    str(result.samples),
-                    "true" if result.suspicious else "false",
-                ]
-            ),
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(_document("mc", fmt, params, [result.to_dict()]), out)
     if result.suspicious:
         _note(
             f"z-score {result.zscore:.2f} exceeds 5; estimate disagrees with exact value",
@@ -527,6 +479,7 @@ def _run(argv: list[str], prog: str) -> int:
         if name not in _COMMANDS:
             raise UsageError(f"No such command {name!r}.")
         handler, options = _COMMANDS[name]
+        options += (_FORMAT, _OUT)
         parser = _Parser(f"{prog} {name}", f"  {handler.__doc__}")
         for flag, kwargs in options:
             parser.add_argument(flag, **kwargs)
@@ -542,7 +495,7 @@ def _run(argv: list[str], prog: str) -> int:
         return exc.code
     except KeyboardInterrupt:
         sys.stderr.write("\nAborted!\n")
-        return 1
+        return 130  # 128 + SIGINT
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:

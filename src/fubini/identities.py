@@ -140,6 +140,9 @@ _EQ15_SEED = 170823
 # documents and the digests that pin them.
 _N_CAP = 8
 
+# The relative error that thm2_2_numeric_spotcheck allows a float partial sum.
+_SPOTCHECK_REL_TOL = 1e-9
+
 
 class CheckConfig(Record):
     """Grid over which every checker runs; immutable, validated when built.
@@ -932,15 +935,13 @@ def suite_ok(reports) -> bool:
     return all(r.ok for r in reports)
 
 
-def thm2_2_numeric_spotcheck(
-    cfg: CheckConfig, *, terms: int = 140, rel_tol: float = 1e-9
-) -> dict:
+def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     """Float partial sums of the infinite geometric moment series.
 
     At rational points with |x/(1+x)| <= 1/2 the series converges fast for
     small n; the first `terms` partial sums must agree with the exact
-    polynomial value to rel_tol. This is the one deliberately inexact check
-    in the package; it never feeds a CheckReport.
+    polynomial value to _SPOTCHECK_REL_TOL. This is the one deliberately
+    inexact check in the package; it never feeds a CheckReport.
     """
     points = [Fraction(1, 2), Fraction(1)]
     lams = cfg.lambdas[:3]
@@ -969,7 +970,7 @@ def thm2_2_numeric_spotcheck(
                     err = abs(approx - exact) / max(1.0, abs(exact))
                     worst = max(worst, err)
                     cases += 1
-                    if err > rel_tol:
+                    if err > _SPOTCHECK_REL_TOL:
                         failures.append(
                             {
                                 "dist": dist.spec_string(),
@@ -983,7 +984,7 @@ def thm2_2_numeric_spotcheck(
     return {
         "cases": cases,
         "max_rel_err": worst,
-        "rel_tol": rel_tol,
+        "rel_tol": _SPOTCHECK_REL_TOL,
         "terms": terms,
         "failures": failures,
         "ok": not failures,

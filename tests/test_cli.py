@@ -342,6 +342,22 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# mc documents, taken before every command wrote through one document writer:
+# a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
+_MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",
+             "--samples", "1000"]
+GOLDEN_DOCUMENTS += [
+    (_MC_POINT, "e5aefc864c9b6cecfe742ccd3dd216f8940e14799238a00a2d071ae118e794c2"),
+    (_MC_POINT + ["--format", "csv"],
+     "37f4ca8eb73d004da5abd69aea1b079663dec163845910e465582ec1ed258133"),
+    (
+        ["mc", "--dist", "bernoulli:2/5", "--k", "2", "--n", "2", "--lambda", "1/2",
+         "--samples", "2000", "--seed", "42", "--format", "csv"],
+        "0a1232cf4c6188b52598104d91bc374bdce1a8c9707d6fc6be8ed2e15530828b",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "args,digest", GOLDEN_DOCUMENTS, ids=[" ".join(a) for a, _ in GOLDEN_DOCUMENTS]
 )
@@ -349,6 +365,24 @@ def test_golden_documents(args, digest):
     res = invoke(args)
     assert res.exit_code == 0, res.stderr
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--n-max", "3"],
+        ["series", "--dist", "bernoulli:2/5", "--lambda", "1/2", "--order", "3"],
+        _MC_POINT,
+    ],
+    ids=lambda args: args[0],
+)
+def test_csv_header_is_the_json_row_keys(args):
+    doc = json.loads(invoke(args).stdout)
+    res = invoke(args + ["--format", "csv"])
+    assert res.exit_code == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == ",".join(doc["rows"][0])
+    assert len(lines) == 1 + len(doc["rows"])
 
 
 def test_mc_rejects_small_sample_count():
@@ -801,6 +835,18 @@ def test_unexpected_exception_exits_3_without_traceback(tmp_path, monkeypatch):
     [line] = res.stderr.splitlines()
     assert "RuntimeError" in line and "unexpected fault" in line
     assert target.read_text() == "kept"  # --out is not opened before the document exists
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("fubini.cli.run_suite", interrupt)
+    res = invoke(["verify", "--suite", "EQ6", "--n-max", "1"])
+    assert res.exit_code == 130
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1] == "Aborted!"
 
 
 def test_main_entry_point_keeps_exit_codes(monkeypatch):
