@@ -28,11 +28,7 @@ from .identities import (
     suite_ok,
     thm2_2_numeric_spotcheck,
 )
-from .probabilistic import (
-    mgf_degenerate_series,
-    prob_fubini_poly,
-    prob_fubini_poly_order,
-)
+from .probabilistic import mgf_degenerate_series, prob_fubini_poly_order
 from .rational import format_rational, parse_rational
 from .sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MIN_SAMPLES, FloatRangeError, estimate_sum_moment
 
@@ -114,16 +110,19 @@ def _parse_rat(text: str, flag: str):
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an --out path that is a directory, or that cannot take a file.
+    """Refuse an --out path that is empty, a directory, or cannot take a file.
 
     Runs once the flags are parsed, so a bad path costs no computation. The
     file itself is not opened here: an existing file keeps its contents until
     the document is ready, and _emit still turns a late OSError into exit 2.
+    Only None (no --out) means stdout.
     """
-    if not out:
+    if out is None:
         return
     parent = os.path.dirname(os.path.abspath(out))
-    if os.path.isdir(out):
+    if not out:
+        reason = errno.ENOENT
+    elif os.path.isdir(out):
         reason = errno.EISDIR
     elif os.path.exists(out) and not os.access(out, os.W_OK):
         reason = errno.EACCES
@@ -151,7 +150,7 @@ def _lift_digit_limit() -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -235,10 +234,7 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
 
     rows = []
     for n in range(n_max + 1):
-        if order_r is None:
-            poly = prob_fubini_poly(dist, n, lam)
-        else:
-            poly = prob_fubini_poly_order(dist, n, order_r, lam)
+        poly = prob_fubini_poly_order(dist, n, order_r or 1, lam)
         # formatted from the stored numerators: reading poly.coeffs would
         # keep a Fraction tuple on the memoised polynomial
         coeffs = [format_rational(Fraction(c, poly.den)) for c in poly.nums]
@@ -275,7 +271,8 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         selected = list(IdentityId)
     else:
         try:
-            selected = [resolve_identity(name) for name in suite]
+            # a repeated name runs and is reported once, where it first appears
+            selected = list(dict.fromkeys(resolve_identity(name) for name in suite))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 

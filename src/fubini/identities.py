@@ -46,12 +46,12 @@ it is reported as ``known-discrepancy`` with the first counterexample.
 THM2_9_CORRECTED carries the repaired weight (r!)^2 {n-i brace r}_{Y,lam}
 and passes the full grid.
 
-Six catalog entries are checked as one order slice of an order-r checker:
+Seven catalog entries are checked as one order slice of an order-r checker:
 EQ11 is EQ14 at r = 0; THM2_2 and THM2_10 are THM2_13 at r = 0, whose rows
 THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
-THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1. Each runs its order-r checker at
-that one r and drops r from the params, so its cases, params and
-counterexamples are those of the lower-order statement.
+THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1; THM2_8 is THM2_15 at r = 1.
+Each runs its order-r checker at that one r and drops r from the params, so
+its cases, params and counterexamples are those of the lower-order statement.
 """
 
 from __future__ import annotations
@@ -132,13 +132,6 @@ EXPECTED_DISCREPANCIES = frozenset({IdentityId.THM2_9_PRINTED})
 
 # Seed for the randomized rational inputs of the partial-Bell oracle run.
 _EQ15_SEED = 170823
-
-# The largest n of EQ11, EQ14, EQ29_BELL and THM2_9_*. It bounds no cost:
-# without it, at n_max 20 on one (Poisson(3/2), lam = 1/2) grid, each of these
-# checkers took at most 0.034 s, against at most 0.004 s with it (Python 3.11,
-# a shared 2-vCPU VM). It keeps their case counts, and so the verify
-# documents and the digests that pin them.
-_N_CAP = 8
 
 # The relative error that thm2_2_numeric_spotcheck allows a float partial sum.
 _SPOTCHECK_REL_TOL = 1e-9
@@ -376,9 +369,10 @@ def _fubini_egf_cases(base: TruncatedSeries, ords, x0, facts: list[int], params:
 
 def _order_slice(checker, r: int):
     # The cases of an order-r checker at the one order r, without their "r"
-    # param: the lower-order identity's cases, params and order. Each order-r
-    # checker takes the orders to run as rs, by default 1..r_max; EQ12_GF and
-    # THM2_6 run the orders 1..R only, so they are sliced at r = 1.
+    # param: the lower-order identity's cases, params and order. Seven entries
+    # run as slices; THM2_8 is THM2_15 at r = 1. Each order-r checker takes the
+    # orders to run as rs, by default 1..r_max; EQ12_GF, THM2_6, THM2_14 and
+    # THM2_15 run the orders 1..R only, so they are sliced at r = 1.
     def cases(cfg):
         for lhs, rhs, params in checker(cfg, (r,)):
             del params["r"]
@@ -433,7 +427,7 @@ def _eq14(cfg, rs=None):
     # numerators over one denominator; r = 0 is EQ11, the coefficients of
     # F_{n,lam}(x/(1-x))/(1-x)
     for lam in cfg.lambdas:
-        for n in range(min(_N_CAP, cfg.n_max) + 1):
+        for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
             values = [ff.evaluate(k) for k in range(2 * n + 7)]
             for r in rs or range(1, cfg.r_max + 1):
@@ -555,20 +549,23 @@ def _eq22_gf(cfg):
                 yield from _egf_cases((base * x0).exp(), bells, x0, facts, params)
 
 
-def _eq29_bell(cfg):
-    # Column numbers as partial Bell polynomials of the degenerate moments
+def _partial_bells(cfg):
+    # (dist, lam, n, [B_{n,0}, ..., B_{n,n}]) over the grid: the partial Bell
+    # polynomials of the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = [
-                degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)
-            ]
-            for n in range(min(_N_CAP, cfg.n_max) + 1):
-                for k in range(n + 1):
-                    yield (
-                        prob_stirling2(dist, n, k, lam),
-                        partial_bell(n, k, moments[: max(n - k + 1, 0)]),
-                        {"dist": dist, "lambda": lam, "n": n, "k": k},
-                    )
+            moments = [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
+            for n in range(cfg.n_max + 1):
+                column = [partial_bell(n, k, moments[: n - k + 1]) for k in range(n + 1)]
+                yield dist, lam, n, column
+
+
+def _eq29_bell(cfg):
+    # Column numbers as partial Bell polynomials of the degenerate moments
+    for dist, lam, n, bells in _partial_bells(cfg):
+        for k, bell in enumerate(bells):
+            params = {"dist": dist, "lambda": lam, "n": n, "k": k}
+            yield prob_stirling2(dist, n, k, lam), bell, params
 
 
 def _thm2_3(cfg):
@@ -594,24 +591,11 @@ def _thm2_3(cfg):
 def _thm2_5(cfg):
     # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
     # numerators over one denominator
-    for dist in cfg.dists:
-        for lam in cfg.lambdas:
-            moments = [
-                degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)
-            ]
-            for n in range(cfg.n_max + 1):
-                bells, den = scaled(
-                    [
-                        partial_bell(n, k, moments[: max(n - k + 1, 0)])
-                        for k in range(n + 1)
-                    ]
-                )
-                rhs = sum(factorial(k) * b for k, b in enumerate(bells))
-                yield (
-                    prob_fubini_poly(dist, n, lam).evaluate(1),
-                    (rhs, den),
-                    {"dist": dist, "lambda": lam, "n": n},
-                )
+    for dist, lam, n, bells in _partial_bells(cfg):
+        nums, den = scaled(bells)
+        rhs = sum(factorial(k) * b for k, b in enumerate(nums))
+        params = {"dist": dist, "lambda": lam, "n": n}
+        yield prob_fubini_poly(dist, n, lam).evaluate(1), (rhs, den), params
 
 
 def _thm2_6(cfg, rs=None):
@@ -647,32 +631,11 @@ def _thm2_7(cfg):
                 yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
-def _thm2_8(cfg):
-    # Quadratic recurrence: products of two lower Fubini polynomials
-    for dist in cfg.dists:
-        for lam in cfg.lambdas:
-            fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.n_max + 1)]
-            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
-            conv = [
-                _sum(
-                    _product(fubs[i], fubs[k - i], binomial(k, i))
-                    for i in range(k + 1)
-                )
-                for k in range(cfg.n_max)
-            ]
-            for n in range(cfg.n_max):
-                rhs = _x_times_sum(
-                    _term(conv[k], moments[n - k + 1], binomial(n, k))
-                    for k in range(n + 1)
-                )
-                yield fubs[n + 1], rhs, {"dist": dist, "lambda": lam, "n": n}
-
-
 def _thm2_9(cfg, weights, first_n: int):
     # Derivative identity: d^r/dx^r F^Y_{n,lam} against the sum over i of
     # C(n, i) f w_{n-i} F^{(r+1),Y}_{i,lam}, for n from first_n, where
     # weights(dist, lam, r, top) gives the column w_0..w_top and the int f
-    top = min(_N_CAP, cfg.n_max)
+    top = cfg.n_max
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             for r in range(1, cfg.r_max + 1):
@@ -799,8 +762,8 @@ def _thm2_14(cfg, rs=None):
                         )
 
 
-def _thm2_15(cfg):
-    # Order-r recurrence driven by the shifted degenerate moments
+def _thm2_15(cfg, rs=None):
+    # Order-r recurrence driven by the shifted degenerate moments; r = 1 is THM2_8
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             fubs = [prob_fubini_poly(dist, m, lam) for m in range(cfg.n_max)]
@@ -814,7 +777,7 @@ def _thm2_15(cfg):
                 )
                 for k in range(cfg.n_max)
             ]
-            for r in range(1, cfg.r_max + 1):
+            for r in rs or range(1, cfg.r_max + 1):
                 ords = [
                     prob_fubini_poly_order(dist, m, r, lam)
                     for m in range(cfg.n_max + 1)
@@ -875,7 +838,7 @@ _CHECKERS = {
     IdentityId.THM2_5: _thm2_5,
     IdentityId.THM2_6: _thm2_6,
     IdentityId.THM2_7: _thm2_7,
-    IdentityId.THM2_8: _thm2_8,
+    IdentityId.THM2_8: _order_slice(_thm2_15, 1),
     IdentityId.THM2_9_PRINTED: lambda cfg: _thm2_9(cfg, _sum_moment_weights, 1),
     IdentityId.THM2_9_CORRECTED: lambda cfg: _thm2_9(cfg, _stirling_weights, 0),
     # THM2_10, the expansion of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u
@@ -907,7 +870,7 @@ def check_identity(identity: str | IdentityId, cfg: CheckConfig) -> CheckReport:
 
 
 def run_suite(cfg: CheckConfig, identities=None) -> list[CheckReport]:
-    """Run the whole catalog (or a selection) in declaration order.
+    """Run the whole catalog in declaration order, or a selection in its order.
 
     Each distinct checker runs once. An identity that shares its checker with
     one already run gets that run's case count and counterexample under its

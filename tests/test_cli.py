@@ -342,6 +342,19 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# The formerly capped checkers past n = 8: EQ11, EQ14, EQ29_BELL and
+# THM2_9_CORRECTED now run n up to --n-max, and THM2_8 runs as THM2_15 at
+# r = 1. Digest taken when they did; the capped document hashes differently.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "EQ11", "--suite", "EQ14", "--suite", "EQ29_BELL",
+         "--suite", "THM2_9_CORRECTED", "--suite", "THM2_8", "--dists", "poisson:3/2",
+         "--lambda", "1/2", "--n-max", "10"],
+        "fa29c3a493857415b1664a6246d48f7ed529ed6ff20dda1ebc7f37c52ff4e8cd",
+    ),
+]
+
+
 # mc documents, taken before every command wrote through one document writer:
 # a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",
@@ -535,6 +548,8 @@ HOSTILE_ARGS = [
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "-1", "--samples", "1000"], 2),
     # a scale inside the float range whose statistic overflows at n = 1
     (["mc", "--dist", f"gamma:1,1/{10**300}", "--k", "2", "--n", "1", "--samples", "1000"], 2),
+    # an empty --out names no file; only a missing --out means stdout
+    (["table", "--dist", "point:1", "--n-max", "2", "--out", ""], 2),
     # parse errors: no abbreviated flags, no negative seed
     (["table", "--dist", "point:1", "--lam", "1/2", "--n-max", "2"], 2),
     (["mc", "--dist", "point:1", "--k", "1", "--n", "1", "--seed", "-1"], 2),
@@ -561,6 +576,9 @@ NAMED_FLAG_ERRORS = {
     "table --dist point:1e3 --n-max 2": (
         "Error: bad --dist 'point:1e3': invalid distribution spec 'point:1e3': "
         "bad rational '1e3'"
+    ),
+    "table --dist point:1 --n-max 2 --out ": (
+        "Error: cannot write --out '': No such file or directory"
     ),
     "mc --dist bernoulli:1/2 --k -1 --n 2 --samples 1000": "Error: --k must be >= 0",
     "mc --dist bernoulli:1/2 --k 1 --n -1 --samples 1000": "Error: --n must be >= 0",
@@ -676,6 +694,23 @@ def test_verify_unknown_identity():
     res = invoke(["verify", "--suite", "NOPE"])
     assert res.exit_code == 2
     assert "unknown identity" in res.stderr
+
+
+def test_verify_reports_a_repeated_identity_once():
+    res = invoke(["verify", "--suite", "EQ6", "--suite", "EQ6", "--n-max", "2"])
+    assert res.exit_code == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["params"]["suite"] == ["EQ6"]
+    assert [r["identity"] for r in doc["rows"]] == ["EQ6"]
+    assert doc["summary"]["passes"] == 1
+    assert doc["summary"]["total_cases"] == doc["rows"][0]["cases"] == 72
+    # first-seen order; two identities that share a checker stay two rows
+    res = invoke(["verify", "--suite", "THM2_1", "--suite", "EQ23_GF", "--suite",
+                  "THM2_1", "--n-max", "2"])
+    assert res.exit_code == 0, res.stderr
+    rows = json.loads(res.stdout)["rows"]
+    assert [r["identity"] for r in rows] == ["THM2_1", "EQ23_GF"]
+    assert rows[0]["cases"] == rows[1]["cases"]
 
 
 def test_verify_known_discrepancy_still_exits_zero():
@@ -813,6 +848,10 @@ def test_unwritable_out_fails_before_any_computation(tmp_path, monkeypatch):
     assert res.exit_code == 2
     assert "Traceback" not in res.stderr
     assert "No such file or directory" in res.stderr
+    res = invoke(["verify", "--suite", "all", "--out", ""])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "cannot write --out ''" in res.stderr
     blocker = tmp_path / "file"
     blocker.write_text("")
     res = invoke(["verify", "--suite", "EQ6", "--out", str(blocker / "doc.json")])
