@@ -284,10 +284,12 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
 
     cfg = default_config()
     overrides = {}
+    # a value repeated, as given or in another spelling (2/2 and 1), is
+    # checked and echoed once, where it first appears
     if dists:
-        overrides["dists"] = tuple(_parse_dist(s, "--dists") for s in dists)
+        overrides["dists"] = tuple(dict.fromkeys(_parse_dist(s, "--dists") for s in dists))
     if lams:
-        overrides["lambdas"] = tuple(_parse_rat(s, "--lambda") for s in lams)
+        overrides["lambdas"] = tuple(dict.fromkeys(_parse_rat(s, "--lambda") for s in lams))
     if n_max is not None:
         overrides["n_max"] = n_max
         overrides["series_order"] = n_max + 2

@@ -240,9 +240,18 @@ def partial_bell(n: int, k: int, xs) -> Fraction:
     if n > 0 and len(xs) < n - k + 1:
         raise ValueError(f"partial_bell(n={n}, k={k}) needs {n - k + 1} arguments")
     nums, den = scaled(xs[: n - k + 1])
+    return Fraction(partial_bell_numerator(n, k, nums), den**k)
+
+
+def partial_bell_numerator(n: int, k: int, nums) -> int:
+    """d**k B_{n,k}(x_1, x_2, ...) for x_i = nums[i - 1] / d, any d != 0.
+
+    The sum over partitions on the integer numerators alone; under
+    hooks.perturb its coefficients, and so the result, may be Fractions.
+    """
     total = 0
     for coef, mult in _partial_bell_terms(n, k):
         for i, count in mult:
             coef *= nums[i] ** count
         total += coef
-    return Fraction(total, den**k)
+    return total

@@ -2,16 +2,22 @@
 
 Every checker compares exact values; a ``pass`` means exact equality held in
 every grid case, never approximate agreement. A checker yields
-(lhs, rhs, params) cases. A ``Polynomial`` side is compared with ``==`` on
-its canonical stored form. A scalar side is an int, a Fraction, or a pair
-(num, den) with den != 0, not necessarily in lowest terms: checkers build
-pairs straight from the integer numerators that polynomials, series and
-triangle rows store, and take an int or Fraction as it is where a public
-accessor returns it ready-made. ``_drive`` compares two scalars by
-cross-multiplication, num_l * den_r == num_r * den_l, and builds Fractions
-only for a counterexample, which prints both sides in lowest terms. (Under
-``hooks.perturb`` the parts of a pair may be Fractions; the comparison stays
-exact.)
+(lhs, rhs, params) cases, or blocks of scalar cases. A ``Polynomial`` side is
+compared with ``==`` on its canonical stored form. A scalar side is an int, a
+Fraction, or a pair (num, den) with den != 0, not necessarily in lowest
+terms: checkers build pairs straight from the integer numerators that
+polynomials, series and triangle rows store, and take an int or Fraction as
+it is where a public accessor returns it ready-made.
+
+A block (lhs, rhs, params, key) is the run of scalar cases j = 0, 1, ...
+along the index named key; params holds the others. Each side is (nums,
+dens): a list of numerators over one den or over a list of dens. ``_drive``
+cross-multiplies each side by the other's dens in one list and compares the
+lists; only when they differ does it walk to the first mismatch j, reported
+as case by case: counted, with params plus key = j, both sides in lowest
+terms. A scalar (lhs, rhs, params) case is a block of one. Fractions are
+built only for a counterexample. (Under ``hooks.perturb`` numerators and dens
+may be Fractions; the comparison stays exact.)
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -46,6 +52,10 @@ it is reported as ``known-discrepancy`` with the first counterexample.
 THM2_9_CORRECTED carries the repaired weight (r!)^2 {n-i brace r}_{Y,lam}
 and passes the full grid.
 
+The float spot-check of THM2_2 sums E[(S_i)_{n,lam}] u^i over i <= 140. It
+reads the rows i <= n only: the moment is a polynomial of degree <= n in i,
+so summing its differences extends those rows exactly.
+
 Seven catalog entries are checked as one order slice of an order-r checker:
 EQ11 is EQ14 at r = 0; THM2_2 and THM2_10 are THM2_13 at r = 0, whose rows
 THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
@@ -68,6 +78,7 @@ from .combinat import (
     falling_factorial_poly,
     lah,
     partial_bell,
+    partial_bell_numerator,
     stirling1,
     stirling2_degenerate,
     stirling2_degenerate_row,
@@ -278,26 +289,52 @@ def _report(identity: IdentityId, cases: int, cex) -> CheckReport:
     return CheckReport(identity, status, cases, cex)
 
 
+def _counterexample(params: dict, lhs, rhs) -> Counterexample:
+    return Counterexample(
+        params={k: _fmt(v) for k, v in params.items()}, lhs=_fmt(lhs), rhs=_fmt(rhs)
+    )
+
+
+def _cross(nums: list, dens) -> list:
+    # nums[j] * dens[j] for a list of dens, nums[j] * dens for one den
+    if type(dens) is list:
+        return list(map(mul, nums, dens))
+    return [num * dens for num in nums]
+
+
 def _drive(identity: IdentityId, cases) -> CheckReport:
     count = 0
-    cex = None
-    for lhs, rhs, params in cases:
-        count += 1
-        if type(lhs) is Polynomial:
-            same = lhs == rhs
-        else:
-            # scalars: (num, den) pairs as given, ints and Fractions split
+    for case in cases:
+        if len(case) == 3:
+            lhs, rhs, params = case
+            if type(lhs) is Polynomial:
+                count += 1
+                if lhs != rhs:
+                    return _report(identity, count, _counterexample(params, lhs, rhs))
+                continue
+            # a scalar case is a block of one: (num, den) pairs as given, ints
+            # and Fractions split
             ln, ld = lhs if type(lhs) is tuple else (lhs.numerator, lhs.denominator)
             rn, rd = rhs if type(rhs) is tuple else (rhs.numerator, rhs.denominator)
-            same = ln * rd == rn * ld
-        if not same:
-            cex = Counterexample(
-                params={k: _fmt(v) for k, v in params.items()},
-                lhs=_fmt(lhs),
-                rhs=_fmt(rhs),
+            (lnums, ldens), (rnums, rdens), key = ([ln], ld), ([rn], rd), None
+        else:
+            (lnums, ldens), (rnums, rdens), params, key = case
+        left = _cross(lnums, rdens)
+        right = _cross(rnums, ldens)
+        if left != right:
+            if len(left) != len(right):
+                raise ValueError(f"block sides differ in length: {len(left)} != {len(right)}")
+            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            if key is not None:
+                params = {**params, key: j}
+            cex = _counterexample(
+                params,
+                (lnums[j], ldens[j] if type(ldens) is list else ldens),
+                (rnums[j], rdens[j] if type(rdens) is list else rdens),
             )
-            break
-    return _report(identity, count, cex)
+            return _report(identity, count + j + 1, cex)
+        count += len(left)
+    return _report(identity, count, None)
 
 
 # Kept apart from combinat.falling_factorial_poly(k, 1), which is the same
@@ -320,9 +357,14 @@ def _factorials(order: int) -> list[int]:
     return [math.factorial(n) for n in range(order + 1)]
 
 
-def _numerator(p: Polynomial, k: int) -> int:
-    # the stored numerator of [x**k] p, over p.den
-    return p.nums[k] if k < len(p.nums) else 0
+def _padded(p: Polynomial, size: int) -> list:
+    # the stored numerators of [x**k] p for k = 0..size-1, over p.den
+    return [*p.nums, *[0] * (size - len(p.nums))]
+
+
+def _split(pairs) -> tuple[list, list]:
+    # (num, den) pairs as one block side: their nums and their dens
+    return [num for num, _ in pairs], [den for _, den in pairs]
 
 
 def _sum(terms) -> Polynomial:
@@ -351,9 +393,11 @@ def _product(a: Polynomial, b: Polynomial, weight) -> tuple:
 
 
 def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
-    # EGF coefficient n of the series s against polys[n] at x0, n = 0, 1, ...
-    for n, poly in enumerate(polys):
-        yield (s.nums[n] * facts[n], s.den), poly.evaluate(x0), {**params, "n": n}
+    # EGF coefficient n of the series s against polys[n] at x0: one block over
+    # n = 0, 1, ...
+    lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
+    rhs = _split([poly.evaluate_ratio(x0) for poly in polys])
+    yield (lhs, s.den), rhs, params, "n"
 
 
 def _fubini_egf_cases(base: TruncatedSeries, ords, x0, facts: list[int], params: dict):
@@ -374,9 +418,9 @@ def _order_slice(checker, r: int):
     # orders to run as rs, by default 1..r_max; EQ12_GF, THM2_6, THM2_14 and
     # THM2_15 run the orders 1..R only, so they are sliced at r = 1.
     def cases(cfg):
-        for lhs, rhs, params in checker(cfg, (r,)):
-            del params["r"]
-            yield lhs, rhs, params
+        for case in checker(cfg, (r,)):
+            del case[2]["r"]  # the params of a case and of a block alike
+            yield case
 
     return cases
 
@@ -386,12 +430,13 @@ def _members(cfg, family, defaults: tuple) -> tuple:
     return tuple(d for d in cfg.dists if isinstance(d, family)) or defaults
 
 
-def _sum_moment_rows(dist, lam, k_max: int, n_max: int) -> list[tuple]:
-    # E[(S_k)_{n,lam}] for k = 0..k_max and n = 0..n_max (at least), one
-    # (nums, den) per k: entry n of row k is nums[n] / den. The pair is taken
-    # at once, so a later rescaling of the stored row does not split it.
+def _sum_moment_columns(dist, lam, k_max: int, n_max: int) -> tuple[list, list]:
+    # E[(S_k)_{n,lam}] for k = 0..k_max and n = 0..n_max as (columns, dens):
+    # the value is columns[n][k] / dens[k]. Each row's (nums, den) is read at
+    # once, so a later rescaling of the stored row does not split it.
     rows = [sum_degenerate_row(dist, k, n_max, lam) for k in range(k_max + 1)]
-    return [(row.nums, row.den) for row in rows]
+    pairs = [(row.nums, row.den) for row in rows]
+    return [[nums[n] for nums, _ in pairs] for n in range(n_max + 1)], [den for _, den in pairs]
 
 
 # --- checkers; each yields (lhs, rhs, params) and stops at the driver ---
@@ -404,9 +449,12 @@ def _eq6(cfg):
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
             row = stirling2_degenerate_row(n, lam)
-            for x in range(n + 1):
-                rhs = sum(c * _classical_falling(x, k) for k, c in enumerate(row.nums))
-                yield ff.evaluate(x), (rhs, row.den), {"lambda": lam, "n": n, "x": x}
+            rhs = [
+                sum(c * _classical_falling(x, k) for k, c in enumerate(row.nums))
+                for x in range(n + 1)
+            ]
+            lhs = _split([ff.evaluate_ratio(x) for x in range(n + 1)])
+            yield lhs, (rhs, row.den), {"lambda": lam, "n": n}, "x"
 
 
 def _eq12_gf(cfg, rs=None):
@@ -424,13 +472,15 @@ def _eq12_gf(cfg, rs=None):
 
 def _eq14(cfg, rs=None):
     # Order-(r+1) coefficients against C(k+r, r) (k)_{n,lam}, on the weights'
-    # numerators over one denominator; r = 0 is EQ11, the coefficients of
-    # F_{n,lam}(x/(1-x))/(1-x)
+    # numerators over one denominator, one block over k; r = 0 is EQ11, the
+    # coefficients of F_{n,lam}(x/(1-x))/(1-x)
+    rs = rs or range(1, cfg.r_max + 1)
+    comb = _comb_rows(2 * cfg.n_max + 6 + max(rs))
     for lam in cfg.lambdas:
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
-            values = [ff.evaluate(k) for k in range(2 * n + 7)]
-            for r in rs or range(1, cfg.r_max + 1):
+            values, dens = _split([ff.evaluate_ratio(k) for k in range(2 * n + 7)])
+            for r in rs:
                 weights, den = scaled(
                     [
                         stirling2_degenerate(n, l, lam)
@@ -439,15 +489,10 @@ def _eq14(cfg, rs=None):
                         for l in range(n + 1)
                     ]
                 )
-                for k, value in enumerate(values):
-                    lhs = sum(
-                        weights[l] * binomial(k + r, k - l)
-                        for l in range(min(n, k) + 1)
-                        if weights[l]
-                    )
-                    rhs = binomial(k + r, r) * value.numerator
-                    params = {"lambda": lam, "n": n, "r": r, "k": k}
-                    yield (lhs, den), (rhs, value.denominator), params
+                # C(k+r, k-l) for l = 0..min(n, k)
+                lhs = [sum(map(mul, weights, comb[k + r][k::-1])) for k in range(len(values))]
+                rhs = [comb[k + r][r] * value for k, value in enumerate(values)]
+                yield (lhs, den), (rhs, dens), {"lambda": lam, "n": n, "r": r}, "k"
 
 
 def _eq15_gf(cfg):
@@ -482,13 +527,11 @@ def _eq19_inv(cfg):
     ]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = _sum_moment_rows(dist, lam, cfg.n_max, cfg.n_max)
-            for n in range(cfg.n_max + 1):
+            columns, dens = _sum_moment_columns(dist, lam, cfg.n_max, cfg.n_max)
+            for n, column in enumerate(columns):
                 bell = prob_bell_poly(dist, n, lam)
-                for k, (nums, den) in enumerate(moments):
-                    lhs = nums[n], den
-                    rhs = sum(map(mul, weights[k], bell.nums)), bell.den
-                    yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "k": k}
+                rhs = [sum(map(mul, row, bell.nums)) for row in weights]
+                yield (column, dens), (rhs, bell.den), {"dist": dist, "lambda": lam, "n": n}, "k"
 
 
 def _difference_weights(k: int) -> list[int]:
@@ -516,25 +559,19 @@ def _eq20_gf(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
-            moments = _sum_moment_rows(dist, lam, cfg.n_max, cfg.series_order)
-            common = math.lcm(*(den for _, den in moments))
-            scales = [(nums, common // den) for nums, den in moments]
-            rows = [
-                ([nums[n] * scale for nums, scale in scales], common)
-                for n in range(cfg.series_order + 1)
-            ]
+            columns, dens = _sum_moment_columns(dist, lam, cfg.n_max, cfg.series_order)
+            common = math.lcm(*dens)
+            scales = [common // den for den in dens]
+            rows = [(list(map(mul, column, scales)), common) for column in columns]
             power = TruncatedSeries.one(cfg.series_order)
             for k in range(cfg.n_max + 1):
                 # the powers stop at the last k
                 if k:
                     power = power * base
-                kfact = factorial(k)
-                for n, row in enumerate(rows):
-                    yield (
-                        (power.nums[n] * facts[n], power.den * kfact),
-                        _stirling2_by_difference(row, weights[k]),
-                        {"dist": dist, "lambda": lam, "k": k, "n": n},
-                    )
+                lhs = [power.nums[n] * facts[n] for n in range(len(rows))]
+                rhs = _split([_stirling2_by_difference(row, weights[k]) for row in rows])
+                params = {"dist": dist, "lambda": lam, "k": k}
+                yield (lhs, power.den * factorial(k)), rhs, params, "n"
 
 
 def _eq22_gf(cfg):
@@ -550,22 +587,31 @@ def _eq22_gf(cfg):
 
 
 def _partial_bells(cfg):
-    # (dist, lam, n, [B_{n,0}, ..., B_{n,n}]) over the grid: the partial Bell
-    # polynomials of the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1
+    # (dist, lam, n, nums, dens) over the grid: B_{n,k} = nums[k] / dens[k],
+    # k = 0..n, the partial Bell polynomials of the degenerate moments
+    # E[(Y)_{i,lam}], i = 1..n-k+1. The moments are scaled once per (dist,
+    # lam) to integer numerators over one den; every term of B_{n,k} has
+    # degree k in them, so the sum over partitions runs on the numerators and
+    # dens[k] = den**k.
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
+            moments, den = scaled(
+                [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
+            )
+            powers = [den**k for k in range(cfg.n_max + 1)]
             for n in range(cfg.n_max + 1):
-                column = [partial_bell(n, k, moments[: n - k + 1]) for k in range(n + 1)]
-                yield dist, lam, n, column
+                nums = [partial_bell_numerator(n, k, moments) for k in range(n + 1)]
+                yield dist, lam, n, nums, powers[: n + 1]
 
 
 def _eq29_bell(cfg):
-    # Column numbers as partial Bell polynomials of the degenerate moments
-    for dist, lam, n, bells in _partial_bells(cfg):
-        for k, bell in enumerate(bells):
-            params = {"dist": dist, "lambda": lam, "n": n, "k": k}
-            yield prob_stirling2(dist, n, k, lam), bell, params
+    # Column numbers, read from the kernel's row as the numerators of the
+    # Bell polynomial, as partial Bell polynomials of the degenerate moments:
+    # one block over k
+    for dist, lam, n, nums, dens in _partial_bells(cfg):
+        row = prob_bell_poly(dist, n, lam)
+        params = {"dist": dist, "lambda": lam, "n": n}
+        yield (_padded(row, n + 1), row.den), (nums, dens), params, "k"
 
 
 def _thm2_3(cfg):
@@ -590,12 +636,11 @@ def _thm2_3(cfg):
 
 def _thm2_5(cfg):
     # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
-    # numerators over one denominator
-    for dist, lam, n, bells in _partial_bells(cfg):
-        nums, den = scaled(bells)
-        rhs = sum(factorial(k) * b for k, b in enumerate(nums))
+    # numerators over dens[n] = den**n
+    for dist, lam, n, nums, dens in _partial_bells(cfg):
+        rhs = sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums))
         params = {"dist": dist, "lambda": lam, "n": n}
-        yield prob_fubini_poly(dist, n, lam).evaluate(1), (rhs, den), params
+        yield prob_fubini_poly(dist, n, lam).evaluate_ratio(1), (rhs, dens[n]), params
 
 
 def _thm2_6(cfg, rs=None):
@@ -649,12 +694,7 @@ def _thm2_9(cfg, weights, first_n: int):
                         _term(ords[i], column[n - i], binomial(n, i) * factor)
                         for i in range(n + 1)
                     )
-                    yield lhs, rhs, {
-                        "dist": dist,
-                        "lambda": lam,
-                        "n": n,
-                        "r": r,
-                    }
+                    yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "r": r}
 
 
 def _sum_moment_weights(dist, lam, r: int, top: int):
@@ -694,15 +734,11 @@ def _thm2_12(cfg):
     comb = _comb_rows(cfg.coeff_depth)
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
         for lam in cfg.lambdas:
-            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
-            for n in range(cfg.n_max + 1):
+            moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
+            for n, column in enumerate(moments[0]):
                 bell = degenerate_bell_poly(n, lam)
-                for k, (nums, den) in enumerate(moments):
-                    yield (
-                        bell.evaluate(k * dist.alpha),
-                        (nums[n], den),
-                        {"dist": dist, "lambda": lam, "n": n, "k": k},
-                    )
+                lhs = _split([bell.evaluate_ratio(k * dist.alpha) for k in range(len(column))])
+                yield lhs, (column, moments[1]), {"dist": dist, "lambda": lam, "n": n}, "k"
             params = {"dist": dist, "lambda": lam}
             yield from _geometric_rows(cfg, dist, lam, 0, comb, moments, params)
 
@@ -710,14 +746,15 @@ def _thm2_12(cfg):
 def _geometric_rows(cfg, dist, lam, r: int, comb, moments, params: dict):
     # THM2_13 at one (dist, lam, r): the coefficients of u^i in
     # F^{(r+1),Y}_{n,lam}(u/(1-u))/(1-u)^(r+1), summed on the polynomial's
-    # numerators, against C(i+r, r) times the sum moments
-    for n in range(cfg.n_max + 1):
+    # numerators, against C(i+r, r) times the sum moments (columns, dens);
+    # one block over i per n
+    columns, dens = moments
+    rows = [comb[i + r][i::-1] for i in range(len(dens))]  # C(i+r, i-l), l = 0..i
+    for n, column in enumerate(columns):
         w = prob_fubini_poly_order(dist, n, r + 1, lam)
-        for i, (nums, den) in enumerate(moments):
-            row = comb[i + r]
-            lhs = sum(map(mul, w.nums, row[i::-1])), w.den
-            rhs = row[i] * nums[n], den
-            yield lhs, rhs, {**params, "n": n, "i": i}
+        lhs = [sum(map(mul, w.nums, row)) for row in rows]
+        rhs = [row[0] * m for row, m in zip(rows, column)]
+        yield (lhs, w.den), (rhs, dens), {**params, "n": n}, "i"
 
 
 def _thm2_13(cfg, rs=None):
@@ -727,39 +764,29 @@ def _thm2_13(cfg, rs=None):
     comb = _comb_rows(cfg.coeff_depth + max(rs))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments = _sum_moment_rows(dist, lam, cfg.coeff_depth, cfg.n_max)
+            moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
             for r in rs:
                 params = {"dist": dist, "lambda": lam, "r": r}
                 yield from _geometric_rows(cfg, dist, lam, r, comb, moments, params)
 
 
 def _thm2_14(cfg, rs=None):
-    # Gamma-weight integral of order r recovers the order-r polynomial
-    integrals = {
-        r: [
-            gamma_weight_integral(Polynomial.monomial(k), r)
-            for k in range(cfg.n_max + 1)
-        ]
-        for r in rs or range(1, cfg.r_max + 1)
-    }
+    # Gamma-weight integral of order r recovers the order-r polynomial; one
+    # block over k. The integrals of x**k over (r-1)! as (nums, dens) per r.
+    integrals = {}
+    for r in rs or range(1, cfg.r_max + 1):
+        values = [gamma_weight_integral(Polynomial.monomial(k), r) for k in range(cfg.n_max + 1)]
+        integrals[r] = _split([(g.numerator, g.denominator * factorial(r - 1)) for g in values])
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            for r, weights in integrals.items():
-                rweight = factorial(r - 1)
+            for r, (gnums, gdens) in integrals.items():
                 for n in range(cfg.n_max + 1):
                     bell = prob_bell_poly(dist, n, lam)
                     fub_r = prob_fubini_poly_order(dist, n, r, lam)
-                    for k in range(n + 1):
-                        g = weights[k]
-                        lhs = (
-                            _numerator(bell, k) * g.numerator,
-                            bell.den * g.denominator * rweight,
-                        )
-                        yield (
-                            lhs,
-                            (_numerator(fub_r, k), fub_r.den),
-                            {"dist": dist, "lambda": lam, "r": r, "n": n, "k": k},
-                        )
+                    lhs = list(map(mul, _padded(bell, n + 1), gnums))
+                    dens = [bell.den * den for den in gdens[: n + 1]]
+                    params = {"dist": dist, "lambda": lam, "r": r, "n": n}
+                    yield (lhs, dens), (_padded(fub_r, n + 1), fub_r.den), params, "k"
 
 
 def _thm2_15(cfg, rs=None):
@@ -788,12 +815,7 @@ def _thm2_15(cfg, rs=None):
                         for k in range(n + 1)
                         if drivers[k]
                     )
-                    yield ords[n + 1], rhs, {
-                        "dist": dist,
-                        "lambda": lam,
-                        "r": r,
-                        "n": n,
-                    }
+                    yield ords[n + 1], rhs, {"dist": dist, "lambda": lam, "r": r, "n": n}
 
 
 def _thm2_16(cfg):
@@ -898,6 +920,30 @@ def suite_ok(reports) -> bool:
     return all(r.ok for r in reports)
 
 
+def _sum_moment_floats(dist, lam, top: int, terms: int) -> list[list[float]]:
+    # E[(S_i)_{n,lam}] for i = 0..terms as floats, one list per n = 0..top.
+    # E[e_lam^{S_i}(t)] = (1 + (M - 1))^i with M = E[e_lam^Y(t)] and
+    # M - 1 = O(t), so the moment is a polynomial in i of degree <= n: the rows
+    # i <= n are read, and summing its differences extends them exactly over
+    # one denominator. int / int is correctly rounded, so each float is the
+    # one that float(Fraction(num, den)) of the row itself gives.
+    columns, dens = _sum_moment_columns(dist, lam, min(top, terms), top)
+    floats = []
+    for n, column in enumerate(columns):
+        common = math.lcm(*dens[: n + 1])
+        table = [num * (common // den) for num, den in zip(column[: n + 1], dens)]
+        for j in range(1, len(table)):  # table[j] becomes Delta^j at i = 0
+            for i in range(len(table) - 1, j - 1, -1):
+                table[i] -= table[i - 1]
+        values = []
+        for _ in range(terms + 1):
+            values.append(table[0] / common)
+            for j in range(len(table) - 1):  # step every difference to i + 1
+                table[j] += table[j + 1]
+        floats.append(values)
+    return floats
+
+
 def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     """Float partial sums of the infinite geometric moment series.
 
@@ -914,12 +960,9 @@ def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     top = min(4, cfg.n_max)
     for dist in cfg.dists:
         for lam in lams:
-            # int / int is correctly rounded, so each float is the one that
-            # float(Fraction(num, den)) gives
-            rows = _sum_moment_rows(dist, lam, terms, top)
-            for n in range(top + 1):
+            columns = _sum_moment_floats(dist, lam, top, terms)
+            for n, moments in enumerate(columns):
                 fub = prob_fubini_poly(dist, n, lam)
-                moments = [nums[n] / den for nums, den in rows]
                 for x0 in points:
                     u = x0 / (1 + x0)
                     uf = float(u)

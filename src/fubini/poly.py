@@ -184,21 +184,25 @@ class Polynomial(ScaledVector):
             return self.coeffs[k]
         return Fraction(0)
 
-    def evaluate(self, x) -> Fraction:
-        """p(x) by Horner's rule on the numerators, one Fraction at the end.
+    def evaluate_ratio(self, x) -> tuple[int, int]:
+        """p(x) as a pair (num, den), den > 0, not necessarily in lowest terms.
 
-        With x = u/v, the loop builds sum_k nums[k] u**k v**(deg-k); the
-        value is that over den v**deg.
+        Horner's rule on the numerators: with x = u/v, the loop builds
+        sum_k nums[k] u**k v**(deg-k); the value is that over den v**deg.
         """
         u, v = ratio(x)
         if not self.nums:
-            return Fraction(0)
+            return 0, 1
         acc = 0
         vpow = 1
         for c in reversed(self.nums):
             acc = acc * u + c * vpow
             vpow *= v
-        return Fraction(acc, self.den * (vpow // v))
+        return acc, self.den * (vpow // v)
+
+    def evaluate(self, x) -> Fraction:
+        """p(x), reduced once from evaluate_ratio."""
+        return Fraction(*self.evaluate_ratio(x))
 
     __call__ = evaluate
 

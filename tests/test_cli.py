@@ -355,6 +355,17 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# The verify-suite benchmark op's own document: every identity at n_max 6 on
+# the default grid, with the numeric spot-check's floats. Digest taken while
+# every case ran one at a time, before cases ran in blocks along one index.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "all", "--n-max", "6"],
+        "3baeecc22efa3f75fb1d72b700e02be03fd68fb790475bd5d6181ae91fd3d31c",
+    ),
+]
+
+
 # mc documents, taken before every command wrote through one document writer:
 # a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",
@@ -711,6 +722,33 @@ def test_verify_reports_a_repeated_identity_once():
     rows = json.loads(res.stdout)["rows"]
     assert [r["identity"] for r in rows] == ["THM2_1", "EQ23_GF"]
     assert rows[0]["cases"] == rows[1]["cases"]
+
+
+@pytest.mark.parametrize(
+    "flag, given, echoed",
+    [
+        ("--lambda", ["1", "1"], ["1"]),
+        ("--lambda", ["2/2", "-1/2", "1"], ["1", "-1/2"]),
+        ("--dists", ["bernoulli:1/2", "bernoulli:1/2", "bernoulli:2/4"], ["bernoulli:1/2"]),
+    ],
+)
+def test_verify_checks_a_repeated_grid_value_once(flag, given, echoed):
+    # by value, where it first appears: the document of each value given once
+    key = "lambdas" if flag == "--lambda" else "dists"
+    for suite in ("EQ6", "EQ19_INV"):
+        docs = [
+            invoke(["verify", "--suite", suite, "--n-max", "2",
+                    *(a for v in values for a in (flag, v))])
+            for values in (given, echoed)
+        ]
+        assert [res.exit_code for res in docs] == [0, 0], docs[0].stderr
+        assert docs[0].stdout == docs[1].stdout
+        assert json.loads(docs[0].stdout)["params"][key] == echoed
+
+
+def test_verify_counts_the_cases_of_a_repeated_lambda_once():
+    res = invoke(["verify", "--suite", "EQ6", "--lambda", "1", "--lambda", "1", "--n-max", "2"])
+    assert json.loads(res.stdout)["rows"][0]["cases"] == 6
 
 
 def test_verify_known_discrepancy_still_exits_zero():

@@ -5,11 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fubini import hooks, identities
 from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
 from fubini.distributions import Bernoulli, FiniteDiscrete, Gamma, PointMass, Poisson
 from fubini.families import degenerate_bell_poly
+from fubini.probabilistic import sum_degenerate_row
 from fubini.identities import (
     CheckConfig,
     EXPECTED_DISCREPANCIES,
@@ -222,6 +224,105 @@ def test_a_counterexample_prints_both_sides_in_lowest_terms(lhs, rhs, shown):
     cex = rep.counterexample
     assert rep.status == "fail" and (cex.lhs, cex.rhs) == shown
     assert cex.params == {"dist": "poisson:3/2", "lambda": "-1/4"}
+
+
+# --- a block is the run of scalar cases along one index ---
+
+_NONZERO = st.integers(-30, 30).filter(bool)
+# a Fraction by which both parts of a side are scaled, as under hooks.perturb
+_FACTOR = st.one_of(st.just(1), st.fractions(-5, 5, max_denominator=7).filter(bool))
+
+
+def _integral(value):
+    return int(value) if value.denominator == 1 else value
+
+
+@st.composite
+def _block_and_cases(draw):
+    # a block (lhs, rhs, params, key) and the scalar cases it stands for
+    size = draw(st.integers(1, 7))
+    lnums = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    one_den = draw(st.booleans())
+    ldens = draw(_NONZERO) if one_den else draw(st.lists(_NONZERO, min_size=size, max_size=size))
+    f = draw(_FACTOR)
+    lnums = [num * f for num in lnums]
+    ldens = ldens * f if one_den else [den * f for den in ldens]
+    lpairs = [(num, ldens if one_den else ldens[j]) for j, num in enumerate(lnums)]
+    values = [F(num) / den for num, den in lpairs]
+    if draw(st.booleans()):
+        # one den on the right: the numerators are the values times it
+        rdens = draw(_NONZERO) * draw(_FACTOR)
+        rnums = [_integral(v * rdens) for v in values]
+    else:
+        scales = draw(st.lists(_NONZERO, min_size=size, max_size=size))
+        rdens = [den * c for (_, den), c in zip(lpairs, scales)]
+        rnums = [num * c for (num, _), c in zip(lpairs, scales)]
+    where = draw(st.sampled_from([None, "first", "middle", "last"]))
+    if where is not None:
+        first = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+        later = draw(st.sets(st.integers(first + 1, size - 1))) if first < size - 1 else set()
+        for j in {first} | later:
+            rnums[j] += draw(_NONZERO)
+    params = {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4), "n": 3}
+    block = (lnums, ldens), (rnums, rdens), params, "k"
+    rpairs = [(num, rdens if type(rdens) is not list else rdens[j]) for j, num in enumerate(rnums)]
+    cases = [(lp, rp, {**params, "k": j}) for j, (lp, rp) in enumerate(zip(lpairs, rpairs))]
+    return block, cases
+
+
+def _outcome(report):
+    cex = report.counterexample
+    return report.status, report.cases, cex and cex.to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_and_cases())
+def test_a_block_reports_what_its_cases_report(block_and_cases):
+    block, cases = block_and_cases
+    lead = ((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted by both
+    outcome = _outcome(_drive(iter([lead, block])))
+    assert outcome == _outcome(_drive(iter([lead, *cases])))
+    bad = [j for j, (lhs, rhs, _) in enumerate(cases) if F(*lhs) != F(*rhs)]
+    assert outcome[:2] == (("fail", bad[0] + 2) if bad else ("pass", len(cases) + 1))
+
+
+def test_a_block_mismatch_names_its_index_and_prints_reduced():
+    block = ([0, 3, 4], [1, -2, 6]), ([0, -6, 5], 4), {"n": 2}, "k"
+    rep = _drive(iter([block]))
+    assert rep.status == "fail" and rep.cases == 3
+    assert rep.counterexample.to_dict() == {
+        "params": {"n": "2", "k": "2"},
+        "lhs": "2/3",
+        "rhs": "5/4",
+    }
+
+
+def test_block_sides_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="differ in length"):
+        _drive(iter([(([1, 2], 1), ([1], 1), {}, "k")]))
+
+
+# The spot-check reads the sum moments E[(S_i)_{n,lam}] for i <= n only and
+# extends them in i by differences; the floats must be those of the rows read
+# directly. For point:1 at lam = 1, E[(S_i)_{n,lam}] = (i)_n is zero for i < n,
+# so all but the last of the rows read are zero.
+@pytest.mark.parametrize(
+    "dist, lam",
+    [(d, lam) for d in default_config().dists for lam in default_config().lambdas[:3]]
+    + [(PointMass(1), F(1))],
+    ids=str,
+)
+def test_spotcheck_moments_extend_the_rows_read_directly(dist, lam):
+    top, terms = 4, 140
+    direct = [sum_degenerate_row(dist, i, top, lam) for i in range(terms + 1)]
+    columns = identities._sum_moment_floats(dist, lam, top, terms)
+    for n, column in enumerate(columns):
+        assert column == [row.nums[n] / row.den for row in direct]
+    for short in range(top):
+        # fewer terms than the degree: the rows read are all there is
+        assert identities._sum_moment_floats(dist, lam, top, short) == [
+            column[: short + 1] for column in columns
+        ]
 
 
 # Which identities each fault of the acceptance mutation test trips, on that
