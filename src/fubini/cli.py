@@ -17,7 +17,6 @@ import errno
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .distributions import DistributionSpecError, parse_distribution
 from .identities import (
@@ -235,9 +234,7 @@ def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     rows = []
     for n in range(n_max + 1):
         poly = prob_fubini_poly_order(dist, n, order_r or 1, lam)
-        # formatted from the stored numerators: reading poly.coeffs would
-        # keep a Fraction tuple on the memoised polynomial
-        coeffs = [format_rational(Fraction(c, poly.den)) for c in poly.nums]
+        coeffs = [format_rational(c) for c in poly.coeffs]
         coeffs.extend(["0"] * (n + 1 - len(coeffs)))
         rows.append(
             {
@@ -282,7 +279,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be >= 1")
 
-    cfg = default_config()
+    cfg = default_config() if n_max is None else default_config(n_max)
     overrides = {}
     # a value repeated, as given or in another spelling (2/2 and 1), is
     # checked and echoed once, where it first appears
@@ -290,10 +287,6 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
         overrides["dists"] = tuple(dict.fromkeys(_parse_dist(s, "--dists") for s in dists))
     if lams:
         overrides["lambdas"] = tuple(dict.fromkeys(_parse_rat(s, "--lambda") for s in lams))
-    if n_max is not None:
-        overrides["n_max"] = n_max
-        overrides["series_order"] = n_max + 2
-        overrides["coeff_depth"] = 2 * n_max + 6
     if r_max is not None:
         overrides["r_max"] = r_max
     if overrides:

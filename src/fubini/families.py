@@ -8,12 +8,8 @@ weight C(k+r-1, k).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .combinat import stirling2_degenerate_row, weighted_by_order
+from .combinat import falling_factorial_poly, stirling2_degenerate_row, weighted_by_order
 from .poly import Polynomial
-from .rational import as_rational
 from .series import TruncatedSeries
 
 
@@ -25,15 +21,9 @@ def degenerate_exp_series(x, lam, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    x = as_rational(x)
-    lam = as_rational(lam)
-    coeffs = []
-    val = Fraction(1)
-    for n in range(order + 1):
-        if n:
-            val *= x - (n - 1) * lam
-        coeffs.append(val / math.factorial(n))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries.from_egf(
+        falling_factorial_poly(n, lam).evaluate(x) for n in range(order + 1)
+    )
 
 
 def degenerate_bell_poly(n: int, lam) -> Polynomial:

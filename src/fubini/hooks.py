@@ -3,12 +3,11 @@
 ``perturb`` additively shifts one entry of one table (a combinatorial number
 or a stored moment) while active, as a genuine single-entry fault rather
 than a consistent redefinition: no recurrence reads the shifted entry in
-place of the true one. The combinatorial numbers shift at their public
-accessors (``shifted``), after the memoized true value is read. E[Y**m]
-(``raw_moment``) comes from a closed form, so its row takes the shift as the
-entry is stored. E[S_k**m] (``sum_moment``) grows by a recurrence from its
-own entries, so its row is stored unshifted and shifted when read
-(``shifted_row``) by every reader but that recurrence.
+place of the true one. The scalar tables of ``combinat`` shift at their
+public accessors (``shifted``). A moment row, E[Y**m] (``raw_moment``) or
+E[S_k**m] (``sum_moment``), is stored unshifted and shifted when read
+(``shifted_row``) by every reader but the recurrence that grows E[S_k**m]
+from its own entries.
 
 This module also holds the one memo registry of the package. Every memo table
 (a dict of rows or a list of rows, grown on demand) is created through
@@ -64,6 +63,8 @@ def shifted_row(table: str, prefix: tuple, row: ScaledRow) -> ScaledRow:
     The row object itself when no entry of it is perturbed (every run outside
     ``perturb``), else a shifted copy; the stored row is never changed.
     """
+    if not _active:
+        return row
     deltas = {key[-1]: d for (t, key), d in _active.items() if (t, key[:-1]) == (table, prefix)}
     if not deltas:
         return row

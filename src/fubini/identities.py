@@ -62,6 +62,8 @@ THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
 THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1; THM2_8 is THM2_15 at r = 1.
 Each runs its order-r checker at that one r and drops r from the params, so
 its cases, params and counterexamples are those of the lower-order statement.
+EQ14 (so EQ11) compares through THM2_13's block, with F^{(r+1)}_{n,lam} and
+(i)_{n,lam} where THM2_13 has F^{(r+1),Y}_{n,lam} and E[(S_i)_{n,lam}].
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ class CheckConfig(Record):
         self._init(lambdas, n_max, r_max, dists, x_points, series_order, coeff_depth)
 
 
-def default_config() -> CheckConfig:
+def default_config(n_max: int = 10) -> CheckConfig:
+    """The default grid at n_max, with series_order and coeff_depth scaled to it."""
     F = Fraction
     return CheckConfig(
         lambdas=(
@@ -207,7 +210,7 @@ def default_config() -> CheckConfig:
             F(-7, 2),
             F(13, 4),
         ),
-        n_max=10,
+        n_max=n_max,
         r_max=3,
         dists=(
             PointMass(F(1)),
@@ -219,8 +222,8 @@ def default_config() -> CheckConfig:
             FiniteDiscrete(((F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(1, 3)))),
         ),
         x_points=(F(1), F(1, 2), F(-1, 3)),
-        series_order=12,
-        coeff_depth=26,
+        series_order=n_max + 2,
+        coeff_depth=2 * n_max + 6,
     )
 
 
@@ -471,28 +474,21 @@ def _eq12_gf(cfg, rs=None):
 
 
 def _eq14(cfg, rs=None):
-    # Order-(r+1) coefficients against C(k+r, r) (k)_{n,lam}, on the weights'
-    # numerators over one denominator, one block over k; r = 0 is EQ11, the
-    # coefficients of F_{n,lam}(x/(1-x))/(1-x)
+    # The coefficients of u^k in F^{(r+1)}_{n,lam}(u/(1-u))/(1-u)^(r+1)
+    # against C(k+r, k) (k)_{n,lam}, through THM2_13's block, one block over
+    # k; r = 0 is EQ11, the coefficients of F_{n,lam}(x/(1-x))/(1-x)
     rs = rs or range(1, cfg.r_max + 1)
-    comb = _comb_rows(2 * cfg.n_max + 6 + max(rs))
+    size = 2 * cfg.n_max + 7
+    comb = _comb_rows(size - 1 + max(rs))
+    rows = {r: _geometric_weights(comb, r, size) for r in rs}
     for lam in cfg.lambdas:
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
-            values, dens = _split([ff.evaluate_ratio(k) for k in range(2 * n + 7)])
+            values = _split([ff.evaluate_ratio(k) for k in range(2 * n + 7)])
             for r in rs:
-                weights, den = scaled(
-                    [
-                        stirling2_degenerate(n, l, lam)
-                        * factorial(l)
-                        * binomial(l + r, l)
-                        for l in range(n + 1)
-                    ]
-                )
-                # C(k+r, k-l) for l = 0..min(n, k)
-                lhs = [sum(map(mul, weights, comb[k + r][k::-1])) for k in range(len(values))]
-                rhs = [comb[k + r][r] * value for k, value in enumerate(values)]
-                yield (lhs, den), (rhs, dens), {"lambda": lam, "n": n, "r": r}, "k"
+                w = degenerate_fubini_poly_order(n, r + 1, lam)
+                lhs, rhs = _geometric_block(w, rows[r][: 2 * n + 7], values)
+                yield lhs, rhs, {"lambda": lam, "n": n, "r": r}, "k"
 
 
 def _eq15_gf(cfg):
@@ -740,21 +736,32 @@ def _thm2_12(cfg):
                 lhs = _split([bell.evaluate_ratio(k * dist.alpha) for k in range(len(column))])
                 yield lhs, (column, moments[1]), {"dist": dist, "lambda": lam, "n": n}, "k"
             params = {"dist": dist, "lambda": lam}
-            yield from _geometric_rows(cfg, dist, lam, 0, comb, moments, params)
+            yield from _geometric_rows(dist, lam, 0, comb, moments, params)
 
 
-def _geometric_rows(cfg, dist, lam, r: int, comb, moments, params: dict):
-    # THM2_13 at one (dist, lam, r): the coefficients of u^i in
-    # F^{(r+1),Y}_{n,lam}(u/(1-u))/(1-u)^(r+1), summed on the polynomial's
-    # numerators, against C(i+r, r) times the sum moments (columns, dens);
-    # one block over i per n
+def _geometric_weights(comb, r: int, size: int) -> list[list[int]]:
+    # the rows C(i+r, i-l), l = 0..i, for i < size; entry 0 is C(i+r, i)
+    return [comb[i + r][i::-1] for i in range(size)]
+
+
+def _geometric_block(w: Polynomial, rows, values) -> tuple:
+    # one block over i: [u^i] w(u/(1-u))/(1-u)^(r+1), on w's numerators and the
+    # rows of _geometric_weights, against C(i+r, i) times values = (nums, dens)
+    nums, dens = values
+    lhs = [sum(map(mul, w.nums, row)) for row in rows]
+    rhs = [row[0] * v for row, v in zip(rows, nums)]
+    return (lhs, w.den), (rhs, dens)
+
+
+def _geometric_rows(dist, lam, r: int, comb, moments, params: dict):
+    # THM2_13 at one (dist, lam, r): F^{(r+1),Y}_{n,lam} against the sum
+    # moments (columns, dens), one block per n over rows built once
     columns, dens = moments
-    rows = [comb[i + r][i::-1] for i in range(len(dens))]  # C(i+r, i-l), l = 0..i
+    rows = _geometric_weights(comb, r, len(dens))
     for n, column in enumerate(columns):
         w = prob_fubini_poly_order(dist, n, r + 1, lam)
-        lhs = [sum(map(mul, w.nums, row)) for row in rows]
-        rhs = [row[0] * m for row, m in zip(rows, column)]
-        yield (lhs, w.den), (rhs, dens), {**params, "n": n}, "i"
+        lhs, rhs = _geometric_block(w, rows, (column, dens))
+        yield lhs, rhs, {**params, "n": n}, "i"
 
 
 def _thm2_13(cfg, rs=None):
@@ -767,7 +774,7 @@ def _thm2_13(cfg, rs=None):
             moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
             for r in rs:
                 params = {"dist": dist, "lambda": lam, "r": r}
-                yield from _geometric_rows(cfg, dist, lam, r, comb, moments, params)
+                yield from _geometric_rows(dist, lam, r, comb, moments, params)
 
 
 def _thm2_14(cfg, rs=None):

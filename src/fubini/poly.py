@@ -5,8 +5,8 @@ FLINT's fmpq_poly is: ``nums[k] / den`` is entry k (the coefficient of x**k
 of a Polynomial, of t**k of a series.TruncatedSeries). ``ScaledVector``
 holds the ring operations of both types once. Every operation works on the
 integers and divides out their common factor once per result
-(``rational.reduced``); the Fraction coefficients are built only when
-``coeffs`` is first read.
+(``rational.reduced``); ``coeffs`` builds the Fraction coefficients each
+time it is read, and no vector keeps them.
 
 Two integer kernels serve both types: ``convolve`` multiplies numerator
 vectors, and ``weighted_sum`` adds any number of weighted vectors over one
@@ -82,7 +82,7 @@ class ScaledVector:
     (``_product_size``, ``_check``), and adds its own methods.
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         self._set(*scaled([as_rational(c) for c in coeffs]))
@@ -99,10 +99,8 @@ class ScaledVector:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
-        return self._coeffs
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     def _combined(self, other, sign: int):
         if isinstance(other, type(self)):
@@ -163,7 +161,6 @@ class Polynomial(ScaledVector):
         while n and not nums[n - 1]:
             n -= 1
         self.nums, self.den = reduced(nums[:n], den)
-        self._coeffs = None
 
     def _product_size(self, other) -> int:
         return len(self.nums) + len(other.nums) - 1
@@ -181,7 +178,7 @@ class Polynomial(ScaledVector):
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.nums):
-            return self.coeffs[k]
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def evaluate_ratio(self, x) -> tuple[int, int]:

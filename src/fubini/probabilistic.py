@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from . import hooks
@@ -50,12 +51,11 @@ _sum_degenerate_rows: dict[tuple[Distribution, int, int, int], ScaledRow] = (
 
 
 def _raw_moments(dist: Distribution, m: int) -> ScaledRow:
-    """E[Y**0..m] (at least), as stored; a fault at raw_moment is stored too."""
+    """E[Y**0..m] (at least), as its readers see it (hooks.shifted_row)."""
     row = _raw_moment_rows[dist]
     while len(row) <= m:
-        j = len(row)
-        row.append(hooks.shifted("raw_moment", (dist, j), as_rational(dist.moment_formula(j))))
-    return row
+        row.append(as_rational(dist.moment_formula(len(row))))
+    return hooks.shifted_row("raw_moment", (dist,), row)
 
 
 def raw_moment(dist: Distribution, m: int) -> Fraction:
@@ -74,8 +74,8 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
     n beta_n = sum_{j=1..n} ((k+1) j - n) C(n, j) mu_j beta_{n-j}.
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment row; a fault injected at raw_moment(dist, 0) does not reach here.
-    The sum runs on the stored numerators of mu_1..mu_n and of the unshifted
-    beta_0..beta_{n-1}, and builds one Fraction per new entry.
+    The sum runs on the numerators of mu_1..mu_n as read and of the stored,
+    unshifted beta_0..beta_{n-1}, and builds one Fraction per new entry.
     """
     row = _sum_moment_rows[dist, k]
     while len(row) <= m:
@@ -98,23 +98,25 @@ def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
     return _sum_raw_moments(dist, k, m)[m]
 
 
-def _contract(n: int, lam: Fraction, moments: ScaledRow) -> tuple[int, int]:
-    """sum_m [x**m](x)_{n,lam} * moments[m] as a (num, den) pair, not reduced.
+def _contracted(row: ScaledRow, n: int, lam: Fraction, moments) -> ScaledRow:
+    """row grown to n + 1 entries (at least), entry m = E[(X)_{m,lam}].
 
-    One integer dot product: both the polynomial and the moment row (grown
-    to at least n + 1 entries) hold integer numerators over one denominator.
+    moments(n) gives the row E[X**0..n]; it is read only when the row grows.
+    Each new entry is sum_j [x**j](x)_{m,lam} E[X**j], one integer dot
+    product of the numerators of the polynomial and of the moment row,
+    appended as an unreduced pair.
     """
-    ff = falling_factorial_poly(n, lam)
-    return sum(map(mul, ff.nums, moments.nums)), ff.den * moments.den
+    if len(row) <= n:
+        mus = moments(n)
+        ffs = [falling_factorial_poly(m, lam) for m in range(len(row), n + 1)]
+        row.extend_ratios((sum(map(mul, f.nums, mus.nums)), f.den * mus.den) for f in ffs)
+    return row
 
 
 def _degenerate_row(dist: Distribution, n: int, lam: Fraction) -> ScaledRow:
     """E[(Y)_{m,lam}] for m = 0..n (at least), as the stored ScaledRow."""
     row = _degenerate_rows[dist, lam.numerator, lam.denominator]
-    if len(row) <= n:
-        moments = _raw_moments(dist, n)
-        row.extend_ratios(_contract(m, lam, moments) for m in range(len(row), n + 1))
-    return row
+    return _contracted(row, n, lam, partial(_raw_moments, dist))
 
 
 def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
@@ -135,10 +137,7 @@ def sum_degenerate_row(dist: Distribution, k: int, n: int, lam) -> ScaledRow:
         raise ValueError("sum moments need k, n >= 0")
     lam = as_rational(lam)
     row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
-    if len(row) <= n:
-        moments = _sum_raw_moments(dist, k, n)
-        row.extend_ratios(_contract(m, lam, moments) for m in range(len(row), n + 1))
-    return row
+    return _contracted(row, n, lam, partial(_sum_raw_moments, dist, k))
 
 
 def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
@@ -241,4 +240,4 @@ def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSerie
     if order < 0:
         raise ValueError("series order must be >= 0")
     row = _degenerate_row(dist, order, as_rational(lam))
-    return TruncatedSeries([row[n] / math.factorial(n) for n in range(order + 1)])
+    return TruncatedSeries.from_egf(row[n] for n in range(order + 1))

@@ -54,10 +54,7 @@ class ScaledRow:
     __slots__ = ("nums", "den")
 
     def __init__(self, values=()):
-        self.nums: list[int] = []
-        self.den = 1
-        for value in values:
-            self.append(value)
+        self.nums, self.den = scaled(list(values))
 
     def __len__(self) -> int:
         return len(self.nums)

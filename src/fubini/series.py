@@ -52,7 +52,6 @@ class TruncatedSeries(ScaledVector):
     def _set(self, nums, den: int) -> None:
         self.nums, self.den = reduced(nums, den)
         self.order = len(nums) - 1
-        self._coeffs = None
 
     def _check(self, other: "TruncatedSeries") -> None:
         if other.order != self.order:

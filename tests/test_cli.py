@@ -13,8 +13,9 @@ import pytest
 from cli_runner import invoke
 
 from fubini.cli import main
+from fubini.identities import default_config
 from fubini.poly import Polynomial
-from fubini.rational import parse_rational
+from fubini.rational import format_rational, parse_rational
 from fubini.sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MCResult
 
 F = Fraction
@@ -744,6 +745,25 @@ def test_verify_checks_a_repeated_grid_value_once(flag, given, echoed):
         assert [res.exit_code for res in docs] == [0, 0], docs[0].stderr
         assert docs[0].stdout == docs[1].stdout
         assert json.loads(docs[0].stdout)["params"][key] == echoed
+
+
+@pytest.mark.parametrize("n", [1, 6, 13])
+def test_verify_n_max_runs_the_default_config_at_that_n_max(n):
+    cfg = default_config(n)
+    assert (cfg.n_max, cfg.series_order, cfg.coeff_depth) == (n, n + 2, 2 * n + 6)
+    res = invoke(["verify", "--suite", "EQ6", "--n-max", str(n)])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)["params"] == {
+        "suite": ["EQ6"],
+        "lambdas": [format_rational(v) for v in cfg.lambdas],
+        "n_max": cfg.n_max,
+        "r_max": cfg.r_max,
+        "dists": [d.spec_string() for d in cfg.dists],
+        "x_points": [format_rational(v) for v in cfg.x_points],
+        "series_order": cfg.series_order,
+        "coeff_depth": cfg.coeff_depth,
+    }
+    assert default_config() == default_config(10)
 
 
 def test_verify_counts_the_cases_of_a_repeated_lambda_once():

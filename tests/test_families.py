@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fubini.distributions import PointMass
 from fubini.families import (
     classical_fubini_poly,
     degenerate_bell_poly,
@@ -13,6 +14,7 @@ from fubini.families import (
     degenerate_fubini_poly_order,
 )
 from fubini.poly import Polynomial
+from fubini.probabilistic import mgf_degenerate_series
 from fubini.series import TruncatedSeries
 
 F = Fraction
@@ -122,6 +124,14 @@ def test_order_r_generating_function_oracle(lam):
                     n, r, lam
                 ).evaluate(x0)
             power = power * base
+
+
+@pytest.mark.parametrize("x", [F(1), F(5, 2), F(-1, 3)])
+@pytest.mark.parametrize("lam", [F(0), F(1, 2), F(-7, 2)])
+def test_the_two_builders_of_the_degenerate_exponential_agree(x, lam):
+    # (x)_{n,lam} by Horner on the falling-factorial rows, against the
+    # contraction of a point mass's moments x**m with the same rows
+    assert degenerate_exp_series(x, lam, 12) == mgf_degenerate_series(PointMass(x), lam, 12)
 
 
 def test_exp_series_validates_order():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fubini import combinat, hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
-from fubini.distributions import Bernoulli, PointMass
+from fubini.distributions import Bernoulli, PointMass, Poisson
 from fubini.families import degenerate_fubini_poly_order
 from fubini.identities import (
     CheckConfig,
@@ -171,6 +171,15 @@ def test_unperturbed_row_read_is_the_stored_row():
         assert row is probabilistic._sum_moment_rows[dist, k]
 
 
+def test_raw_moment_fault_shifts_the_read_and_leaves_the_stored_row_true():
+    dist = Poisson(F(3, 2))
+    with hooks.perturb("raw_moment", (dist, 2)):
+        assert raw_moment(dist, 4) == dist.moment_formula(4)
+        assert raw_moment(dist, 2) == dist.moment_formula(2) + 1
+        stored = probabilistic._raw_moment_rows[dist]
+        assert [stored[m] for m in range(5)] == [dist.moment_formula(m) for m in range(5)]
+
+
 def test_sum_moment_fault_shifts_one_entry_of_the_read_only():
     dist, k, m, delta, top = GRID_DISTS[5], 2, 3, F(1, 3), 8
     expected = _naive_sum_raw_row(dist, k, top)
@@ -225,6 +234,16 @@ def test_memo_tables_hold_no_fraction_rows_after_a_suite():
     for module, name, table in tables:
         assert table, f"{module}.{name} was not grown"
         assert not list(_fraction_sequences(table)), f"{module}.{name} holds Fractions"
+
+
+def test_reading_coeffs_of_a_memoised_polynomial_stores_no_fraction_on_it():
+    dist, lam = GRID_DISTS[5], F(1, 3)
+    poly = prob_fubini_poly_order(dist, 6, 2, lam)
+    assert poly.coeffs == tuple(F(c, poly.den) for c in poly.nums)
+    assert prob_fubini_poly_order(dist, 6, 2, lam) is poly
+    slots = {s for cls in type(poly).__mro__ for s in getattr(cls, "__slots__", ())}
+    held = [getattr(poly, s) for s in sorted(slots) if hasattr(poly, s)]
+    assert not list(_fraction_sequences(held)), held
 
 
 def test_sum_moment_fault_reaches_the_contraction_and_the_difference_and_is_undone():
