@@ -101,7 +101,14 @@ _ff_rows: dict[tuple[int, int], list[Polynomial]] = hooks.memo(
 )
 
 
-def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
+def falling_factorial_polys(n: int, lam) -> list[Polynomial]:
+    """(x)_{m,lam} for m = 0..n (at least): the memoised list itself.
+
+    A caller that reads many degrees slices it once; it does not change it.
+    """
+    if n < 0:
+        raise ValueError("falling factorial needs n >= 0")
+    lam = as_rational(lam)
     u, v = lam.numerator, lam.denominator
     rows = _ff_rows[u, v]
     while len(rows) <= n:
@@ -114,7 +121,7 @@ def _falling_factorial_poly(n: int, lam: Fraction) -> Polynomial:
         row.extend(v * p[k - 1] - root * p[k] for k in range(1, m))
         row.append(v * p[m - 1])
         rows.append(Polynomial.from_scaled(row, v * prev.den))
-    return rows[n]
+    return rows
 
 
 def falling_factorial_poly(n: int, lam) -> Polynomial:
@@ -122,9 +129,7 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
 
     lam = 1 gives the classical falling factorial, lam = 0 gives x**n.
     """
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    return _falling_factorial_poly(n, as_rational(lam))
+    return falling_factorial_polys(n, lam)[n]
 
 
 # The order-r Fubini weights C(k+r-1, k) k! for k < size, per (size, r). They
@@ -145,13 +150,17 @@ def weighted_by_order(row: ScaledRow, r: int) -> Polynomial:
     return Polynomial.from_scaled(nums, row.den * weights.den)
 
 
-def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
-    total = Fraction(0)
-    for m in range(k, n + 1):
-        s1 = stirling1(n, m)
-        if s1:
-            total += lam ** (n - m) * s1 * stirling2(m, k)
-    return total
+def _stirling2_degenerate_row(n: int, lam: Fraction) -> ScaledRow:
+    # sum_m lam**(n-m) s(n,m) S(m,k) for k = 0..n. With lam = u/v,
+    # lam**(n-m) = u**(n-m) v**m / v**n, so each sum runs on ints (on
+    # Fractions where hooks.perturb shifts a Stirling number) over v**n, and
+    # one Fraction is built per entry.
+    u, v = lam.numerator, lam.denominator
+    weights = [u ** (n - m) * v**m * stirling1(n, m) for m in range(n + 1)]
+    return ScaledRow(
+        Fraction(sum(weights[m] * stirling2(m, k) for m in range(k, n + 1) if weights[m]), v**n)
+        for k in range(n + 1)
+    )
 
 
 # Rows of the degenerate Stirling numbers per (lam numerator, lam
@@ -168,8 +177,7 @@ def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
     lam = as_rational(lam)
     rows = _s2_degenerate_rows[lam.numerator, lam.denominator]
     while len(rows) <= n:
-        m = len(rows)
-        rows.append(ScaledRow(_stirling2_degenerate(m, k, lam) for k in range(m + 1)))
+        rows.append(_stirling2_degenerate_row(len(rows), lam))
     return rows[n]
 
 

@@ -2,8 +2,14 @@
 
 Every checker compares exact values; a ``pass`` means exact equality held in
 every grid case, never approximate agreement. A checker yields
-(lhs, rhs, params) cases, or blocks of scalar cases. A ``Polynomial`` side is
-compared with ``==`` on its canonical stored form. A scalar side is an int, a
+(lhs, rhs, params) cases, or blocks of scalar cases. A polynomial side is a
+``Polynomial`` or an unreduced pair (nums, den) of an int list over an int
+den; the sides are compared by cross-multiplying their numerators, the
+shorter padded with zeros, and reduced to Polynomials only for a
+counterexample, which prints as the reduced comparison did. Checkers that
+sum many polynomials put them and their weights over one den each and
+yield the sum as such a pair; a weight that ``hooks.perturb`` makes a
+Fraction moves its denominator into the pair's. A scalar side is an int, a
 Fraction, or a pair (num, den) with den != 0, not necessarily in lowest
 terms: checkers build pairs straight from the integer numerators that
 polynomials, series and triangle rows store, and take an int or Fraction as
@@ -11,13 +17,13 @@ it is where a public accessor returns it ready-made.
 
 A block (lhs, rhs, params, key) is the run of scalar cases j = 0, 1, ...
 along the index named key; params holds the others. Each side is (nums,
-dens): a list of numerators over one den or over a list of dens. ``_drive``
+dens): a list of numerators over one den or over a list of dens. ``_compare``
 cross-multiplies each side by the other's dens in one list and compares the
 lists; only when they differ does it walk to the first mismatch j, reported
 as case by case: counted, with params plus key = j, both sides in lowest
 terms. A scalar (lhs, rhs, params) case is a block of one. Fractions are
-built only for a counterexample. (Under ``hooks.perturb`` numerators and dens
-may be Fractions; the comparison stays exact.)
+built only for a counterexample. (Under ``hooks.perturb`` the numerators and
+dens of a scalar side may be Fractions; the comparison stays exact.)
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -56,12 +62,15 @@ The float spot-check of THM2_2 sums E[(S_i)_{n,lam}] u^i over i <= 140. It
 reads the rows i <= n only: the moment is a polynomial of degree <= n in i,
 so summing its differences extends those rows exactly.
 
-Seven catalog entries are checked as one order slice of an order-r checker:
+Eight catalog entries are checked as one order slice of an order-r checker:
 EQ11 is EQ14 at r = 0; THM2_2 and THM2_10 are THM2_13 at r = 0, whose rows
 THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
 THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1; THM2_8 is THM2_15 at r = 1.
-Each runs its order-r checker at that one r and drops r from the params, so
-its cases, params and counterexamples are those of the lower-order statement.
+A slice takes its checker's cases at that one r and reports them without r,
+so its cases, params and counterexamples are those of the lower-order
+statement. run_suite runs each checker once, at the union of the orders of
+the identities selected on it, and hands every case to each identity that
+takes its r (_tally); each report is the one check_identity gives alone.
 EQ14 (so EQ11) compares through THM2_13's block, with F^{(r+1)}_{n,lam} and
 (i)_{n,lam} where THM2_13 has F^{(r+1),Y}_{n,lam} and E[(S_i)_{n,lam}].
 """
@@ -70,6 +79,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -93,17 +103,18 @@ from .families import (
     degenerate_fubini_poly,
     degenerate_fubini_poly_order,
 )
-from .poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
+from . import hooks
+from .poly import Polynomial, convolve, gamma_weight_integral
 from .probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
-    prob_bell_poly,
+    prob_bell_polys,
     prob_fubini_poly,
-    prob_fubini_poly_order,
+    prob_fubini_polys,
     prob_stirling2,
     sum_degenerate_row,
 )
-from .rational import as_rational, format_rational, scaled
+from .rational import as_rational, format_rational, ratio, scaled
 from .record import Record
 from .series import TruncatedSeries
 
@@ -305,39 +316,95 @@ def _cross(nums: list, dens) -> list:
     return [num * dens for num in nums]
 
 
-def _drive(identity: IdentityId, cases) -> CheckReport:
-    count = 0
+def _poly_pair(side) -> tuple:
+    # a polynomial side as (nums, den): a Polynomial's stored form, or the
+    # unreduced pair as given
+    return (side.nums, side.den) if type(side) is Polynomial else side
+
+
+def _compare(case) -> tuple:
+    # (params, key, counted, sides): the cases a run counts through this one,
+    # every case of a block when the sides agree, with sides None; else those
+    # up to the first mismatch j (j = 0 for a single case), with sides the
+    # two sides at j as the counterexample prints them
+    if len(case) == 4:
+        (lnums, ldens), (rnums, rdens), params, key = case
+    else:
+        lhs, rhs, params = case
+        key = None
+        kind = type(lhs)
+        if kind is Polynomial or kind is tuple and type(lhs[0]) is list:
+            # one case: cross-multiplied numerators, the shorter padded
+            (lnums, ld), (rnums, rd) = _poly_pair(lhs), _poly_pair(rhs)
+            left, right = [c * rd for c in lnums], [c * ld for c in rnums]
+            pad = len(left) - len(right)
+            left.extend([0] * -pad)
+            right.extend([0] * pad)
+            if left == right:
+                return params, key, 1, None
+            sides = Polynomial.from_scaled(lnums, ld), Polynomial.from_scaled(rnums, rd)
+            return params, key, 1, sides
+        # a scalar case is a block of one: (num, den) pairs as given, ints
+        # and Fractions split
+        ln, ld = lhs if kind is tuple else (lhs.numerator, lhs.denominator)
+        rn, rd = rhs if type(rhs) is tuple else (rhs.numerator, rhs.denominator)
+        (lnums, ldens), (rnums, rdens) = ([ln], ld), ([rn], rd)
+    left = _cross(lnums, rdens)
+    right = _cross(rnums, ldens)
+    if left == right:
+        return params, key, len(left), None
+    if len(left) != len(right):
+        raise ValueError(f"block sides differ in length: {len(left)} != {len(right)}")
+    j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+    sides = (
+        (lnums[j], ldens[j] if type(ldens) is list else ldens),
+        (rnums[j], rdens[j] if type(rdens) is list else rdens),
+    )
+    return params, key, j + 1, sides
+
+
+def _tally(cases, members: dict) -> list[CheckReport]:
+    """The reports of the identities in members over one stream of cases.
+
+    members maps each identity to the cases it takes: None, every case; an
+    order r, the cases with param r, reported without it (an order slice);
+    a tuple of orders, the cases with r among them. Each case is compared
+    once, whoever takes it; each identity counts its cases up to and
+    including its own first mismatch, and the stream is read until every
+    identity has one or the cases run out.
+    """
+    orders = list(members.values())
+    counts = [0] * len(orders)
+    found = [None] * len(orders)
+    takers = defaultdict(list)  # r -> the slots of the identities taking it; None: all
+    for slot, taken in enumerate(orders):
+        for r in (taken,) if taken is None or type(taken) is int else taken:
+            takers[r].append(slot)
+    by_order = None not in takers
+    live = len(orders)
     for case in cases:
-        if len(case) == 3:
-            lhs, rhs, params = case
-            if type(lhs) is Polynomial:
-                count += 1
-                if lhs != rhs:
-                    return _report(identity, count, _counterexample(params, lhs, rhs))
-                continue
-            # a scalar case is a block of one: (num, den) pairs as given, ints
-            # and Fractions split
-            ln, ld = lhs if type(lhs) is tuple else (lhs.numerator, lhs.denominator)
-            rn, rd = rhs if type(rhs) is tuple else (rhs.numerator, rhs.denominator)
-            (lnums, ldens), (rnums, rdens), key = ([ln], ld), ([rn], rd), None
-        else:
-            (lnums, ldens), (rnums, rdens), params, key = case
-        left = _cross(lnums, rdens)
-        right = _cross(rnums, ldens)
-        if left != right:
-            if len(left) != len(right):
-                raise ValueError(f"block sides differ in length: {len(left)} != {len(right)}")
-            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+        who = takers.get(case[2]["r"]) if by_order else takers[None]
+        if not who:
+            continue
+        params, key, counted, sides = _compare(case)
+        for slot in who:
+            counts[slot] += counted
+        if sides is None:
+            continue
+        for slot in list(who):
+            shown = params
+            if type(orders[slot]) is int:
+                shown = {k: v for k, v in params.items() if k != "r"}
             if key is not None:
-                params = {**params, key: j}
-            cex = _counterexample(
-                params,
-                (lnums[j], ldens[j] if type(ldens) is list else ldens),
-                (rnums[j], rdens[j] if type(rdens) is list else rdens),
-            )
-            return _report(identity, count + j + 1, cex)
-        count += len(left)
-    return _report(identity, count, None)
+                shown = {**shown, key: counted - 1}
+            found[slot] = _counterexample(shown, *sides)
+            for slots in takers.values():
+                if slot in slots:
+                    slots.remove(slot)
+            live -= 1
+        if not live:
+            break
+    return [_report(i, count, cex) for i, count, cex in zip(members, counts, found)]
 
 
 # Kept apart from combinat.falling_factorial_poly(k, 1), which is the same
@@ -370,62 +437,62 @@ def _split(pairs) -> tuple[list, list]:
     return [num for num, _ in pairs], [den for _, den in pairs]
 
 
-def _sum(terms) -> Polynomial:
-    # sum of weight * nums / den over (nums, den, weight) terms, reduced once
-    return Polynomial.from_scaled(*weighted_sum(terms))
+def _point(x0, degree: int) -> tuple[list[int], int]:
+    # x0 = u/v as (xs, v**degree), xs[k] = u**k v**(degree - k): a polynomial
+    # of degree <= degree, numerators nums over den, is
+    # sum(map(mul, nums, xs)) / (den v**degree) at x0
+    u, v = ratio(x0)
+    return [u**k * v ** (degree - k) for k in range(degree + 1)], v**degree
 
 
-def _x_times_sum(terms) -> Polynomial:
-    # x times _sum(terms): the numerators shifted up by one degree
-    nums, den = weighted_sum(terms)
-    return Polynomial.from_scaled([0, *nums], den)
+def _values_at(polys: tuple, point: tuple) -> tuple[list[int], int]:
+    # polynomials, as numerators over one den (_over_one_den), at a _point:
+    # their values as numerators over one den
+    (pnums, pden), (xs, vpow) = polys, point
+    return [sum(map(mul, nums, xs)) for nums in pnums], pden * vpow
 
 
-def _term(p: Polynomial, scalar, weight=1) -> tuple:
-    # the term weight * scalar * p, the scalar (an int, a Fraction or a
-    # (num, den) pair) its denominator moved into the term's, so that an int
-    # weight stays an int
-    num, den = scalar if type(scalar) is tuple else (scalar.numerator, scalar.denominator)
-    return p.nums, p.den * den, weight * num
+def _egf_cases(s: TruncatedSeries, polys: tuple, point: tuple, facts: list[int], params: dict):
+    # EGF coefficient n of the series s against polys[n] at a _point: one
+    # block over n = 0, 1, ...
+    lhs = [s.nums[n] * facts[n] for n in range(len(polys[0]))]
+    yield (lhs, s.den), _values_at(polys, point), params, "n"
 
 
-def _product(a: Polynomial, b: Polynomial, weight) -> tuple:
-    # the term weight * a * b, its numerators the unreduced convolution
-    size = len(a.nums) + len(b.nums) - 1
-    return convolve(a.nums, b.nums, size), a.den * b.den, weight
+def _fubini_egf_cases(base: TruncatedSeries, rs, ords, x0, point, facts: list[int], params: dict):
+    # 1 / (1 - x0 base)^r against ords[i] at x0 for the i-th r of the
+    # increasing orders rs >= 1, where the caller builds base =
+    # E[e_lam^Y(t)] - 1 once per (dist, lam); the powers stop at the last r
+    reciprocal = (1 - base * x0).reciprocal()
+    power, at = reciprocal, 1
+    for r, polys in zip(rs, ords):
+        while at < r:
+            power, at = power * reciprocal, at + 1
+        yield from _egf_cases(power, polys, point, facts, {**params, "r": r})
 
 
-def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
-    # EGF coefficient n of the series s against polys[n] at x0: one block over
-    # n = 0, 1, ...
-    lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
-    rhs = _split([poly.evaluate_ratio(x0) for poly in polys])
-    yield (lhs, s.den), rhs, params, "n"
+def _orders(cfg, rs) -> list[int]:
+    # the orders an order-r checker runs: rs, by default 1..r_max
+    return rs or list(range(1, cfg.r_max + 1))
 
 
-def _fubini_egf_cases(base: TruncatedSeries, ords, x0, facts: list[int], params: dict):
-    # 1 / (1 - x0 base)^r against ords[r - 1] for r = 1..len(ords), where the
-    # caller builds base = E[e_lam^Y(t)] - 1 once per (dist, lam); the powers
-    # stop at the last r
-    power = reciprocal = (1 - base * x0).reciprocal()
-    for r, polys in enumerate(ords, 1):
-        if r > 1:
-            power = power * reciprocal
-        yield from _egf_cases(power, polys, x0, facts, {**params, "r": r})
+def _over_one_den(polys) -> tuple[list[list[int]], int]:
+    # the numerators of polys over the lcm of their dens
+    common = math.lcm(*(p.den for p in polys))
+    return [[c * (common // p.den) for c in p.nums] for p in polys], common
 
 
-def _order_slice(checker, r: int):
-    # The cases of an order-r checker at the one order r, without their "r"
-    # param: the lower-order identity's cases, params and order. Seven entries
-    # run as slices; THM2_8 is THM2_15 at r = 1. Each order-r checker takes the
-    # orders to run as rs, by default 1..r_max; EQ12_GF, THM2_6, THM2_14 and
-    # THM2_15 run the orders 1..R only, so they are sliced at r = 1.
-    def cases(cfg):
-        for case in checker(cfg, (r,)):
-            del case[2]["r"]  # the params of a case and of a block alike
-            yield case
+def _binomial_rows(top: int) -> list[tuple[list[int], int]]:
+    # C(n, k) for k = 0..n as ints over one den, n = 0..top; under
+    # hooks.perturb an entry may be a Fraction, which the den absorbs
+    return [scaled([binomial(n, k) for k in range(n + 1)]) for n in range(top + 1)]
 
-    return cases
+
+def _add_scaled(acc: list, weight: int, nums) -> None:
+    # acc += weight * nums, acc at least as long as nums
+    for k, c in enumerate(nums):
+        if c:
+            acc[k] += weight * c
 
 
 def _members(cfg, family, defaults: tuple) -> tuple:
@@ -462,22 +529,26 @@ def _eq6(cfg):
 
 def _eq12_gf(cfg, rs=None):
     # Order-r generating function: the r-th power of 1 / (1 - x0 (e_lam(t) - 1))
-    facts = _factorials(cfg.series_order)
+    rs = _orders(cfg, rs)
+    top = cfg.series_order
+    facts = _factorials(top)
+    points = [_point(x0, top) for x0 in cfg.x_points]
     for lam in cfg.lambdas:
-        base = degenerate_exp_series(1, lam, cfg.series_order) - 1
+        base = degenerate_exp_series(1, lam, top) - 1
         ords = [
-            [degenerate_fubini_poly_order(n, r, lam) for n in range(cfg.series_order + 1)]
-            for r in rs or range(1, cfg.r_max + 1)
+            _over_one_den([degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)])
+            for r in rs
         ]
-        for x0 in cfg.x_points:
-            yield from _fubini_egf_cases(base, ords, x0, facts, {"lambda": lam, "x": x0})
+        for x0, point in zip(cfg.x_points, points):
+            params = {"lambda": lam, "x": x0}
+            yield from _fubini_egf_cases(base, rs, ords, x0, point, facts, params)
 
 
 def _eq14(cfg, rs=None):
     # The coefficients of u^k in F^{(r+1)}_{n,lam}(u/(1-u))/(1-u)^(r+1)
     # against C(k+r, k) (k)_{n,lam}, through THM2_13's block, one block over
     # k; r = 0 is EQ11, the coefficients of F_{n,lam}(x/(1-x))/(1-x)
-    rs = rs or range(1, cfg.r_max + 1)
+    rs = _orders(cfg, rs)
     size = 2 * cfg.n_max + 7
     comb = _comb_rows(size - 1 + max(rs))
     rows = {r: _geometric_weights(comb, r, size) for r in rs}
@@ -524,8 +595,9 @@ def _eq19_inv(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             columns, dens = _sum_moment_columns(dist, lam, cfg.n_max, cfg.n_max)
+            bells = prob_bell_polys(dist, cfg.n_max, lam)
             for n, column in enumerate(columns):
-                bell = prob_bell_poly(dist, n, lam)
+                bell = bells[n]
                 rhs = [sum(map(mul, row, bell.nums)) for row in weights]
                 yield (column, dens), (rhs, bell.den), {"dist": dist, "lambda": lam, "n": n}, "k"
 
@@ -572,42 +644,54 @@ def _eq20_gf(cfg):
 
 def _eq22_gf(cfg):
     # exp(x0 (E[e_lam^Y(t)] - 1)) against the Bell polynomials
-    facts = _factorials(cfg.series_order)
+    top = cfg.series_order
+    facts = _factorials(top)
+    points = [_point(x0, top) for x0 in cfg.x_points]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
-            bells = [prob_bell_poly(dist, n, lam) for n in range(cfg.series_order + 1)]
-            for x0 in cfg.x_points:
+            base = mgf_degenerate_series(dist, lam, top) - 1
+            bells = _over_one_den(prob_bell_polys(dist, top, lam)[: top + 1])
+            for x0, point in zip(cfg.x_points, points):
                 params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _egf_cases((base * x0).exp(), bells, x0, facts, params)
+                yield from _egf_cases((base * x0).exp(), bells, point, facts, params)
+
+
+# The partial Bell columns of _partial_bells per (dist, lam numerator, lam
+# denominator, n_max), built once for EQ29_BELL and THM2_5 alike.
+_partial_bell_columns: dict[tuple[Distribution, int, int, int], list] = hooks.memo({})
 
 
 def _partial_bells(cfg):
-    # (dist, lam, n, nums, dens) over the grid: B_{n,k} = nums[k] / dens[k],
-    # k = 0..n, the partial Bell polynomials of the degenerate moments
-    # E[(Y)_{i,lam}], i = 1..n-k+1. The moments are scaled once per (dist,
-    # lam) to integer numerators over one den; every term of B_{n,k} has
-    # degree k in them, so the sum over partitions runs on the numerators and
-    # dens[k] = den**k.
+    # (dist, lam, columns) over the grid, where B_{n,k} = nums[k] / dens[k],
+    # k = 0..n, for (nums, dens) = columns[n], n = 0..n_max: the partial Bell
+    # polynomials of the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1. The
+    # moments are scaled once per (dist, lam) to integer numerators over one
+    # den; every term of B_{n,k} has degree k in them, so the sum over
+    # partitions runs on the numerators and dens[k] = den**k.
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            moments, den = scaled(
-                [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
-            )
-            powers = [den**k for k in range(cfg.n_max + 1)]
-            for n in range(cfg.n_max + 1):
-                nums = [partial_bell_numerator(n, k, moments) for k in range(n + 1)]
-                yield dist, lam, n, nums, powers[: n + 1]
+            key = dist, lam.numerator, lam.denominator, cfg.n_max
+            if key not in _partial_bell_columns:
+                moments, den = scaled(
+                    [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
+                )
+                powers = [den**k for k in range(cfg.n_max + 1)]
+                _partial_bell_columns[key] = [
+                    ([partial_bell_numerator(n, k, moments) for k in range(n + 1)], powers[: n + 1])
+                    for n in range(cfg.n_max + 1)
+                ]
+            yield dist, lam, _partial_bell_columns[key]
 
 
 def _eq29_bell(cfg):
     # Column numbers, read from the kernel's row as the numerators of the
     # Bell polynomial, as partial Bell polynomials of the degenerate moments:
     # one block over k
-    for dist, lam, n, nums, dens in _partial_bells(cfg):
-        row = prob_bell_poly(dist, n, lam)
-        params = {"dist": dist, "lambda": lam, "n": n}
-        yield (_padded(row, n + 1), row.den), (nums, dens), params, "k"
+    for dist, lam, columns in _partial_bells(cfg):
+        bells = prob_bell_polys(dist, cfg.n_max, lam)
+        for n, (nums, dens) in enumerate(columns):
+            params = {"dist": dist, "lambda": lam, "n": n}
+            yield (_padded(bells[n], n + 1), bells[n].den), (nums, dens), params, "k"
 
 
 def _thm2_3(cfg):
@@ -633,63 +717,73 @@ def _thm2_3(cfg):
 def _thm2_5(cfg):
     # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
     # numerators over dens[n] = den**n
-    for dist, lam, n, nums, dens in _partial_bells(cfg):
-        rhs = sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums))
-        params = {"dist": dist, "lambda": lam, "n": n}
-        yield prob_fubini_poly(dist, n, lam).evaluate_ratio(1), (rhs, dens[n]), params
+    for dist, lam, columns in _partial_bells(cfg):
+        fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
+        for n, (nums, dens) in enumerate(columns):
+            rhs = sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums))
+            params = {"dist": dist, "lambda": lam, "n": n}
+            yield fubs[n].evaluate_ratio(1), (rhs, dens[n]), params
 
 
 def _thm2_6(cfg, rs=None):
     # Order-r explicit formula against 1 / (1 - x0 (E[e_lam^Y(t)] - 1))^r
-    facts = _factorials(cfg.series_order)
+    rs = _orders(cfg, rs)
+    top = cfg.series_order
+    facts = _factorials(top)
+    points = [_point(x0, top) for x0 in cfg.x_points]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            # the polynomials do not depend on x0: build them once per (dist, lam)
-            ords = [
-                [
-                    prob_fubini_poly_order(dist, n, r, lam)
-                    for n in range(cfg.series_order + 1)
-                ]
-                for r in rs or range(1, cfg.r_max + 1)
-            ]
-            base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
-            for x0 in cfg.x_points:
+            # the polynomials do not depend on x0: read once per (dist, lam)
+            ords = [_over_one_den(prob_fubini_polys(dist, top, r, lam)[: top + 1]) for r in rs]
+            base = mgf_degenerate_series(dist, lam, top) - 1
+            for x0, point in zip(cfg.x_points, points):
                 params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _fubini_egf_cases(base, ords, x0, facts, params)
+                yield from _fubini_egf_cases(base, rs, ords, x0, point, facts, params)
 
 
 def _thm2_7(cfg):
-    # First-order recurrence through moment-weighted binomial convolution
+    # First-order recurrence through moment-weighted binomial convolution:
+    # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam} in ints, the
+    # polynomials over one den per (dist, lam) and the moments over another
+    top = cfg.n_max
+    comb = _binomial_rows(top)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = [prob_fubini_poly(dist, n, lam) for n in range(cfg.n_max + 1)]
-            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
-            for n in range(1, cfg.n_max + 1):
-                rhs = _x_times_sum(
-                    _term(fubs[n - k], moments[k], binomial(n, k))
-                    for k in range(1, n + 1)
-                )
+            fubs = prob_fubini_polys(dist, top, 1, lam)
+            fnums, fden = _over_one_den(fubs[: top + 1])
+            moments, mden = scaled([degenerate_moment(dist, k, lam) for k in range(top + 1)])
+            for n in range(1, top + 1):
+                bnums, bden = comb[n]
+                acc = [0] * n
+                for k in range(1, n + 1):
+                    _add_scaled(acc, bnums[k] * moments[k], fnums[n - k])
+                rhs = [0, *acc], fden * mden * bden
                 yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_9(cfg, weights, first_n: int):
     # Derivative identity: d^r/dx^r F^Y_{n,lam} against the sum over i of
     # C(n, i) f w_{n-i} F^{(r+1),Y}_{i,lam}, for n from first_n, where
-    # weights(dist, lam, r, top) gives the column w_0..w_top and the int f
+    # weights(dist, lam, r, top) gives the column w_0..w_top as ints over one
+    # den and the factor f. Both sides are (nums, den) pairs: the derivative
+    # unreduced, and the sum in ints over the polynomials' common den.
     top = cfg.n_max
+    comb = _binomial_rows(top)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
+            fubs = prob_fubini_polys(dist, top, 1, lam)
             for r in range(1, cfg.r_max + 1):
-                ords = [
-                    prob_fubini_poly_order(dist, i, r + 1, lam) for i in range(top + 1)
-                ]
-                column, factor = weights(dist, lam, r, top)
+                onums, oden = _over_one_den(prob_fubini_polys(dist, top, r + 1, lam)[: top + 1])
+                (column, cden), factor = weights(dist, lam, r, top)
+                fnum, fden = ratio(factor)
                 for n in range(first_n, top + 1):
-                    lhs = prob_fubini_poly(dist, n, lam).derivative(r)
-                    rhs = _sum(
-                        _term(ords[i], column[n - i], binomial(n, i) * factor)
-                        for i in range(n + 1)
-                    )
+                    f = fubs[n]
+                    lhs = [math.perm(k, r) * f.nums[k] for k in range(r, len(f.nums))], f.den
+                    bnums, bden = comb[n]
+                    acc = [0] * max(len(onums[i]) for i in range(n + 1))
+                    for i in range(n + 1):
+                        _add_scaled(acc, bnums[i] * column[n - i] * fnum, onums[i])
+                    rhs = acc, oden * cden * bden * fden
                     yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "r": r}
 
 
@@ -698,30 +792,30 @@ def _sum_moment_weights(dist, lam, r: int, top: int):
     # E[(S_r)_{m,lam}] times r!. Its n starts at 1; at n = 0 it already fails
     # trivially (0 vs r!).
     row = sum_degenerate_row(dist, r, top, lam)
-    return [(num, row.den) for num in row.nums[: top + 1]], factorial(r)
+    return (row.nums[: top + 1], row.den), factorial(r)
 
 
 def _stirling_weights(dist, lam, r: int, top: int):
     # THM2_9_CORRECTED, the repaired form: the column numbers times (r!)^2
-    return [prob_stirling2(dist, m, r, lam) for m in range(top + 1)], factorial(r) ** 2
+    return scaled([prob_stirling2(dist, m, r, lam) for m in range(top + 1)]), factorial(r) ** 2
 
 
 def _thm2_11(cfg):
-    # Poisson: Fubini polynomial as a Bell-number mixture of classical ones
-    classical = [classical_fubini_poly(i) for i in range(cfg.n_max + 1)]
+    # Poisson: Fubini polynomial as a Bell-number mixture of classical ones,
+    # in ints: the classical polynomials over one den, each mixture's weights
+    # over another
+    top = cfg.n_max
+    cnums, cden = _over_one_den([classical_fubini_poly(i) for i in range(top + 1)])
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
-        apows = [dist.alpha**i for i in range(cfg.n_max + 1)]
+        apows = [dist.alpha**i for i in range(top + 1)]
         for lam in cfg.lambdas:
-            for n in range(cfg.n_max + 1):
-                rhs = _sum(
-                    _term(classical[i], stirling2_degenerate(n, i, lam) * apows[i])
-                    for i in range(n + 1)
-                )
-                yield (
-                    prob_fubini_poly(dist, n, lam),
-                    rhs,
-                    {"dist": dist, "lambda": lam, "n": n},
-                )
+            fubs = prob_fubini_polys(dist, top, 1, lam)
+            for n in range(top + 1):
+                wnums, wden = scaled([stirling2_degenerate(n, i, lam) * apows[i] for i in range(n + 1)])
+                acc = [0] * (n + 1)
+                for i, w in enumerate(wnums):
+                    _add_scaled(acc, w, cnums[i])
+                yield fubs[n], (acc, cden * wden), {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_12(cfg):
@@ -758,16 +852,16 @@ def _geometric_rows(dist, lam, r: int, comb, moments, params: dict):
     # moments (columns, dens), one block per n over rows built once
     columns, dens = moments
     rows = _geometric_weights(comb, r, len(dens))
+    fubs = prob_fubini_polys(dist, len(columns) - 1, r + 1, lam)
     for n, column in enumerate(columns):
-        w = prob_fubini_poly_order(dist, n, r + 1, lam)
-        lhs, rhs = _geometric_block(w, rows, (column, dens))
+        lhs, rhs = _geometric_block(fubs[n], rows, (column, dens))
         yield lhs, rhs, {**params, "n": n}, "i"
 
 
 def _thm2_13(cfg, rs=None):
     # Order-(r+1) geometric expansion. The sum moments do not depend on r:
     # they are read once per (dist, lam), one row per i.
-    rs = rs or range(1, cfg.r_max + 1)
+    rs = _orders(cfg, rs)
     comb = _comb_rows(cfg.coeff_depth + max(rs))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
@@ -781,47 +875,54 @@ def _thm2_14(cfg, rs=None):
     # Gamma-weight integral of order r recovers the order-r polynomial; one
     # block over k. The integrals of x**k over (r-1)! as (nums, dens) per r.
     integrals = {}
-    for r in rs or range(1, cfg.r_max + 1):
+    for r in _orders(cfg, rs):
         values = [gamma_weight_integral(Polynomial.monomial(k), r) for k in range(cfg.n_max + 1)]
         integrals[r] = _split([(g.numerator, g.denominator * factorial(r - 1)) for g in values])
     for dist in cfg.dists:
         for lam in cfg.lambdas:
+            bells = [
+                (_padded(bell, n + 1), bell.den)
+                for n, bell in enumerate(prob_bell_polys(dist, cfg.n_max, lam)[: cfg.n_max + 1])
+            ]
             for r, (gnums, gdens) in integrals.items():
-                for n in range(cfg.n_max + 1):
-                    bell = prob_bell_poly(dist, n, lam)
-                    fub_r = prob_fubini_poly_order(dist, n, r, lam)
-                    lhs = list(map(mul, _padded(bell, n + 1), gnums))
-                    dens = [bell.den * den for den in gdens[: n + 1]]
+                fubs = prob_fubini_polys(dist, cfg.n_max, r, lam)
+                for n, (bnums, bden) in enumerate(bells):
+                    lhs = list(map(mul, bnums, gnums))
+                    dens = [bden * den for den in gdens[: n + 1]]
                     params = {"dist": dist, "lambda": lam, "r": r, "n": n}
-                    yield (lhs, dens), (_padded(fub_r, n + 1), fub_r.den), params, "k"
+                    yield (lhs, dens), (_padded(fubs[n], n + 1), fubs[n].den), params, "k"
 
 
 def _thm2_15(cfg, rs=None):
-    # Order-r recurrence driven by the shifted degenerate moments; r = 1 is THM2_8
+    # Order-r recurrence driven by the shifted degenerate moments; r = 1 is
+    # THM2_8. The drivers D_k = sum_j C(k, j) F_{k-j} E[(Y)_{j+1,lam}] are int
+    # vectors over one den per (dist, lam), the order-r polynomials over one
+    # per r, so x sum_k C(n, k) r F^{(r)}_{n-k} D_k runs in ints: a pair.
+    top = cfg.n_max
+    comb = _binomial_rows(top)
+    common = math.lcm(*(bden for _, bden in comb))  # 1 unless perturbed
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = [prob_fubini_poly(dist, m, lam) for m in range(cfg.n_max)]
-            shifted = [
-                degenerate_moment(dist, j + 1, lam) for j in range(cfg.n_max)
-            ]
-            drivers = [
-                _sum(
-                    _term(fubs[k - j], shifted[j], binomial(k, j))
-                    for j in range(k + 1)
-                )
-                for k in range(cfg.n_max)
-            ]
-            for r in rs or range(1, cfg.r_max + 1):
-                ords = [
-                    prob_fubini_poly_order(dist, m, r, lam)
-                    for m in range(cfg.n_max + 1)
-                ]
-                for n in range(cfg.n_max):
-                    rhs = _x_times_sum(
-                        _product(ords[n - k], drivers[k], binomial(n, k) * r)
-                        for k in range(n + 1)
-                        if drivers[k]
-                    )
+            fnums, fden = _over_one_den(prob_fubini_polys(dist, top, 1, lam)[:top])
+            moments, mden = scaled([degenerate_moment(dist, j + 1, lam) for j in range(top)])
+            drivers = []
+            for k in range(top):
+                bnums, bden = comb[k]
+                acc = [0] * (k + 1)
+                for j in range(k + 1):
+                    _add_scaled(acc, bnums[j] * (common // bden) * moments[j], fnums[k - j])
+                drivers.append(acc)
+            dden = fden * mden * common
+            for r in _orders(cfg, rs):
+                ords = prob_fubini_polys(dist, top, r, lam)
+                onums, oden = _over_one_den(ords[:top])
+                xords = [[0, *nums] for nums in onums]  # x F^{(r)}_m
+                for n in range(top):
+                    bnums, bden = comb[n]
+                    acc = [0] * (n + 2)
+                    for k in range(n + 1):
+                        _add_scaled(acc, bnums[k] * r, convolve(xords[n - k], drivers[k], n + 2))
+                    rhs = acc, oden * dden * bden
                     yield ords[n + 1], rhs, {"dist": dist, "lambda": lam, "r": r, "n": n}
 
 
@@ -839,47 +940,52 @@ def _thm2_16(cfg):
                 )
 
 
-# each shared by two identities; see THM2_1 and THM2_10 below
-_thm2_6_at_1 = _order_slice(_thm2_6, 1)
-_thm2_13_at_0 = _order_slice(_thm2_13, 0)
+def _thm2_9_printed(cfg):
+    return _thm2_9(cfg, _sum_moment_weights, 1)
 
+
+def _thm2_9_corrected(cfg):
+    return _thm2_9(cfg, _stirling_weights, 0)
+
+
+# Each identity's checker and the order it takes of it: None for the
+# checker's own orders (1..r_max for an order-r checker), or the one order r
+# of an order slice, whose cases are reported without r.
 _CHECKERS = {
-    IdentityId.EQ6: _eq6,
-    IdentityId.EQ10_GF: _order_slice(_eq12_gf, 1),
-    IdentityId.EQ11: _order_slice(_eq14, 0),
-    IdentityId.EQ12_GF: _eq12_gf,
-    IdentityId.EQ14: _eq14,
-    IdentityId.EQ15_GF: _eq15_gf,
-    IdentityId.EQ19_INV: _eq19_inv,
-    IdentityId.EQ20_GF: _eq20_gf,
-    IdentityId.EQ22_GF: _eq22_gf,
-    IdentityId.EQ23_GF: _thm2_6_at_1,
-    IdentityId.EQ29_BELL: _eq29_bell,
+    IdentityId.EQ6: (_eq6, None),
+    IdentityId.EQ10_GF: (_eq12_gf, 1),
+    IdentityId.EQ11: (_eq14, 0),
+    IdentityId.EQ12_GF: (_eq12_gf, None),
+    IdentityId.EQ14: (_eq14, None),
+    IdentityId.EQ15_GF: (_eq15_gf, None),
+    IdentityId.EQ19_INV: (_eq19_inv, None),
+    IdentityId.EQ20_GF: (_eq20_gf, None),
+    IdentityId.EQ22_GF: (_eq22_gf, None),
+    IdentityId.EQ23_GF: (_thm2_6, 1),
+    IdentityId.EQ29_BELL: (_eq29_bell, None),
     # THM2_1, the column expansion sum_k {n brace k}_{Y,lam} k! x^k, is the
-    # Fubini polynomial at x: the same comparison as EQ23_GF. run_suite runs
-    # the shared checker once and reports its result under both identities.
-    IdentityId.THM2_1: _thm2_6_at_1,
+    # Fubini polynomial at x: the same comparison as EQ23_GF.
+    IdentityId.THM2_1: (_thm2_6, 1),
     # THM2_2, the geometric moment series, is the substitution u = x/(1+x) in
     # the expansion checked here; thm2_2_numeric_spotcheck spot-checks its tail
-    IdentityId.THM2_2: _thm2_13_at_0,
-    IdentityId.THM2_3: _thm2_3,
-    IdentityId.THM2_4: _order_slice(_thm2_14, 1),
-    IdentityId.THM2_5: _thm2_5,
-    IdentityId.THM2_6: _thm2_6,
-    IdentityId.THM2_7: _thm2_7,
-    IdentityId.THM2_8: _order_slice(_thm2_15, 1),
-    IdentityId.THM2_9_PRINTED: lambda cfg: _thm2_9(cfg, _sum_moment_weights, 1),
-    IdentityId.THM2_9_CORRECTED: lambda cfg: _thm2_9(cfg, _stirling_weights, 0),
+    IdentityId.THM2_2: (_thm2_13, 0),
+    IdentityId.THM2_3: (_thm2_3, None),
+    IdentityId.THM2_4: (_thm2_14, 1),
+    IdentityId.THM2_5: (_thm2_5, None),
+    IdentityId.THM2_6: (_thm2_6, None),
+    IdentityId.THM2_7: (_thm2_7, None),
+    IdentityId.THM2_8: (_thm2_15, 1),
+    IdentityId.THM2_9_PRINTED: (_thm2_9_printed, None),
+    IdentityId.THM2_9_CORRECTED: (_thm2_9_corrected, None),
     # THM2_10, the expansion of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u
-    # against the sum moments, is coefficient for coefficient THM2_2's check;
-    # run_suite reuses THM2_2's result, as for THM2_1 above.
-    IdentityId.THM2_10: _thm2_13_at_0,
-    IdentityId.THM2_11: _thm2_11,
-    IdentityId.THM2_12: _thm2_12,
-    IdentityId.THM2_13: _thm2_13,
-    IdentityId.THM2_14: _thm2_14,
-    IdentityId.THM2_15: _thm2_15,
-    IdentityId.THM2_16: _thm2_16,
+    # against the sum moments, is coefficient for coefficient THM2_2's check.
+    IdentityId.THM2_10: (_thm2_13, 0),
+    IdentityId.THM2_11: (_thm2_11, None),
+    IdentityId.THM2_12: (_thm2_12, None),
+    IdentityId.THM2_13: (_thm2_13, None),
+    IdentityId.THM2_14: (_thm2_14, None),
+    IdentityId.THM2_15: (_thm2_15, None),
+    IdentityId.THM2_16: (_thm2_16, None),
 }
 
 
@@ -892,34 +998,54 @@ def resolve_identity(name: str | IdentityId) -> IdentityId:
         raise ValueError(f"unknown identity {name!r}") from None
 
 
+def _run(cfg: CheckConfig, checker, members: dict) -> list[CheckReport]:
+    # One run of checker for the identities in members, each mapped to the
+    # order it takes (see _CHECKERS), at the sorted union of those orders.
+    if all(order is None for order in members.values()):
+        return _tally(checker(cfg), dict.fromkeys(members))
+    defaults = tuple(range(1, cfg.r_max + 1))
+    takes = {i: defaults if order is None else order for i, order in members.items()}
+    rs = sorted({r for t in takes.values() for r in ((t,) if type(t) is int else t)})
+    return _tally(checker(cfg, rs), takes)
+
+
 def check_identity(identity: str | IdentityId, cfg: CheckConfig) -> CheckReport:
-    """Run one checker over the grid; stops at the first exact mismatch."""
+    """Run one checker over the grid; stops at the first exact mismatch.
+
+    The report is run_suite(cfg, [identity])[0]: an order slice runs its
+    order-r checker at its one order only.
+    """
     identity = resolve_identity(identity)
-    return _drive(identity, _CHECKERS[identity](cfg))
+    checker, order = _CHECKERS[identity]
+    return _run(cfg, checker, {identity: order})[0]
 
 
 def run_suite(cfg: CheckConfig, identities=None) -> list[CheckReport]:
     """Run the whole catalog in declaration order, or a selection in its order.
 
-    Each distinct checker runs once. An identity that shares its checker with
-    one already run gets that run's case count and counterexample under its
-    own name, as check_identity would report them.
+    The selection is grouped by checker, and each checker runs once, at the
+    union of the orders its selected identities take. Every identity gets the
+    report check_identity would give it: its own cases, counted up to its
+    own first mismatch. An identity alone on its checker runs through
+    check_identity, so a wrapper of check_identity (a profiler's, say) still
+    times it.
     """
     if identities is None:
         selected = list(IdentityId)
     else:
         selected = [resolve_identity(i) for i in identities]
-    done: dict = {}
-    reports = []
+    groups: dict = {}
     for identity in selected:
-        checker = _CHECKERS[identity]
-        if checker in done:
-            first = done[checker]
-            reports.append(_report(identity, first.cases, first.counterexample))
+        checker, order = _CHECKERS[identity]
+        groups.setdefault(checker, {})[identity] = order
+    reports = {}
+    for checker, members in groups.items():
+        if len(members) == 1:
+            (identity,) = members
+            reports[identity] = check_identity(identity, cfg)
         else:
-            done[checker] = check_identity(identity, cfg)
-            reports.append(done[checker])
-    return reports
+            reports.update(zip(members, _run(cfg, checker, members)))
+    return [reports[identity] for identity in selected]
 
 
 def suite_ok(reports) -> bool:

@@ -13,8 +13,12 @@ denominators. The recurrences, the contractions against the numerators of
 (x)_{n,lam} and the polynomial builders run on those numerators in Python
 ints; callers that read many entries take a row itself (sum_degenerate_row),
 and the scalar accessors build one Fraction per read. The order-r Fubini
-polynomials are memoised per (dist, r, lam). Tables indexed by lam are keyed
-by (lam.numerator, lam.denominator), which hashes without Fraction.__hash__.
+polynomials, per (dist, r, lam), and the Bell polynomials, per (dist, lam),
+are memoised as lists: prob_fubini_polys and prob_bell_polys return a list
+whole, for callers that read every degree, and prob_fubini_poly_order and
+prob_bell_poly index it. The truncated moment series is memoised per (dist,
+lam, order). Tables indexed by lam are keyed by (lam.numerator,
+lam.denominator), which hashes without Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import partial
 from operator import mul
 
 from . import hooks
-from .combinat import binomial, falling_factorial_poly, weighted_by_order
+from .combinat import binomial, falling_factorial_polys, weighted_by_order
 from .distributions import Distribution
 from .poly import Polynomial
 from .rational import ScaledRow, as_rational, ratio
@@ -108,7 +112,7 @@ def _contracted(row: ScaledRow, n: int, lam: Fraction, moments) -> ScaledRow:
     """
     if len(row) <= n:
         mus = moments(n)
-        ffs = [falling_factorial_poly(m, lam) for m in range(len(row), n + 1)]
+        ffs = falling_factorial_polys(n, lam)[len(row) : n + 1]
         row.extend_ratios((sum(map(mul, f.nums, mus.nums)), f.den * mus.den) for f in ffs)
     return row
 
@@ -201,12 +205,31 @@ def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
     return _triangle(dist, n, lam)[n][k]
 
 
+# The Bell polynomials per (dist, lam numerator, lam denominator); entry n is
+# phi^Y_{n,lam}, built from triangle row n.
+_bell_rows: dict[tuple[Distribution, int, int], list[Polynomial]] = hooks.memo(
+    defaultdict(list)
+)
+
+
+def prob_bell_polys(dist: Distribution, n: int, lam) -> list[Polynomial]:
+    """phi^Y_{m,lam} for m = 0..n (at least): the memoised list itself.
+
+    A caller that reads many degrees slices it once; it does not change it.
+    """
+    lam = as_rational(lam)
+    polys = _bell_rows[dist, lam.numerator, lam.denominator]
+    if len(polys) <= n:
+        rows = _triangle(dist, n, lam)
+        polys.extend(Polynomial.from_scaled(row.nums, row.den) for row in rows[len(polys) : n + 1])
+    return polys
+
+
 def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
     """phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} x**k."""
     if n < 0:
         return Polynomial()
-    row = _triangle(dist, n, lam)[n]
-    return Polynomial.from_scaled(row.nums, row.den)
+    return prob_bell_polys(dist, n, lam)[n]
 
 
 def prob_fubini_poly(dist: Distribution, n: int, lam) -> Polynomial:
@@ -221,23 +244,38 @@ _fubini_order_rows: dict[tuple[Distribution, int, int, int], list[Polynomial]] =
 )
 
 
-def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomial:
-    """Order-r variant with weight C(k+r-1, k) k!; r = 1 gives prob_fubini_poly."""
+def prob_fubini_polys(dist: Distribution, n: int, r: int, lam) -> list[Polynomial]:
+    """The order-r F^Y_{m,lam} for m = 0..n (at least): the memoised list itself.
+
+    A caller that reads many degrees slices it once; it does not change it.
+    """
     if r < 1:
         raise ValueError("order r must be >= 1")
-    if n < 0:
-        return Polynomial()
     lam = as_rational(lam)
     polys = _fubini_order_rows[dist, r, lam.numerator, lam.denominator]
     if len(polys) <= n:
         rows = _triangle(dist, n, lam)
-        polys.extend(weighted_by_order(rows[m], r) for m in range(len(polys), n + 1))
-    return polys[n]
+        polys.extend(weighted_by_order(row, r) for row in rows[len(polys) : n + 1])
+    return polys
+
+
+def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomial:
+    """Order-r variant with weight C(k+r-1, k) k!; r = 1 gives prob_fubini_poly."""
+    polys = prob_fubini_polys(dist, n, r, lam)
+    return polys[n] if n >= 0 else Polynomial()
+
+
+# The truncated moment series per (dist, lam numerator, lam denominator, order).
+_mgf_series: dict[tuple[Distribution, int, int, int], TruncatedSeries] = hooks.memo({})
 
 
 def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSeries:
     """Truncation of E[e_lam^Y(t)]: EGF coefficients are E[(Y)_{n,lam}]."""
     if order < 0:
         raise ValueError("series order must be >= 0")
-    row = _degenerate_row(dist, order, as_rational(lam))
-    return TruncatedSeries.from_egf(row[n] for n in range(order + 1))
+    lam = as_rational(lam)
+    key = dist, lam.numerator, lam.denominator, order
+    if key not in _mgf_series:
+        row = _degenerate_row(dist, order, lam)
+        _mgf_series[key] = TruncatedSeries.from_egf(row[n] for n in range(order + 1))
+    return _mgf_series[key]

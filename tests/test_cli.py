@@ -367,6 +367,22 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# Every identity at r_max 1 and at r_max 5 on the default grid at n_max 4.
+# At r_max 1 an order-r checker and its r = 1 slice cover the same cases; at
+# r_max 5 a checker shared with a slice runs the union of their orders. Digests
+# taken while each slice still ran its own pass of its order-r checker.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "all", "--r-max", "1", "--n-max", "4"],
+        "97111cc1aa340010d5a8789be6301a3099a756a1f75eac83b311f5a942b6e80a",
+    ),
+    (
+        ["verify", "--suite", "all", "--r-max", "5", "--n-max", "4"],
+        "acbb877eb23d485bdafdc323ffed3b83216fa985aec0cdeb8680c8a9ed01449d",
+    ),
+]
+
+
 # mc documents, taken before every command wrote through one document writer:
 # a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",

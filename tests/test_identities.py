@@ -11,6 +11,7 @@ from fubini import hooks, identities
 from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
 from fubini.distributions import Bernoulli, FiniteDiscrete, Gamma, PointMass, Poisson
 from fubini.families import degenerate_bell_poly
+from fubini.poly import Polynomial
 from fubini.probabilistic import sum_degenerate_row
 from fubini.identities import (
     CheckConfig,
@@ -116,25 +117,88 @@ def test_run_suite_reports_equal_one_check_per_identity():
     assert suite == [check_identity(i, cfg).to_dict() for i in IdentityId]
 
 
-def test_run_suite_shares_one_run_between_identities(monkeypatch):
+def _spy_on_checkers(monkeypatch) -> list:
+    # (checker name, orders or None) per checker run, through a wrapper that
+    # stands in for each checker under every identity that shares it
     calls = []
-    real = identities.check_identity
+    spies = {}
+    for identity, (checker, order) in identities._CHECKERS.items():
+        if checker not in spies:
 
-    def counting(identity, cfg):
-        calls.append(identity)
-        return real(identity, cfg)
+            def spy(cfg, rs=None, _checker=checker):
+                calls.append((_checker.__name__, None if rs is None else tuple(rs)))
+                return _checker(cfg) if rs is None else _checker(cfg, rs)
 
-    monkeypatch.setattr(identities, "check_identity", counting)
+            spies[checker] = spy
+        monkeypatch.setitem(identities._CHECKERS, identity, (spies[checker], order))
+    return calls
+
+
+def test_run_suite_shares_one_run_between_identities(monkeypatch):
+    calls = _spy_on_checkers(monkeypatch)
     reports = run_suite(small_config())
-    assert IdentityId.THM2_1 not in calls and IdentityId.THM2_10 not in calls
-    assert len(calls) == len(IdentityId) - 2
+    # 28 identities, 8 of them order slices: each of the 20 checkers runs
+    # once, an order-r checker at the union of its identities' orders
+    names = [name for name, _ in calls]
+    assert len(names) == len(set(names)) == 20
+    orders = {name: rs for name, rs in calls if rs is not None}
+    assert orders == {
+        "_eq12_gf": (1, 2),
+        "_eq14": (0, 1, 2),
+        "_thm2_6": (1, 2),
+        "_thm2_13": (0, 1, 2),
+        "_thm2_14": (1, 2),
+        "_thm2_15": (1, 2),
+    }
     by_id = {r.identity: r for r in reports}
     assert by_id[IdentityId.THM2_1].cases == by_id[IdentityId.EQ23_GF].cases
     assert by_id[IdentityId.THM2_10].cases == by_id[IdentityId.THM2_2].cases
     # a selection without the first identity of the pair still runs the checker
+    calls.clear()
     only = run_suite(small_config(), ["THM2_10"])
-    assert calls[-1] is IdentityId.THM2_10
+    assert calls == [("_thm2_13", (0,))]
     assert only[0].to_dict() == by_id[IdentityId.THM2_10].to_dict()
+
+
+def test_a_slice_alone_runs_its_one_order_and_with_its_base_one_run(monkeypatch):
+    calls = _spy_on_checkers(monkeypatch)
+    cfg = small_config()
+    alone = run_suite(cfg, ["EQ23_GF"])
+    assert calls == [("_thm2_6", (1,))]
+    calls.clear()
+    both = run_suite(cfg, ["THM2_6", "EQ23_GF"])
+    assert calls == [("_thm2_6", (1, 2))]
+    assert both[1].to_dict() == alone[0].to_dict()
+    assert both[0].to_dict() == check_identity("THM2_6", cfg).to_dict()
+
+
+# C(5, 4) is read as the order-2 weight C(k + 1, k) at k = 4, and nowhere at
+# r = 1 on this grid: the triangle and the binomial rows stop at n = 4.
+_ORDER_TWO_GRID = dict(
+    lambdas=(F(0), F(1, 2)),
+    n_max=4,
+    r_max=2,
+    dists=(Bernoulli(F(2, 5)), Poisson(F(3, 2))),
+    x_points=(F(1), F(-1, 3)),
+    series_order=4,
+    coeff_depth=8,
+)
+
+
+def test_a_fault_read_only_at_order_two_spares_the_order_one_slices(monkeypatch):
+    cfg = CheckConfig(**_ORDER_TWO_GRID)
+    selection = ["THM2_6", "EQ23_GF", "THM2_15", "THM2_8"]
+    calls = _spy_on_checkers(monkeypatch)
+    with hooks.perturb("binomial", (5, 4)):
+        reports = run_suite(cfg, selection)
+        alone = [check_identity(i, cfg) for i in selection]
+    assert calls[:2] == [("_thm2_6", (1, 2)), ("_thm2_15", (1, 2))]
+    assert [r.status for r in reports] == ["fail", "pass", "fail", "pass"]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
+    # the failing base reports the order-2 case, after every order-1 case
+    # before it
+    assert reports[0].counterexample.params["r"] == "2"
+    assert reports[2].counterexample.params["r"] == "2"
 
 
 def test_run_suite_selection_order():
@@ -172,7 +236,7 @@ def test_printed_thm29_documented_counterexample():
 
 
 def _drive(cases):
-    return identities._drive(IdentityId.EQ6, cases)
+    return identities._tally(cases, {IdentityId.EQ6: None})[0]
 
 
 def test_scalar_sides_compare_by_cross_multiplication():
@@ -300,6 +364,33 @@ def test_a_block_mismatch_names_its_index_and_prints_reduced():
 def test_block_sides_of_unequal_length_are_refused():
     with pytest.raises(ValueError, match="differ in length"):
         _drive(iter([(([1, 2], 1), ([1], 1), {}, "k")]))
+
+
+# A polynomial side may be an unreduced (nums, den) pair; its case compares
+# by cross-multiplication, the shorter side padded with zeros, and prints as
+# the reduced Polynomial.
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        (Polynomial([1, 2]), ([2, 4, 6], 2)),
+        (([3, 6, 0, 9], 3), Polynomial([1, 2])),
+        (([0, -4], -8), ([0, 1, 0, 0, 5], 2)),
+    ],
+    ids=["rhs-longer", "lhs-longer", "both-pairs"],
+)
+def test_a_polynomial_pair_with_an_extra_top_coefficient_fails(lhs, rhs):
+    params = {"n": 3}
+    rep = _drive(iter([(Polynomial([7]), ([14], 2), {"n": 2}), (lhs, rhs, params)]))
+    reduced = [Polynomial.from_scaled(*side) if type(side) is tuple else side for side in (lhs, rhs)]
+    assert reduced[0] != reduced[1]
+    assert rep.status == "fail" and rep.cases == 2
+    assert rep.counterexample == identities._counterexample(params, *reduced)
+    assert rep.counterexample.lhs == "[" + ", ".join(map(str, reduced[0].coeffs)) + "]"
+
+
+def test_a_polynomial_pair_with_zero_top_numerators_passes():
+    rep = _drive(iter([(Polynomial([1, 2]), ([2, 4, 0, 0], 2), {"n": 1}), (([], 5), ([0], 3), {"n": 2})]))
+    assert (rep.status, rep.cases, rep.counterexample) == ("pass", 2, None)
 
 
 # The spot-check reads the sum moments E[(S_i)_{n,lam}] for i <= n only and
@@ -569,3 +660,25 @@ def test_replace_validates_the_changed_config():
     assert cfg.n_max == 10 and narrow != cfg
     with pytest.raises(ValueError, match="n_max"):
         cfg.replace(n_max=0)
+
+
+def test_eq29_bell_and_thm25_read_one_build_of_the_partial_bell_columns(monkeypatch):
+    calls = []
+    real = identities.partial_bell_numerator
+
+    def counting(n, k, nums):
+        calls.append((n, k))
+        return real(n, k, nums)
+
+    monkeypatch.setattr(identities, "partial_bell_numerator", counting)
+    cfg = small_config()
+    hooks.clear_caches()
+    first = check_identity(IdentityId.EQ29_BELL, cfg)
+    built = len(calls)
+    # one sum over partitions per (dist, lam, n, k)
+    assert built == len(cfg.dists) * len(cfg.lambdas) * (cfg.n_max + 1) * (cfg.n_max + 2) // 2
+    second = check_identity(IdentityId.THM2_5, cfg)
+    assert len(calls) == built and first.ok and second.ok
+    with hooks.perturb("factorial", (3,)):
+        assert not identities._partial_bell_columns
+    assert not identities._partial_bell_columns

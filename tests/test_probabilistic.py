@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubini.combinat import falling_factorial_poly, stirling2_degenerate
+from fubini import hooks, probabilistic
+from fubini.combinat import falling_factorial_poly, falling_factorial_polys, stirling2_degenerate
 from fubini.distributions import (
     Bernoulli,
     FiniteDiscrete,
@@ -19,8 +20,10 @@ from fubini.probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
     prob_bell_poly,
+    prob_bell_polys,
     prob_fubini_poly,
     prob_fubini_poly_order,
+    prob_fubini_polys,
     prob_stirling2,
     raw_moment,
     sum_degenerate_moment,
@@ -217,3 +220,43 @@ def test_lambda_zero_collapses_to_raw_moments():
 def test_float_lambda_rejected():
     with pytest.raises(TypeError):
         prob_fubini_poly(Bernoulli(F(2, 5)), 2, 0.5)
+
+
+# --- whole-row accessors ---
+
+
+def test_the_row_accessors_return_the_memoised_polynomials():
+    dist, lam = Poisson(F(3, 2)), F(-1, 4)
+    bells = prob_bell_polys(dist, 6, lam)
+    fubs = prob_fubini_polys(dist, 6, 2, lam)
+    ffs = falling_factorial_polys(6, lam)
+    assert len(bells) >= 7 and len(fubs) >= 7 and len(ffs) >= 7
+    for n in range(7):
+        assert prob_bell_poly(dist, n, lam) is bells[n]
+        assert prob_fubini_poly_order(dist, n, 2, lam) is fubs[n]
+        assert falling_factorial_poly(n, lam) is ffs[n]
+    # a longer read grows the same list
+    assert prob_bell_polys(dist, 9, lam) is bells and len(bells) >= 10
+    assert prob_fubini_poly(dist, 3, lam) is prob_fubini_polys(dist, 3, 1, lam)[3]
+    with pytest.raises(ValueError, match="order r"):
+        prob_fubini_polys(dist, 3, 0, lam)
+
+
+def test_the_moment_series_is_built_once_per_dist_lam_and_order():
+    dist, lam = Gamma(F(3, 2), 2), F(1, 3)
+    series = mgf_degenerate_series(dist, lam, 8)
+    assert mgf_degenerate_series(dist, F(2, 6), 8) is series
+    assert mgf_degenerate_series(dist, lam, 7) is not series
+    assert series.coeffs[3] == degenerate_moment(dist, 3, lam) / 6
+
+
+def test_perturb_empties_the_row_tables():
+    dist, lam = Bernoulli(F(2, 5)), F(1, 2)
+    prob_bell_polys(dist, 4, lam)
+    prob_fubini_polys(dist, 4, 3, lam)
+    mgf_degenerate_series(dist, lam, 4)
+    tables = (probabilistic._bell_rows, probabilistic._fubini_order_rows, probabilistic._mgf_series)
+    assert all(tables)
+    with hooks.perturb("binomial", (4, 2)):
+        assert not any(tables)
+    assert not any(tables)
