@@ -150,17 +150,13 @@ def weighted_by_order(row: ScaledRow, r: int) -> Polynomial:
     return Polynomial.from_scaled(nums, row.den * weights.den)
 
 
-def _stirling2_degenerate_row(n: int, lam: Fraction) -> ScaledRow:
-    # sum_m lam**(n-m) s(n,m) S(m,k) for k = 0..n. With lam = u/v,
-    # lam**(n-m) = u**(n-m) v**m / v**n, so each sum runs on ints (on
-    # Fractions where hooks.perturb shifts a Stirling number) over v**n, and
-    # one Fraction is built per entry.
-    u, v = lam.numerator, lam.denominator
-    weights = [u ** (n - m) * v**m * stirling1(n, m) for m in range(n + 1)]
-    return ScaledRow(
-        Fraction(sum(weights[m] * stirling2(m, k) for m in range(k, n + 1) if weights[m]), v**n)
-        for k in range(n + 1)
-    )
+def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
+    total = Fraction(0)
+    for m in range(k, n + 1):
+        s1 = stirling1(n, m)
+        if s1:
+            total += lam ** (n - m) * s1 * stirling2(m, k)
+    return total
 
 
 # Rows of the degenerate Stirling numbers per (lam numerator, lam
@@ -177,7 +173,8 @@ def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
     lam = as_rational(lam)
     rows = _s2_degenerate_rows[lam.numerator, lam.denominator]
     while len(rows) <= n:
-        rows.append(_stirling2_degenerate_row(len(rows), lam))
+        m = len(rows)
+        rows.append(ScaledRow(_stirling2_degenerate(m, k, lam) for k in range(m + 1)))
     return rows[n]
 
 

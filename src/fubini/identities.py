@@ -104,7 +104,7 @@ from .families import (
     degenerate_fubini_poly_order,
 )
 from . import hooks
-from .poly import Polynomial, convolve, gamma_weight_integral
+from .poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
 from .probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
@@ -437,29 +437,15 @@ def _split(pairs) -> tuple[list, list]:
     return [num for num, _ in pairs], [den for _, den in pairs]
 
 
-def _point(x0, degree: int) -> tuple[list[int], int]:
-    # x0 = u/v as (xs, v**degree), xs[k] = u**k v**(degree - k): a polynomial
-    # of degree <= degree, numerators nums over den, is
-    # sum(map(mul, nums, xs)) / (den v**degree) at x0
-    u, v = ratio(x0)
-    return [u**k * v ** (degree - k) for k in range(degree + 1)], v**degree
+def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
+    # EGF coefficient n of the series s against polys[n] at x0: one block over
+    # n = 0, 1, ...
+    lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
+    rhs = _split([poly.evaluate_ratio(x0) for poly in polys])
+    yield (lhs, s.den), rhs, params, "n"
 
 
-def _values_at(polys: tuple, point: tuple) -> tuple[list[int], int]:
-    # polynomials, as numerators over one den (_over_one_den), at a _point:
-    # their values as numerators over one den
-    (pnums, pden), (xs, vpow) = polys, point
-    return [sum(map(mul, nums, xs)) for nums in pnums], pden * vpow
-
-
-def _egf_cases(s: TruncatedSeries, polys: tuple, point: tuple, facts: list[int], params: dict):
-    # EGF coefficient n of the series s against polys[n] at a _point: one
-    # block over n = 0, 1, ...
-    lhs = [s.nums[n] * facts[n] for n in range(len(polys[0]))]
-    yield (lhs, s.den), _values_at(polys, point), params, "n"
-
-
-def _fubini_egf_cases(base: TruncatedSeries, rs, ords, x0, point, facts: list[int], params: dict):
+def _fubini_egf_cases(base: TruncatedSeries, rs, ords, x0, facts: list[int], params: dict):
     # 1 / (1 - x0 base)^r against ords[i] at x0 for the i-th r of the
     # increasing orders rs >= 1, where the caller builds base =
     # E[e_lam^Y(t)] - 1 once per (dist, lam); the powers stop at the last r
@@ -468,7 +454,7 @@ def _fubini_egf_cases(base: TruncatedSeries, rs, ords, x0, point, facts: list[in
     for r, polys in zip(rs, ords):
         while at < r:
             power, at = power * reciprocal, at + 1
-        yield from _egf_cases(power, polys, point, facts, {**params, "r": r})
+        yield from _egf_cases(power, polys, x0, facts, {**params, "r": r})
 
 
 def _orders(cfg, rs) -> list[int]:
@@ -483,9 +469,9 @@ def _over_one_den(polys) -> tuple[list[list[int]], int]:
 
 
 def _binomial_rows(top: int) -> list[tuple[list[int], int]]:
-    # C(n, k) for k = 0..n as ints over one den, n = 0..top; under
+    # the rows of _comb_rows(top) up to k = n as ints over one den; under
     # hooks.perturb an entry may be a Fraction, which the den absorbs
-    return [scaled([binomial(n, k) for k in range(n + 1)]) for n in range(top + 1)]
+    return [scaled(row[: n + 1]) for n, row in enumerate(_comb_rows(top))]
 
 
 def _add_scaled(acc: list, weight: int, nums) -> None:
@@ -532,16 +518,12 @@ def _eq12_gf(cfg, rs=None):
     rs = _orders(cfg, rs)
     top = cfg.series_order
     facts = _factorials(top)
-    points = [_point(x0, top) for x0 in cfg.x_points]
     for lam in cfg.lambdas:
         base = degenerate_exp_series(1, lam, top) - 1
-        ords = [
-            _over_one_den([degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)])
-            for r in rs
-        ]
-        for x0, point in zip(cfg.x_points, points):
+        ords = [[degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)] for r in rs]
+        for x0 in cfg.x_points:
             params = {"lambda": lam, "x": x0}
-            yield from _fubini_egf_cases(base, rs, ords, x0, point, facts, params)
+            yield from _fubini_egf_cases(base, rs, ords, x0, facts, params)
 
 
 def _eq14(cfg, rs=None):
@@ -646,14 +628,13 @@ def _eq22_gf(cfg):
     # exp(x0 (E[e_lam^Y(t)] - 1)) against the Bell polynomials
     top = cfg.series_order
     facts = _factorials(top)
-    points = [_point(x0, top) for x0 in cfg.x_points]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, top) - 1
-            bells = _over_one_den(prob_bell_polys(dist, top, lam)[: top + 1])
-            for x0, point in zip(cfg.x_points, points):
+            bells = prob_bell_polys(dist, top, lam)[: top + 1]
+            for x0 in cfg.x_points:
                 params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _egf_cases((base * x0).exp(), bells, point, facts, params)
+                yield from _egf_cases((base * x0).exp(), bells, x0, facts, params)
 
 
 # The partial Bell columns of _partial_bells per (dist, lam numerator, lam
@@ -730,34 +711,29 @@ def _thm2_6(cfg, rs=None):
     rs = _orders(cfg, rs)
     top = cfg.series_order
     facts = _factorials(top)
-    points = [_point(x0, top) for x0 in cfg.x_points]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             # the polynomials do not depend on x0: read once per (dist, lam)
-            ords = [_over_one_den(prob_fubini_polys(dist, top, r, lam)[: top + 1]) for r in rs]
+            ords = [prob_fubini_polys(dist, top, r, lam)[: top + 1] for r in rs]
             base = mgf_degenerate_series(dist, lam, top) - 1
-            for x0, point in zip(cfg.x_points, points):
+            for x0 in cfg.x_points:
                 params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _fubini_egf_cases(base, rs, ords, x0, point, facts, params)
+                yield from _fubini_egf_cases(base, rs, ords, x0, facts, params)
 
 
 def _thm2_7(cfg):
-    # First-order recurrence through moment-weighted binomial convolution:
-    # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam} in ints, the
-    # polynomials over one den per (dist, lam) and the moments over another
-    top = cfg.n_max
-    comb = _binomial_rows(top)
+    # First-order recurrence through moment-weighted binomial convolution
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = prob_fubini_polys(dist, top, 1, lam)
-            fnums, fden = _over_one_den(fubs[: top + 1])
-            moments, mden = scaled([degenerate_moment(dist, k, lam) for k in range(top + 1)])
-            for n in range(1, top + 1):
-                bnums, bden = comb[n]
-                acc = [0] * n
-                for k in range(1, n + 1):
-                    _add_scaled(acc, bnums[k] * moments[k], fnums[n - k])
-                rhs = [0, *acc], fden * mden * bden
+            fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
+            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
+            for n in range(1, cfg.n_max + 1):
+                # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam}, reduced once
+                nums, den = weighted_sum(
+                    (f.nums, f.den * m.denominator, binomial(n, k) * m.numerator)
+                    for k, (f, m) in enumerate(zip(fubs[n - 1 :: -1], moments[1 : n + 1]), 1)
+                )
+                rhs = Polynomial.from_scaled([0, *nums], den)
                 yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
@@ -777,8 +753,7 @@ def _thm2_9(cfg, weights, first_n: int):
                 (column, cden), factor = weights(dist, lam, r, top)
                 fnum, fden = ratio(factor)
                 for n in range(first_n, top + 1):
-                    f = fubs[n]
-                    lhs = [math.perm(k, r) * f.nums[k] for k in range(r, len(f.nums))], f.den
+                    lhs = fubs[n].derivative_ratio(r)
                     bnums, bden = comb[n]
                     acc = [0] * max(len(onums[i]) for i in range(n + 1))
                     for i in range(n + 1):
@@ -801,21 +776,19 @@ def _stirling_weights(dist, lam, r: int, top: int):
 
 
 def _thm2_11(cfg):
-    # Poisson: Fubini polynomial as a Bell-number mixture of classical ones,
-    # in ints: the classical polynomials over one den, each mixture's weights
-    # over another
-    top = cfg.n_max
-    cnums, cden = _over_one_den([classical_fubini_poly(i) for i in range(top + 1)])
+    # Poisson: Fubini polynomial as a Bell-number mixture of classical ones
+    classical = [classical_fubini_poly(i) for i in range(cfg.n_max + 1)]
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
-        apows = [dist.alpha**i for i in range(top + 1)]
+        apows = [dist.alpha**i for i in range(cfg.n_max + 1)]
         for lam in cfg.lambdas:
-            fubs = prob_fubini_polys(dist, top, 1, lam)
-            for n in range(top + 1):
-                wnums, wden = scaled([stirling2_degenerate(n, i, lam) * apows[i] for i in range(n + 1)])
-                acc = [0] * (n + 1)
-                for i, w in enumerate(wnums):
-                    _add_scaled(acc, w, cnums[i])
-                yield fubs[n], (acc, cden * wden), {"dist": dist, "lambda": lam, "n": n}
+            fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
+            for n in range(cfg.n_max + 1):
+                weights = [stirling2_degenerate(n, i, lam) * apows[i] for i in range(n + 1)]
+                terms = [
+                    (p.nums, p.den * w.denominator, w.numerator) for p, w in zip(classical, weights)
+                ]
+                rhs = Polynomial.from_scaled(*weighted_sum(terms))
+                yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_12(cfg):

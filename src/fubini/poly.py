@@ -203,13 +203,16 @@ class Polynomial(ScaledVector):
 
     __call__ = evaluate
 
-    def derivative(self, r: int = 1) -> "Polynomial":
+    def derivative_ratio(self, r: int = 1) -> tuple[list[int], int]:
+        """The r-th derivative as (nums, den), not necessarily in lowest terms."""
         if r < 0:
             raise ValueError("derivative order must be >= 0")
         nums = self.nums
-        return Polynomial.from_scaled(
-            [math.perm(k, r) * nums[k] for k in range(r, len(nums))], self.den
-        )
+        return [math.perm(k, r) * nums[k] for k in range(r, len(nums))], self.den
+
+    def derivative(self, r: int = 1) -> "Polynomial":
+        """The r-th derivative, reduced once from derivative_ratio."""
+        return Polynomial.from_scaled(*self.derivative_ratio(r))
 
     def scale_argument(self, c) -> "Polynomial":
         """The polynomial x -> p(c*x).

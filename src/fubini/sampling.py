@@ -56,8 +56,7 @@ CHUNK = 1 << 16
 # table and drawing from it took 1.03 ms at mean 400, 1.12 ms at 500 and
 # 1.63 ms at 1000, and PTRS 1.05-1.16 ms at each.
 PTRS_MIN_MEAN = 500
-# A Poisson pmf table starts where the lower tail it omits is below this, and
-# stops where the upper tail it omits is.
+# A Poisson pmf table stops where the upper tail it omits is below this.
 POISSON_TAIL = 1e-30
 
 
@@ -129,39 +128,22 @@ def _binomial_cdf(k: int, p: Fraction) -> list[float]:
 
 
 def _poisson_log_pmf(mean: Fraction):
-    """The first value j0 of a Poisson(mean) pmf table, and an iterator of the
-    log pmf at j0, j0 + 1, ...: the table leaves out a lower tail below
-    POISSON_TAIL and ends where the upper tail it leaves out is below it.
-    Below mean 69, e^(-mean) > POISSON_TAIL, so j0 = 0."""
+    """The log pmf of Poisson(mean) at 0, 1, ..., ending where the upper tail
+    left out is below POISSON_TAIL."""
     m, log_mean, log_tail = float(mean), _log(mean), math.log(POISSON_TAIL)
-
-    def log_pmf(j: int) -> float:
-        return j * log_mean - m - math.lgamma(j + 1)
-
-    # below the mean each term is at most j / m times the one after it, so
-    # the tail up to j is at most pmf(j) m / (m - j)
-    first = 0
-    while first < m and log_pmf(first) + math.log(m / (m - first)) < log_tail:
-        first += 1
-
-    def weights():
-        for j in count(first):
-            log_w = log_pmf(j)
-            # past the mean each term is at most m / (j + 1) times the one
-            # before, so the tail from j on is at most pmf(j) (j + 1) / (j + 1 - m)
-            if j > m and log_w + math.log((j + 1) / (j + 1 - m)) < log_tail:
-                return
-            yield log_w
-
-    return first, weights()
+    for j in count():
+        log_w = j * log_mean - m - math.lgamma(j + 1)
+        # past the mean each term is at most m / (j + 1) times the one
+        # before, so the tail from j on is at most pmf(j) (j + 1) / (j + 1 - m)
+        if j > m and log_w + math.log((j + 1) / (j + 1 - m)) < log_tail:
+            return
+        yield log_w
 
 
-def _poisson_cdf(mean: Fraction) -> tuple[int, list[float]]:
-    """The first value of the table and the cumulative Poisson(mean) weights
-    from it on, scaled so that the last is 1.0."""
-    first, log_pmf = _poisson_log_pmf(mean)
-    cdf = _cdf(log_pmf)
-    return first, [c / cdf[-1] for c in cdf]
+def _poisson_cdf(mean: Fraction) -> list[float]:
+    """Cumulative Poisson(mean) weights, scaled so that the last is 1.0."""
+    cdf = _cdf(_poisson_log_pmf(mean))
+    return [c / cdf[-1] for c in cdf]
 
 
 def _poisson_ptrs(rng: random.Random, mean: float):
@@ -265,11 +247,10 @@ def _float_parameters(dist) -> list[float]:
     return []
 
 
-def _inversion(rng: random.Random, cdf: list[float], first: int = 0):
-    """A function m -> m draws of the law on first, first + 1, ... (as
-    floats) with cumulative weights cdf, by inversion: one `random()` per
-    draw."""
-    values = [float(first + j) for j in range(len(cdf))]
+def _inversion(rng: random.Random, cdf: list[float]):
+    """A function m -> m draws of the law on 0.0, 1.0, ... with cumulative
+    weights cdf, by inversion: one `random()` per draw."""
+    values = [float(j) for j in range(len(cdf))]
     return lambda m: rng.choices(values, cum_weights=cdf, k=m)
 
 
@@ -287,8 +268,7 @@ def _sampler(dist, rng: random.Random):
         return lambda m: rng.choices(params, cum_weights=cdf, k=m)
     if isinstance(dist, Poisson):
         if params[0] < PTRS_MIN_MEAN:
-            first, cdf = _poisson_cdf(dist.alpha)
-            return _inversion(rng, cdf, first)
+            return _inversion(rng, _poisson_cdf(dist.alpha))
         one = _poisson_ptrs(rng, params[0])
         return lambda m: (one() for _ in repeat(None, m))
     if isinstance(dist, Gamma):
