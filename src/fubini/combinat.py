@@ -13,7 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from . import hooks
-from .poly import Polynomial
+from .poly import Polynomial, weighted_sum
 from .rational import ScaledRow, as_rational, scaled
 
 
@@ -150,15 +150,6 @@ def weighted_by_order(row: ScaledRow, r: int) -> Polynomial:
     return Polynomial.from_scaled(nums, row.den * weights.den)
 
 
-def _stirling2_degenerate(n: int, k: int, lam: Fraction) -> Fraction:
-    total = Fraction(0)
-    for m in range(k, n + 1):
-        s1 = stirling1(n, m)
-        if s1:
-            total += lam ** (n - m) * s1 * stirling2(m, k)
-    return total
-
-
 # Rows of the degenerate Stirling numbers per (lam numerator, lam
 # denominator); row n is a ScaledRow of k = 0..n.
 _s2_degenerate_rows: dict[tuple[int, int], list[ScaledRow]] = hooks.memo(
@@ -172,9 +163,17 @@ def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
         raise ValueError("stirling2_degenerate_row needs n >= 0")
     lam = as_rational(lam)
     rows = _s2_degenerate_rows[lam.numerator, lam.denominator]
-    while len(rows) <= n:
-        m = len(rows)
-        rows.append(ScaledRow(_stirling2_degenerate(m, k, lam) for k in range(m + 1)))
+    if len(rows) <= n:
+        s2 = [scaled([stirling2(j, k) for k in range(j + 1)]) for j in range(n + 1)]
+        powers = [lam**i for i in range(n + 1)]
+        for m in range(len(rows), n + 1):
+            nums, den = weighted_sum(
+                (*s2[j], powers[m - j] * stirling1(m, j)) for j in range(m + 1)
+            )
+            nums.extend([0] * (m + 1 - len(nums)))
+            row = ScaledRow()
+            row.extend_ratios((c, den) for c in nums)
+            rows.append(row)
     return rows[n]
 
 
@@ -182,8 +181,9 @@ def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
     """Degenerate Stirling numbers of the second kind.
 
     Connection coefficients of (x)_{n,lam} in the classical falling-factorial
-    basis: (x)_{n,lam} = sum_k {n brace k}_lam (x)_k. Computed by composing
-    the two classical basis changes, with lam**(n-m) weights.
+    basis: (x)_{n,lam} = sum_k {n brace k}_lam (x)_k. Row n composes the two
+    classical basis changes: one poly.weighted_sum over m of the rows
+    [S(m, k)]_k, weighted by lam**(n-m) s(n, m).
     """
     if n < 0 or k < 0:
         raise ValueError("stirling2_degenerate needs n, k >= 0")

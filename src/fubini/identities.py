@@ -6,14 +6,13 @@ every grid case, never approximate agreement. A checker yields
 ``Polynomial`` or an unreduced pair (nums, den) of an int list over an int
 den; the sides are compared by cross-multiplying their numerators, the
 shorter padded with zeros, and reduced to Polynomials only for a
-counterexample, which prints as the reduced comparison did. Checkers that
-sum many polynomials put them and their weights over one den each and
-yield the sum as such a pair; a weight that ``hooks.perturb`` makes a
-Fraction moves its denominator into the pair's. A scalar side is an int, a
-Fraction, or a pair (num, den) with den != 0, not necessarily in lowest
-terms: checkers build pairs straight from the integer numerators that
-polynomials, series and triangle rows store, and take an int or Fraction as
-it is where a public accessor returns it ready-made.
+counterexample, which prints as the reduced comparison did. A checker that
+sums weighted polynomials (THM2_3, THM2_7, THM2_9_*, THM2_11, THM2_15)
+yields the ``poly.weighted_sum`` pair. A scalar side is an int, a Fraction,
+or a pair (num, den) with den != 0, not necessarily in lowest terms:
+checkers build pairs straight from the integer numerators that polynomials,
+series and triangle rows store, and take an int or Fraction as it is where
+a public accessor returns it ready-made.
 
 A block (lhs, rhs, params, key) is the run of scalar cases j = 0, 1, ...
 along the index named key; params holds the others. Each side is (nums,
@@ -92,7 +91,6 @@ from .combinat import (
     partial_bell,
     partial_bell_numerator,
     stirling1,
-    stirling2_degenerate,
     stirling2_degenerate_row,
 )
 from .distributions import Bernoulli, Distribution, Gamma, PointMass, Poisson, FiniteDiscrete
@@ -114,7 +112,7 @@ from .probabilistic import (
     prob_stirling2,
     sum_degenerate_row,
 )
-from .rational import as_rational, format_rational, ratio, scaled
+from .rational import as_rational, format_rational, scaled
 from .record import Record
 from .series import TruncatedSeries
 
@@ -462,25 +460,6 @@ def _orders(cfg, rs) -> list[int]:
     return rs or list(range(1, cfg.r_max + 1))
 
 
-def _over_one_den(polys) -> tuple[list[list[int]], int]:
-    # the numerators of polys over the lcm of their dens
-    common = math.lcm(*(p.den for p in polys))
-    return [[c * (common // p.den) for c in p.nums] for p in polys], common
-
-
-def _binomial_rows(top: int) -> list[tuple[list[int], int]]:
-    # the rows of _comb_rows(top) up to k = n as ints over one den; under
-    # hooks.perturb an entry may be a Fraction, which the den absorbs
-    return [scaled(row[: n + 1]) for n, row in enumerate(_comb_rows(top))]
-
-
-def _add_scaled(acc: list, weight: int, nums) -> None:
-    # acc += weight * nums, acc at least as long as nums
-    for k, c in enumerate(nums):
-        if c:
-            acc[k] += weight * c
-
-
 def _members(cfg, family, defaults: tuple) -> tuple:
     # the grid's members of a family, or its defaults when it has none
     return tuple(d for d in cfg.dists if isinstance(d, family)) or defaults
@@ -563,7 +542,7 @@ def _eq15_gf(cfg):
             kfact = factorial(k)
             for n in range(k, cfg.n_max + 1):
                 lhs = power.nums[n] * facts[n], power.den * kfact
-                rhs = partial_bell(n, k, xs[: max(n - k + 1, 0)])
+                rhs = partial_bell(n, k, xs[: n - k + 1])
                 yield lhs, rhs, {"draw": draw, "k": k, "n": n}
 
 
@@ -676,23 +655,17 @@ def _eq29_bell(cfg):
 
 
 def _thm2_3(cfg):
-    # Unit-rate gamma closed form through Lah and first-kind Stirling numbers
+    # Unit-rate gamma closed form through Lah and first-kind Stirling numbers:
+    # the sum over l of lam^(n-l) s(n, l) times the row [L(l, k) k!]_k
     dist = Gamma(Fraction(1), Fraction(1))
+    top = cfg.n_max
+    lahs = [scaled([lah(l, k) * factorial(k) for k in range(l + 1)]) for l in range(top + 1)]
     for lam in cfg.lambdas:
-        for n in range(cfg.n_max + 1):
-            coeffs = []
-            for k in range(n + 1):
-                acc = Fraction(0)
-                for l in range(k, n + 1):
-                    s1 = stirling1(n, l)
-                    if s1:
-                        acc += lam ** (n - l) * s1 * lah(l, k)
-                coeffs.append(acc * factorial(k))
-            yield (
-                prob_fubini_poly(dist, n, lam),
-                Polynomial(coeffs),
-                {"dist": dist, "lambda": lam, "n": n},
-            )
+        fubs = prob_fubini_polys(dist, top, 1, lam)
+        powers = [lam**i for i in range(top + 1)]
+        for n in range(top + 1):
+            rhs = weighted_sum((*lahs[l], powers[n - l] * stirling1(n, l)) for l in range(n + 1))
+            yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_5(cfg):
@@ -728,13 +701,12 @@ def _thm2_7(cfg):
             fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
             moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
             for n in range(1, cfg.n_max + 1):
-                # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam}, reduced once
+                # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam}, as a pair
                 nums, den = weighted_sum(
                     (f.nums, f.den * m.denominator, binomial(n, k) * m.numerator)
                     for k, (f, m) in enumerate(zip(fubs[n - 1 :: -1], moments[1 : n + 1]), 1)
                 )
-                rhs = Polynomial.from_scaled([0, *nums], den)
-                yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
+                yield fubs[n], ([0, *nums], den), {"dist": dist, "lambda": lam, "n": n}
 
 
 def _thm2_9(cfg, weights, first_n: int):
@@ -742,24 +714,22 @@ def _thm2_9(cfg, weights, first_n: int):
     # C(n, i) f w_{n-i} F^{(r+1),Y}_{i,lam}, for n from first_n, where
     # weights(dist, lam, r, top) gives the column w_0..w_top as ints over one
     # den and the factor f. Both sides are (nums, den) pairs: the derivative
-    # unreduced, and the sum in ints over the polynomials' common den.
+    # unreduced, and the weighted sum.
     top = cfg.n_max
-    comb = _binomial_rows(top)
+    comb = _comb_rows(top)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             fubs = prob_fubini_polys(dist, top, 1, lam)
             for r in range(1, cfg.r_max + 1):
-                onums, oden = _over_one_den(prob_fubini_polys(dist, top, r + 1, lam)[: top + 1])
+                ords = prob_fubini_polys(dist, top, r + 1, lam)
                 (column, cden), factor = weights(dist, lam, r, top)
-                fnum, fden = ratio(factor)
                 for n in range(first_n, top + 1):
-                    lhs = fubs[n].derivative_ratio(r)
-                    bnums, bden = comb[n]
-                    acc = [0] * max(len(onums[i]) for i in range(n + 1))
-                    for i in range(n + 1):
-                        _add_scaled(acc, bnums[i] * column[n - i] * fnum, onums[i])
-                    rhs = acc, oden * cden * bden * fden
-                    yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n, "r": r}
+                    rhs = weighted_sum(
+                        (f.nums, f.den * cden, comb[n][i] * column[n - i] * factor)
+                        for i, f in enumerate(ords[: n + 1])
+                    )
+                    params = {"dist": dist, "lambda": lam, "n": n, "r": r}
+                    yield fubs[n].derivative_ratio(r), rhs, params
 
 
 def _sum_moment_weights(dist, lam, r: int, top: int):
@@ -779,15 +749,15 @@ def _thm2_11(cfg):
     # Poisson: Fubini polynomial as a Bell-number mixture of classical ones
     classical = [classical_fubini_poly(i) for i in range(cfg.n_max + 1)]
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
-        apows = [dist.alpha**i for i in range(cfg.n_max + 1)]
+        apows, aden = scaled([dist.alpha**i for i in range(cfg.n_max + 1)])
         for lam in cfg.lambdas:
             fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
             for n in range(cfg.n_max + 1):
-                weights = [stirling2_degenerate(n, i, lam) * apows[i] for i in range(n + 1)]
-                terms = [
-                    (p.nums, p.den * w.denominator, w.numerator) for p, w in zip(classical, weights)
-                ]
-                rhs = Polynomial.from_scaled(*weighted_sum(terms))
+                row = stirling2_degenerate_row(n, lam)
+                rhs = weighted_sum(
+                    (p.nums, p.den * row.den * aden, c * a)
+                    for p, c, a in zip(classical, row.nums, apows)
+                )
                 yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
 
 
@@ -868,34 +838,29 @@ def _thm2_14(cfg, rs=None):
 
 def _thm2_15(cfg, rs=None):
     # Order-r recurrence driven by the shifted degenerate moments; r = 1 is
-    # THM2_8. The drivers D_k = sum_j C(k, j) F_{k-j} E[(Y)_{j+1,lam}] are int
-    # vectors over one den per (dist, lam), the order-r polynomials over one
-    # per r, so x sum_k C(n, k) r F^{(r)}_{n-k} D_k runs in ints: a pair.
+    # THM2_8. The drivers D_k = sum_j C(k, j) F_{k-j} E[(Y)_{j+1,lam}] and the
+    # right side x sum_k C(n, k) r F^{(r)}_{n-k} D_k are weighted sums: pairs.
     top = cfg.n_max
-    comb = _binomial_rows(top)
-    common = math.lcm(*(bden for _, bden in comb))  # 1 unless perturbed
+    comb = _comb_rows(top)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fnums, fden = _over_one_den(prob_fubini_polys(dist, top, 1, lam)[:top])
+            fubs = prob_fubini_polys(dist, top, 1, lam)
             moments, mden = scaled([degenerate_moment(dist, j + 1, lam) for j in range(top)])
-            drivers = []
-            for k in range(top):
-                bnums, bden = comb[k]
-                acc = [0] * (k + 1)
-                for j in range(k + 1):
-                    _add_scaled(acc, bnums[j] * (common // bden) * moments[j], fnums[k - j])
-                drivers.append(acc)
-            dden = fden * mden * common
+            drivers = [
+                weighted_sum(
+                    (f.nums, f.den * mden, comb[k][j] * moments[j])
+                    for j, f in enumerate(fubs[k::-1])
+                )
+                for k in range(top)
+            ]
             for r in _orders(cfg, rs):
                 ords = prob_fubini_polys(dist, top, r, lam)
-                onums, oden = _over_one_den(ords[:top])
-                xords = [[0, *nums] for nums in onums]  # x F^{(r)}_m
                 for n in range(top):
-                    bnums, bden = comb[n]
-                    acc = [0] * (n + 2)
-                    for k in range(n + 1):
-                        _add_scaled(acc, bnums[k] * r, convolve(xords[n - k], drivers[k], n + 2))
-                    rhs = acc, oden * dden * bden
+                    nums, den = weighted_sum(
+                        (convolve(f.nums, d, n + 1), f.den * dden, comb[n][k] * r)
+                        for k, (f, (d, dden)) in enumerate(zip(ords[n::-1], drivers))
+                    )
+                    rhs = [0, *nums], den  # times x
                     yield ords[n + 1], rhs, {"dist": dist, "lambda": lam, "r": r, "n": n}
 
 

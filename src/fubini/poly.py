@@ -9,11 +9,11 @@ integers and divides out their common factor once per result
 time it is read, and no vector keeps them.
 
 Two integer kernels serve both types: ``convolve`` multiplies numerator
-vectors, and ``weighted_sum`` adds any number of weighted vectors over one
-running common denominator. ``+`` and ``-`` are two-term weighted sums; a
-caller that sums many terms (a recurrence, a convolution of polynomials)
-feeds them all to one ``weighted_sum`` and reduces once, instead of once
-per ``+``.
+vectors, and ``weighted_sum`` adds any number of weighted vectors over the
+lcm of their denominators. ``+`` and ``-`` are two-term weighted sums, and
+every other weighted sum of rows in the package (the Stirling triangle, the
+degenerate Stirling rows, the checkers' convolutions of polynomials) is one
+call to ``weighted_sum``, reduced once or compared as it is.
 """
 
 from __future__ import annotations
@@ -44,30 +44,33 @@ def weighted_sum(terms) -> tuple[list[int], int]:
 
     Each term is (nums, den, weight): an int vector, not necessarily reduced
     (a raw ``convolve`` product, say), over a nonzero int den, and an int or
-    Fraction weight. The sum runs in ints over one running denominator, which
-    grows only when a term's denominator does not divide it; shorter vectors
-    are padded with zeros and zero weights are skipped. The result is not
-    reduced: the caller builds it with ``from_scaled``, which reduces once.
-    No terms give ([], 1).
+    Fraction weight. The first pass drops zero weights, folds a Fraction
+    weight's denominator into the term's den, divides each weight and den by
+    their gcd and takes the lcm of the reduced dens; the second adds the
+    terms in ints over that lcm, shorter vectors padded with zeros. The
+    result is not reduced. No terms give ([], 1).
     """
-    acc: list[int] = []
-    common = 1
+    kept = []
+    common, size = 1, 0
     for nums, den, weight in terms:
         if type(weight) is not int:
             den *= weight.denominator
             weight = weight.numerator
-        if not weight:
-            continue
-        grow = den // math.gcd(common, den)
-        if grow != 1:
-            acc = [c * grow for c in acc]
-            common *= grow
+        if weight:
+            g = math.gcd(weight, den)
+            if g != 1:
+                weight //= g
+                den //= g
+            if common % den:
+                common = math.lcm(common, den)
+            if len(nums) > size:
+                size = len(nums)
+            kept.append((nums, den, weight))
+    acc = [0] * size
+    for nums, den, weight in kept:
         factor = weight * (common // den)
-        if len(nums) > len(acc):
-            acc.extend([0] * (len(nums) - len(acc)))
         for k, c in enumerate(nums):
-            if c:
-                acc[k] += factor * c
+            acc[k] += factor * c
     return acc, common
 
 

@@ -23,7 +23,6 @@ lam.denominator), which hashes without Fraction.__hash__.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
@@ -32,8 +31,8 @@ from operator import mul
 from . import hooks
 from .combinat import binomial, falling_factorial_polys, weighted_by_order
 from .distributions import Distribution
-from .poly import Polynomial
-from .rational import ScaledRow, as_rational, ratio
+from .poly import Polynomial, weighted_sum
+from .rational import ScaledRow, as_rational
 from .series import TruncatedSeries
 
 
@@ -161,9 +160,10 @@ def _triangle(dist: Distribution, n: int, lam) -> list[ScaledRow]:
 
     T(0,0) = 1, T(n,0) = 0 for n >= 1 and
     k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with a_j = E[(Y)_{j,lam}].
-    The term of w_j = C(n,j) a_j has denominator that of w_j times that of
-    row n-j for every k, so the sum over j runs in ints over the lcm L of
-    those denominators, and T(n,k) = acc[k] / (k L).
+    Row m is one poly.weighted_sum (acc, L) over j of the rows m - j,
+    weighted by C(m,j) a_j, read shifted one place: T(m,k) = acc[k-1] / (k L).
+    The sum is shorter than m when its longest terms vanish (a zero mean
+    drops j = 1); the missing entries are zero.
     """
     lam = as_rational(lam)
     rows = _triangles[dist, lam.numerator, lam.denominator]
@@ -171,23 +171,13 @@ def _triangle(dist: Distribution, n: int, lam) -> list[ScaledRow]:
         return rows
     moments = _degenerate_row(dist, n, lam)
     for m in range(len(rows), n + 1):
-        terms = []
-        for j in range(1, m + 1):
-            a = moments.nums[j]
-            if a:
-                c, c_den = ratio(binomial(m, j))  # a Fraction under hooks.perturb
-                num, den = c * a, c_den * moments.den
-                g = math.gcd(num, den)
-                terms.append((num // g, den // g * rows[m - j].den, rows[m - j].nums))
-        common = math.lcm(*(den for _, den, _ in terms))
-        acc = [0] * (m + 1)
-        for num, den, prev in terms:
-            factor = num * (common // den)
-            for k, t in enumerate(prev, 1):
-                if t:
-                    acc[k] += factor * t
+        acc, common = weighted_sum(
+            (rows[m - j].nums, moments.den * rows[m - j].den, binomial(m, j) * moments.nums[j])
+            for j in range(1, m + 1)
+        )
+        acc.extend([0] * (m - len(acc)))
         row = ScaledRow([0])
-        row.extend_ratios((acc[k], k * common) for k in range(1, m + 1))
+        row.extend_ratios((acc[k - 1], k * common) for k in range(1, m + 1))
         rows.append(row)
     return rows
 

@@ -383,6 +383,25 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# The checkers that sum weighted rows (THM2_3, THM2_7, THM2_9_*, THM2_11,
+# THM2_15) past the default n_max, and a zero-mean distribution, whose j = 1
+# column term vanishes, through the triangle and the order-r weights. Digests
+# taken before those sums ran through poly.weighted_sum.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--suite", "THM2_3", "--suite", "THM2_7", "--suite", "THM2_9_PRINTED",
+         "--suite", "THM2_9_CORRECTED", "--suite", "THM2_11", "--suite", "THM2_15",
+         "--n-max", "12"],
+        "0e9bab35ff21a308137f9a9f2c7c1f83f255aef21dbf4d1fdaf7deff2bbed3ea",
+    ),
+    (
+        ["table", "--dist", "discrete:-1=1/2,1=1/2", "--lambda", "1/2", "--n-max", "12",
+         "--r", "2"],
+        "55ee905c104632ebb87eef09f28f9f1a93cbace894fc9976be52f5c1726fb512",
+    ),
+]
+
+
 # mc documents, taken before every command wrote through one document writer:
 # a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",

@@ -18,6 +18,7 @@ from fubini.combinat import (
     stirling2,
     stirling2_degenerate,
 )
+from fubini.identities import default_config
 from fubini.poly import Polynomial
 
 F = Fraction
@@ -193,6 +194,25 @@ def test_degenerate_basis_identity(n, lam):
             for k in range(n + 1)
         )
         assert poly.evaluate(x) == rhs
+
+
+def naive_stirling2_degenerate(n, k, lam):
+    """sum_m lam**(n-m) s(n, m) S(m, k), entry by entry in Fractions."""
+    total = F(0)
+    for m in range(k, n + 1):
+        total += lam ** (n - m) * stirling1(n, m) * stirling2(m, k)
+    return total
+
+
+@pytest.mark.parametrize("lam", default_config().lambdas, ids=str)
+def test_stirling2_degenerate_row_matches_the_fraction_loop(lam):
+    # descending, so the first call grows every row at once
+    for n in range(20, -1, -1):
+        row = combinat.stirling2_degenerate_row(n, lam)
+        assert [row[k] for k in range(len(row))] == [
+            naive_stirling2_degenerate(n, k, lam) for k in range(n + 1)
+        ], n
+        assert row.den > 0 and math.gcd(row.den, *row.nums) == 1
 
 
 def test_stirling2_degenerate_reduces_to_classical():

@@ -232,10 +232,10 @@ def test_printed_thm29_documented_counterexample():
     assert check_identity(IdentityId.THM2_9_CORRECTED, cfg).status == "pass"
 
 
-# --- how _drive compares the two sides of a case ---
+# --- how _tally compares the two sides of a case ---
 
 
-def _drive(cases):
+def _tally_one(cases):
     return identities._tally(cases, {IdentityId.EQ6: None})[0]
 
 
@@ -253,7 +253,7 @@ def test_scalar_sides_compare_by_cross_multiplication():
         ((F(3, 2), 3), F(1, 2)),
         (F(7, 9), F(7, 9)),
     ]
-    rep = _drive((lhs, rhs, {"i": i}) for i, (lhs, rhs) in enumerate(equal))
+    rep = _tally_one((lhs, rhs, {"i": i}) for i, (lhs, rhs) in enumerate(equal))
     assert rep.status == "pass" and rep.cases == len(equal)
     assert rep.counterexample is None
 
@@ -268,7 +268,7 @@ def test_drive_stops_at_the_first_failing_case():
             pulled.append(i)
             yield lhs, rhs, {"i": i}
 
-    rep = _drive(cases())
+    rep = _tally_one(cases())
     assert rep.status == "fail" and rep.cases == 2 and pulled == [0, 1]
     assert rep.counterexample.params == {"i": "1"}
 
@@ -284,7 +284,7 @@ def test_drive_stops_at_the_first_failing_case():
     ],
 )
 def test_a_counterexample_prints_both_sides_in_lowest_terms(lhs, rhs, shown):
-    rep = _drive(iter([(lhs, rhs, {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4)})]))
+    rep = _tally_one(iter([(lhs, rhs, {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4)})]))
     cex = rep.counterexample
     assert rep.status == "fail" and (cex.lhs, cex.rhs) == shown
     assert cex.params == {"dist": "poisson:3/2", "lambda": "-1/4"}
@@ -344,15 +344,15 @@ def _outcome(report):
 def test_a_block_reports_what_its_cases_report(block_and_cases):
     block, cases = block_and_cases
     lead = ((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted by both
-    outcome = _outcome(_drive(iter([lead, block])))
-    assert outcome == _outcome(_drive(iter([lead, *cases])))
+    outcome = _outcome(_tally_one(iter([lead, block])))
+    assert outcome == _outcome(_tally_one(iter([lead, *cases])))
     bad = [j for j, (lhs, rhs, _) in enumerate(cases) if F(*lhs) != F(*rhs)]
     assert outcome[:2] == (("fail", bad[0] + 2) if bad else ("pass", len(cases) + 1))
 
 
 def test_a_block_mismatch_names_its_index_and_prints_reduced():
     block = ([0, 3, 4], [1, -2, 6]), ([0, -6, 5], 4), {"n": 2}, "k"
-    rep = _drive(iter([block]))
+    rep = _tally_one(iter([block]))
     assert rep.status == "fail" and rep.cases == 3
     assert rep.counterexample.to_dict() == {
         "params": {"n": "2", "k": "2"},
@@ -363,7 +363,7 @@ def test_a_block_mismatch_names_its_index_and_prints_reduced():
 
 def test_block_sides_of_unequal_length_are_refused():
     with pytest.raises(ValueError, match="differ in length"):
-        _drive(iter([(([1, 2], 1), ([1], 1), {}, "k")]))
+        _tally_one(iter([(([1, 2], 1), ([1], 1), {}, "k")]))
 
 
 # A polynomial side may be an unreduced (nums, den) pair; its case compares
@@ -380,7 +380,7 @@ def test_block_sides_of_unequal_length_are_refused():
 )
 def test_a_polynomial_pair_with_an_extra_top_coefficient_fails(lhs, rhs):
     params = {"n": 3}
-    rep = _drive(iter([(Polynomial([7]), ([14], 2), {"n": 2}), (lhs, rhs, params)]))
+    rep = _tally_one(iter([(Polynomial([7]), ([14], 2), {"n": 2}), (lhs, rhs, params)]))
     reduced = [Polynomial.from_scaled(*side) if type(side) is tuple else side for side in (lhs, rhs)]
     assert reduced[0] != reduced[1]
     assert rep.status == "fail" and rep.cases == 2
@@ -389,7 +389,7 @@ def test_a_polynomial_pair_with_an_extra_top_coefficient_fails(lhs, rhs):
 
 
 def test_a_polynomial_pair_with_zero_top_numerators_passes():
-    rep = _drive(iter([(Polynomial([1, 2]), ([2, 4, 0, 0], 2), {"n": 1}), (([], 5), ([0], 3), {"n": 2})]))
+    rep = _tally_one(iter([(Polynomial([1, 2]), ([2, 4, 0, 0], 2), {"n": 1}), (([], 5), ([0], 3), {"n": 2})]))
     assert (rep.status, rep.cases, rep.counterexample) == ("pass", 2, None)
 
 

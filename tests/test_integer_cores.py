@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fubini import combinat, hooks, probabilistic
 from fubini.combinat import falling_factorial_poly, stirling2_degenerate
-from fubini.distributions import Bernoulli, PointMass, Poisson
+from fubini.distributions import Bernoulli, FiniteDiscrete, PointMass, Poisson
 from fubini.families import degenerate_fubini_poly_order
 from fubini.identities import (
     CheckConfig,
@@ -39,6 +39,9 @@ F = Fraction
 
 GRID_DISTS = list(default_config().dists)
 ZERO_MOMENT_DISTS = [Bernoulli(F(0)), PointMass(F(0))]
+# zero mean and nonzero variance: E[(Y)_{1,lam}] = 0, so the j = 1 term of the
+# column recurrence vanishes and a summed triangle row comes out shorter
+ZERO_MEAN_DIST = FiniteDiscrete(((F(-1), F(1, 2)), (F(1), F(1, 2))))
 TINY_LAMBDA = F(1, 99999999999999999999)
 
 
@@ -350,7 +353,7 @@ def test_contraction_core_matches_fraction_loop(dist, lam):
             ), (k, n)
 
 
-@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS, ids=_ids)
+@pytest.mark.parametrize("dist", GRID_DISTS + ZERO_MOMENT_DISTS + [ZERO_MEAN_DIST], ids=_ids)
 def test_triangle_core_matches_fraction_loop(dist):
     for lam in default_config().lambdas + (TINY_LAMBDA,):
         expected = _naive_triangle(dist, 20, lam)

@@ -558,6 +558,13 @@ def test_weighted_sum_edge_cases():
     assert weighted_sum([((1,), 6, 1), ((1,), 3, 1), ((1,), 2, 1)]) == ([6], 6)
     assert weighted_sum([((1,), 2, 1), ((1,), 3, 1)]) == ([5], 6)
     assert weighted_sum([((1,), 2, 1), ((1, 1), 1, F(1, 3))]) == ([5, 2], 6)
+    # a weight that shares a factor with its den is divided by it first, so
+    # the common den is the lcm of 3 and 5, not of 6 and 10
+    assert weighted_sum([((1, 1), 6, 2), ((1,), 10, 2)]) == ([8, 5], 15)
+    # a negative den: the common den stays positive and the signs move into
+    # the numerators
+    assert weighted_sum([((1, 2), -3, 1), ((1,), 2, 1)]) == ([1, -4], 6)
+    assert Polynomial.from_scaled(*weighted_sum([((3, 6), -9, 2)])) == Polynomial([F(-2, 3), F(-4, 3)])
 
 
 @settings(max_examples=80)
