@@ -2,8 +2,10 @@
 
 Integer-valued tables (factorials, binomials, Stirling and Lah numbers)
 return Python ints; everything parameterized by the degeneracy parameter
-``lam`` returns Fractions. Tables grow on demand; only
-``hooks.clear_caches`` empties them.
+``lam`` returns Fractions, or the stored polynomial of a whole row: row n of
+the degenerate Stirling numbers is the degenerate Bell polynomial
+phi_{n,lam}(x) = sum_k {n brace k}_lam x**k, kept once as a Polynomial. Tables
+grow on demand; only ``hooks.clear_caches`` empties them.
 """
 
 from __future__ import annotations
@@ -138,27 +140,28 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
 _order_weights: dict[tuple[int, int], ScaledRow] = hooks.memo({})
 
 
-def weighted_by_order(row: ScaledRow, r: int) -> Polynomial:
-    """sum_k C(k+r-1, k) k! row[k] x**k, from the row's integer numerators."""
-    key = len(row), r
+def weighted_by_order(p: Polynomial, r: int) -> Polynomial:
+    """sum_k C(k+r-1, k) k! p_k x**k, from the integer numerators of p."""
+    key = len(p.nums), r
     if key not in _order_weights:
         _order_weights[key] = ScaledRow(
-            binomial(k + r - 1, k) * factorial(k) for k in range(len(row))
+            binomial(k + r - 1, k) * factorial(k) for k in range(len(p.nums))
         )
     weights = _order_weights[key]
-    nums = [c * w for c, w in zip(row.nums, weights.nums)]
-    return Polynomial.from_scaled(nums, row.den * weights.den)
+    nums = [c * w for c, w in zip(p.nums, weights.nums)]
+    return Polynomial.from_scaled(nums, p.den * weights.den)
 
 
 # Rows of the degenerate Stirling numbers per (lam numerator, lam
-# denominator); row n is a ScaledRow of k = 0..n.
-_s2_degenerate_rows: dict[tuple[int, int], list[ScaledRow]] = hooks.memo(
+# denominator); row n is the degenerate Bell polynomial phi_{n,lam}, whose
+# coefficient of x**k is {n brace k}_lam.
+_s2_degenerate_rows: dict[tuple[int, int], list[Polynomial]] = hooks.memo(
     defaultdict(list)
 )
 
 
-def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
-    """{n brace k}_lam for k = 0..n (see stirling2_degenerate), as stored."""
+def stirling2_degenerate_row(n: int, lam) -> Polynomial:
+    """{n brace k}_lam for k = 0..n (see stirling2_degenerate): the stored phi_{n,lam}."""
     if n < 0:
         raise ValueError("stirling2_degenerate_row needs n >= 0")
     lam = as_rational(lam)
@@ -170,10 +173,7 @@ def stirling2_degenerate_row(n: int, lam) -> ScaledRow:
             nums, den = weighted_sum(
                 (*s2[j], powers[m - j] * stirling1(m, j)) for j in range(m + 1)
             )
-            nums.extend([0] * (m + 1 - len(nums)))
-            row = ScaledRow()
-            row.extend_ratios((c, den) for c in nums)
-            rows.append(row)
+            rows.append(Polynomial.from_scaled(nums, den))
     return rows[n]
 
 
@@ -187,9 +187,7 @@ def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError("stirling2_degenerate needs n, k >= 0")
-    if k > n:
-        return Fraction(0)
-    return stirling2_degenerate_row(n, lam)[k]
+    return stirling2_degenerate_row(n, lam).coefficient(k)
 
 
 def _partition_multiplicities(n: int, k: int, part: int):

@@ -30,8 +30,7 @@ def degenerate_bell_poly(n: int, lam) -> Polynomial:
     """phi_{n,lam}(x) = sum_k {n brace k}_lam x**k."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    row = stirling2_degenerate_row(n, lam)
-    return Polynomial.from_scaled(row.nums, row.den)
+    return stirling2_degenerate_row(n, lam)
 
 
 def degenerate_fubini_poly(n: int, lam) -> Polynomial:

@@ -6,23 +6,25 @@ recurrence in O(m**2) for any k. The probabilistic degenerate Stirling
 numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
-Everything is exact. Every memo row (the moments E[Y**m], E[S_k**m],
-E[(Y)_{n,lam}] and E[(S_k)_{n,lam}], and each triangle row) is stored once,
-as a rational.ScaledRow: integer numerators over the lcm of the entries'
-denominators. The recurrences, the contractions against the numerators of
-(x)_{n,lam} and the polynomial builders run on those numerators in Python
-ints; callers that read many entries take a row itself (sum_degenerate_row),
-and the scalar accessors build one Fraction per read. The order-r Fubini
-polynomials, per (dist, r, lam), and the Bell polynomials, per (dist, lam),
-are memoised as lists: prob_fubini_polys and prob_bell_polys return a list
-whole, for callers that read every degree, and prob_fubini_poly_order and
-prob_bell_poly index it. The truncated moment series is memoised per (dist,
-lam, order). Tables indexed by lam are keyed by (lam.numerator,
+Everything is exact. Every memo row is stored once, as integer numerators
+over the lcm of the entries' denominators: the moments E[Y**m], E[S_k**m],
+E[(Y)_{n,lam}] and E[(S_k)_{n,lam}] as a rational.ScaledRow, and triangle
+row n as the Bell polynomial phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam}
+x**k, which that row is. The recurrences, the contractions against the
+numerators of (x)_{n,lam} and the polynomial builders run on those
+numerators in Python ints; callers that read many entries take a row itself
+(sum_degenerate_row), and the scalar accessors build one Fraction per read.
+prob_bell_polys returns the triangle whole, for callers that read every
+degree, and prob_bell_poly indexes it. The order-r Fubini polynomials are
+memoised as one list per (dist, r, lam), which prob_fubini_polys returns and
+prob_fubini_poly_order indexes. The truncated moment series is memoised per
+(dist, lam, order). Tables indexed by lam are keyed by (lam.numerator,
 lam.denominator), which hashes without Fraction.__hash__.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
@@ -32,7 +34,7 @@ from . import hooks
 from .combinat import binomial, falling_factorial_polys, weighted_by_order
 from .distributions import Distribution
 from .poly import Polynomial, weighted_sum
-from .rational import ScaledRow, as_rational
+from .rational import ScaledRow, as_rational, ratio
 from .series import TruncatedSeries
 
 
@@ -56,8 +58,8 @@ _sum_degenerate_rows: dict[tuple[Distribution, int, int, int], ScaledRow] = (
 def _raw_moments(dist: Distribution, m: int) -> ScaledRow:
     """E[Y**0..m] (at least), as its readers see it (hooks.shifted_row)."""
     row = _raw_moment_rows[dist]
-    while len(row) <= m:
-        row.append(as_rational(dist.moment_formula(len(row))))
+    if len(row) <= m:
+        row.extend_ratios(ratio(dist.moment_formula(i)) for i in range(len(row), m + 1))
     return hooks.shifted_row("raw_moment", (dist,), row)
 
 
@@ -78,7 +80,8 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
     mu_0 = 1 holds for every distribution, so it is not read from the
     moment row; a fault injected at raw_moment(dist, 0) does not reach here.
     The sum runs on the numerators of mu_1..mu_n as read and of the stored,
-    unshifted beta_0..beta_{n-1}, and builds one Fraction per new entry.
+    unshifted beta_0..beta_{n-1}, and appends each new entry as an
+    unreduced pair.
     """
     row = _sum_moment_rows[dist, k]
     while len(row) <= m:
@@ -90,7 +93,7 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
             mu = mus.nums[j]
             if mu:
                 total += ((k + 1) * j - n) * binomial(n, j) * mu * betas[n - j]
-        row.append(Fraction(total, n * mus.den * row.den))
+        row.extend_ratios([(total, n * mus.den * row.den)])
     return hooks.shifted_row("sum_moment", (dist, k), row)
 
 
@@ -149,21 +152,23 @@ def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
 
 
 # Lower triangles of {n brace k}_{Y,lam} per (dist, lam numerator, lam
-# denominator); row n is a ScaledRow of k = 0..n.
-_triangles: dict[tuple[Distribution, int, int], list[ScaledRow]] = hooks.memo(
-    defaultdict(lambda: [ScaledRow([1])])
+# denominator); row n is phi^Y_{n,lam}, the polynomial whose coefficient of
+# x**k is {n brace k}_{Y,lam}.
+_triangles: dict[tuple[Distribution, int, int], list[Polynomial]] = hooks.memo(
+    defaultdict(lambda: [Polynomial([1])])
 )
 
 
-def _triangle(dist: Distribution, n: int, lam) -> list[ScaledRow]:
+def _triangle(dist: Distribution, n: int, lam) -> list[Polynomial]:
     """The triangle of (dist, lam) grown to row n.
 
     T(0,0) = 1, T(n,0) = 0 for n >= 1 and
     k T(n,k) = sum_{j=1..n-k+1} C(n,j) a_j T(n-j,k-1), with a_j = E[(Y)_{j,lam}].
-    Row m is one poly.weighted_sum (acc, L) over j of the rows m - j,
-    weighted by C(m,j) a_j, read shifted one place: T(m,k) = acc[k-1] / (k L).
+    Row m is one poly.weighted_sum (acc, c) over j of the rows m - j,
+    weighted by C(m,j) a_j, read shifted one place: T(m,k) = acc[k-1] / (k c),
+    which is acc[k-1] (L/k) over c L with L the lcm of the ks, reduced once.
     The sum is shorter than m when its longest terms vanish (a zero mean
-    drops j = 1); the missing entries are zero.
+    drops j = 1); the missing entries are zero, and the row stops before them.
     """
     lam = as_rational(lam)
     rows = _triangles[dist, lam.numerator, lam.denominator]
@@ -175,10 +180,9 @@ def _triangle(dist: Distribution, n: int, lam) -> list[ScaledRow]:
             (rows[m - j].nums, moments.den * rows[m - j].den, binomial(m, j) * moments.nums[j])
             for j in range(1, m + 1)
         )
-        acc.extend([0] * (m - len(acc)))
-        row = ScaledRow([0])
-        row.extend_ratios((acc[k - 1], k * common) for k in range(1, m + 1))
-        rows.append(row)
+        scale = math.lcm(*range(1, len(acc) + 1))
+        nums = [0, *(c * (scale // k) for k, c in enumerate(acc, 1))]
+        rows.append(Polynomial.from_scaled(nums, common * scale))
     return rows
 
 
@@ -190,29 +194,15 @@ def prob_stirling2(dist: Distribution, n: int, k: int, lam) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError("prob_stirling2 needs n, k >= 0")
-    if k > n:
-        return Fraction(0)
-    return _triangle(dist, n, lam)[n][k]
-
-
-# The Bell polynomials per (dist, lam numerator, lam denominator); entry n is
-# phi^Y_{n,lam}, built from triangle row n.
-_bell_rows: dict[tuple[Distribution, int, int], list[Polynomial]] = hooks.memo(
-    defaultdict(list)
-)
+    return _triangle(dist, n, lam)[n].coefficient(k)
 
 
 def prob_bell_polys(dist: Distribution, n: int, lam) -> list[Polynomial]:
-    """phi^Y_{m,lam} for m = 0..n (at least): the memoised list itself.
+    """phi^Y_{m,lam} for m = 0..n (at least): the stored triangle itself.
 
     A caller that reads many degrees slices it once; it does not change it.
     """
-    lam = as_rational(lam)
-    polys = _bell_rows[dist, lam.numerator, lam.denominator]
-    if len(polys) <= n:
-        rows = _triangle(dist, n, lam)
-        polys.extend(Polynomial.from_scaled(row.nums, row.den) for row in rows[len(polys) : n + 1])
-    return polys
+    return _triangle(dist, n, lam)
 
 
 def prob_bell_poly(dist: Distribution, n: int, lam) -> Polynomial:
@@ -266,6 +256,10 @@ def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSerie
     lam = as_rational(lam)
     key = dist, lam.numerator, lam.denominator, order
     if key not in _mgf_series:
+        # coefficient n is E[(Y)_{n,lam}] / n!, put over den * order!
         row = _degenerate_row(dist, order, lam)
-        _mgf_series[key] = TruncatedSeries.from_egf(row[n] for n in range(order + 1))
+        top = math.factorial(order)
+        _mgf_series[key] = TruncatedSeries.from_scaled(
+            [row.nums[n] * (top // math.factorial(n)) for n in range(order + 1)], row.den * top
+        )
     return _mgf_series[key]

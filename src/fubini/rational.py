@@ -47,8 +47,8 @@ class ScaledRow:
     """A growing row of exact values kept as integer numerators over one den.
 
     den is the lcm of the entries' denominators in lowest terms, so den > 0,
-    gcd(den, *nums) == 1 and entry m is nums[m] / den. Appending a value whose
-    denominator does not divide den rescales the earlier numerators once.
+    gcd(den, *nums) == 1 and entry m is nums[m] / den. A row grows only by
+    extend_ratios, which rescales the earlier numerators at most once per call.
     """
 
     __slots__ = ("nums", "den")
@@ -62,24 +62,20 @@ class ScaledRow:
     def __getitem__(self, m: int) -> Fraction:
         return Fraction(self.nums[m], self.den)
 
-    def append(self, value: int | Fraction) -> None:
-        num, den = value.numerator, value.denominator
-        grow = den // math.gcd(self.den, den)
-        if grow > 1:
-            self.nums = [c * grow for c in self.nums]
-            self.den *= grow
-        self.nums.append(num * (self.den // den))
-
     def extend_ratios(self, pairs) -> None:
-        """Append num / den for each (num, den) pair of ints, den > 0.
+        """Append num / den for each (num, den) pair, den a positive int.
 
-        The pairs need not be in lowest terms. The new denominator is found
-        first, so the earlier numerators are rescaled at most once, however
-        many entries are appended.
+        num is an int, or a Fraction (a sum read through a perturbed table),
+        whose denominator is folded into den. The pairs need not be in lowest
+        terms. The new denominator is found first, so the earlier numerators
+        are rescaled at most once, however many entries are appended.
         """
         entries = []
         common = self.den
         for num, den in pairs:
+            if type(num) is not int:
+                den *= num.denominator
+                num = num.numerator
             g = math.gcd(num, den)
             num, den = num // g, den // g
             common *= den // math.gcd(common, den)

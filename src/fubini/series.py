@@ -34,7 +34,7 @@ def _recurrence(weights, divisor, order: int) -> tuple[list[int], int]:
         for w, b in zip(weights[1 : k + 1], reversed(out.nums)):
             if w:
                 acc += w * b
-        out.append(Fraction(acc, divisor(k) * out.den))
+        out.extend_ratios([(acc, divisor(k) * out.den)])
     return out.nums, out.den
 
 

@@ -402,6 +402,18 @@ GOLDEN_DOCUMENTS += [
 ]
 
 
+# Every identity on zero-mean distributions only, the one input whose stored
+# triangle rows end in zeros (T(m, m) = E[Y]**m = 0). Digest taken while each
+# triangle row was kept with its trailing zeros.
+GOLDEN_DOCUMENTS += [
+    (
+        ["verify", "--dists", "discrete:-1=1/2,1=1/2", "--dists", "point:0",
+         "--dists", "bernoulli:0", "--n-max", "8"],
+        "43091c599cd34adff8130d9a14b3e5518010fed3cb971017af88c78aca8cf58c",
+    ),
+]
+
+
 # mc documents, taken before every command wrote through one document writer:
 # a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",

@@ -209,7 +209,7 @@ def test_stirling2_degenerate_row_matches_the_fraction_loop(lam):
     # descending, so the first call grows every row at once
     for n in range(20, -1, -1):
         row = combinat.stirling2_degenerate_row(n, lam)
-        assert [row[k] for k in range(len(row))] == [
+        assert [row.coefficient(k) for k in range(n + 1)] == [
             naive_stirling2_degenerate(n, k, lam) for k in range(n + 1)
         ], n
         assert row.den > 0 and math.gcd(row.den, *row.nums) == 1

@@ -33,7 +33,7 @@ from fubini.probabilistic import (
     sum_degenerate_row,
     sum_raw_moment,
 )
-from fubini.rational import ScaledRow, scaled
+from fubini.rational import ScaledRow, ratio, scaled
 
 F = Fraction
 
@@ -102,7 +102,7 @@ def test_scaled_row_rescales_only_when_a_denominator_does_not_divide():
     _assert_canonical(row, [])
     dens = []
     for i, v in enumerate(values):
-        row.append(v)
+        row.extend_ratios([ratio(v)])
         _assert_canonical(row, [F(x) for x in values[: i + 1]])
         dens.append(row.den)
     assert dens == [1, 2, 2, 6, 6, 12, 12, 24, 24]
@@ -121,6 +121,11 @@ def test_scaled_row_extends_by_unreduced_pairs_as_by_appends():
     row.extend_ratios([])
     row.extend_ratios([(4, 2)])
     _assert_canonical(row, head + [F(v) for v in tail] + [F(2)])
+    # a sum read through a perturbed table is a Fraction: its denominator
+    # is folded into the pair's
+    row.extend_ratios([(F(3, 4), 6), (F(-5, 2), 3)])
+    _assert_canonical(row, head + [F(v) for v in tail] + [F(2), F(1, 8), F(-5, 6)])
+    assert row.den == 24
 
 
 def _stored_moment_rows(dist, k):

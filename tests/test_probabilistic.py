@@ -255,7 +255,9 @@ def test_perturb_empties_the_row_tables():
     prob_bell_polys(dist, 4, lam)
     prob_fubini_polys(dist, 4, 3, lam)
     mgf_degenerate_series(dist, lam, 4)
-    tables = (probabilistic._bell_rows, probabilistic._fubini_order_rows, probabilistic._mgf_series)
+    # the Bell polynomials are the stored triangle rows themselves
+    assert prob_bell_polys(dist, 4, lam) is probabilistic._triangle(dist, 4, lam)
+    tables = (probabilistic._triangles, probabilistic._fubini_order_rows, probabilistic._mgf_series)
     assert all(tables)
     with hooks.perturb("binomial", (4, 2)):
         assert not any(tables)
