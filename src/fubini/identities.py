@@ -24,6 +24,20 @@ terms. A scalar (lhs, rhs, params) case is a block of one. Fractions are
 built only for a counterexample. (Under ``hooks.perturb`` the numerators and
 dens of a scalar side may be Fractions; the comparison stays exact.)
 
+A packed block (lhs, rhs, params, key, bits, size) holds each side as one
+int over one den, (packed, den): the vector of its cases j < size, packed by
+Kronecker substitution at X = 2**bits (``poly.pack``). A checker builds the
+side as sum_l v_l M_l, int weights v_l times vectors M_l packed once per run
+or per distribution (``poly.PackedVectors``), and ``poly.pack_bits`` takes
+bits from the bit-lengths of v, M and the other side's den, so every digit
+of the cross-multiplied sides is exact. ``_compare`` passes the block when
+digits 0..size-1 of lp * rden - rp * lden vanish; only on a mismatch does it
+unpack both sides and report the first j as an unpacked block would.
+THM2_13 (so THM2_2, THM2_10 and THM2_12's geometric rows), EQ14 (so EQ11),
+EQ19_INV and EQ20_GF compare packed blocks. The EGF blocks of THM2_6,
+EQ12_GF and EQ22_GF do not: each of their packs would serve three x-points
+only, and packing them measured no faster.
+
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
 most n - 1 (the lam-degree of (x)_{n,lam}; {n brace k}_{Y,lam} has degree
@@ -72,6 +86,13 @@ the identities selected on it, and hands every case to each identity that
 takes its r (_tally); each report is the one check_identity gives alone.
 EQ14 (so EQ11) compares through THM2_13's block, with F^{(r+1)}_{n,lam} and
 (i)_{n,lam} where THM2_13 has F^{(r+1),Y}_{n,lam} and E[(S_i)_{n,lam}].
+
+THM2_13's two sides are independent paths. The left side is the order-(r+1)
+polynomial from the triangle kernel through the binomial weight columns;
+the right side is C(i+r, i) E[(S_i)_{n,lam}] = sum_j [x^j](x)_{n,lam}
+C(i+r, i) E[S_i^j], Miller's rows E[S_i^j] (read through ``sum_raw_row``)
+packed over i once per (dist, r), since they do not depend on lam, and
+contracted against the numerators of (x)_{n,lam} per block.
 """
 
 from __future__ import annotations
@@ -87,6 +108,7 @@ from .combinat import (
     binomial,
     factorial,
     falling_factorial_poly,
+    falling_factorial_polys,
     lah,
     partial_bell,
     partial_bell_numerator,
@@ -102,7 +124,15 @@ from .families import (
     degenerate_fubini_poly_order,
 )
 from . import hooks
-from .poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
+from .poly import (
+    PackedVectors,
+    Polynomial,
+    convolve,
+    gamma_weight_integral,
+    pack_bits,
+    unpack,
+    weighted_sum,
+)
 from .probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
@@ -111,6 +141,7 @@ from .probabilistic import (
     prob_fubini_polys,
     prob_stirling2,
     sum_degenerate_row,
+    sum_raw_row,
 )
 from .rational import as_rational, format_rational, scaled
 from .record import Record
@@ -325,7 +356,14 @@ def _compare(case) -> tuple:
     # every case of a block when the sides agree, with sides None; else those
     # up to the first mismatch j (j = 0 for a single case), with sides the
     # two sides at j as the counterexample prints them
-    if len(case) == 4:
+    if len(case) == 6:
+        # a packed block: its cases are digits 0..size-1 of two ints, compared
+        # whole, and unpacked only to find j
+        (lp, ldens), (rp, rdens), params, key, bits, size = case
+        if not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1):
+            return params, key, size, None
+        lnums, rnums = unpack(lp, bits, size), unpack(rp, bits, size)
+    elif len(case) == 4:
         (lnums, ldens), (rnums, rdens), params, key = case
     else:
         lhs, rhs, params = case
@@ -474,6 +512,41 @@ def _sum_moment_columns(dist, lam, k_max: int, n_max: int) -> tuple[list, list]:
     return [[nums[n] for nums, _ in pairs] for n in range(n_max + 1)], [den for _, den in pairs]
 
 
+def _on_one_den(rows, size: int) -> tuple[list[list[int]], int]:
+    # entries 0..size-1 of ScaledRows as int lists over the lcm of their dens;
+    # each row's (nums, den) is read at once, as in _sum_moment_columns
+    pairs = [(row.nums[:size], row.den) for row in rows]
+    common = math.lcm(*(den for _, den in pairs))
+    return [[c * (common // den) for c in nums] for nums, den in pairs], common
+
+
+def _raw_sum_columns(dist, size: int, degree: int) -> tuple[list, int]:
+    # E[S_i**j] for i < size and j = 0..degree as (columns, den): column j
+    # runs over i, all over one den; Miller's rows, read through sum_raw_row
+    rows, den = _on_one_den((sum_raw_row(dist, i, degree) for i in range(size)), degree + 1)
+    return list(zip(*rows)), den
+
+
+def _packed_block(left, right, params: dict, key: str, size: int) -> tuple:
+    # One block of the cases j < size along key, each side packed into one
+    # int. A side is (weights, packs, den): sum_l weights[l] packs.vectors[l]
+    # over den packs.den, for int weights; its vectors may run past size.
+    # Both sides pack at the wider of their two widths (poly.pack_bits), so
+    # every digit of the cross-multiplied sides is within the exactness
+    # bound, and digits 0..size-1 of their difference vanish exactly when
+    # every case holds.
+    (lw, lpacks, lden), (rw, rpacks, rden) = left, right
+    lw, lden = lpacks.side(lw, lden)
+    rw, rden = rpacks.side(rw, rden)
+    bits = max(
+        pack_bits(sum(map(abs, lw)), lpacks.top, rden),
+        pack_bits(sum(map(abs, rw)), rpacks.top, lden),
+    )
+    lhs = sum(map(mul, lw, lpacks.at(bits))), lden
+    rhs = sum(map(mul, rw, rpacks.at(bits))), rden
+    return lhs, rhs, params, key, bits, size
+
+
 # --- checkers; each yields (lhs, rhs, params) and stops at the driver ---
 
 
@@ -506,21 +579,25 @@ def _eq12_gf(cfg, rs=None):
 
 
 def _eq14(cfg, rs=None):
-    # The coefficients of u^k in F^{(r+1)}_{n,lam}(u/(1-u))/(1-u)^(r+1)
-    # against C(k+r, k) (k)_{n,lam}, through THM2_13's block, one block over
-    # k; r = 0 is EQ11, the coefficients of F_{n,lam}(x/(1-x))/(1-x)
+    # The coefficients of u^k, k < 2n + 7, in F^{(r+1)}_{n,lam}(u/(1-u))/
+    # (1-u)^(r+1) against C(k+r, k) (k)_{n,lam}: THM2_13's block with S_k = k,
+    # so (k)_{n,lam} = sum_j [x^j](x)_{n,lam} k^j. r = 0 is EQ11, the
+    # coefficients of F_{n,lam}(x/(1-x))/(1-x). The packs run over
+    # k < 2 n_max + 7, built once per r; each block compares its first 2n + 7.
     rs = _orders(cfg, rs)
-    size = 2 * cfg.n_max + 7
-    comb = _comb_rows(size - 1 + max(rs))
-    rows = {r: _geometric_weights(comb, r, size) for r in rs}
+    top = 2 * cfg.n_max + 7
+    comb = _comb_rows(top - 1 + max(rs))
+    powers = [[k**j for k in range(top)] for j in range(cfg.n_max + 1)], 1
+    weights = {r: _geometric_weights(comb, r, top, cfg.n_max) for r in rs}
+    sums = {r: _geometric_sums(comb, r, powers) for r in rs}
     for lam in cfg.lambdas:
         for n in range(cfg.n_max + 1):
             ff = falling_factorial_poly(n, lam)
-            values = _split([ff.evaluate_ratio(k) for k in range(2 * n + 7)])
             for r in rs:
                 w = degenerate_fubini_poly_order(n, r + 1, lam)
-                lhs, rhs = _geometric_block(w, rows[r][: 2 * n + 7], values)
-                yield lhs, rhs, {"lambda": lam, "n": n, "r": r}, "k"
+                left, right = (w.nums, weights[r], w.den), (ff.nums, sums[r], ff.den)
+                params = {"lambda": lam, "n": n, "r": r}
+                yield _packed_block(left, right, params, "k", 2 * n + 7)
 
 
 def _eq15_gf(cfg):
@@ -548,19 +625,25 @@ def _eq15_gf(cfg):
 
 def _eq19_inv(cfg):
     # Binomial-inversion roundtrip from the column numbers back to sum
-    # moments; the sums over j run on the triangle row's integer numerators.
-    weights = [
-        [binomial(k, j) * factorial(j) for j in range(k + 1)]
-        for k in range(cfg.n_max + 1)
-    ]
+    # moments, one packed block over k <= n_max: E[(S_k)_{n,lam}] as
+    # sum_j [x^j](x)_{n,lam} E[S_k^j], on Miller's rows packed once per dist,
+    # against the triangle row's numerators through the columns C(k, j) j!
+    # (0 for j > k), packed once per run.
+    size = cfg.n_max + 1
+    weights = PackedVectors(
+        [binomial(k, j) * factorial(j) if j <= k else 0 for k in range(size)]
+        for j in range(size)
+    )
     for dist in cfg.dists:
+        moments = PackedVectors(*_raw_sum_columns(dist, size, cfg.n_max))
         for lam in cfg.lambdas:
-            columns, dens = _sum_moment_columns(dist, lam, cfg.n_max, cfg.n_max)
+            ffs = falling_factorial_polys(cfg.n_max, lam)
             bells = prob_bell_polys(dist, cfg.n_max, lam)
-            for n, column in enumerate(columns):
-                bell = bells[n]
-                rhs = [sum(map(mul, row, bell.nums)) for row in weights]
-                yield (column, dens), (rhs, bell.den), {"dist": dist, "lambda": lam, "n": n}, "k"
+            for n in range(size):
+                ff, bell = ffs[n], bells[n]
+                params = {"dist": dist, "lambda": lam, "n": n}
+                left, right = (ff.nums, moments, ff.den), (bell.nums, weights, bell.den)
+                yield _packed_block(left, right, params, "k", size)
 
 
 def _difference_weights(k: int) -> list[int]:
@@ -580,27 +663,32 @@ def _stirling2_by_difference(moments, weights: list[int]) -> tuple[int, int]:
 
 
 def _eq20_gf(cfg):
-    # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the
-    # sum moments; those are read once per (dist, lam), one row per j, and
-    # put over the lcm of the rows' denominators, one column per n
-    facts = _factorials(cfg.series_order)
-    weights = [_difference_weights(k) for k in range(cfg.n_max + 1)]
+    # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the sum
+    # moments: one packed block over n <= series_order. EGF coefficient n of
+    # the power is its numerators through the columns n! e_n, packed once per
+    # run; the defining sum of _stirling2_by_difference weights the sum
+    # moments E[(S_j)_{n,lam}], packed over n once per (dist, lam), one
+    # vector per j.
+    top = cfg.series_order
+    facts = _factorials(top)
+    coefficients = PackedVectors(
+        [facts[n] if m == n else 0 for m in range(top + 1)] for n in range(top + 1)
+    )
+    differences = [(*scaled(_difference_weights(k)), factorial(k)) for k in range(cfg.n_max + 1)]
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            base = mgf_degenerate_series(dist, lam, cfg.series_order) - 1
-            columns, dens = _sum_moment_columns(dist, lam, cfg.n_max, cfg.series_order)
-            common = math.lcm(*dens)
-            scales = [common // den for den in dens]
-            rows = [(list(map(mul, column, scales)), common) for column in columns]
-            power = TruncatedSeries.one(cfg.series_order)
-            for k in range(cfg.n_max + 1):
+            base = mgf_degenerate_series(dist, lam, top) - 1
+            rows = (sum_degenerate_row(dist, j, top, lam) for j in range(cfg.n_max + 1))
+            moments = PackedVectors(*_on_one_den(rows, top + 1))
+            power = TruncatedSeries.one(top)
+            for k, (weights, wden, kfact) in enumerate(differences):
                 # the powers stop at the last k
                 if k:
                     power = power * base
-                lhs = [power.nums[n] * facts[n] for n in range(len(rows))]
-                rhs = _split([_stirling2_by_difference(row, weights[k]) for row in rows])
+                left = power.nums, coefficients, power.den * kfact
+                right = weights, moments, wden * kfact
                 params = {"dist": dist, "lambda": lam, "k": k}
-                yield (lhs, power.den * factorial(k)), rhs, params, "n"
+                yield _packed_block(left, right, params, "n", top + 1)
 
 
 def _eq22_gf(cfg):
@@ -764,8 +852,11 @@ def _thm2_11(cfg):
 def _thm2_12(cfg):
     # Poisson sum moments are the classical Bell polynomials at k*alpha,
     # and the geometric expansion then reduces to the THM2_10 rows.
+    size = cfg.coeff_depth + 1
     comb = _comb_rows(cfg.coeff_depth)
+    weights = _geometric_weights(comb, 0, size, cfg.n_max)
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
+        sums = _geometric_sums(comb, 0, _raw_sum_columns(dist, size, cfg.n_max))
         for lam in cfg.lambdas:
             moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
             for n, column in enumerate(moments[0]):
@@ -773,45 +864,54 @@ def _thm2_12(cfg):
                 lhs = _split([bell.evaluate_ratio(k * dist.alpha) for k in range(len(column))])
                 yield lhs, (column, moments[1]), {"dist": dist, "lambda": lam, "n": n}, "k"
             params = {"dist": dist, "lambda": lam}
-            yield from _geometric_rows(dist, lam, 0, comb, moments, params)
+            yield from _geometric_rows(dist, lam, 0, weights, sums, cfg.n_max, params)
 
 
-def _geometric_weights(comb, r: int, size: int) -> list[list[int]]:
-    # the rows C(i+r, i-l), l = 0..i, for i < size; entry 0 is C(i+r, i)
-    return [comb[i + r][i::-1] for i in range(size)]
+def _geometric_weights(comb, r: int, size: int, degree: int) -> PackedVectors:
+    # the columns l = 0..degree of C(i+r, i-l) over i < size (0 for l > i):
+    # sum_l w_l column_l is [u^i] w(u/(1-u))/(1-u)^(r+1) for w of that degree
+    return PackedVectors(
+        [comb[i + r][i - l] if l <= i else 0 for i in range(size)] for l in range(degree + 1)
+    )
 
 
-def _geometric_block(w: Polynomial, rows, values) -> tuple:
-    # one block over i: [u^i] w(u/(1-u))/(1-u)^(r+1), on w's numerators and the
-    # rows of _geometric_weights, against C(i+r, i) times values = (nums, dens)
-    nums, dens = values
-    lhs = [sum(map(mul, w.nums, row)) for row in rows]
-    rhs = [row[0] * v for row, v in zip(rows, nums)]
-    return (lhs, w.den), (rhs, dens)
+def _geometric_sums(comb, r: int, moments) -> PackedVectors:
+    # C(i+r, i) times each column of moments = (columns, den) over i
+    columns, den = moments
+    return PackedVectors(
+        ([comb[i + r][i] * m for i, m in enumerate(column)] for column in columns), den
+    )
 
 
-def _geometric_rows(dist, lam, r: int, comb, moments, params: dict):
-    # THM2_13 at one (dist, lam, r): F^{(r+1),Y}_{n,lam} against the sum
-    # moments (columns, dens), one block per n over rows built once
-    columns, dens = moments
-    rows = _geometric_weights(comb, r, len(dens))
-    fubs = prob_fubini_polys(dist, len(columns) - 1, r + 1, lam)
-    for n, column in enumerate(columns):
-        lhs, rhs = _geometric_block(fubs[n], rows, (column, dens))
-        yield lhs, rhs, {**params, "n": n}, "i"
+def _geometric_rows(dist, lam, r: int, weights, sums, n_max: int, params: dict):
+    # THM2_13 at one (dist, lam, r), one packed block over i per n:
+    # F^{(r+1),Y}_{n,lam} through the weight columns against C(i+r, i)
+    # E[(S_i)_{n,lam}] = sum_j [x^j](x)_{n,lam} C(i+r, i) E[S_i^j]
+    fubs = prob_fubini_polys(dist, n_max, r + 1, lam)
+    ffs = falling_factorial_polys(n_max, lam)
+    size = len(sums.vectors[0])
+    for n in range(n_max + 1):
+        w, ff = fubs[n], ffs[n]
+        left, right = (w.nums, weights, w.den), (ff.nums, sums, ff.den)
+        yield _packed_block(left, right, {**params, "n": n}, "i", size)
 
 
 def _thm2_13(cfg, rs=None):
-    # Order-(r+1) geometric expansion. The sum moments do not depend on r:
-    # they are read once per (dist, lam), one row per i.
+    # Order-(r+1) geometric expansion, i <= coeff_depth. The right side's
+    # packs C(i+r, i) E[S_i^j] come from Miller's rows and do not depend on
+    # lam: they are built once per (dist, r), and contracted against
+    # (x)_{n,lam} per block. The weight columns are built once per run.
     rs = _orders(cfg, rs)
+    size = cfg.coeff_depth + 1
     comb = _comb_rows(cfg.coeff_depth + max(rs))
+    weights = {r: _geometric_weights(comb, r, size, cfg.n_max) for r in rs}
     for dist in cfg.dists:
+        moments = _raw_sum_columns(dist, size, cfg.n_max)
+        sums = {r: _geometric_sums(comb, r, moments) for r in rs}
         for lam in cfg.lambdas:
-            moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
             for r in rs:
                 params = {"dist": dist, "lambda": lam, "r": r}
-                yield from _geometric_rows(dist, lam, r, comb, moments, params)
+                yield from _geometric_rows(dist, lam, r, weights[r], sums[r], cfg.n_max, params)
 
 
 def _thm2_14(cfg, rs=None):

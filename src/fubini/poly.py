@@ -14,6 +14,12 @@ lcm of their denominators. ``+`` and ``-`` are two-term weighted sums, and
 every other weighted sum of rows in the package (the Stirling triangle, the
 degenerate Stirling rows, the checkers' convolutions of polynomials) is one
 call to ``weighted_sum``, reduced once or compared as it is.
+
+``pack`` and ``unpack`` carry an integer vector to one integer and back by
+Kronecker substitution at X = 2**bits, so that one big-integer operation
+stands for a whole vector; ``pack_bits`` sizes X from the bit-lengths of the
+operands, and ``PackedVectors`` keeps a table of vectors packed once per
+width.
 """
 
 from __future__ import annotations
@@ -72,6 +78,98 @@ def weighted_sum(terms) -> tuple[list[int], int]:
         for k, c in enumerate(nums):
             acc[k] += factor * c
     return acc, common
+
+
+def pack(nums, bits: int) -> int:
+    """sum_i nums[i] * 2**(bits*i): the int vector nums as one integer.
+
+    Packing is linear, so a weighted sum of packed vectors, or a packed
+    vector times an int, is the pack of that sum or product. Exactness: if
+    every entry of two vectors a and b has |entry| < 2**(bits-1), then
+    pack(a, bits) == pack(b, bits) exactly when a == b, and unpack recovers
+    each. Two sides compared as pack(a) * den_b == pack(b) * den_a therefore
+    need that bound on the cross-multiplied entries (``pack_bits``).
+    """
+    if len(nums) > 16:
+        # halves: the shifts stay short, where one running sum would shift
+        # ever longer ints
+        half = len(nums) // 2
+        return pack(nums[:half], bits) + (pack(nums[half:], bits) << bits * half)
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc << bits) + c
+    return acc
+
+
+def unpack(value: int, bits: int, size: int) -> list[int]:
+    """The balanced base-2**bits digits 0..size-1 of value, each in
+    [-2**(bits-1), 2**(bits-1)): the vector that ``pack`` made value from."""
+    half = 1 << (bits - 1)
+    base = half << 1
+    out = []
+    for _ in range(size):
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
+
+
+def pack_bits(weight: int, top: int, den: int) -> int:
+    """A pack width for one side sum_l v_l M_l compared against den.
+
+    weight is sum_l |v_l| and top the largest |entry| of the packed vectors
+    M_l, so every entry of the side times den is below
+    2**(bitlen(weight) + bitlen(top) + bitlen(den)); two more bits put it
+    under 2**(bits-1) with one to spare (``pack``). A block packs at the
+    larger width of its two sides. The width is rounded up to a multiple of
+    64, so that vectors packed once serve every block of a similar size.
+    """
+    bits = weight.bit_length() + top.bit_length() + den.bit_length() + 2
+    return -(-bits // 64) * 64
+
+
+def _over_int(nums, den) -> tuple:
+    # nums over den with den an int: a Fraction den's denominator moves onto nums
+    if type(den) is int:
+        return nums, den
+    return [c * den.denominator for c in nums], den.numerator
+
+
+class PackedVectors:
+    """Vectors of exact entries as int vectors over one den, packed per width.
+
+    The entries are ints, or Fractions (a table read under hooks.perturb),
+    whose denominators are folded into den as ``weighted_sum`` folds a
+    Fraction weight; den itself may be a Fraction too. ``top`` is the largest
+    |entry| of the int vectors, for ``pack_bits``; ``at(bits)`` packs every
+    vector at that width on first use and keeps the packs, so a table built
+    once serves every block that packs at a width it has seen.
+    """
+
+    __slots__ = ("vectors", "den", "top", "_packs")
+
+    def __init__(self, vectors, den=1):
+        vectors = [list(v) for v in vectors]
+        flat, common = scaled([c for v in vectors for c in v])
+        flat, self.den = _over_int(flat, den * common)
+        entries = iter(flat)
+        self.vectors = [[next(entries) for _ in v] for v in vectors]
+        self.top = max(map(abs, flat), default=0)
+        self._packs = {}
+
+    def side(self, weights, den) -> tuple[list[int], int]:
+        """The side sum_l weights[l] vectors[l] / (den * self.den), int weights,
+        as (weights, den) over an int den: a Fraction den's denominator moved
+        onto the weights."""
+        return _over_int(weights, den * self.den)
+
+    def at(self, bits: int) -> list[int]:
+        """The vectors packed at width bits, packed on the first request."""
+        if bits not in self._packs:
+            self._packs[bits] = [pack(v, bits) for v in self.vectors]
+        return self._packs[bits]
 
 
 class ScaledVector:

@@ -97,11 +97,20 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
     return hooks.shifted_row("sum_moment", (dist, k), row)
 
 
-def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
-    """E[S_k**m] for the sum S_k of k independent copies of Y."""
+def sum_raw_row(dist: Distribution, k: int, m: int) -> ScaledRow:
+    """E[S_k**j] for j = 0..m (at least), as its readers see it.
+
+    Entry j is row.nums[j] / row.den; read the pair at once, as for
+    sum_degenerate_row.
+    """
     if k < 0 or m < 0:
         raise ValueError("sum moments need k, m >= 0")
-    return _sum_raw_moments(dist, k, m)[m]
+    return _sum_raw_moments(dist, k, m)
+
+
+def sum_raw_moment(dist: Distribution, k: int, m: int) -> Fraction:
+    """E[S_k**m] for the sum S_k of k independent copies of Y."""
+    return sum_raw_row(dist, k, m)[m]
 
 
 def _contracted(row: ScaledRow, n: int, lam: Fraction, moments) -> ScaledRow:

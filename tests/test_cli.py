@@ -261,173 +261,18 @@ def test_mc_large_k_sum_moment():
     assert abs(row["zscore"]) < 5
 
 
-# sha256 of stdout, taken from the scalar implementation the row-grown tables
-# replaced; any change in a table or series document fails here
+# The pinned documents: each entry of tests/golden.json is an argv, the
+# sha256 of its stdout and why it is pinned, with the digest taken before the
+# change the entry guards. Any change in a document fails here; the CI
+# workflow checks the same entries against the installed console script.
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
 GOLDEN_DOCUMENTS = [
-    (
-        ["table", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--n-max", "12"],
-        "6d2145f186f9b077ce17ce10e9955ddc812ebd001fd1802d9e2df78f35a33926",
-    ),
-    (
-        ["table", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda", "-7/2",
-         "--n-max", "10", "--r", "3"],
-        "a515b815551a2968c5d9a10524acee017c4a43ca42732748106350a0e835eee3",
-    ),
-    (
-        ["table", "--dist", "poisson:3/2", "--lambda", "13/4", "--n-max", "10",
-         "--format", "csv"],
-        "eb343cece5a45bdf4962954d6ebc60f150ca5e6e780ba3138702c1994b98b447",
-    ),
-    (
-        ["table", "--dist", "bernoulli:2/5", "--lambda", "0", "--n-max", "10"],
-        "442aa4c6e9e123ceed70af5190c0bc307d78c99f363175c37d4343f24513968a",
-    ),
-    (
-        ["series", "--dist", "gamma:3/2,2", "--lambda", "1/3", "--order", "20",
-         "--x", "1/2"],
-        "6db51df87e82dabf4947777613295398a7a4b3aa8376439857ae8bb9f4f10564",
-    ),
-    (
-        ["series", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda", "-1/4",
-         "--order", "20", "--x", "-1/3", "--format", "csv"],
-        "760644841920994057409e0782e08e2b9f99176e4384a878e8ac794cbb58f5c9",
-    ),
+    (doc["argv"], doc["sha256"]) for doc in json.loads(GOLDEN_PATH.read_text())
 ]
 
-
-# sha256 of the verify document, taken before the integer-scaled kernels and
-# the shared checker runs; any change in a verdict, a case count or a
-# counterexample fails here
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "all", "--n-max", "4"],
-        "c81f696295a7f830f3148b09e26a5704c134e1796d10df73f1fd96a436fd09d3",
-    ),
-    (
-        ["verify", "--suite", "all", "--n-max", "4", "--format", "csv"],
-        "728176f7115be4d8322e6cfd815f9e64da16e701bf31d9ee6ad69339dfce10e0",
-    ),
-]
-
-
-# Values that start with "-", after a space or after "=": the same documents
-# as the spaced forms above, and digests taken from the click-parsed CLI
-GOLDEN_DOCUMENTS += [
-    (
-        ["table", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda=-7/2",
-         "--n-max", "10", "--r", "3"],
-        "a515b815551a2968c5d9a10524acee017c4a43ca42732748106350a0e835eee3",
-    ),
-    (
-        ["series", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda=-1/4",
-         "--order", "20", "--x=-1/3", "--format", "csv"],
-        "760644841920994057409e0782e08e2b9f99176e4384a878e8ac794cbb58f5c9",
-    ),
-    (
-        ["verify", "--suite", "EQ6", "--lambda", "-1/2", "--n-max", "3"],
-        "de15af739880c0424c1f366de3d62b676545a51ea8aa1df3c965b99007e5faa6",
-    ),
-]
-
-
-# The order-r identities and their order slices past n_max 4: EQ11 is EQ14 at
-# r = 0, THM2_2 and THM2_10 are THM2_13 at r = 0, and THM2_12 reads THM2_13's
-# rows at r = 0. Digest taken before they ran as slices.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "EQ11", "--suite", "EQ14", "--suite", "THM2_2",
-         "--suite", "THM2_10", "--suite", "THM2_12", "--suite", "THM2_13",
-         "--n-max", "6"],
-        "383f9fe00d187f091540913913946d2c8ef57f14d101c22372d962fe60bd743b",
-    ),
-]
-
-
-# The formerly capped checkers past n = 8: EQ11, EQ14, EQ29_BELL and
-# THM2_9_CORRECTED now run n up to --n-max, and THM2_8 runs as THM2_15 at
-# r = 1. Digest taken when they did; the capped document hashes differently.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "EQ11", "--suite", "EQ14", "--suite", "EQ29_BELL",
-         "--suite", "THM2_9_CORRECTED", "--suite", "THM2_8", "--dists", "poisson:3/2",
-         "--lambda", "1/2", "--n-max", "10"],
-        "fa29c3a493857415b1664a6246d48f7ed529ed6ff20dda1ebc7f37c52ff4e8cd",
-    ),
-]
-
-
-# The verify-suite benchmark op's own document: every identity at n_max 6 on
-# the default grid, with the numeric spot-check's floats. Digest taken while
-# every case ran one at a time, before cases ran in blocks along one index.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "all", "--n-max", "6"],
-        "3baeecc22efa3f75fb1d72b700e02be03fd68fb790475bd5d6181ae91fd3d31c",
-    ),
-]
-
-
-# Every identity at r_max 1 and at r_max 5 on the default grid at n_max 4.
-# At r_max 1 an order-r checker and its r = 1 slice cover the same cases; at
-# r_max 5 a checker shared with a slice runs the union of their orders. Digests
-# taken while each slice still ran its own pass of its order-r checker.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "all", "--r-max", "1", "--n-max", "4"],
-        "97111cc1aa340010d5a8789be6301a3099a756a1f75eac83b311f5a942b6e80a",
-    ),
-    (
-        ["verify", "--suite", "all", "--r-max", "5", "--n-max", "4"],
-        "acbb877eb23d485bdafdc323ffed3b83216fa985aec0cdeb8680c8a9ed01449d",
-    ),
-]
-
-
-# The checkers that sum weighted rows (THM2_3, THM2_7, THM2_9_*, THM2_11,
-# THM2_15) past the default n_max, and a zero-mean distribution, whose j = 1
-# column term vanishes, through the triangle and the order-r weights. Digests
-# taken before those sums ran through poly.weighted_sum.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--suite", "THM2_3", "--suite", "THM2_7", "--suite", "THM2_9_PRINTED",
-         "--suite", "THM2_9_CORRECTED", "--suite", "THM2_11", "--suite", "THM2_15",
-         "--n-max", "12"],
-        "0e9bab35ff21a308137f9a9f2c7c1f83f255aef21dbf4d1fdaf7deff2bbed3ea",
-    ),
-    (
-        ["table", "--dist", "discrete:-1=1/2,1=1/2", "--lambda", "1/2", "--n-max", "12",
-         "--r", "2"],
-        "55ee905c104632ebb87eef09f28f9f1a93cbace894fc9976be52f5c1726fb512",
-    ),
-]
-
-
-# Every identity on zero-mean distributions only, the one input whose stored
-# triangle rows end in zeros (T(m, m) = E[Y]**m = 0). Digest taken while each
-# triangle row was kept with its trailing zeros.
-GOLDEN_DOCUMENTS += [
-    (
-        ["verify", "--dists", "discrete:-1=1/2,1=1/2", "--dists", "point:0",
-         "--dists", "bernoulli:0", "--n-max", "8"],
-        "43091c599cd34adff8130d9a14b3e5518010fed3cb971017af88c78aca8cf58c",
-    ),
-]
-
-
-# mc documents, taken before every command wrote through one document writer:
-# a point mass (null z-score, an empty CSV cell) and a seeded Bernoulli run
+# a point mass: a null z-score in JSON, an empty cell in CSV
 _MC_POINT = ["mc", "--dist", "point:5/2", "--k", "3", "--n", "2", "--lambda", "7/5",
              "--samples", "1000"]
-GOLDEN_DOCUMENTS += [
-    (_MC_POINT, "e5aefc864c9b6cecfe742ccd3dd216f8940e14799238a00a2d071ae118e794c2"),
-    (_MC_POINT + ["--format", "csv"],
-     "37f4ca8eb73d004da5abd69aea1b079663dec163845910e465582ec1ed258133"),
-    (
-        ["mc", "--dist", "bernoulli:2/5", "--k", "2", "--n", "2", "--lambda", "1/2",
-         "--samples", "2000", "--seed", "42", "--format", "csv"],
-        "0a1232cf4c6188b52598104d91bc374bdce1a8c9707d6fc6be8ed2e15530828b",
-    ),
-]
 
 
 @pytest.mark.parametrize(
@@ -600,6 +445,11 @@ HOSTILE_ARGS = [
     (["verify", "--suite", "EQ6", "--dists", "point:1e3"], 2),
     (["verify", "--suite", "EQ6", "--n-max", "0"], 2),
     (["verify", "--suite", "EQ6", "--r-max", "0"], 2),
+    # the documented maximum of --n-max (cli.VERIFY_MAX_N), refused at parse
+    # time: without it the default grid at --n-max 60 runs for many minutes
+    (["verify", "--suite", "EQ6", "--n-max", "30"], 0),
+    (["verify", "--suite", "EQ6", "--n-max", "31"], 2),
+    (["verify", "--n-max", "60"], 2),
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
@@ -628,6 +478,8 @@ def _case_id(args):
 NAMED_FLAG_ERRORS = {
     "verify --suite EQ6 --n-max 0": "Error: --n-max must be >= 1",
     "verify --suite EQ6 --r-max 0": "Error: --r-max must be >= 1",
+    "verify --suite EQ6 --n-max 31": "Error: --n-max must be <= 30",
+    "verify --n-max 60": "Error: --n-max must be <= 30",
     "verify --suite EQ6 --dists point:1e3": (
         "Error: bad --dists 'point:1e3': invalid distribution spec 'point:1e3': "
         "bad rational '1e3'"

@@ -536,6 +536,64 @@ def test_an_off_diagonal_binomial_fault_trips_its_identities(key, tripped):
     assert [r.identity.value for r in reports if r.status == "fail"] == tripped.split()
 
 
+# A fault whose first mismatch lies inside a packed block, past its first
+# case (along names the block's index): the report is the one the per-entry
+# comparison gave, case count and counterexample alike. Digests taken while
+# these blocks were compared entry by entry. A Fraction delta puts a
+# Fraction into a packed table, which folds it into its den.
+_PACKED_BLOCK_FAULTS = [
+    (
+        "THM2_13",
+        "sum_moment",
+        (_DISCRETE, 9, 2),
+        1,
+        "i",
+        "fc7ca6257e39ab1348e1601ce5997e995864449a8ec8408ea93fde91c8c2a205",
+    ),
+    (
+        "EQ19_INV",
+        "factorial",
+        (3,),
+        F(1, 3),
+        "k",
+        "54a44dde7e27c8e77d7a6e9ecdd59574d8aa214e731333104fa58e671bd4b4ac",
+    ),
+    (
+        "EQ20_GF",
+        "sum_moment",
+        (Gamma(F(3, 2), F(2)), 2, 3),
+        F(-2, 7),
+        "n",
+        "ef9305c233a06cd88b9053b2004d3a946028f1bc8ca64018793d1ee347384938",
+    ),
+    (
+        "EQ14",
+        "binomial",
+        (7, 3),
+        F(1, 2),
+        "k",
+        "12bc60b4b4fe33e54a72e979873df15d3742ae3eb9f66749a915199f0502d429",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "identity, table, key, delta, along, digest",
+    _PACKED_BLOCK_FAULTS,
+    ids=[case[0] for case in _PACKED_BLOCK_FAULTS],
+)
+def test_a_packed_block_reports_its_first_mismatch_as_entry_by_entry(
+    identity, table, key, delta, along, digest
+):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    with hooks.perturb(table, key, delta):
+        report = check_identity(identity, cfg)
+    assert report.status == "fail"
+    assert int(report.counterexample.params[along]) > 0
+    document = json.dumps(report.to_dict())
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
 def test_report_serialization():
     rep = check_identity(IdentityId.THM2_16, small_config())
     doc = rep.to_dict()

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fubini.poly import Polynomial, convolve, gamma_weight_integral, weighted_sum
+from fubini.poly import (
+    PackedVectors,
+    Polynomial,
+    convolve,
+    gamma_weight_integral,
+    pack,
+    pack_bits,
+    unpack,
+    weighted_sum,
+)
 from fubini.rational import as_rational, format_rational, parse_rational, scaled
 from fubini.series import TruncatedSeries
 
@@ -581,3 +590,93 @@ def test_series_add_and_sub_match_fraction_loops_property(s, t, c):
         assert_canonical(got, strip=False)
         assert got.order == s.order
         assert got.coeffs == expected, name
+
+
+# --- Kronecker packing ---
+
+
+@pytest.mark.parametrize("bits", [2, 8, 64, 128])
+def test_unpack_recovers_every_vector_within_the_bound(bits):
+    edge = 2 ** (bits - 1) - 1
+    cases = [
+        [],
+        [0, 0, 0],
+        [-1, 0, 1],
+        [edge, -edge, edge, -edge],
+        [-edge] * 5,
+        [edge] * 5,
+        [0, 0, -edge],
+        [edge, 0, 0, 0],
+    ]
+    if bits > 8:
+        cases.append([-(3**30) % edge, -(5**20) % edge - edge // 2, 7, -7])
+    for nums in cases:
+        assert unpack(pack(nums, bits), bits, len(nums)) == nums, nums
+        assert pack(nums, bits) == sum(c * 2 ** (bits * i) for i, c in enumerate(nums))
+
+
+def test_pack_of_a_long_vector_is_the_sum_of_its_shifted_entries():
+    # past 16 entries pack splits the vector in halves
+    nums = [(-1) ** i * (i * 97 + 5) for i in range(53)]
+    packed = pack(nums, 64)
+    assert packed == sum(c << (64 * i) for i, c in enumerate(nums))
+    assert unpack(packed, 64, 53) == nums
+
+
+def test_pack_is_linear():
+    a, b, bits = [3, -4, 0, 9], [-1, 2, 5, -6], 16
+    assert 5 * pack(a, bits) - 2 * pack(b, bits) == pack(
+        [5 * x - 2 * y for x, y in zip(a, b)], bits
+    )
+
+
+@st.composite
+def vector_pairs(draw):
+    bits = draw(st.sampled_from([2, 3, 8, 64]))
+    bound = 2 ** (bits - 1) - 1
+    entries = st.integers(min_value=-bound, max_value=bound)
+    size = draw(st.integers(min_value=0, max_value=8))
+    a = draw(st.lists(entries, min_size=size, max_size=size))
+    b = draw(st.lists(entries, min_size=size, max_size=size))
+    return bits, a, b
+
+
+@settings(max_examples=300)
+@given(vector_pairs())
+def test_vectors_within_the_bound_pack_equal_only_when_equal(pair):
+    bits, a, b = pair
+    assert (pack(a, bits) == pack(b, bits)) == (a == b)
+    assert unpack(pack(a, bits), bits, len(a)) == a
+
+
+def test_pack_bits_covers_the_cross_multiplied_side_and_rounds_to_64():
+    weights, vectors, den = [3, -5, 7], [[2**40, -(2**40)], [1, 2**39]], 2**20 + 1
+    bits = pack_bits(sum(map(abs, weights)), 2**40, den)
+    assert bits % 64 == 0
+    side = [sum(w * v[i] for w, v in zip(weights, vectors)) * den for i in range(2)]
+    assert all(abs(e) < 2 ** (bits - 1) for e in side)
+    assert pack_bits(1, 1, 1) == 64
+
+
+def test_packed_vectors_fold_a_fraction_entry_into_the_den():
+    table = PackedVectors([[1, F(1, 3)], [F(5, 2), -4]], 7)
+    assert table.vectors == [[6, 2], [15, -24]]
+    assert table.den == 42
+    assert table.top == 24
+    # the same values, every vector over the one den
+    assert [[F(c, table.den) for c in v] for v in table.vectors] == [
+        [F(1, 7), F(1, 21)],
+        [F(5, 14), F(-4, 7)],
+    ]
+    assert table.at(64) == [pack(v, 64) for v in table.vectors]
+    assert table.at(64) is table.at(64)
+
+
+def test_packed_vectors_fold_a_fraction_den_into_the_side():
+    ints = PackedVectors([[1, 2]])
+    assert (ints.den, ints.top) == (1, 2)
+    assert ints.side([3, -1], 5) == ([3, -1], 5)
+    # a perturbed factorial, say, makes the side's den a Fraction
+    assert ints.side([3, -1], F(5, 2)) == ([6, -2], 5)
+    assert PackedVectors([[4]], F(3, 2)).vectors == [[8]]
+    assert PackedVectors([[4]], F(3, 2)).den == 3
