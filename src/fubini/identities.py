@@ -6,9 +6,9 @@ every grid case, never approximate agreement. A checker yields
 ``Polynomial`` or an unreduced pair (nums, den) of an int list over an int
 den; the sides are compared by cross-multiplying their numerators, the
 shorter padded with zeros, and reduced to Polynomials only for a
-counterexample, which prints as the reduced comparison did. A checker that
-sums weighted polynomials (THM2_3, THM2_7, THM2_9_*, THM2_11, THM2_15)
-yields the ``poly.weighted_sum`` pair. A scalar side is an int, a Fraction,
+counterexample, which prints as the reduced comparison did; THM2_3 and
+THM2_11 yield their weighted sums as ``poly.weighted_sum`` pairs. A scalar
+side is an int, a Fraction,
 or a pair (num, den) with den != 0, not necessarily in lowest terms:
 checkers build pairs straight from the integer numerators that polynomials,
 series and triangle rows store, and take an int or Fraction as it is where
@@ -24,19 +24,20 @@ terms. A scalar (lhs, rhs, params) case is a block of one. Fractions are
 built only for a counterexample. (Under ``hooks.perturb`` the numerators and
 dens of a scalar side may be Fractions; the comparison stays exact.)
 
-A packed block (lhs, rhs, params, key, bits, size) holds each side as one
-int over one den, (packed, den): the vector of its cases j < size, packed by
-Kronecker substitution at X = 2**bits (``poly.pack``). A checker builds the
-side as sum_l v_l M_l, int weights v_l times vectors M_l packed once per run
-or per distribution (``poly.PackedVectors``), and ``poly.pack_bits`` takes
-bits from the bit-lengths of v, M and the other side's den, so every digit
-of the cross-multiplied sides is exact. ``_compare`` passes the block when
-digits 0..size-1 of lp * rden - rp * lden vanish; only on a mismatch does it
-unpack both sides and report the first j as an unpacked block would.
-THM2_13 (so THM2_2, THM2_10 and THM2_12's geometric rows), EQ14 (so EQ11),
-EQ19_INV and EQ20_GF compare packed blocks. The EGF blocks of THM2_6,
-EQ12_GF and EQ22_GF do not: each of their packs would serve three x-points
-only, and packing them measured no faster.
+A packed case (lhs, rhs, params, key, bits, size) holds each side as one
+int over one den, packed by Kronecker substitution at X = 2**bits
+(``poly.pack``): the block of cases j < size along key, or with key None
+one polynomial case. A side is sum_l v_l M_l, int weights times vectors (or
+products of vectors: a product of packs packs the convolution) packed once
+per run, dist or (dist, lam, r) (``poly.PackedVectors``); ``poly.pack_bits``
+sizes bits from the bit-lengths of v, M, the other side's den and the terms
+per digit, so every digit of the cross-multiplied sides is exact. The case
+passes when digits 0..size-1 of lp * rden - rp * lden vanish; only on a
+mismatch are both sides unpacked, to report the first j or the polynomials
+as before. Blocks: THM2_13 (so THM2_2, THM2_10), EQ14 (so EQ11), EQ19_INV,
+EQ20_GF, THM2_12; polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8).
+The EGF blocks of THM2_6, EQ12_GF and EQ22_GF are not packed: each of their
+packs would serve three x-points only, and packing measured no faster.
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -92,7 +93,8 @@ polynomial from the triangle kernel through the binomial weight columns;
 the right side is C(i+r, i) E[(S_i)_{n,lam}] = sum_j [x^j](x)_{n,lam}
 C(i+r, i) E[S_i^j], Miller's rows E[S_i^j] (read through ``sum_raw_row``)
 packed over i once per (dist, r), since they do not depend on lam, and
-contracted against the numerators of (x)_{n,lam} per block.
+contracted against the numerators of (x)_{n,lam} per block; so are the
+sum moments of EQ20_GF and THM2_12.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ from . import hooks
 from .poly import (
     PackedVectors,
     Polynomial,
-    convolve,
     gamma_weight_integral,
+    pack,
     pack_bits,
     unpack,
     weighted_sum,
@@ -139,11 +141,10 @@ from .probabilistic import (
     prob_bell_polys,
     prob_fubini_poly,
     prob_fubini_polys,
-    prob_stirling2,
     sum_degenerate_row,
     sum_raw_row,
 )
-from .rational import as_rational, format_rational, scaled
+from .rational import as_rational, format_rational, ratio, scaled
 from .record import Record
 from .series import TruncatedSeries
 
@@ -357,12 +358,15 @@ def _compare(case) -> tuple:
     # up to the first mismatch j (j = 0 for a single case), with sides the
     # two sides at j as the counterexample prints them
     if len(case) == 6:
-        # a packed block: its cases are digits 0..size-1 of two ints, compared
-        # whole, and unpacked only to find j
+        # a packed block, or with key None a packed polynomial case: digits
+        # 0..size-1 of two ints, unpacked only to find j or print the sides
         (lp, ldens), (rp, rdens), params, key, bits, size = case
         if not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1):
-            return params, key, size, None
+            return params, key, 1 if key is None else size, None
         lnums, rnums = unpack(lp, bits, size), unpack(rp, bits, size)
+        if key is None:
+            sides = Polynomial.from_scaled(lnums, ldens), Polynomial.from_scaled(rnums, rdens)
+            return params, key, 1, sides
     elif len(case) == 4:
         (lnums, ldens), (rnums, rdens), params, key = case
     else:
@@ -503,28 +507,29 @@ def _members(cfg, family, defaults: tuple) -> tuple:
     return tuple(d for d in cfg.dists if isinstance(d, family)) or defaults
 
 
-def _sum_moment_columns(dist, lam, k_max: int, n_max: int) -> tuple[list, list]:
-    # E[(S_k)_{n,lam}] for k = 0..k_max and n = 0..n_max as (columns, dens):
-    # the value is columns[n][k] / dens[k]. Each row's (nums, den) is read at
-    # once, so a later rescaling of the stored row does not split it.
-    rows = [sum_degenerate_row(dist, k, n_max, lam) for k in range(k_max + 1)]
-    pairs = [(row.nums, row.den) for row in rows]
-    return [[nums[n] for nums, _ in pairs] for n in range(n_max + 1)], [den for _, den in pairs]
-
-
 def _on_one_den(rows, size: int) -> tuple[list[list[int]], int]:
-    # entries 0..size-1 of ScaledRows as int lists over the lcm of their dens;
-    # each row's (nums, den) is read at once, as in _sum_moment_columns
+    # entries 0..size-1 of ScaledRows or Polynomials as int lists over the lcm
+    # of their dens; each row's (nums, den) is read at once
     pairs = [(row.nums[:size], row.den) for row in rows]
     common = math.lcm(*(den for _, den in pairs))
     return [[c * (common // den) for c in nums] for nums, den in pairs], common
 
 
+def _columns(rows, size: int) -> tuple[list, int]:
+    # _on_one_den as (columns, den): column j < size over the rows, zero-padded
+    rows, den = _on_one_den(rows, size)
+    return list(zip(*(row + [0] * (size - len(row)) for row in rows))), den
+
+
+def _fubini_rows(dist, top: int, r: int, lam) -> PackedVectors:
+    # the order-r F^Y_{n,lam}, n <= top, as one table
+    return PackedVectors(*_on_one_den(prob_fubini_polys(dist, top, r, lam)[: top + 1], top + 1))
+
+
 def _raw_sum_columns(dist, size: int, degree: int) -> tuple[list, int]:
     # E[S_i**j] for i < size and j = 0..degree as (columns, den): column j
     # runs over i, all over one den; Miller's rows, read through sum_raw_row
-    rows, den = _on_one_den((sum_raw_row(dist, i, degree) for i in range(size)), degree + 1)
-    return list(zip(*rows)), den
+    return _columns((sum_raw_row(dist, i, degree) for i in range(size)), degree + 1)
 
 
 def _packed_block(left, right, params: dict, key: str, size: int) -> tuple:
@@ -666,29 +671,32 @@ def _eq20_gf(cfg):
     # (E[e_lam^Y(t)] - 1)^k / k! generates the finite differences of the sum
     # moments: one packed block over n <= series_order. EGF coefficient n of
     # the power is its numerators through the columns n! e_n, packed once per
-    # run; the defining sum of _stirling2_by_difference weights the sum
-    # moments E[(S_j)_{n,lam}], packed over n once per (dist, lam), one
-    # vector per j.
+    # run, against the definition on Miller's rows: the k-th differences over
+    # j of E[S_j^m] weight the columns [x^m](x)_{n,lam} over n.
     top = cfg.series_order
     facts = _factorials(top)
     coefficients = PackedVectors(
         [facts[n] if m == n else 0 for m in range(top + 1)] for n in range(top + 1)
     )
     differences = [(*scaled(_difference_weights(k)), factorial(k)) for k in range(cfg.n_max + 1)]
+    ffs = [falling_factorial_polys(top, lam)[: top + 1] for lam in cfg.lambdas]
+    falling = [PackedVectors(*_columns(rows, top + 1)) for rows in ffs]
     for dist in cfg.dists:
-        for lam in cfg.lambdas:
+        moments, mden = _raw_sum_columns(dist, cfg.n_max + 1, top)
+        steps = [
+            (kfact, [sum(map(mul, weights, column)) for column in moments], wden * kfact * mden)
+            for weights, wden, kfact in differences
+        ]
+        for lam, columns in zip(cfg.lambdas, falling):
             base = mgf_degenerate_series(dist, lam, top) - 1
-            rows = (sum_degenerate_row(dist, j, top, lam) for j in range(cfg.n_max + 1))
-            moments = PackedVectors(*_on_one_den(rows, top + 1))
             power = TruncatedSeries.one(top)
-            for k, (weights, wden, kfact) in enumerate(differences):
+            for k, (kfact, step, den) in enumerate(steps):
                 # the powers stop at the last k
                 if k:
                     power = power * base
                 left = power.nums, coefficients, power.den * kfact
-                right = weights, moments, wden * kfact
                 params = {"dist": dist, "lambda": lam, "k": k}
-                yield _packed_block(left, right, params, "n", top + 1)
+                yield _packed_block(left, (step, columns, den), params, "n", top + 1)
 
 
 def _eq22_gf(cfg):
@@ -783,41 +791,55 @@ def _thm2_6(cfg, rs=None):
 
 
 def _thm2_7(cfg):
-    # First-order recurrence through moment-weighted binomial convolution
+    # First-order recurrence through moment-weighted binomial convolution,
+    # F_n = x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F_{n-k}: a packed polynomial
+    # case per n on the rows F_0..top, packed once per (dist, lam)
+    top = cfg.n_max
+    comb = PackedVectors(_comb_rows(top))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
-            moments = [degenerate_moment(dist, k, lam) for k in range(cfg.n_max + 1)]
-            for n in range(1, cfg.n_max + 1):
-                # x sum_{k>=1} C(n, k) E[(Y)_{k,lam}] F^Y_{n-k,lam}, as a pair
-                nums, den = weighted_sum(
-                    (f.nums, f.den * m.denominator, binomial(n, k) * m.numerator)
-                    for k, (f, m) in enumerate(zip(fubs[n - 1 :: -1], moments[1 : n + 1]), 1)
-                )
-                yield fubs[n], ([0, *nums], den), {"dist": dist, "lambda": lam, "n": n}
+            fubs = _fubini_rows(dist, top, 1, lam)
+            a, aden = scaled([degenerate_moment(dist, k, lam) for k in range(top + 1)])
+            # the weights of the rows 0..n-1: k = n..1
+            terms = [list(map(mul, c[n:0:-1], a[n:0:-1])) for n, c in enumerate(comb.vectors)]
+            rden = fubs.den * aden * comb.den
+            weight = max(sum(map(abs, w)) for w in terms)
+            bits = max(pack_bits(weight, fubs.top, fubs.den), pack_bits(1, fubs.top, rden))
+            packs = fubs.at(bits)
+            for n in range(1, top + 1):
+                rhs = sum(map(mul, terms[n], packs)) << bits, rden  # times x
+                params = {"dist": dist, "lambda": lam, "n": n}
+                yield (packs[n], fubs.den), rhs, params, None, bits, n + 1
 
 
 def _thm2_9(cfg, weights, first_n: int):
     # Derivative identity: d^r/dx^r F^Y_{n,lam} against the sum over i of
     # C(n, i) f w_{n-i} F^{(r+1),Y}_{i,lam}, for n from first_n, where
     # weights(dist, lam, r, top) gives the column w_0..w_top as ints over one
-    # den and the factor f. Both sides are (nums, den) pairs: the derivative
-    # unreduced, and the weighted sum.
+    # den and the factor f. Packed polynomial cases on the rows F^{(r+1),Y},
+    # packed once per (dist, lam, r); derivative entries are <= r! C(top, r) ftop.
     top = cfg.n_max
-    comb = _comb_rows(top)
+    comb = PackedVectors(_comb_rows(top))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = prob_fubini_polys(dist, top, 1, lam)
+            fubs = prob_fubini_polys(dist, top, 1, lam)[: top + 1]
+            ftop = max(max(map(abs, f.nums), default=0) for f in fubs)
+            fden = max(f.den for f in fubs)
             for r in range(1, cfg.r_max + 1):
-                ords = prob_fubini_polys(dist, top, r + 1, lam)
-                (column, cden), factor = weights(dist, lam, r, top)
+                ords = _fubini_rows(dist, top, r + 1, lam)
+                (w, wden), factor = weights(dist, lam, r, top)
+                u, v = ratio(factor)
+                w = [c * u for c in w]
+                terms = [list(map(mul, c[: n + 1], w[n::-1])) for n, c in enumerate(comb.vectors)]
+                rden = ords.den * wden * v * comb.den
+                weight, ltop = max(sum(map(abs, t)) for t in terms), math.perm(top, r) * ftop
+                bits = max(pack_bits(weight, ords.top, fden), pack_bits(1, ltop, rden))
+                packs = ords.at(bits)
                 for n in range(first_n, top + 1):
-                    rhs = weighted_sum(
-                        (f.nums, f.den * cden, comb[n][i] * column[n - i] * factor)
-                        for i, f in enumerate(ords[: n + 1])
-                    )
+                    nums, den = fubs[n].derivative_ratio(r)
                     params = {"dist": dist, "lambda": lam, "n": n, "r": r}
-                    yield fubs[n].derivative_ratio(r), rhs, params
+                    rhs = sum(map(mul, terms[n], packs)), rden
+                    yield (pack(nums, bits), den), rhs, params, None, bits, n + 1
 
 
 def _sum_moment_weights(dist, lam, r: int, top: int):
@@ -829,8 +851,9 @@ def _sum_moment_weights(dist, lam, r: int, top: int):
 
 
 def _stirling_weights(dist, lam, r: int, top: int):
-    # THM2_9_CORRECTED, the repaired form: the column numbers times (r!)^2
-    return scaled([prob_stirling2(dist, m, r, lam) for m in range(top + 1)]), factorial(r) ** 2
+    # THM2_9_CORRECTED, the repaired form: the triangle's column r times (r!)^2
+    columns, den = _columns(prob_bell_polys(dist, top, lam)[: top + 1], r + 1)
+    return (list(columns[r]), den), factorial(r) ** 2
 
 
 def _thm2_11(cfg):
@@ -851,18 +874,24 @@ def _thm2_11(cfg):
 
 def _thm2_12(cfg):
     # Poisson sum moments are the classical Bell polynomials at k*alpha,
-    # and the geometric expansion then reduces to the THM2_10 rows.
+    # and the geometric expansion then reduces to the THM2_10 rows. First a
+    # packed block over k per (lam, n): c^n phi_{n,lam}(k a/c) through the
+    # columns k^m against sum_j [x^j](x)_{n,lam} E[S_k^j] on Miller's rows.
     size = cfg.coeff_depth + 1
     comb = _comb_rows(cfg.coeff_depth)
     weights = _geometric_weights(comb, 0, size, cfg.n_max)
+    powers = PackedVectors([k**m for k in range(size)] for m in range(cfg.n_max + 1))
     for dist in _members(cfg, Poisson, (Poisson(Fraction(3, 2)),)):
-        sums = _geometric_sums(comb, 0, _raw_sum_columns(dist, size, cfg.n_max))
+        moments = _raw_sum_columns(dist, size, cfg.n_max)
+        raw, sums = PackedVectors(*moments), _geometric_sums(comb, 0, moments)
+        a, c = ratio(dist.alpha)
         for lam in cfg.lambdas:
-            moments = _sum_moment_columns(dist, lam, cfg.coeff_depth, cfg.n_max)
-            for n, column in enumerate(moments[0]):
-                bell = degenerate_bell_poly(n, lam)
-                lhs = _split([bell.evaluate_ratio(k * dist.alpha) for k in range(len(column))])
-                yield lhs, (column, moments[1]), {"dist": dist, "lambda": lam, "n": n}, "k"
+            ffs = falling_factorial_polys(cfg.n_max, lam)
+            for n in range(cfg.n_max + 1):
+                bell, ff = degenerate_bell_poly(n, lam), ffs[n]
+                at = [b * a**m * c ** (n - m) for m, b in enumerate(bell.nums)]
+                left, right = (at, powers, bell.den * c**n), (ff.nums, raw, ff.den)
+                yield _packed_block(left, right, {"dist": dist, "lambda": lam, "n": n}, "k", size)
             params = {"dist": dist, "lambda": lam}
             yield from _geometric_rows(dist, lam, 0, weights, sums, cfg.n_max, params)
 
@@ -938,30 +967,32 @@ def _thm2_14(cfg, rs=None):
 
 def _thm2_15(cfg, rs=None):
     # Order-r recurrence driven by the shifted degenerate moments; r = 1 is
-    # THM2_8. The drivers D_k = sum_j C(k, j) F_{k-j} E[(Y)_{j+1,lam}] and the
-    # right side x sum_k C(n, k) r F^{(r)}_{n-k} D_k are weighted sums: pairs.
+    # THM2_8: F^{(r)}_{n+1} = x sum_k C(n, k) r F^{(r)}_{n-k} D_k with drivers
+    # D_k = sum_j C(k, j) F_{k-j} E[(Y)_{j+1,lam}]. Packed polynomial cases on
+    # the rows F^{(r)}, packed once per (dist, lam, r); a product of packs packs
+    # the convolution, D_k too is a sum of packs.
     top = cfg.n_max
-    comb = _comb_rows(top)
+    comb = PackedVectors(_comb_rows(top))
+    spread = max(sum(map(abs, c[: n + 1])) for n, c in enumerate(comb.vectors))
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            fubs = prob_fubini_polys(dist, top, 1, lam)
-            moments, mden = scaled([degenerate_moment(dist, j + 1, lam) for j in range(top)])
-            drivers = [
-                weighted_sum(
-                    (f.nums, f.den * mden, comb[k][j] * moments[j])
-                    for j, f in enumerate(fubs[k::-1])
-                )
-                for k in range(top)
-            ]
+            fubs = _fubini_rows(dist, top, 1, lam)
+            a, aden = scaled([degenerate_moment(dist, j + 1, lam) for j in range(top)])
+            # the weights of the rows 0..k in D_k: j = k..0
+            drivers = [list(map(mul, c[k::-1], a[k::-1])) for k, c in enumerate(comb.vectors[:-1])]
+            dtop = fubs.top * max(sum(map(abs, d)) for d in drivers)
             for r in _orders(cfg, rs):
-                ords = prob_fubini_polys(dist, top, r, lam)
+                ords = fubs if r == 1 else _fubini_rows(dist, top, r, lam)
+                rden = ords.den * fubs.den * aden * comb.den**2
+                weight, rtop = top * r * spread, ords.top * dtop
+                bits = max(pack_bits(weight, rtop, ords.den), pack_bits(1, ords.top, rden))
+                packs = ords.at(bits)
+                dpacks = [sum(map(mul, d, fubs.at(bits))) for d in drivers]
                 for n in range(top):
-                    nums, den = weighted_sum(
-                        (convolve(f.nums, d, n + 1), f.den * dden, comb[n][k] * r)
-                        for k, (f, (d, dden)) in enumerate(zip(ords[n::-1], drivers))
-                    )
-                    rhs = [0, *nums], den  # times x
-                    yield ords[n + 1], rhs, {"dist": dist, "lambda": lam, "r": r, "n": n}
+                    products = map(mul, packs[n::-1], dpacks)
+                    rhs = (r * sum(map(mul, comb.vectors[n], products))) << bits, rden  # times x
+                    params = {"dist": dist, "lambda": lam, "r": r, "n": n}
+                    yield (packs[n + 1], ords.den), rhs, params, None, bits, n + 2
 
 
 def _thm2_16(cfg):
@@ -1095,14 +1126,16 @@ def _sum_moment_floats(dist, lam, top: int, terms: int) -> list[list[float]]:
     # E[(S_i)_{n,lam}] for i = 0..terms as floats, one list per n = 0..top.
     # E[e_lam^{S_i}(t)] = (1 + (M - 1))^i with M = E[e_lam^Y(t)] and
     # M - 1 = O(t), so the moment is a polynomial in i of degree <= n: the rows
-    # i <= n are read, and summing its differences extends them exactly over
-    # one denominator. int / int is correctly rounded, so each float is the
-    # one that float(Fraction(num, den)) of the row itself gives.
-    columns, dens = _sum_moment_columns(dist, lam, min(top, terms), top)
+    # i <= n are read, as sum_j [x^j](x)_{n,lam} E[S_i^j] on Miller's rows,
+    # and summing its differences extends them exactly over one denominator.
+    # int / int is correctly rounded, so each float is the one that
+    # float(Fraction(num, den)) of the sum moment itself gives.
+    columns, den = _raw_sum_columns(dist, min(top, terms) + 1, top)
+    rows = list(zip(*columns))
     floats = []
-    for n, column in enumerate(columns):
-        common = math.lcm(*dens[: n + 1])
-        table = [num * (common // den) for num, den in zip(column[: n + 1], dens)]
+    for n, ff in enumerate(falling_factorial_polys(top, lam)[: top + 1]):
+        common = ff.den * den
+        table = [sum(map(mul, ff.nums, row)) for row in rows[: n + 1]]
         for j in range(1, len(table)):  # table[j] becomes Delta^j at i = 0
             for i in range(len(table) - 1, j - 1, -1):
                 table[i] -= table[i - 1]

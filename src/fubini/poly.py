@@ -12,14 +12,15 @@ Two integer kernels serve both types: ``convolve`` multiplies numerator
 vectors, and ``weighted_sum`` adds any number of weighted vectors over the
 lcm of their denominators. ``+`` and ``-`` are two-term weighted sums, and
 every other weighted sum of rows in the package (the Stirling triangle, the
-degenerate Stirling rows, the checkers' convolutions of polynomials) is one
-call to ``weighted_sum``, reduced once or compared as it is.
+degenerate Stirling rows, THM2_3's and THM2_11's sums) is one call to
+``weighted_sum``, reduced once or compared as it is.
 
 ``pack`` and ``unpack`` carry an integer vector to one integer and back by
 Kronecker substitution at X = 2**bits, so that one big-integer operation
-stands for a whole vector; ``pack_bits`` sizes X from the bit-lengths of the
-operands, and ``PackedVectors`` keeps a table of vectors packed once per
-width.
+stands for a whole vector, and one product of packs for a convolution: the
+identity checkers compare their polynomial convolutions so. ``pack_bits``
+sizes X from the bit-lengths of the operands, and ``PackedVectors`` keeps a
+table of vectors packed once per width.
 """
 
 from __future__ import annotations
@@ -152,10 +153,13 @@ class PackedVectors:
 
     def __init__(self, vectors, den=1):
         vectors = [list(v) for v in vectors]
-        flat, common = scaled([c for v in vectors for c in v])
-        flat, self.den = _over_int(flat, den * common)
-        entries = iter(flat)
-        self.vectors = [[next(entries) for _ in v] for v in vectors]
+        flat = [c for v in vectors for c in v]
+        if type(den) is not int or any(type(c) is not int for c in flat):
+            flat, common = scaled(flat)
+            flat, den = _over_int(flat, den * common)
+            entries = iter(flat)
+            vectors = [[next(entries) for _ in v] for v in vectors]
+        self.vectors, self.den = vectors, den
         self.top = max(map(abs, flat), default=0)
         self._packs = {}
 

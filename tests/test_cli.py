@@ -450,6 +450,11 @@ HOSTILE_ARGS = [
     (["verify", "--suite", "EQ6", "--n-max", "30"], 0),
     (["verify", "--suite", "EQ6", "--n-max", "31"], 2),
     (["verify", "--n-max", "60"], 2),
+    # the documented maximum of --r-max (cli.VERIFY_MAX_R), refused at parse
+    # time: the order-r checkers grow with it at every --n-max
+    (["verify", "--suite", "THM2_15", "--n-max", "2", "--r-max", "10"], 0),
+    (["verify", "--suite", "EQ6", "--r-max", "11"], 2),
+    (["verify", "--n-max", "4", "--r-max", "200"], 2),
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
@@ -480,6 +485,8 @@ NAMED_FLAG_ERRORS = {
     "verify --suite EQ6 --r-max 0": "Error: --r-max must be >= 1",
     "verify --suite EQ6 --n-max 31": "Error: --n-max must be <= 30",
     "verify --n-max 60": "Error: --n-max must be <= 30",
+    "verify --suite EQ6 --r-max 11": "Error: --r-max must be <= 10",
+    "verify --n-max 4 --r-max 200": "Error: --r-max must be <= 10",
     "verify --suite EQ6 --dists point:1e3": (
         "Error: bad --dists 'point:1e3': invalid distribution spec 'point:1e3': "
         "bad rational '1e3'"
