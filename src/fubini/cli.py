@@ -47,6 +47,15 @@ VERIFY_MAX_N = 30
 # on that VM (10 s and 52 MB at the default r_max 3).
 VERIFY_MAX_R = 10
 
+# Upper bounds on table --n-max and series --order, checked before anything
+# is computed. The cost also grows with the digits of --lambda and of the
+# distribution's parameters. On that VM, at gamma:3/2,2 and lambda 1/3, table
+# took 1.1 s and 55 MB at n-max 200 (7.0 s and 155 MB at 300), and series
+# --x 1/2 took 1.4 s and 34 MB at order 400 (4.9 s and 73 MB at 600); at
+# lambda 1/99999999999999999999 each took about 40 s at its bound.
+TABLE_MAX_N = 200
+SERIES_MAX_ORDER = 400
+
 # ANSI colours of the stderr status lines
 _GREEN, _YELLOW, _RED = 32, 33, 31
 
@@ -230,15 +239,15 @@ _LAMBDA = ("--lambda", dict(dest="lam_text", metavar="TEXT", default="0", help="
     "table",
     ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec, e.g. bernoulli:2/5.  [required]")),
     _LAMBDA,
-    ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, required=True, help="Emit rows for n = 0..n-max.  [required]")),
+    ("--n-max", dict(dest="n_max", metavar="INTEGER", type=int, required=True, help=f"Emit rows for n = 0..n-max, at most {TABLE_MAX_N}.  [required]")),
     ("--r", dict(dest="order_r", metavar="INTEGER", type=int, help="Emit the order-r family instead (r >= 1).")),
 )
 def cmd_table(dist_spec, lam_text, n_max, order_r, fmt, out):
     """Coefficient table of the Fubini polynomials for one distribution."""
     dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
-    if n_max < 0:
-        raise UsageError("--n-max must be >= 0")
+    if not 0 <= n_max <= TABLE_MAX_N:
+        raise UsageError("--n-max must be >= 0" if n_max < 0 else f"--n-max must be <= {TABLE_MAX_N}")
     if order_r is not None and order_r < 1:
         raise UsageError("--r must be >= 1")
     _lift_digit_limit()
@@ -376,7 +385,7 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
     "series",
     ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec.  [required]")),
     _LAMBDA,
-    ("--order", dict(metavar="INTEGER", type=int, required=True, help="Truncation order N; coefficients for n = 0..N.  [required]")),
+    ("--order", dict(metavar="INTEGER", type=int, required=True, help=f"Truncation order N; coefficients for n = 0..N, at most {SERIES_MAX_ORDER}.  [required]")),
     ("--x", dict(dest="x_text", metavar="TEXT", default="1", help="Evaluation point (rational).  [default: 1]")),
 )
 def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
@@ -384,8 +393,8 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
     dist = _parse_dist(dist_spec, "--dist")
     lam = _parse_rat(lam_text, "--lambda")
     x0 = _parse_rat(x_text, "--x")
-    if order < 0:
-        raise UsageError("--order must be >= 0")
+    if not 0 <= order <= SERIES_MAX_ORDER:
+        raise UsageError("--order must be >= 0" if order < 0 else f"--order must be <= {SERIES_MAX_ORDER}")
     _lift_digit_limit()
 
     base = mgf_degenerate_series(dist, lam, order) - 1

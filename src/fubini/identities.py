@@ -1,31 +1,26 @@
 """Machine verification of the identity catalog.
 
 Every checker compares exact values; a ``pass`` means exact equality held in
-every grid case, never approximate agreement. A checker yields
-(lhs, rhs, params) cases, or blocks of scalar cases. A polynomial side is a
-``Polynomial`` or an unreduced pair (nums, den) of an int list over an int
-den; the sides are compared by cross-multiplying their numerators, the
-shorter padded with zeros, and reduced to Polynomials only for a
-counterexample, which prints as the reduced comparison did; THM2_3 and
-THM2_11 yield their weighted sums as ``poly.weighted_sum`` pairs. A scalar
-side is an int, a Fraction,
-or a pair (num, den) with den != 0, not necessarily in lowest terms:
-checkers build pairs straight from the integer numerators that polynomials,
-series and triangle rows store, and take an int or Fraction as it is where
-a public accessor returns it ready-made.
+every grid case, never approximate agreement. A checker yields cases of two
+shapes: an entry case (lhs, rhs, params, key), each side (nums, dens), a
+list of numerators over one den or over a list of dens; and a packed case
+(lhs, rhs, params, key, bits, size), each side one int over one den. Sides
+are not necessarily in lowest terms: checkers build them straight from the
+integer numerators that polynomials, series and triangle rows store.
 
-A block (lhs, rhs, params, key) is the run of scalar cases j = 0, 1, ...
-along the index named key; params holds the others. Each side is (nums,
-dens): a list of numerators over one den or over a list of dens. ``_compare``
-cross-multiplies each side by the other's dens in one list and compares the
-lists; only when they differ does it walk to the first mismatch j, reported
-as case by case: counted, with params plus key = j, both sides in lowest
-terms. A scalar (lhs, rhs, params) case is a block of one. Fractions are
-built only for a counterexample. (Under ``hooks.perturb`` the numerators and
-dens of a scalar side may be Fractions; the comparison stays exact.)
+key says what a case stands for. With key None it is one polynomial case:
+the numerators of two polynomials, the shorter padded with zeros, counted
+once; a mismatch prints both sides as ``Polynomial``s. A named key makes it
+a block, the run of scalar cases j = 0, 1, ... along that index, starting
+at params[key] when params names it and at 0 otherwise; a scalar case is a
+block of one whose params hold its index. ``_compare`` cross-multiplies
+each side by the other's dens in one list and compares the lists; only when
+a block's lists differ does it walk to its first mismatch j, reported as
+case by case: counted, with key at its index, both sides in lowest terms. Fractions
+are built only for a counterexample. (Under ``hooks.perturb`` the
+numerators and dens may be Fractions; the comparison stays exact.)
 
-A packed case (lhs, rhs, params, key, bits, size) holds each side as one
-int over one den, packed by Kronecker substitution at X = 2**bits
+A packed side packs its entries by Kronecker substitution at X = 2**bits
 (``poly.pack``): the block of cases j < size along key, or with key None
 one polynomial case. A side is sum_l v_l M_l, int weights times vectors (or
 products of vectors: a product of packs packs the convolution) packed once
@@ -33,11 +28,11 @@ per run, dist or (dist, lam, r) (``poly.PackedVectors``); ``poly.pack_bits``
 sizes bits from the bit-lengths of v, M, the other side's den and the terms
 per digit, so every digit of the cross-multiplied sides is exact. The case
 passes when digits 0..size-1 of lp * rden - rp * lden vanish; only on a
-mismatch are both sides unpacked, to report the first j or the polynomials
-as before. Blocks: THM2_13 (so THM2_2, THM2_10), EQ14 (so EQ11), EQ19_INV,
-EQ20_GF, THM2_12; polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8).
-The EGF blocks of THM2_6, EQ12_GF and EQ22_GF are not packed: each of their
-packs would serve three x-points only, and packing measured no faster.
+mismatch are both sides unpacked and compared as an entry case. Blocks:
+THM2_13 (so THM2_2, THM2_10), EQ14 (so EQ11), EQ19_INV, EQ20_GF, THM2_12;
+polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8). The EGF blocks of
+THM2_6, EQ12_GF and EQ22_GF are not packed: each of their packs would serve
+three x-points only, and packing measured no faster.
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -53,9 +48,9 @@ a pass is evidence on the grid only, not a certificate in lam.
 The probabilistic degenerate Stirling numbers {n brace k}_{Y,lam} have two
 independent paths: the kernel ``prob_stirling2`` (a triangle grown by the
 column recurrence on the degenerate moments E[(Y)_{j,lam}]) and the
-definition ``_stirling2_by_difference`` (the k-th finite difference of the
-sum moments E[(S_j)_{n,lam}], which come from the raw moments by a power
-recurrence). The identities on them pair:
+definition, the k-th finite difference over j of the sum moments
+E[(S_j)_{n,lam}], which EQ20_GF takes on Miller's rows E[S_j^m] (grown from
+the raw moments by a power recurrence). The identities on them pair:
 
 - EQ19_INV: the sum moments against the binomial transform
   sum_j C(k, j) j! {n brace j}_{Y,lam} of the kernel;
@@ -346,51 +341,27 @@ def _cross(nums: list, dens) -> list:
     return [num * dens for num in nums]
 
 
-def _poly_pair(side) -> tuple:
-    # a polynomial side as (nums, den): a Polynomial's stored form, or the
-    # unreduced pair as given
-    return (side.nums, side.den) if type(side) is Polynomial else side
-
-
 def _compare(case) -> tuple:
     # (params, key, counted, sides): the cases a run counts through this one,
-    # every case of a block when the sides agree, with sides None; else those
-    # up to the first mismatch j (j = 0 for a single case), with sides the
-    # two sides at j as the counterexample prints them
+    # with sides None when they all hold; else those up to the first mismatch
+    # j (a polynomial case counts 1), with sides the two sides at j as the
+    # counterexample prints them
     if len(case) == 6:
-        # a packed block, or with key None a packed polynomial case: digits
-        # 0..size-1 of two ints, unpacked only to find j or print the sides
+        # packed: digits 0..size-1 of two ints, unpacked only on a mismatch
         (lp, ldens), (rp, rdens), params, key, bits, size = case
         if not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1):
             return params, key, 1 if key is None else size, None
         lnums, rnums = unpack(lp, bits, size), unpack(rp, bits, size)
-        if key is None:
-            sides = Polynomial.from_scaled(lnums, ldens), Polynomial.from_scaled(rnums, rdens)
-            return params, key, 1, sides
-    elif len(case) == 4:
-        (lnums, ldens), (rnums, rdens), params, key = case
     else:
-        lhs, rhs, params = case
-        key = None
-        kind = type(lhs)
-        if kind is Polynomial or kind is tuple and type(lhs[0]) is list:
-            # one case: cross-multiplied numerators, the shorter padded
-            (lnums, ld), (rnums, rd) = _poly_pair(lhs), _poly_pair(rhs)
-            left, right = [c * rd for c in lnums], [c * ld for c in rnums]
-            pad = len(left) - len(right)
-            left.extend([0] * -pad)
-            right.extend([0] * pad)
-            if left == right:
-                return params, key, 1, None
-            sides = Polynomial.from_scaled(lnums, ld), Polynomial.from_scaled(rnums, rd)
-            return params, key, 1, sides
-        # a scalar case is a block of one: (num, den) pairs as given, ints
-        # and Fractions split
-        ln, ld = lhs if kind is tuple else (lhs.numerator, lhs.denominator)
-        rn, rd = rhs if type(rhs) is tuple else (rhs.numerator, rhs.denominator)
-        (lnums, ldens), (rnums, rdens) = ([ln], ld), ([rn], rd)
-    left = _cross(lnums, rdens)
-    right = _cross(rnums, ldens)
+        (lnums, ldens), (rnums, rdens), params, key = case
+    left, right = _cross(lnums, rdens), _cross(rnums, ldens)
+    if key is None:
+        # one polynomial case: the shorter side padded with zeros
+        pad = len(left) - len(right)
+        if left + [0] * -pad == right + [0] * pad:
+            return params, key, 1, None
+        sides = Polynomial.from_scaled(lnums, ldens), Polynomial.from_scaled(rnums, rdens)
+        return params, key, 1, sides
     if left == right:
         return params, key, len(left), None
     if len(left) != len(right):
@@ -436,7 +407,7 @@ def _tally(cases, members: dict) -> list[CheckReport]:
             if type(orders[slot]) is int:
                 shown = {k: v for k, v in params.items() if k != "r"}
             if key is not None:
-                shown = {**shown, key: counted - 1}
+                shown = {**shown, key: params.get(key, 0) + counted - 1}
             found[slot] = _counterexample(shown, *sides)
             for slots in takers.values():
                 if slot in slots:
@@ -552,7 +523,7 @@ def _packed_block(left, right, params: dict, key: str, size: int) -> tuple:
     return lhs, rhs, params, key, bits, size
 
 
-# --- checkers; each yields (lhs, rhs, params) and stops at the driver ---
+# --- checkers; each yields entry or packed cases and stops at the driver ---
 
 
 def _eq6(cfg):
@@ -621,11 +592,10 @@ def _eq15_gf(cfg):
             # the powers stop at the last k
             if k:
                 power = power * series
-            kfact = factorial(k)
-            for n in range(k, cfg.n_max + 1):
-                lhs = power.nums[n] * facts[n], power.den * kfact
-                rhs = partial_bell(n, k, xs[: n - k + 1])
-                yield lhs, rhs, {"draw": draw, "k": k, "n": n}
+            # one block over n = k..n_max
+            lhs = [power.nums[n] * facts[n] for n in range(k, order + 1)], power.den * factorial(k)
+            rhs = scaled([partial_bell(n, k, xs[: n - k + 1]) for n in range(k, order + 1)])
+            yield lhs, rhs, {"draw": draw, "k": k, "n": k}, "n"
 
 
 def _eq19_inv(cfg):
@@ -761,18 +731,20 @@ def _thm2_3(cfg):
         powers = [lam**i for i in range(top + 1)]
         for n in range(top + 1):
             rhs = weighted_sum((*lahs[l], powers[n - l] * stirling1(n, l)) for l in range(n + 1))
-            yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
+            yield (fubs[n].nums, fubs[n].den), rhs, {"dist": dist, "lambda": lam, "n": n}, None
 
 
 def _thm2_5(cfg):
     # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
-    # numerators over dens[n] = den**n
+    # numerators over dens[n] = den**n: one block over n
     for dist, lam, columns in _partial_bells(cfg):
         fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
-        for n, (nums, dens) in enumerate(columns):
-            rhs = sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums))
-            params = {"dist": dist, "lambda": lam, "n": n}
-            yield fubs[n].evaluate_ratio(1), (rhs, dens[n]), params
+        lhs = _split([fub.evaluate_ratio(1) for fub, _ in zip(fubs, columns)])
+        sums = [
+            (sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums)), dens[n])
+            for n, (nums, dens) in enumerate(columns)
+        ]
+        yield lhs, _split(sums), {"dist": dist, "lambda": lam}, "n"
 
 
 def _thm2_6(cfg, rs=None):
@@ -869,7 +841,7 @@ def _thm2_11(cfg):
                     (p.nums, p.den * row.den * aden, c * a)
                     for p, c, a in zip(classical, row.nums, apows)
                 )
-                yield fubs[n], rhs, {"dist": dist, "lambda": lam, "n": n}
+                yield (fubs[n].nums, fubs[n].den), rhs, {"dist": dist, "lambda": lam, "n": n}, None
 
 
 def _thm2_12(cfg):
@@ -1002,11 +974,10 @@ def _thm2_16(cfg):
     for dist in dict.fromkeys(boundary + _members(cfg, Bernoulli, ())):
         for lam in cfg.lambdas:
             for n in range(cfg.n_max + 1):
-                yield (
-                    prob_fubini_poly(dist, n, lam),
-                    degenerate_fubini_poly(n, lam).scale_argument(dist.p),
-                    {"dist": dist, "lambda": lam, "n": n},
-                )
+                lhs = prob_fubini_poly(dist, n, lam)
+                rhs = degenerate_fubini_poly(n, lam).scale_argument(dist.p)
+                params = {"dist": dist, "lambda": lam, "n": n}
+                yield (lhs.nums, lhs.den), (rhs.nums, rhs.den), params, None
 
 
 def _thm2_9_printed(cfg):

@@ -12,14 +12,14 @@ E[(Y)_{n,lam}] and E[(S_k)_{n,lam}] as a rational.ScaledRow, and triangle
 row n as the Bell polynomial phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam}
 x**k, which that row is. The recurrences, the contractions against the
 numerators of (x)_{n,lam} and the polynomial builders run on those
-numerators in Python ints; callers that read many entries take a row itself
-(sum_degenerate_row), and the scalar accessors build one Fraction per read.
-prob_bell_polys returns the triangle whole, for callers that read every
-degree, and prob_bell_poly indexes it. The order-r Fubini polynomials are
-memoised as one list per (dist, r, lam), which prob_fubini_polys returns and
-prob_fubini_poly_order indexes. The truncated moment series is memoised per
-(dist, lam, order). Tables indexed by lam are keyed by (lam.numerator,
-lam.denominator), which hashes without Fraction.__hash__.
+numerators in Python ints. A reader of many entries takes a row itself (the
+identity checkers read Miller's rows, sum_raw_row, and THM2_9_PRINTED one
+sum_degenerate_row per r); a scalar accessor builds one Fraction per read.
+prob_bell_polys returns the triangle whole and prob_bell_poly indexes it;
+the order-r Fubini polynomials are one list per (dist, r, lam), which
+prob_fubini_polys returns and prob_fubini_poly_order indexes. The moment
+series is memoised per (dist, lam, order). Tables indexed by lam are keyed
+by (lam.numerator, lam.denominator), hashing without Fraction.__hash__.
 """
 
 from __future__ import annotations

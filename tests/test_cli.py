@@ -455,6 +455,12 @@ HOSTILE_ARGS = [
     (["verify", "--suite", "THM2_15", "--n-max", "2", "--r-max", "10"], 0),
     (["verify", "--suite", "EQ6", "--r-max", "11"], 2),
     (["verify", "--n-max", "4", "--r-max", "200"], 2),
+    # the documented maxima of table --n-max (cli.TABLE_MAX_N) and series
+    # --order (cli.SERIES_MAX_ORDER), refused at parse time
+    (["table", "--dist", "point:1", "--n-max", "200"], 0),
+    (["table", "--dist", "point:1", "--n-max", "201"], 2),
+    (["series", "--dist", "point:1", "--order", "400"], 0),
+    (["series", "--dist", "point:1", "--order", "401"], 2),
     (["mc", "--dist", "gamma:1,1", "--k", "2", "--n", "400", "--samples", "1000"], 2),
     (["mc", "--dist", "poisson:100", "--k", "1", "--n", "140", "--samples", "1000"], 2),
     (["mc", "--dist", "bernoulli:1/2", "--k", "1", "--n", "3000", "--samples", "1000"], 2),
@@ -487,6 +493,8 @@ NAMED_FLAG_ERRORS = {
     "verify --n-max 60": "Error: --n-max must be <= 30",
     "verify --suite EQ6 --r-max 11": "Error: --r-max must be <= 10",
     "verify --n-max 4 --r-max 200": "Error: --r-max must be <= 10",
+    "table --dist point:1 --n-max 201": "Error: --n-max must be <= 200",
+    "series --dist point:1 --order 401": "Error: --order must be <= 400",
     "verify --suite EQ6 --dists point:1e3": (
         "Error: bad --dists 'point:1e3': invalid distribution spec 'point:1e3': "
         "bad rational '1e3'"

@@ -239,6 +239,16 @@ def _tally_one(cases):
     return identities._tally(cases, {IdentityId.EQ6: None})[0]
 
 
+def _scalar(lhs, rhs, params, key="i"):
+    # a scalar case: a block of one along key, whose params hold its index;
+    # a side given as an int or a Fraction is its numerator over its denominator
+    def side(value):
+        num, den = value if type(value) is tuple else (value.numerator, value.denominator)
+        return [num], den
+
+    return side(lhs), side(rhs), params, key
+
+
 def test_scalar_sides_compare_by_cross_multiplication():
     equal = [
         ((2, 4), F(1, 2)),
@@ -253,7 +263,7 @@ def test_scalar_sides_compare_by_cross_multiplication():
         ((F(3, 2), 3), F(1, 2)),
         (F(7, 9), F(7, 9)),
     ]
-    rep = _tally_one((lhs, rhs, {"i": i}) for i, (lhs, rhs) in enumerate(equal))
+    rep = _tally_one(_scalar(lhs, rhs, {"i": i}) for i, (lhs, rhs) in enumerate(equal))
     assert rep.status == "pass" and rep.cases == len(equal)
     assert rep.counterexample is None
 
@@ -266,7 +276,7 @@ def test_drive_stops_at_the_first_failing_case():
             [((1, 2), F(1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 4)), ((0, 1), 1)]
         ):
             pulled.append(i)
-            yield lhs, rhs, {"i": i}
+            yield _scalar(lhs, rhs, {"i": i})
 
     rep = _tally_one(cases())
     assert rep.status == "fail" and rep.cases == 2 and pulled == [0, 1]
@@ -284,10 +294,11 @@ def test_drive_stops_at_the_first_failing_case():
     ],
 )
 def test_a_counterexample_prints_both_sides_in_lowest_terms(lhs, rhs, shown):
-    rep = _tally_one(iter([(lhs, rhs, {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4)})]))
+    params = {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4), "n": 2}
+    rep = _tally_one(iter([_scalar(lhs, rhs, params, "n")]))
     cex = rep.counterexample
     assert rep.status == "fail" and (cex.lhs, cex.rhs) == shown
-    assert cex.params == {"dist": "poisson:3/2", "lambda": "-1/4"}
+    assert cex.params == {"dist": "poisson:3/2", "lambda": "-1/4", "n": "2"}
 
 
 # --- a block is the run of scalar cases along one index ---
@@ -303,7 +314,8 @@ def _integral(value):
 
 @st.composite
 def _block_and_cases(draw):
-    # a block (lhs, rhs, params, key) and the scalar cases it stands for
+    # a block (lhs, rhs, params, key) and the scalar cases it stands for; the
+    # block starts at params[key] when its params name the key, else at 0
     size = draw(st.integers(1, 7))
     lnums = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
     one_den = draw(st.booleans())
@@ -328,9 +340,14 @@ def _block_and_cases(draw):
         for j in {first} | later:
             rnums[j] += draw(_NONZERO)
     params = {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4), "n": 3}
-    block = (lnums, ldens), (rnums, rdens), params, "k"
+    start = draw(st.one_of(st.none(), st.integers(0, 9)))
+    named = params if start is None else {**params, "k": start}
+    block = (lnums, ldens), (rnums, rdens), named, "k"
     rpairs = [(num, rdens if type(rdens) is not list else rdens[j]) for j, num in enumerate(rnums)]
-    cases = [(lp, rp, {**params, "k": j}) for j, (lp, rp) in enumerate(zip(lpairs, rpairs))]
+    cases = [
+        _scalar(lp, rp, {**params, "k": (start or 0) + j}, "k")
+        for j, (lp, rp) in enumerate(zip(lpairs, rpairs))
+    ]
     return block, cases
 
 
@@ -343,10 +360,10 @@ def _outcome(report):
 @given(_block_and_cases())
 def test_a_block_reports_what_its_cases_report(block_and_cases):
     block, cases = block_and_cases
-    lead = ((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted by both
+    lead = _scalar((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted by both
     outcome = _outcome(_tally_one(iter([lead, block])))
     assert outcome == _outcome(_tally_one(iter([lead, *cases])))
-    bad = [j for j, (lhs, rhs, _) in enumerate(cases) if F(*lhs) != F(*rhs)]
+    bad = [j for j, ((ln, ld), (rn, rd), *_) in enumerate(cases) if F(ln[0], ld) != F(rn[0], rd)]
     assert outcome[:2] == (("fail", bad[0] + 2) if bad else ("pass", len(cases) + 1))
 
 
@@ -361,27 +378,43 @@ def test_a_block_mismatch_names_its_index_and_prints_reduced():
     }
 
 
+@pytest.mark.parametrize("start, j", [(0, 0), (4, 0), (5, 2), (1, 3)])
+def test_a_block_whose_params_name_its_key_starts_there(start, j):
+    # a mismatch at entry j of a block starting at start is the case start + j,
+    # counted as the (j + 1)-th; a block that holds counts every entry
+    lnums = [1, 2, 3, 4]
+    rnums = [*lnums[:j], lnums[j] + 1, *lnums[j + 1 :]]
+    params = {"n": 3, "k": start}
+    rep = _tally_one(iter([((lnums, 1), (rnums, 1), params, "k")]))
+    assert rep.status == "fail" and rep.cases == j + 1
+    assert rep.counterexample.params == {"n": "3", "k": str(start + j)}
+    rep = _tally_one(iter([((lnums, 1), (lnums, 2), params, "k")]))
+    assert rep.status == "fail" and rep.counterexample.params["k"] == str(start)
+    rep = _tally_one(iter([((lnums, 1), ([2 * c for c in lnums], 2), params, "k")]))
+    assert (rep.status, rep.cases) == ("pass", len(lnums))
+
+
 def test_block_sides_of_unequal_length_are_refused():
     with pytest.raises(ValueError, match="differ in length"):
         _tally_one(iter([(([1, 2], 1), ([1], 1), {}, "k")]))
 
 
-# A polynomial side may be an unreduced (nums, den) pair; its case compares
-# by cross-multiplication, the shorter side padded with zeros, and prints as
-# the reduced Polynomial.
+# A polynomial case (key None) holds each side as an unreduced (nums, den)
+# pair; it compares by cross-multiplication, the shorter side padded with
+# zeros, and prints as the reduced Polynomials.
 @pytest.mark.parametrize(
     "lhs, rhs",
     [
-        (Polynomial([1, 2]), ([2, 4, 6], 2)),
-        (([3, 6, 0, 9], 3), Polynomial([1, 2])),
+        (([1, 2], 1), ([2, 4, 6], 2)),
+        (([3, 6, 0, 9], 3), ([1, 2], 1)),
         (([0, -4], -8), ([0, 1, 0, 0, 5], 2)),
     ],
     ids=["rhs-longer", "lhs-longer", "both-pairs"],
 )
 def test_a_polynomial_pair_with_an_extra_top_coefficient_fails(lhs, rhs):
     params = {"n": 3}
-    rep = _tally_one(iter([(Polynomial([7]), ([14], 2), {"n": 2}), (lhs, rhs, params)]))
-    reduced = [Polynomial.from_scaled(*side) if type(side) is tuple else side for side in (lhs, rhs)]
+    rep = _tally_one(iter([(([7], 1), ([14], 2), {"n": 2}, None), (lhs, rhs, params, None)]))
+    reduced = [Polynomial.from_scaled(*side) for side in (lhs, rhs)]
     assert reduced[0] != reduced[1]
     assert rep.status == "fail" and rep.cases == 2
     assert rep.counterexample == identities._counterexample(params, *reduced)
@@ -389,7 +422,8 @@ def test_a_polynomial_pair_with_an_extra_top_coefficient_fails(lhs, rhs):
 
 
 def test_a_polynomial_pair_with_zero_top_numerators_passes():
-    rep = _tally_one(iter([(Polynomial([1, 2]), ([2, 4, 0, 0], 2), {"n": 1}), (([], 5), ([0], 3), {"n": 2})]))
+    cases = [(([1, 2], 1), ([2, 4, 0, 0], 2), {"n": 1}, None), (([], 5), ([0], 3), {"n": 2}, None)]
+    rep = _tally_one(iter(cases))
     assert (rep.status, rep.cases, rep.counterexample) == ("pass", 2, None)
 
 
