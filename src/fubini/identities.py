@@ -26,13 +26,30 @@ one polynomial case. A side is sum_l v_l M_l, int weights times vectors (or
 products of vectors: a product of packs packs the convolution) packed once
 per run, dist or (dist, lam, r) (``poly.PackedVectors``); ``poly.pack_bits``
 sizes bits from the bit-lengths of v, M, the other side's den and the terms
-per digit, so every digit of the cross-multiplied sides is exact. The case
+per digit, so every digit of the cross-multiplied sides is exact. A case
+packs at the larger of two such widths, its left side's taken first. The case
 passes when digits 0..size-1 of lp * rden - rp * lden vanish; only on a
 mismatch are both sides unpacked and compared as an entry case. Blocks:
 THM2_13 (so THM2_2, THM2_10), EQ14 (so EQ11), EQ19_INV, EQ20_GF, THM2_12;
-polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8). The EGF blocks of
-THM2_6, EQ12_GF and EQ22_GF are not packed: each of their packs would serve
-three x-points only, and packing measured no faster.
+polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8).
+
+THM2_6 (so EQ23_GF, THM2_1) and EQ12_GF (so EQ10_GF) state G_r = (1 - x
+B)^-r for G_r = sum_n F^{(r)}_n(x) t^n/n!, B = E[e_lam^Y(t)] - 1 (e_lam(t) -
+1 for EQ12_GF), n <= series_order. Each (x, r) is one packed block, (1 - x
+B) G_r = G_{r-1} with G_0 = 1, checked for r = 1, 2, ... in turn: 1 - x B
+has constant term 1, so by induction on r the block fails exactly where the
+statement does, at the same first n. G_r is the triangle's columns
+{n brace k} top!/n!, packed once per (dist, lam), weighted by C(k+r-1, k)
+k! x^k, so a passing run builds no series reciprocal, power or value of a
+polynomial. From the first mismatch at an x on, its blocks are the
+per-entry ones against the series power, which report it as they always
+did. The left width takes 1 - x B's sum of |numerators| times G_r's
+weights, the right one its den, the dens' common factor cancelled; neither
+grows with r beyond G_r's own weights. Cold in the suite at n_max 6 the
+THM2_6 group went from 36.3 to 11.0 ms of CPU and EQ12_GF's from 7.1 to
+3.8 ms. EQ22_GF stays per entry: packing t G' = x (t B') G, one product per
+(dist, lam, x), measured 14.7 -> 14.1 ms, as each column pack would serve
+three x-points.
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -341,6 +358,12 @@ def _cross(nums: list, dens) -> list:
     return [num * dens for num in nums]
 
 
+def _holds(case) -> bool:
+    # a packed case: digits 0..size-1 of lp * rden - rp * lden all vanish
+    (lp, ldens), (rp, rdens), _, _, bits, size = case
+    return not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1)
+
+
 def _compare(case) -> tuple:
     # (params, key, counted, sides): the cases a run counts through this one,
     # with sides None when they all hold; else those up to the first mismatch
@@ -349,7 +372,7 @@ def _compare(case) -> tuple:
     if len(case) == 6:
         # packed: digits 0..size-1 of two ints, unpacked only on a mismatch
         (lp, ldens), (rp, rdens), params, key, bits, size = case
-        if not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1):
+        if _holds(case):
             return params, key, 1 if key is None else size, None
         lnums, rnums = unpack(lp, bits, size), unpack(rp, bits, size)
     else:
@@ -456,16 +479,73 @@ def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
     yield (lhs, s.den), rhs, params, "n"
 
 
-def _fubini_egf_cases(base: TruncatedSeries, rs, ords, x0, facts: list[int], params: dict):
-    # 1 / (1 - x0 base)^r against ords[i] at x0 for the i-th r of the
-    # increasing orders rs >= 1, where the caller builds base =
-    # E[e_lam^Y(t)] - 1 once per (dist, lam); the powers stop at the last r
+def _power_egf_cases(base: TruncatedSeries, rs, polys, x0, facts: list[int], params: dict):
+    # 1 / (1 - x0 base)^r against polys(r) at x0 for each of the increasing
+    # orders rs >= 1, one per-entry block each; the powers stop at the last r
     reciprocal = (1 - base * x0).reciprocal()
     power, at = reciprocal, 1
-    for r, polys in zip(rs, ords):
+    for r in rs:
         while at < r:
             power, at = power * reciprocal, at + 1
-        yield from _egf_cases(power, polys, x0, facts, {**params, "r": r})
+        yield from _egf_cases(power, polys(r), x0, facts, {**params, "r": r})
+
+
+def _fubini_weights(top: int, last: int) -> dict:
+    # r -> C(k+r-1, k) k! for k <= top as ints over one den, r = 1..last, read
+    # through binomial and factorial as weighted_by_order reads them
+    return {
+        r: scaled([binomial(k + r - 1, k) * factorial(k) for k in range(top + 1)])
+        for r in range(1, last + 1)
+    }
+
+
+def _fubini_egf_cases(series: TruncatedSeries, rows, polys, rs, weights, x_points, params: dict):
+    # EGF coefficient n <= top of 1 / (1 - x0 B)^r against F^{(r)}_n(x0) for
+    # each x0 and the orders rs = 1..R, as _run passes them, chained as the
+    # module docstring says: series (order top) is B + 1, rows the triangle
+    # rows phi_0..phi_top, polys(r) the list F^{(r)}_0..F^{(r)}_top and
+    # weights _fubini_weights. With x0 = a/b, top! b^top G_r = sum_k
+    # C(k+r-1, k) k! a^k b^(top-k) col_k, col_k = {n brace k} top!/n! over n.
+    top = series.order
+    facts = _factorials(top)
+    columns, den = _columns(rows[: top + 1], top + 1)
+    cols = PackedVectors(
+        ([c * (facts[top] // facts[n]) for n, c in enumerate(col)] for col in columns),
+        den * facts[top],
+    )
+    for x0 in x_points:
+        a, b = ratio(x0)
+        # 1 - x0 B = 1 + x0 - x0 (B + 1)
+        p1, p1den = [-a * c for c in series.nums], b * series.den
+        p1[0] += (a + b) * series.den
+        p1sum = sum(map(abs, p1))
+        powers, btop = [a**k * b ** (top - k) for k in range(top + 1)], b**top
+        # G_{r-1}: weights, their sum of |.|, den, largest |entry|; the packs
+        # of G_{r-1} and of 1 - x0 B at pbits
+        prev, psum, pden, ptop, pbits, pg = [1], 1, 1, 1, None, 1
+        for r in rs:
+            w, wden = weights[r]
+            w, gden = cols.side(list(map(mul, w, powers)), wden * btop)
+            wsum = sum(map(abs, w))
+            # the dens without their common factor: G_r's equals G_{r-1}'s
+            # unless hooks.perturb made a weight a Fraction
+            common = math.gcd(gden, pden)
+            lden, rden = p1den * (gden // common), pden // common
+            bits = max(pack_bits(p1sum * wsum, cols.top, rden), pack_bits(psum, ptop, lden))
+            packs = cols.at(bits)
+            if bits != pbits:
+                p1pack = pack(p1, bits)
+                if r > 1:
+                    pg = sum(map(mul, prev, packs))
+            g = sum(map(mul, w, packs))
+            params_r = {**params, "x": x0, "r": r}
+            case = (p1pack * g, lden), (pg, rden), params_r, "n", bits, top + 1
+            if not _holds(case):
+                later = [s for s in rs if s >= r]
+                yield from _power_egf_cases(series - 1, later, polys, x0, facts, {**params, "x": x0})
+                break
+            yield case
+            prev, psum, pden, ptop, pbits, pg = w, wsum, gden, cols.top, bits, g
 
 
 def _orders(cfg, rs) -> list[int]:
@@ -543,15 +623,16 @@ def _eq6(cfg):
 
 def _eq12_gf(cfg, rs=None):
     # Order-r generating function: the r-th power of 1 / (1 - x0 (e_lam(t) - 1))
+    # against F^{(r)}_{n,lam}, THM2_6's blocks on the degenerate Stirling rows
     rs = _orders(cfg, rs)
     top = cfg.series_order
-    facts = _factorials(top)
+    weights = _fubini_weights(top, rs[-1])
     for lam in cfg.lambdas:
-        base = degenerate_exp_series(1, lam, top) - 1
-        ords = [[degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)] for r in rs]
-        for x0 in cfg.x_points:
-            params = {"lambda": lam, "x": x0}
-            yield from _fubini_egf_cases(base, rs, ords, x0, facts, params)
+        series = degenerate_exp_series(1, lam, top)
+        rows = [stirling2_degenerate_row(n, lam) for n in range(top + 1)]
+        polys = lambda r: [degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)]
+        params = {"lambda": lam}
+        yield from _fubini_egf_cases(series, rows, polys, rs, weights, cfg.x_points, params)
 
 
 def _eq14(cfg, rs=None):
@@ -624,17 +705,6 @@ def _eq19_inv(cfg):
 def _difference_weights(k: int) -> list[int]:
     # the signed weights C(k, j)(-1)^(k-j), j = 0..k, of a k-th finite difference
     return [binomial(k, j) * (-1) ** (k - j) for j in range(k + 1)]
-
-
-def _stirling2_by_difference(moments, weights: list[int]) -> tuple[int, int]:
-    # The defining alternating sum: k-th finite difference of
-    # j -> E[(S_j)_{n,lam}] at 0, divided by k!, with weights =
-    # _difference_weights(k). moments = (terms, den) holds those sum moments
-    # for j = 0..k (at least) as integer numerators over one denominator; the
-    # result is a (num, den) pair.
-    terms, den = moments
-    total = sum(w * term for w, term in zip(weights, terms) if term)
-    return total, den * factorial(len(weights) - 1)
 
 
 def _eq20_gf(cfg):
@@ -748,18 +818,18 @@ def _thm2_5(cfg):
 
 
 def _thm2_6(cfg, rs=None):
-    # Order-r explicit formula against 1 / (1 - x0 (E[e_lam^Y(t)] - 1))^r
+    # Order-r explicit formula against 1 / (1 - x0 (E[e_lam^Y(t)] - 1))^r, on
+    # the triangle's columns packed once per (dist, lam)
     rs = _orders(cfg, rs)
     top = cfg.series_order
-    facts = _factorials(top)
+    weights = _fubini_weights(top, rs[-1])
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            # the polynomials do not depend on x0: read once per (dist, lam)
-            ords = [prob_fubini_polys(dist, top, r, lam)[: top + 1] for r in rs]
-            base = mgf_degenerate_series(dist, lam, top) - 1
-            for x0 in cfg.x_points:
-                params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _fubini_egf_cases(base, rs, ords, x0, facts, params)
+            series = mgf_degenerate_series(dist, lam, top)
+            rows = prob_bell_polys(dist, top, lam)
+            polys = lambda r: prob_fubini_polys(dist, top, r, lam)[: top + 1]
+            params = {"dist": dist, "lambda": lam}
+            yield from _fubini_egf_cases(series, rows, polys, rs, weights, cfg.x_points, params)
 
 
 def _thm2_7(cfg):
@@ -776,7 +846,7 @@ def _thm2_7(cfg):
             terms = [list(map(mul, c[n:0:-1], a[n:0:-1])) for n, c in enumerate(comb.vectors)]
             rden = fubs.den * aden * comb.den
             weight = max(sum(map(abs, w)) for w in terms)
-            bits = max(pack_bits(weight, fubs.top, fubs.den), pack_bits(1, fubs.top, rden))
+            bits = max(pack_bits(1, fubs.top, rden), pack_bits(weight, fubs.top, fubs.den))
             packs = fubs.at(bits)
             for n in range(1, top + 1):
                 rhs = sum(map(mul, terms[n], packs)) << bits, rden  # times x
@@ -805,7 +875,7 @@ def _thm2_9(cfg, weights, first_n: int):
                 terms = [list(map(mul, c[: n + 1], w[n::-1])) for n, c in enumerate(comb.vectors)]
                 rden = ords.den * wden * v * comb.den
                 weight, ltop = max(sum(map(abs, t)) for t in terms), math.perm(top, r) * ftop
-                bits = max(pack_bits(weight, ords.top, fden), pack_bits(1, ltop, rden))
+                bits = max(pack_bits(1, ltop, rden), pack_bits(weight, ords.top, fden))
                 packs = ords.at(bits)
                 for n in range(first_n, top + 1):
                     nums, den = fubs[n].derivative_ratio(r)
@@ -957,7 +1027,7 @@ def _thm2_15(cfg, rs=None):
                 ords = fubs if r == 1 else _fubini_rows(dist, top, r, lam)
                 rden = ords.den * fubs.den * aden * comb.den**2
                 weight, rtop = top * r * spread, ords.top * dtop
-                bits = max(pack_bits(weight, rtop, ords.den), pack_bits(1, ords.top, rden))
+                bits = max(pack_bits(1, ords.top, rden), pack_bits(weight, rtop, ords.den))
                 packs = ords.at(bits)
                 dpacks = [sum(map(mul, d, fubs.at(bits))) for d in drivers]
                 for n in range(top):

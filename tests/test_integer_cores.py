@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fubini import combinat, hooks, probabilistic
-from fubini.combinat import falling_factorial_poly, stirling2_degenerate
+from fubini.combinat import factorial, falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, FiniteDiscrete, PointMass, Poisson
 from fubini.families import degenerate_fubini_poly_order
 from fubini.identities import (
     CheckConfig,
     _difference_weights,
-    _stirling2_by_difference,
     default_config,
     run_suite,
 )
@@ -38,6 +37,19 @@ from fubini.rational import ScaledRow, ratio, scaled
 F = Fraction
 
 GRID_DISTS = list(default_config().dists)
+
+
+def _stirling2_by_difference(moments, weights: list[int]) -> tuple[int, int]:
+    # The defining alternating sum: k-th finite difference of
+    # j -> E[(S_j)_{n,lam}] at 0, divided by k!, with weights =
+    # _difference_weights(k). moments = (terms, den) holds those sum moments
+    # for j = 0..k (at least) as integer numerators over one denominator; the
+    # result is a (num, den) pair.
+    terms, den = moments
+    total = sum(w * term for w, term in zip(weights, terms) if term)
+    return total, den * factorial(len(weights) - 1)
+
+
 ZERO_MOMENT_DISTS = [Bernoulli(F(0)), PointMass(F(0))]
 # zero mean and nonzero variance: E[(Y)_{1,lam}] = 0, so the j = 1 term of the
 # column recurrence vanishes and a summed triangle row comes out shorter

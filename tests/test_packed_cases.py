@@ -1,24 +1,35 @@
-"""Packed polynomial cases: the kind _compare reads, and the checkers that yield it.
+"""Packed cases: the kind _compare reads, and the checkers that yield it.
 
 THM2_7, THM2_15 (so THM2_8) and THM2_9_* compare each polynomial case as two
 Kronecker-packed integers, and EQ20_GF and THM2_12 contract Miller's rows
-E[S_j**m] instead of the sum moments E[(S_j)_{n,lam}]. The references below
-are the per-case bodies those checkers had before: each case summed through
-poly.weighted_sum and convolve, and the sum moments read row by row from
-sum_degenerate_row. Under every fault the reports must be the same, case
-counts and counterexamples included.
+E[S_j**m] instead of the sum moments E[(S_j)_{n,lam}]. THM2_6 (so EQ23_GF,
+THM2_1) and EQ12_GF (so EQ10_GF) compare one packed block per (x, r),
+(1 - x B) G_r = G_{r-1} with G_r the order-r EGF, where they compared G_r
+with the series 1 / (1 - x B)^r. The references below are the per-case
+bodies those checkers had before: each case summed through
+poly.weighted_sum and convolve, the sum moments read row by row from
+sum_degenerate_row, and the EGF blocks read from the series power. Under
+every fault the reports must be the same, case counts and counterexamples
+included. Every packed case must also fit the width it was packed at.
 """
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 
 from fubini import hooks, identities
 from fubini.combinat import binomial, factorial
-from fubini.distributions import Gamma, Poisson
-from fubini.families import degenerate_bell_poly
-from fubini.identities import CheckConfig, IdentityId, check_identity, default_config
-from fubini.poly import Polynomial, convolve, pack, pack_bits, weighted_sum
+from fubini.distributions import Bernoulli, FiniteDiscrete, Gamma, Poisson
+from fubini.families import degenerate_bell_poly, degenerate_exp_series, degenerate_fubini_poly_order
+from fubini.identities import (
+    CheckConfig,
+    IdentityId,
+    check_identity,
+    default_config,
+    run_suite,
+)
+from fubini.poly import PackedVectors, Polynomial, convolve, pack, pack_bits, unpack, weighted_sum
 from fubini.probabilistic import (
     degenerate_moment,
     mgf_degenerate_series,
@@ -28,6 +39,7 @@ from fubini.probabilistic import (
 )
 from fubini.rational import scaled
 from fubini.series import TruncatedSeries
+from test_integer_cores import _stirling2_by_difference
 
 F = Fraction
 
@@ -117,9 +129,7 @@ def _ref_eq20_gf(cfg):
                     power = power * base
                 weights = identities._difference_weights(k)
                 lhs = [power.nums[n] * facts[n] for n in range(top + 1)], power.den * factorial(k)
-                rhs = identities._split(
-                    [identities._stirling2_by_difference(m, weights) for m in moments]
-                )
+                rhs = identities._split([_stirling2_by_difference(m, weights) for m in moments])
                 yield lhs, rhs, {"dist": dist, "lambda": lam, "k": k}, "n"
 
 
@@ -179,11 +189,11 @@ _FAULTS = [
 ]
 
 
-def _reports(cfg):
-    packed = [check_identity(i, cfg).to_dict() for i in _REFERENCES]
+def _reports(cfg, references=_REFERENCES):
+    packed = [check_identity(i, cfg).to_dict() for i in references]
     reference = [
         identities._tally(cases(cfg), {i: order})[0].to_dict()
-        for i, (cases, order) in _REFERENCES.items()
+        for i, (cases, order) in references.items()
     ]
     return packed, reference
 
@@ -276,3 +286,166 @@ def test_a_packed_polynomial_case_compares_across_its_dens_and_counts_one():
     rep = _tally(_case(left, wrong, bits, lden=2, rden=-3))
     assert (rep.status, rep.cases) == ("fail", 2)
     assert (rep.counterexample.lhs, rep.counterexample.rhs) == ("[1, -2, 3]", "[1, -2, 10/3]")
+
+
+# --- the order-r EGF blocks: THM2_6 (so EQ23_GF, THM2_1), EQ12_GF (so EQ10_GF) ---
+
+
+def _ref_fubini_egf_cases(base, rs, ords, x0, facts, params):
+    # 1 / (1 - x0 base)^r against ords[i] at x0 for the i-th r of rs, one
+    # per-entry block over n each
+    reciprocal = (1 - base * x0).reciprocal()
+    power, at = reciprocal, 1
+    for r, polys in zip(rs, ords):
+        while at < r:
+            power, at = power * reciprocal, at + 1
+        yield from identities._egf_cases(power, polys, x0, facts, {**params, "r": r})
+
+
+def _ref_thm2_6(cfg, rs):
+    top = cfg.series_order
+    facts = identities._factorials(top)
+    for dist in cfg.dists:
+        for lam in cfg.lambdas:
+            ords = [prob_fubini_polys(dist, top, r, lam)[: top + 1] for r in rs]
+            base = mgf_degenerate_series(dist, lam, top) - 1
+            for x0 in cfg.x_points:
+                params = {"dist": dist, "lambda": lam, "x": x0}
+                yield from _ref_fubini_egf_cases(base, rs, ords, x0, facts, params)
+
+
+def _ref_eq12_gf(cfg, rs):
+    top = cfg.series_order
+    facts = identities._factorials(top)
+    for lam in cfg.lambdas:
+        base = degenerate_exp_series(1, lam, top) - 1
+        ords = [[degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)] for r in rs]
+        for x0 in cfg.x_points:
+            yield from _ref_fubini_egf_cases(base, rs, ords, x0, facts, {"lambda": lam, "x": x0})
+
+
+_EGF_REFERENCES = {
+    IdentityId.THM2_6: (lambda cfg: _ref_thm2_6(cfg, range(1, cfg.r_max + 1)), None),
+    IdentityId.EQ23_GF: (lambda cfg: _ref_thm2_6(cfg, [1]), 1),
+    IdentityId.THM2_1: (lambda cfg: _ref_thm2_6(cfg, [1]), 1),
+    IdentityId.EQ12_GF: (lambda cfg: _ref_eq12_gf(cfg, range(1, cfg.r_max + 1)), None),
+    IdentityId.EQ10_GF: (lambda cfg: _ref_eq12_gf(cfg, [1]), 1),
+}
+
+_EGF_GRID = dict(_GRID, r_max=3, x_points=(F(1), F(1, 2), F(-1, 3)))
+
+
+def _refuse(self):
+    raise AssertionError("a series reciprocal on a passing run")
+
+
+def test_a_passing_egf_block_builds_no_series_reciprocal(monkeypatch):
+    # the per-entry blocks, built from 1 / (1 - x B), are the mismatch path only
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", _refuse)
+    cfg = CheckConfig(dists=default_config().dists, **_EGF_GRID)
+    assert [r.status for r in run_suite(cfg, list(_EGF_REFERENCES))] == ["pass"] * 5
+    assert [check_identity(i, cfg).status for i in _EGF_REFERENCES] == ["pass"] * 5
+
+
+def test_a_fraction_weight_keeps_the_packed_egf_block(monkeypatch):
+    # C(7, 6) is the weight C(k+1, k) of F^{(2)} at k = 6 = series_order, read
+    # by no triangle row; a zero-mean Y has {6 brace 6} = 0, so THM2_6 holds
+    # with a Fraction weight, and the block still compares packed
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", _refuse)
+    zero_mean = FiniteDiscrete(((F(-1), F(1, 2)), (F(1), F(1, 2))))
+    cfg = CheckConfig(dists=(zero_mean,), **_EGF_GRID)
+    with hooks.perturb("binomial", (7, 6), F(1, 3)):
+        assert check_identity(IdentityId.THM2_6, cfg).status == "pass"
+
+
+# (table, key, delta) or None, and THM2_6's first mismatch (r, n) or None.
+# C(k+1, k) and C(k+2, k) weigh orders 2 and 3 only; the triangle reads
+# C(7, 6) and C(8, 6) nowhere, and the degenerate Stirling rows read no
+# binomial, so those faults first show at r > 1. A moment fault reaches the
+# series and the triangle alike, except E[Y**0], which only the series reads.
+_EGF_FAULTS = [
+    (None, None),
+    (("binomial", (7, 6), 1), ("2", "6")),
+    (("binomial", (8, 6), F(-1, 2)), ("3", "6")),
+    (("binomial", (3, 2), F(1, 3)), ("1", "3")),
+    (("stirling2", (4, 2), 1), None),
+    (("factorial", (3,), F(1, 3)), ("1", "3")),
+    (("raw_moment", (Gamma(F(3, 2), F(2)), 2), F(-2, 7)), None),
+    (("raw_moment", (Poisson(F(3, 2)), 0), F(1, 2)), ("1", "0")),
+]
+
+
+@pytest.mark.parametrize("fault, first", _EGF_FAULTS, ids=lambda v: str(v))
+def test_the_chained_egf_blocks_report_what_the_series_power_reports(fault, first):
+    cfg = CheckConfig(dists=default_config().dists, **_EGF_GRID)
+    with hooks.perturb(*fault) if fault else contextlib.nullcontext():
+        alone, reference = _reports(cfg, _EGF_REFERENCES)
+        grouped = [r.to_dict() for r in run_suite(cfg, list(_EGF_REFERENCES))]
+    assert alone == reference
+    assert grouped == reference
+    cex = reference[0]["counterexample"]
+    assert (cex and (cex["params"]["r"], cex["params"]["n"])) == first
+
+
+# --- pack widths ---
+
+# A case's width is the larger of two pack_bits calls: the left side's (its
+# digits times the right den) first, then the right side's. Packed _SPARE
+# bits wider, both sides unpack exactly, so each digit _compare reads is
+# checked against half the width pack_bits claims before it rounds up to a
+# multiple of 64, which would hide a shortfall of a few bits.
+_SPARE = 4096
+
+# Deep enough, and with Bernoulli(2/5) at lambda 1 tight enough, that a width
+# a few bits short shows: without its terms-per-digit factor top * r,
+# THM2_15's right width falls 2 bits short of its extremal digits here.
+_WIDTH_GRID = dict(
+    lambdas=(F(0), F(1), F(-7, 2)),
+    n_max=10,
+    r_max=6,
+    dists=(Gamma(F(3, 2), F(2)), Bernoulli(F(2, 5)), _DISCRETE),
+    x_points=(F(1), F(-1, 3)),
+    series_order=11,
+    coeff_depth=16,
+)
+
+_PACKED_CHECKERS = {
+    "_eq12_gf", "_eq14", "_eq19_inv", "_eq20_gf", "_thm2_6", "_thm2_7", "_thm2_9_printed",
+    "_thm2_9_corrected", "_thm2_12", "_thm2_13", "_thm2_15",
+}
+
+
+@pytest.mark.parametrize("extremal", [False, True], ids=["rows", "extremal"])
+def test_every_packed_digit_fits_the_unrounded_width(monkeypatch, extremal):
+    # rows: the grid's own tables. extremal: every entry of every packed
+    # table at that table's largest |entry|, and every packed list in
+    # absolute value, the worst case a width is sized for; each case is then
+    # taken as holding, so the EGF blocks go on to the next order.
+    widths = []
+
+    def unrounded(weight, top, den):
+        widths.append(weight.bit_length() + top.bit_length() + den.bit_length() + 2)
+        return widths[-1] + _SPARE
+
+    monkeypatch.setattr(identities, "pack_bits", unrounded)
+    if extremal:
+        def at(self, bits):
+            return [pack([self.top] * len(v), bits) for v in self.vectors]
+
+        monkeypatch.setattr(PackedVectors, "at", at)
+        monkeypatch.setattr(identities, "pack", lambda nums, bits: pack(list(map(abs, nums)), bits))
+        monkeypatch.setattr(identities, "_holds", lambda case: True)
+    cfg = CheckConfig(**_WIDTH_GRID)
+    seen = set()
+    for checker in dict.fromkeys(c for c, _ in identities._CHECKERS.values()):
+        for case in checker(cfg):
+            if len(case) == 4:
+                continue
+            (lp, lden), (rp, rden), params, key, bits, size = case
+            lbits, rbits = widths[-2:]
+            assert bits == max(lbits, rbits) + _SPARE
+            for packed, den, width in ((lp, rden, lbits), (rp, lden, rbits)):
+                digits = unpack(packed * den, bits, size)
+                assert max(map(abs, digits)).bit_length() < width, (checker.__name__, params)
+            seen.add(checker.__name__)
+    assert seen == _PACKED_CHECKERS
