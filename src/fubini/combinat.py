@@ -140,14 +140,17 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
 _order_weights: dict[tuple[int, int], ScaledRow] = hooks.memo({})
 
 
+def order_weights(size: int, r: int) -> ScaledRow:
+    """C(k+r-1, k) k! for k < size: the memoised row."""
+    key = size, r
+    if key not in _order_weights:
+        _order_weights[key] = ScaledRow(binomial(k + r - 1, k) * factorial(k) for k in range(size))
+    return _order_weights[key]
+
+
 def weighted_by_order(p: Polynomial, r: int) -> Polynomial:
     """sum_k C(k+r-1, k) k! p_k x**k, from the integer numerators of p."""
-    key = len(p.nums), r
-    if key not in _order_weights:
-        _order_weights[key] = ScaledRow(
-            binomial(k + r - 1, k) * factorial(k) for k in range(len(p.nums))
-        )
-    weights = _order_weights[key]
+    weights = order_weights(len(p.nums), r)
     nums = [c * w for c, w in zip(p.nums, weights.nums)]
     return Polynomial.from_scaled(nums, p.den * weights.den)
 

@@ -36,20 +36,25 @@ polynomial cases: THM2_7, THM2_9_*, THM2_15 (so THM2_8).
 THM2_6 (so EQ23_GF, THM2_1) and EQ12_GF (so EQ10_GF) state G_r = (1 - x
 B)^-r for G_r = sum_n F^{(r)}_n(x) t^n/n!, B = E[e_lam^Y(t)] - 1 (e_lam(t) -
 1 for EQ12_GF), n <= series_order. Each (x, r) is one packed block, (1 - x
-B) G_r = G_{r-1} with G_0 = 1, checked for r = 1, 2, ... in turn: 1 - x B
-has constant term 1, so by induction on r the block fails exactly where the
-statement does, at the same first n. G_r is the triangle's columns
-{n brace k} top!/n!, packed once per (dist, lam), weighted by C(k+r-1, k)
-k! x^k, so a passing run builds no series reciprocal, power or value of a
-polynomial. From the first mismatch at an x on, its blocks are the
-per-entry ones against the series power, which report it as they always
-did. The left width takes 1 - x B's sum of |numerators| times G_r's
-weights, the right one its den, the dens' common factor cancelled; neither
-grows with r beyond G_r's own weights. Cold in the suite at n_max 6 the
-THM2_6 group went from 36.3 to 11.0 ms of CPU and EQ12_GF's from 7.1 to
-3.8 ms. EQ22_GF stays per entry: packing t G' = x (t B') G, one product per
-(dist, lam, x), measured 14.7 -> 14.1 ms, as each column pack would serve
-three x-points.
+B) G_r = G_{r-1} with G_0 = 1, checked for r = 1, 2, ... in turn. G_r is the
+triangle's columns {n brace k} top!/n!, packed once per (dist, lam),
+weighted by C(k+r-1, k) k! x^k (``combinat.order_weights``), so no run
+builds a series reciprocal, power or value of a polynomial. The left width
+takes 1 - x B's sum of |numerators| times G_r's weights, the right one its
+den, the dens' common factor cancelled; neither grows with r beyond G_r's
+own weights. The first failing block at an x reports the statement's own
+sides, read from its digits, and ends that x. The blocks before it held,
+so G_{r-1} = (1 - x B)^-(r-1). With c0 = 1 - x B(0) (1 unless a fault
+shifts E[Y**0]) and D = G_{r-1} - (1 - x B) G_r, which is (1 - x B) times
+(1 - x B)^-r - G_r, the power agrees with G_r below D's first nonzero digit
+j and has digit G_r[j] + D_j / c0 there. So the block is reported as the
+entry block n! (G_r[n] + D_n / c0) against n! G_r[n] = F^{(r)}_n(x), whose
+first mismatch is the statement's, at j. When c0 = 0, 1 - x B has no
+inverse, and the block reports its own sides. EQ22_GF stays per entry:
+packing t G' = x (t B') G, one product per (dist, lam, x), gains little,
+as each column pack would serve only three x-points. When x B(0) != 0,
+exp(x B) has the irrational constant term e^{x B(0)}, and its block is the
+one case n = 0, x B(0) against 0.
 
 What a pass shows about lam: for fixed shape parameters both sides of a
 case at index n are polynomials in the degeneracy parameter lam of degree at
@@ -124,6 +129,7 @@ from .combinat import (
     falling_factorial_poly,
     falling_factorial_polys,
     lah,
+    order_weights,
     partial_bell,
     partial_bell_numerator,
     stirling1,
@@ -471,41 +477,12 @@ def _split(pairs) -> tuple[list, list]:
     return [num for num, _ in pairs], [den for _, den in pairs]
 
 
-def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
-    # EGF coefficient n of the series s against polys[n] at x0: one block over
-    # n = 0, 1, ...
-    lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
-    rhs = _split([poly.evaluate_ratio(x0) for poly in polys])
-    yield (lhs, s.den), rhs, params, "n"
-
-
-def _power_egf_cases(base: TruncatedSeries, rs, polys, x0, facts: list[int], params: dict):
-    # 1 / (1 - x0 base)^r against polys(r) at x0 for each of the increasing
-    # orders rs >= 1, one per-entry block each; the powers stop at the last r
-    reciprocal = (1 - base * x0).reciprocal()
-    power, at = reciprocal, 1
-    for r in rs:
-        while at < r:
-            power, at = power * reciprocal, at + 1
-        yield from _egf_cases(power, polys(r), x0, facts, {**params, "r": r})
-
-
-def _fubini_weights(top: int, last: int) -> dict:
-    # r -> C(k+r-1, k) k! for k <= top as ints over one den, r = 1..last, read
-    # through binomial and factorial as weighted_by_order reads them
-    return {
-        r: scaled([binomial(k + r - 1, k) * factorial(k) for k in range(top + 1)])
-        for r in range(1, last + 1)
-    }
-
-
-def _fubini_egf_cases(series: TruncatedSeries, rows, polys, rs, weights, x_points, params: dict):
+def _fubini_egf_cases(series: TruncatedSeries, rows, rs, x_points, params: dict):
     # EGF coefficient n <= top of 1 / (1 - x0 B)^r against F^{(r)}_n(x0) for
     # each x0 and the orders rs = 1..R, as _run passes them, chained as the
-    # module docstring says: series (order top) is B + 1, rows the triangle
-    # rows phi_0..phi_top, polys(r) the list F^{(r)}_0..F^{(r)}_top and
-    # weights _fubini_weights. With x0 = a/b, top! b^top G_r = sum_k
-    # C(k+r-1, k) k! a^k b^(top-k) col_k, col_k = {n brace k} top!/n! over n.
+    # module docstring says: series (order top) is B + 1 and rows the triangle
+    # rows phi_0..phi_top. With x0 = a/b, top! b^top G_r = sum_k C(k+r-1, k)
+    # k! a^k b^(top-k) col_k, col_k = {n brace k} top!/n! over n.
     top = series.order
     facts = _factorials(top)
     columns, den = _columns(rows[: top + 1], top + 1)
@@ -524,8 +501,8 @@ def _fubini_egf_cases(series: TruncatedSeries, rows, polys, rs, weights, x_point
         # of G_{r-1} and of 1 - x0 B at pbits
         prev, psum, pden, ptop, pbits, pg = [1], 1, 1, 1, None, 1
         for r in rs:
-            w, wden = weights[r]
-            w, gden = cols.side(list(map(mul, w, powers)), wden * btop)
+            weights = order_weights(top + 1, r)
+            w, gden = cols.side(list(map(mul, weights.nums, powers)), weights.den * btop)
             wsum = sum(map(abs, w))
             # the dens without their common factor: G_r's equals G_{r-1}'s
             # unless hooks.perturb made a weight a Fraction
@@ -541,8 +518,15 @@ def _fubini_egf_cases(series: TruncatedSeries, rows, polys, rs, weights, x_point
             params_r = {**params, "x": x0, "r": r}
             case = (p1pack * g, lden), (pg, rden), params_r, "n", bits, top + 1
             if not _holds(case):
-                later = [s for s in rs if s >= r]
-                yield from _power_egf_cases(series - 1, later, polys, x0, facts, {**params, "x": x0})
+                if p1[0]:
+                    # the statement's sides, as the module docstring says:
+                    # ds = D lden pden, so D / c0 = ds / (gden rden p1[0])
+                    c = p1[0] * rden
+                    gs = unpack(g, bits, top + 1)
+                    ds = unpack(pg * lden - p1pack * g * rden, bits, top + 1)
+                    lhs = [f * (c * v + d) for f, v, d in zip(facts, gs, ds)], gden * c
+                    case = lhs, (list(map(mul, facts, gs)), gden), params_r, "n"
+                yield case
                 break
             yield case
             prev, psum, pden, ptop, pbits, pg = w, wsum, gden, cols.top, bits, g
@@ -626,13 +610,10 @@ def _eq12_gf(cfg, rs=None):
     # against F^{(r)}_{n,lam}, THM2_6's blocks on the degenerate Stirling rows
     rs = _orders(cfg, rs)
     top = cfg.series_order
-    weights = _fubini_weights(top, rs[-1])
     for lam in cfg.lambdas:
         series = degenerate_exp_series(1, lam, top)
         rows = [stirling2_degenerate_row(n, lam) for n in range(top + 1)]
-        polys = lambda r: [degenerate_fubini_poly_order(n, r, lam) for n in range(top + 1)]
-        params = {"lambda": lam}
-        yield from _fubini_egf_cases(series, rows, polys, rs, weights, cfg.x_points, params)
+        yield from _fubini_egf_cases(series, rows, rs, cfg.x_points, {"lambda": lam})
 
 
 def _eq14(cfg, rs=None):
@@ -740,7 +721,10 @@ def _eq20_gf(cfg):
 
 
 def _eq22_gf(cfg):
-    # exp(x0 (E[e_lam^Y(t)] - 1)) against the Bell polynomials
+    # exp(x0 B), B = E[e_lam^Y(t)] - 1, against the Bell polynomials at x0: one
+    # block over n per x0. When x0 B(0) != 0 (under a fault of E[Y**0]),
+    # exp(x0 B) has the irrational constant term e^{x0 B(0)}, so the block is
+    # the one case n = 0, x0 B(0) against 0.
     top = cfg.series_order
     facts = _factorials(top)
     for dist in cfg.dists:
@@ -749,7 +733,14 @@ def _eq22_gf(cfg):
             bells = prob_bell_polys(dist, top, lam)[: top + 1]
             for x0 in cfg.x_points:
                 params = {"dist": dist, "lambda": lam, "x": x0}
-                yield from _egf_cases((base * x0).exp(), bells, x0, facts, params)
+                xb = base * x0
+                if xb.nums[0]:
+                    yield ([xb.nums[0]], xb.den), ([0], 1), {**params, "n": 0}, "n"
+                    continue
+                g = xb.exp()
+                lhs = [g.nums[n] * facts[n] for n in range(top + 1)], g.den
+                rhs = _split([bell.evaluate_ratio(x0) for bell in bells])
+                yield lhs, rhs, params, "n"
 
 
 # The partial Bell columns of _partial_bells per (dist, lam numerator, lam
@@ -822,14 +813,12 @@ def _thm2_6(cfg, rs=None):
     # the triangle's columns packed once per (dist, lam)
     rs = _orders(cfg, rs)
     top = cfg.series_order
-    weights = _fubini_weights(top, rs[-1])
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             series = mgf_degenerate_series(dist, lam, top)
             rows = prob_bell_polys(dist, top, lam)
-            polys = lambda r: prob_fubini_polys(dist, top, r, lam)[: top + 1]
             params = {"dist": dist, "lambda": lam}
-            yield from _fubini_egf_cases(series, rows, polys, rs, weights, cfg.x_points, params)
+            yield from _fubini_egf_cases(series, rows, rs, cfg.x_points, params)
 
 
 def _thm2_7(cfg):

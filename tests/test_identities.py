@@ -1,8 +1,10 @@
 """Identity suite behavior on reduced grids, plus the injection hooks."""
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -546,6 +548,45 @@ def test_each_fault_trips_exactly_its_identities(table, key, tripped, digest):
     assert [r.identity.value for r in reports if r.status == "fail"] == tripped.split()
     document = json.dumps([r.to_dict() for r in reports])
     assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+# A fault of E[Y**0] shifts B(0), the constant term of B = E[e_lam^Y(t)] - 1.
+# exp(x B) then has the irrational constant term e^{x B(0)}, so EQ22_GF
+# compares x B(0) with 0 at n = 0; and at x B(0) = 1, 1 - x B has no inverse,
+# so THM2_6 reports its first block's own sides, (1 - x B) G_1 against 1.
+@pytest.mark.parametrize("delta", [1, F(-2, 3)], ids=["1", "-2/3"])
+@pytest.mark.parametrize("dist", default_config().dists, ids=lambda d: d.spec_string())
+def test_a_fault_of_the_zeroth_moment_is_reported(dist, delta):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    with hooks.perturb("raw_moment", (dist, 0), delta):
+        reports = {r.identity: r.counterexample for r in run_suite(cfg)}
+    assert len(reports) == 28
+    head = {"dist": dist.spec_string(), "lambda": "0", "x": "1"}
+    assert reports[IdentityId.EQ22_GF].to_dict() == {
+        "params": {**head, "n": "0"}, "lhs": identities._fmt(F(delta)), "rhs": "0"
+    }
+    if delta == 1 and dist == PointMass(1):
+        assert reports[IdentityId.THM2_6].to_dict() == {
+            "params": {**head, "r": "1", "n": "0"}, "lhs": "0", "rhs": "1"
+        }
+
+
+def test_the_fault_sweep_digests_the_suite_as_the_fingerprint_does():
+    spec = importlib.util.spec_from_file_location(
+        "fault_sweep", Path(__file__).parents[1] / "tools" / "fault_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.GRID == _FAULT_GRID
+    faults = sweep.faults()
+    assert len(faults) == len(set(faults)) == 618
+    cfg = CheckConfig(dists=default_config().dists, **sweep.GRID)
+    table, key, _, digest = _FAULT_FINGERPRINT[2]
+    assert sweep.outcome(cfg, table, key, 1) == {
+        "table": table, "key": list(key), "delta": "1", "sha256": digest
+    }
+    line = sweep.outcome(cfg, "raw_moment", (PointMass(1), 0), 1)
+    assert line["key"] == ["point:1", 0] and "sha256" in line
 
 
 # Binomial faults off the diagonal k = i - k. An order slice reads C(i, i - k)

@@ -291,6 +291,14 @@ def test_a_packed_polynomial_case_compares_across_its_dens_and_counts_one():
 # --- the order-r EGF blocks: THM2_6 (so EQ23_GF, THM2_1), EQ12_GF (so EQ10_GF) ---
 
 
+def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
+    # EGF coefficient n of the series s against polys[n] at x0: one block over
+    # n = 0, 1, ...
+    lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
+    rhs = identities._split([poly.evaluate_ratio(x0) for poly in polys])
+    yield (lhs, s.den), rhs, params, "n"
+
+
 def _ref_fubini_egf_cases(base, rs, ords, x0, facts, params):
     # 1 / (1 - x0 base)^r against ords[i] at x0 for the i-th r of rs, one
     # per-entry block over n each
@@ -299,7 +307,7 @@ def _ref_fubini_egf_cases(base, rs, ords, x0, facts, params):
     for r, polys in zip(rs, ords):
         while at < r:
             power, at = power * reciprocal, at + 1
-        yield from identities._egf_cases(power, polys, x0, facts, {**params, "r": r})
+        yield from _egf_cases(power, polys, x0, facts, {**params, "r": r})
 
 
 def _ref_thm2_6(cfg, rs):
@@ -336,15 +344,7 @@ _EGF_GRID = dict(_GRID, r_max=3, x_points=(F(1), F(1, 2), F(-1, 3)))
 
 
 def _refuse(self):
-    raise AssertionError("a series reciprocal on a passing run")
-
-
-def test_a_passing_egf_block_builds_no_series_reciprocal(monkeypatch):
-    # the per-entry blocks, built from 1 / (1 - x B), are the mismatch path only
-    monkeypatch.setattr(TruncatedSeries, "reciprocal", _refuse)
-    cfg = CheckConfig(dists=default_config().dists, **_EGF_GRID)
-    assert [r.status for r in run_suite(cfg, list(_EGF_REFERENCES))] == ["pass"] * 5
-    assert [check_identity(i, cfg).status for i in _EGF_REFERENCES] == ["pass"] * 5
+    raise AssertionError("a series reciprocal in an EGF block")
 
 
 def test_a_fraction_weight_keeps_the_packed_egf_block(monkeypatch):
@@ -373,6 +373,22 @@ _EGF_FAULTS = [
     (("raw_moment", (Gamma(F(3, 2), F(2)), 2), F(-2, 7)), None),
     (("raw_moment", (Poisson(F(3, 2)), 0), F(1, 2)), ("1", "0")),
 ]
+
+
+@pytest.mark.parametrize("fault", [fault for fault, _ in _EGF_FAULTS], ids=str)
+def test_an_egf_block_builds_no_series_reciprocal(monkeypatch, fault):
+    # passing or failing, a block reads the statement's sides from its own
+    # digits; only the references take 1 / (1 - x B)
+    cfg = CheckConfig(dists=default_config().dists, **_EGF_GRID)
+    with hooks.perturb(*fault) if fault else contextlib.nullcontext():
+        reference = _reports(cfg, _EGF_REFERENCES)[1]
+        monkeypatch.setattr(TruncatedSeries, "reciprocal", _refuse)
+        hooks.clear_caches()
+        alone = [check_identity(i, cfg).to_dict() for i in _EGF_REFERENCES]
+        grouped = [r.to_dict() for r in run_suite(cfg, list(_EGF_REFERENCES))]
+    assert alone == reference
+    assert grouped == reference
+    assert fault or [r["status"] for r in reference] == ["pass"] * 5
 
 
 @pytest.mark.parametrize("fault, first", _EGF_FAULTS, ids=lambda v: str(v))
