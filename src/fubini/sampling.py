@@ -7,10 +7,15 @@ times and summed. Every draw comes from the standard library's
 `random.Random(seed)` (the Mersenne Twister), so a (seed, spec) pair
 reproduces the same estimate on every platform. Python promises the stream
 of `random()` across versions, not the variates its other methods derive
-from it, so the Poisson and Gamma samplers here read `random()` alone. The
-laws drawn from a table (Binomial, Poisson below `PTRS_MIN_MEAN`, a finite
-discrete Y) use `choices` with cumulative weights, which bisects one
-`random()` per draw into the table.
+from it, so the Binomial, Poisson and Gamma samplers here read `random()`
+alone.
+
+The laws drawn from a pmf table (a point mass, Binomial, Poisson below
+`PTRS_MIN_MEAN`) are drawn as the histogram of their draws, which is all the
+statistic reads: m draws from an L-cell table have a Multinomial(m, pmf)
+histogram, which L conditional binomial draws give exactly, so such a law
+costs O(L) uniforms, not O(m). A finite discrete Y uses `choices` with
+cumulative weights, which bisects one `random()` per draw into its atoms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 from array import array
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
 
 from .distributions import (
@@ -36,9 +41,10 @@ from .rational import as_rational
 from .record import Record
 
 MIN_SAMPLES = 1000
-# Upper bounds, checked before anything is drawn: the draws of one run are
-# held as `samples` float64s (80 MB at the bound), and a run makes at most
-# k * samples draws.
+# Upper bounds, checked before anything is drawn. A law drawn one sample at a
+# time (Gamma, Poisson by PTRS, a discrete sum) holds its draws as `samples`
+# float64s (80 MB at the bound); a table law holds only its histogram. A run
+# makes at most k * samples draws.
 MAX_SAMPLES = 10**7
 MAX_DRAWS = 10**8
 # Upper bound on the degree n, checked before the exact value is computed.
@@ -50,14 +56,17 @@ MAX_DEGREE = 400
 # Draws are generated, and folded into the statistic, this many at a time, so
 # the working memory beyond the draws themselves stays bounded.
 CHUNK = 1 << 16
-# At and above this mean a Poisson draw uses PTRS instead of inverting a pmf
-# table, whose build cost grows with the mean. The crossover is measured at
-# MIN_SAMPLES draws (Python 3.11, 2-vCPU Xeon VM, best of 7): building the
-# table and drawing from it took 1.03 ms at mean 400, 1.12 ms at 500 and
-# 1.63 ms at 1000, and PTRS 1.05-1.16 ms at each.
+# At and above this mean a Poisson law is drawn by PTRS instead of from a pmf
+# table, whose cells, and so the cost of its table and histogram, grow with
+# the square root of the mean. At MIN_SAMPLES draws (Python 3.11, 2-vCPU Xeon
+# VM, best of 7, statistic included) the table took 0.57 ms at mean 400,
+# 0.62 ms at 500 and 0.86 ms at 1000, and PTRS 0.54-0.55 ms at each. PTRS
+# costs O(draws): at 5000 draws it took 2.4 ms at means 500 and 1000, and the
+# table 0.65 ms and 0.90 ms.
 PTRS_MIN_MEAN = 500
-# A Poisson pmf table stops where the upper tail it omits is below this.
-POISSON_TAIL = 1e-30
+# A Binomial or Poisson pmf table keeps only the cells whose lower and upper
+# tails may both exceed this: it leaves out less than this mass on each side.
+TABLE_TAIL = 1e-30
 
 
 class MCResult(Record):
@@ -109,41 +118,141 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _cdf(log_pmf) -> list[float]:
-    """Cumulative weights at 0, 1, ... from the log pmf there: the table is
+def _trimmed_pmf(log_pmf, mode: int, top) -> tuple[int, list[float]]:
+    """(lo, pmf): exp(log_pmf) at lo, lo + 1, ... over the cells of 0..top
+    whose lower and upper tails may both exceed TABLE_TAIL. The law must be
+    log-concave with a mode at `mode`: stepping away from it, each ratio r of
+    a pmf value to the one before is at most the ratio of the step before, so
+    the tail from a cell outward is at most pmf / (1 - r) there. The pmf is
     built in log space, so no factorial or power overflows on the way."""
-    return list(accumulate(map(math.exp, log_pmf)))
+    log_tail = math.log(TABLE_TAIL)
+
+    def outward(step: int) -> list[float]:
+        # the log pmf from the mode on, up to the last cell kept
+        kept, j = [log_pmf(mode)], mode + step
+        while 0 <= j <= top:
+            w = log_pmf(j)
+            ratio = math.exp(w - kept[-1])
+            if ratio < 1 and w - math.log1p(-ratio) < log_tail:
+                break
+            kept.append(w)
+            j += step
+        return kept
+
+    below, above = outward(-1), outward(1)
+    return mode + 1 - len(below), list(map(math.exp, below[:0:-1] + above))
 
 
-def _binomial_cdf(k: int, p: Fraction) -> list[float]:
-    """Cumulative Binomial(k, p) weights at 0..k."""
+def _binomial_cells(k: int, p: Fraction) -> tuple[int, list[float]]:
+    """(lo, pmf) of Binomial(k, p), trimmed to its mass."""
     if p in (0, 1):
         # all mass at 0 or all mass at k
-        return [float(1 - p)] * k + [1.0]
+        return int(k * p), [1.0]
     lp, lq, top = _log(p), _log(1 - p), math.lgamma(k + 1)
-    return _cdf(
-        top - math.lgamma(j + 1) - math.lgamma(k - j + 1) + j * lp + (k - j) * lq
-        for j in range(k + 1)
+    return _trimmed_pmf(
+        lambda j: top - math.lgamma(j + 1) - math.lgamma(k - j + 1) + j * lp + (k - j) * lq,
+        math.floor((k + 1) * p),
+        k,
     )
 
 
-def _poisson_log_pmf(mean: Fraction):
-    """The log pmf of Poisson(mean) at 0, 1, ..., ending where the upper tail
-    left out is below POISSON_TAIL."""
-    m, log_mean, log_tail = float(mean), _log(mean), math.log(POISSON_TAIL)
-    for j in count():
-        log_w = j * log_mean - m - math.lgamma(j + 1)
-        # past the mean each term is at most m / (j + 1) times the one
-        # before, so the tail from j on is at most pmf(j) (j + 1) / (j + 1 - m)
-        if j > m and log_w + math.log((j + 1) / (j + 1 - m)) < log_tail:
-            return
-        yield log_w
+def _poisson_cells(mean: Fraction) -> tuple[int, list[float]]:
+    """(lo, pmf) of Poisson(mean), trimmed to its mass."""
+    m, log_mean = float(mean), _log(mean)
+    return _trimmed_pmf(
+        lambda j: j * log_mean - m - math.lgamma(j + 1), math.floor(mean), math.inf
+    )
 
 
-def _poisson_cdf(mean: Fraction) -> list[float]:
-    """Cumulative Poisson(mean) weights, scaled so that the last is 1.0."""
-    cdf = _cdf(_poisson_log_pmf(mean))
-    return [c / cdf[-1] for c in cdf]
+def _table(law) -> tuple[list[float], list[float]] | None:
+    """(values, pmf) of a law drawn from a table: a point mass, Bernoulli,
+    Binomial, or Poisson below PTRS_MIN_MEAN. None for the laws drawn one
+    sample at a time."""
+    if isinstance(law, PointMass):
+        return [_float(law.value, "value")], [1.0]
+    if isinstance(law, Bernoulli):
+        law = _Binomial(1, law.p)
+    if isinstance(law, _Binomial):
+        lo, pmf = _binomial_cells(law.k, law.p)
+    elif isinstance(law, Poisson) and _float(law.alpha, "alpha") < PTRS_MIN_MEAN:
+        lo, pmf = _poisson_cells(law.alpha)
+    else:
+        return None
+    return [float(j) for j in range(lo, lo + len(pmf))], pmf
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, 0 <= p <= 1, from rng.random() alone, by the
+    pair of methods that CPython 3.12's `random.binomialvariate` uses. A p
+    above 1/2 is drawn as n minus a Binomial(n, 1 - p). Where n p < 10,
+    Devroye's geometric method counts the successes by the geometric gaps
+    between them (about n p + 1 uniforms); otherwise Hormann's transformed
+    rejection with squeeze (BTRS, 1993, the sibling of PTRS below) takes a
+    few pairs of uniforms at most."""
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n == 0 or p == 0:
+        return 0
+    uniform, log, lgamma = rng.random, math.log, math.lgamma
+    if n * p < 10:
+        c = math.log1p(-p)
+        x = y = 0
+        while True:
+            # floor(g) failures before the next success, which falls past
+            # trial n when floor(g) >= n - y, that is when g >= n - y; g is
+            # finite or inf, since 1 - random() lies in (0, 1]
+            g = log(1.0 - uniform()) / c
+            if g >= n - y:
+                return x
+            y += int(g) + 1
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)
+    h = lgamma(m + 1) + lgamma(n - m + 1)
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - uniform()  # in (0, 1], so log(v) is finite
+        if us >= 0.07 and v <= vr:
+            return k
+        # accept where v, scaled to the hat, lies under the pmf at k
+        # relative to the mode (the log of v is missing in Hormann's paper)
+        v *= alpha / (a / (us * us) + b)
+        if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
+def _histogram(table, size: int, rng: random.Random) -> tuple[list[float], list[int]]:
+    """The histogram of `size` iid draws from table = (values, pmf): the
+    values drawn, in table order, and their counts. The counts are
+    Multinomial(size, pmf), drawn cell by cell: of the draws left, a cell
+    takes Binomial(left, pmf / tail), tail being the mass from that cell on,
+    so the last cell takes all that is left. This reads O(len(pmf)) uniforms,
+    not O(size)."""
+    values, pmf = table
+    # each float tail is at least its own pmf, so every ratio is at most 1
+    tails = list(accumulate(reversed(pmf)))[::-1]
+    drawn, counts, left = [], [], size
+    for value, w, tail in zip(values, pmf, tails):
+        if not left:
+            break
+        c = _binomial(rng, left, w / tail)
+        if c:
+            drawn.append(value)
+            counts.append(c)
+            left -= c
+    return drawn, counts
 
 
 def _poisson_ptrs(rng: random.Random, mean: float):
@@ -235,7 +344,7 @@ def _float_parameters(dist) -> list[float]:
     """The parameters the sampler of dist reads, as floats: the point mass,
     the atoms, the Poisson mean, or the Gamma shape and scale 1/beta (a
     scale of 0.0 would make every draw 0.0). None for a Binomial, whose
-    weights are built from its exact p."""
+    table is built from its exact p."""
     if isinstance(dist, PointMass):
         return [_float(dist.value, "value")]
     if isinstance(dist, FiniteDiscrete):
@@ -247,28 +356,15 @@ def _float_parameters(dist) -> list[float]:
     return []
 
 
-def _inversion(rng: random.Random, cdf: list[float]):
-    """A function m -> m draws of the law on 0.0, 1.0, ... with cumulative
-    weights cdf, by inversion: one `random()` per draw."""
-    values = [float(j) for j in range(len(cdf))]
-    return lambda m: rng.choices(values, cum_weights=cdf, k=m)
-
-
 def _sampler(dist, rng: random.Random):
-    """A function m -> an iterable of m iid draws of dist."""
-    if isinstance(dist, Bernoulli):
-        dist = _Binomial(1, dist.p)
-    if isinstance(dist, _Binomial):
-        return _inversion(rng, _binomial_cdf(dist.k, dist.p))
+    """A function m -> an iterable of m iid draws of dist, for the laws
+    drawn one sample at a time: a finite discrete Y, Poisson from
+    PTRS_MIN_MEAN on, and Gamma."""
     params = _float_parameters(dist)
-    if isinstance(dist, PointMass):
-        return lambda m: repeat(params[0], m)
     if isinstance(dist, FiniteDiscrete):
         cdf = [float(c) for c in accumulate(w for _, w in dist.atoms)]
         return lambda m: rng.choices(params, cum_weights=cdf, k=m)
     if isinstance(dist, Poisson):
-        if params[0] < PTRS_MIN_MEAN:
-            return _inversion(rng, _poisson_cdf(dist.alpha))
         one = _poisson_ptrs(rng, params[0])
         return lambda m: (one() for _ in repeat(None, m))
     if isinstance(dist, Gamma):
@@ -281,8 +377,17 @@ def _sampler(dist, rng: random.Random):
 
 
 def draw(dist: Distribution | _Binomial, size: int, seed: int) -> array:
-    """`size` iid draws of dist from random.Random(seed), as an array of float64."""
-    sample = _sampler(dist, random.Random(seed))
+    """`size` iid draws of dist from random.Random(seed), as an array of
+    float64. A law drawn from a table (a point mass, Bernoulli, Binomial,
+    Poisson below PTRS_MIN_MEAN) is drawn as its histogram, which comes back
+    expanded in increasing order of value; the other laws come in the order
+    drawn."""
+    rng = random.Random(seed)
+    table = _table(dist)
+    if table is not None:
+        values, counts = _histogram(table, size, rng)
+        return array("d", chain.from_iterable(map(repeat, values, counts)))
+    sample = _sampler(dist, rng)
     out = array("d")
     for start in range(0, size, CHUNK):
         out.extend(sample(min(CHUNK, size - start)))
@@ -301,12 +406,12 @@ def _draw_sums(dist: Distribution, k: int, samples: int, seed: int) -> array:
     return sums
 
 
-def _histograms(draws: array):
-    """The distinct draws and their counts, in groups of fewer than 2 * CHUNK
-    distinct values."""
+def _histograms(chunks):
+    """The distinct draws of the chunks and their counts, in groups of fewer
+    than 2 * CHUNK distinct values."""
     hist = Counter()
-    for start in range(0, len(draws), CHUNK):
-        hist.update(draws[start : start + CHUNK])
+    for chunk in chunks:
+        hist.update(chunk)
         if len(hist) >= CHUNK:
             yield list(hist), list(hist.values())
             hist = Counter()
@@ -314,11 +419,25 @@ def _histograms(draws: array):
         yield list(hist), list(hist.values())
 
 
-def _chunks(draws: array):
-    """The draws CHUNK at a time, each taken once (counts None): for draws
-    that do not repeat, whose histogram would only copy them."""
-    for start in range(0, len(draws), CHUNK):
-        yield draws[start : start + CHUNK], None
+def _sum_groups(dist: Distribution, k: int, samples: int, seed: int):
+    """`samples` draws of S_k as groups (values, counts): counts[i] draws
+    equal to values[i], or one draw per value where counts is None.
+
+    A table law gives one histogram, drawn directly from random.Random(seed).
+    The other laws are drawn by `_draw_sums` and taken CHUNK draws at a time:
+    Gamma draws as they are, since they do not repeat and a histogram would
+    only copy them, and the others (Poisson by PTRS, a discrete sum) counted
+    into histograms.
+    """
+    law = _sum_law(dist, k)
+    table = _table(law)
+    if table is not None:
+        return [_histogram(table, samples, random.Random(seed))]
+    draws = _draw_sums(dist, k, samples, seed)
+    chunks = (draws[start : start + CHUNK] for start in range(0, samples, CHUNK))
+    if isinstance(law, Gamma):
+        return ((chunk, None) for chunk in chunks)
+    return _histograms(chunks)
 
 
 def _histogram_moments(stats: list[float], counts: list[int] | None) -> tuple[int, float, float]:
@@ -342,13 +461,12 @@ def _histogram_moments(stats: list[float], counts: list[int] | None) -> tuple[in
         raise FloatingPointError("overflow in the spread of the statistic") from None
 
 
-def _mean_and_stderr(
-    draws: array, n: int, lam: float, repeats: bool = True
-) -> tuple[float, float]:
-    """Mean and standard error of (s)_{n,lam} over the draws s.
+def _mean_and_stderr(groups, n: int, lam: float) -> tuple[float, float]:
+    """Mean and standard error of (s)_{n,lam} over the draws s, given as
+    groups (values, counts | None) as `_sum_groups` yields them.
 
-    Where the draws repeat, the statistic is evaluated once per distinct
-    draw; otherwise once per draw, CHUNK draws at a time. The groups'
+    The statistic is evaluated once per value of a group, which stands for
+    counts[i] draws, or for one draw where counts is None. The groups'
     moments merge by Chan's update, so no difference of large sums of
     squares cancels. A statistic equal in every draw gives that value and
     stderr 0 exactly: a mean of equal values computed as a sum would add
@@ -357,7 +475,7 @@ def _mean_and_stderr(
     """
     shifts = [j * lam for j in range(n)]
     count, mean, m2 = 0, 0.0, 0.0
-    for values, counts in (_histograms if repeats else _chunks)(draws):
+    for values, counts in groups:
         # the first factor is t - 0 * lam = t itself
         stats = list(values) if n else [1.0] * len(values)
         for shift in shifts[1:]:
@@ -381,8 +499,9 @@ def estimate_sum_moment(
 ) -> MCResult:
     """Estimate E[(Y_1 + ... + Y_k)_{n,lam}] and compare with the exact value.
 
-    S_k is drawn `samples` times, in one `draw` of its law, or for a finite
-    discrete Y as the sum of k draws of Y with seeds derived from `seed`. The
+    S_k is drawn `samples` times from its law (a table law as one histogram
+    of its draws), or for a finite discrete Y as the sum of k draws of Y with
+    seeds derived from `seed`. The
     z-score uses the sample standard error with one degree of freedom
     removed. A statistic equal in every replicate has stderr 0 and no
     z-score. MIN_SAMPLES <= samples <= MAX_SAMPLES, k * samples <= MAX_DRAWS
@@ -414,9 +533,7 @@ def estimate_sum_moment(
     exact = sum_degenerate_moment(dist, k, n, lam)
     exact_float = float(exact)
 
-    draws = _draw_sums(dist, k, samples, seed)
-    # Gamma draws are continuous, so they do not repeat
-    estimate, stderr = _mean_and_stderr(draws, n, float(lam), not isinstance(law, Gamma))
+    estimate, stderr = _mean_and_stderr(_sum_groups(dist, k, samples, seed), n, float(lam))
     zscore = None if stderr == 0 else (estimate - exact_float) / stderr
     return MCResult(
         estimate=estimate,

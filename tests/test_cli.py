@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from cli_runner import invoke
 
+from fubini import hooks
 from fubini.cli import main
+from fubini.distributions import Bernoulli, Poisson
 from fubini.identities import default_config
 from fubini.poly import Polynomial
 from fubini.rational import format_rational, parse_rational
@@ -259,6 +261,28 @@ def test_mc_large_k_sum_moment():
     # Binomial(500, 1/2): variance 125 plus squared mean 250**2
     assert row["exact"] == "62625"
     assert abs(row["zscore"]) < 5
+
+
+@pytest.mark.parametrize(
+    "spec, dist", [("poisson:3/2", Poisson(F(3, 2))), ("bernoulli:2/5", Bernoulli(F(2, 5)))]
+)
+def test_mc_flags_a_shifted_exact_value(spec, dist):
+    # a table law's histogram estimate still catches a wrong exact value:
+    # E[S_5**4] shifted by 20 standard errors of the estimate of
+    # E[(S_5)_{4,1/2}], whose S**4 coefficient is 1
+    argv = ["mc", "--dist", spec, "--k", "5", "--n", "4", "--lambda", "1/2",
+            "--samples", "100000", "--seed", "1"]
+    res = invoke(argv)
+    assert res.exit_code == 0, res.stderr
+    row = json.loads(res.stdout)["rows"][0]
+    delta = F(round(20 * row["stderr"]))
+    with hooks.perturb("sum_moment", (dist, 5, 4), delta):
+        res = invoke(argv)
+    assert res.exit_code == 1, res.stderr
+    shifted = json.loads(res.stdout)["rows"][0]
+    assert F(shifted["exact"]) == F(row["exact"]) + delta
+    assert shifted["estimate"] == row["estimate"] and shifted["suspicious"]
+    assert "exceeds 5" in res.stderr
 
 
 # The pinned documents: each entry of tests/golden.json is an argv, the
@@ -569,14 +593,16 @@ def test_mc_parameter_beyond_the_float_range_names_the_dist(monkeypatch, spec, n
 def test_mc_degree_beyond_the_float_range_is_a_usage_error(monkeypatch, dist, k, n, draws):
     import fubini.sampling
 
+    # draws sample by sample, or a table law's histogram
     calls = []
-    real_draw = fubini.sampling.draw
+    for name in ("draw", "_histogram"):
+        real = getattr(fubini.sampling, name)
 
-    def counting_draw(*args):
-        calls.append(args)
-        return real_draw(*args)
+        def counting(*args, real=real):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(fubini.sampling, "draw", counting_draw)
+        monkeypatch.setattr(fubini.sampling, name, counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = invoke(

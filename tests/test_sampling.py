@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 from array import array
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,14 +25,20 @@ from fubini.sampling import (
     MAX_SAMPLES,
     MIN_SAMPLES,
     PTRS_MIN_MEAN,
+    TABLE_TAIL,
     MCResult,
+    _binomial,
+    _binomial_cells,
     _Binomial,
     _draw_sums,
+    _histogram,
+    _histograms,
     _mean_and_stderr,
-    _poisson_cdf,
+    _poisson_cells,
     _poisson_ptrs,
     _sampler,
     _sum_law,
+    _table,
     draw,
     estimate_sum_moment,
 )
@@ -86,13 +93,14 @@ def test_mean_and_stderr_match_a_direct_two_pass_computation():
         stats.append(s)
     mean = statistics.fmean(stats)
     stderr = statistics.stdev(stats) / math.sqrt(len(stats))
-    got_mean, got_stderr = _mean_and_stderr(xs, n, lam)
+    chunks = [xs[start : start + CHUNK] for start in range(0, len(xs), CHUNK)]
+    got_mean, got_stderr = _mean_and_stderr(_histograms(chunks), n, lam)
     assert got_mean == pytest.approx(mean, rel=1e-12)
     assert got_stderr == pytest.approx(stderr, rel=1e-9)
     # without histograms, one chunk of draws at a time: the draws never
     # repeat, so the groups and their merge are the histograms' own
     assert len(set(xs)) == len(xs)
-    assert _mean_and_stderr(xs, n, lam, repeats=False) == (got_mean, got_stderr)
+    assert _mean_and_stderr(((c, None) for c in chunks), n, lam) == (got_mean, got_stderr)
 
 
 def test_discrete_support_and_frequencies():
@@ -157,23 +165,45 @@ def test_sum_draws_follow_the_law_of_s_k(dist, k):
     assert abs(got_var - float(var)) < 5 * var_se, (got_var, float(var))
 
 
-def _chi_square_cells(xs, pmf, min_expected=5.0):
-    """(observed, expected) per cell: the support points whose expected count
-    is at least min_expected, with the two tails pooled into the end cells."""
-    n = len(xs)
+def _chi_square_cells(hist, pmf, min_expected=5.0):
+    """(observed, expected) per cell, from a histogram {value: count} of draws
+    on 0, 1, ...: the support points whose expected count is at least
+    min_expected, with the two tails pooled into the end cells."""
+    n = sum(hist.values())
     keep = [j for j, p in enumerate(pmf) if n * p >= min_expected]
     lo, hi = keep[0], keep[-1]
     observed = [0] * (hi - lo + 1)
-    for x in xs:
-        observed[min(max(int(x), lo), hi) - lo] += 1
+    for x, c in hist.items():
+        observed[min(max(int(x), lo), hi) - lo] += c
     expected = [n * p for p in pmf[lo : hi + 1]]
     expected[0] += n * sum(pmf[:lo])
     expected[-1] += n * (1 - sum(pmf[: hi + 1]))
     return observed, expected
 
 
+def _assert_chi_square(hist, pmf):
+    observed, expected = _chi_square_cells(hist, pmf)
+    terms = [(o - e) ** 2 / e for o, e in zip(observed, expected)]
+    df = len(terms) - 1
+    # each cell within 5 standard deviations, and the sum far below df + 5 sd
+    assert max(terms) < 25, terms
+    assert sum(terms) < df + 5 * math.sqrt(2 * df), (sum(terms), df)
+
+
 def _poisson_pmf(mean, size):
     return [math.exp(-mean + j * math.log(mean) - math.lgamma(j + 1)) for j in range(size)]
+
+
+def _binomial_pmf(n, p):
+    """The Binomial(n, p) pmf from 0 to 12 sd above the mean, or to n."""
+    top = min(n, int(n * p + 12 * math.sqrt(n * p * (1 - p))) + 1)
+    return [
+        math.exp(
+            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * math.log(p) + (n - j) * math.log1p(-p)
+        )
+        for j in range(top + 1)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -197,16 +227,46 @@ def _poisson_pmf(mean, size):
 def test_draws_pass_a_chi_square_against_the_pmf(law, pmf):
     xs = draw(law, LAW_DRAWS, 77)
     assert all(x == int(x) >= 0 for x in set(xs))
-    observed, expected = _chi_square_cells(xs, pmf)
-    terms = [(o - e) ** 2 / e for o, e in zip(observed, expected)]
-    df = len(terms) - 1
-    # each cell within 5 standard deviations, and the sum far below df + 5 sd
-    assert max(terms) < 25, terms
-    assert sum(terms) < df + 5 * math.sqrt(2 * df), (sum(terms), df)
+    _assert_chi_square(Counter(xs), pmf)
+    # the groups the estimate reads: a table law's histogram, drawn at the
+    # largest sample count, where the test is the most sensitive; PTRS
+    # draws counted
+    table = _table(law)
+    if table is None:
+        groups = _histograms([draw(law, LAW_DRAWS, 78)])
+    else:
+        groups = [_histogram(table, MAX_SAMPLES, random.Random(78))]
+    hist = Counter()
+    for values, counts in groups:
+        hist.update(dict(zip(values, counts)))
+    _assert_chi_square(hist, pmf)
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        (20, 0.3),  # geometric method, n p = 6
+        (1000, 0.3),  # BTRS
+        (10**6, 0.25),  # BTRS, a wide law
+        (1000, 0.7),  # BTRS by symmetry
+        (20, 0.9),  # the geometric method by symmetry, n (1 - p) = 2
+        (10**7, 3e-7),  # geometric, a tiny p
+    ],
+)
+def test_binomial_draws_pass_a_chi_square_against_the_pmf(n, p):
+    rng = SimpleNamespace(random=random.Random(n).random)
+    xs = Counter(_binomial(rng, n, p) for _ in range(LAW_DRAWS // 2))
+    _assert_chi_square(xs, _binomial_pmf(n, p))
+
+
+@pytest.mark.parametrize("n, p, value", [(0, 0.5, 0), (50, 0.0, 0), (50, 1.0, 50)])
+def test_binomial_degenerate_laws_draw_their_one_value(n, p, value):
+    rng = SimpleNamespace(random=random.Random(3).random)
+    assert {_binomial(rng, n, p) for _ in range(1000)} == {value}
 
 
 def test_draw_takes_ptrs_from_the_cutoff_on():
-    # below it the same draw would invert the pmf table
+    # below it the same draw would be the histogram of a pmf table
     rng = SimpleNamespace(random=random.Random(79).random)
     one = _poisson_ptrs(rng, PTRS_MIN_MEAN + 0.5)
     ptrs = array("d", (one() for _ in range(1000)))
@@ -214,19 +274,45 @@ def test_draw_takes_ptrs_from_the_cutoff_on():
     assert draw(Poisson(PTRS_MIN_MEAN - F(1, 2)), 1000, 79) != ptrs
 
 
+def _assert_trimmed(cells, log_pmf, top):
+    """cells = (lo, pmf) holds the law of log_pmf on 0..top at lo, lo + 1, ...
+    and leaves out less than TABLE_TAIL on each side, but not much less
+    where there is mass to leave out: a tail bound is no tail."""
+    lo, pmf = cells
+    hi = lo + len(pmf) - 1
+    assert pmf == pytest.approx([math.exp(log_pmf(j)) for j in range(lo, hi + 1)], rel=1e-9)
+    # the tails left out, summed until their terms vanish in floats
+    below = math.fsum(math.exp(log_pmf(j)) for j in range(lo))
+    above = math.fsum(math.exp(log_pmf(j)) for j in range(hi + 1, min(top, hi + 1000) + 1))
+    for tail, omitted in ((below, lo > 0), (above, hi < top)):
+        assert tail < TABLE_TAIL
+        assert not omitted or tail > TABLE_TAIL / 1000, tail
+
+
 @pytest.mark.parametrize("mean", [F(15, 2), PTRS_MIN_MEAN - F(1, 2), F(1, 10**400)], ids=str)
 def test_poisson_table_ends_where_its_omitted_tail_is_negligible(mean):
-    cdf = _poisson_cdf(mean)
-    assert cdf[-1] == 1.0
-    assert all(map(float.__le__, cdf, cdf[1:]))
+    cells = _poisson_cells(mean)
     m = float(mean)
     if not m:
         # a mean below the float range: all the mass at 0
-        assert cdf == [1.0]
+        assert cells == (0, [1.0])
         return
-    # the tail beyond the table, summed until its terms vanish in floats
-    tail = math.fsum(_poisson_pmf(m, len(cdf) + 500)[len(cdf) :])
-    assert 0 < tail < 1e-30
+    _assert_trimmed(cells, lambda j: -m + j * math.log(m) - math.lgamma(j + 1), math.inf)
+
+
+@pytest.mark.parametrize(
+    "k, p", [(12, F(2, 5)), (400, F(1, 2)), (10**5, F(1, 2)), (10**5, F(1, 10**4))], ids=str
+)
+def test_binomial_table_keeps_only_its_mass(k, p):
+    lp, lq = math.log(p), math.log(1 - p)
+    _assert_trimmed(
+        _binomial_cells(k, p),
+        lambda j: math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+        + j * lp + (k - j) * lq,
+        k,
+    )
+    # 11.5 sd or so on each side, not k + 1 cells
+    assert len(_binomial_cells(k, p)[1]) < 25 * math.sqrt(k * p * (1 - p)) + 10
 
 
 def test_gamma_draws_read_random_alone():
@@ -248,6 +334,19 @@ def draw_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def histogram_calls(monkeypatch):
+    """(table, size, state of the generator) of every `sampling._histogram` call."""
+    calls = []
+
+    def counting_histogram(table, size, rng):
+        calls.append((table, size, rng.getstate()))
+        return _histogram(table, size, rng)
+
+    monkeypatch.setattr("fubini.sampling._histogram", counting_histogram)
+    return calls
+
+
 @pytest.mark.parametrize(
     "dist, law",
     [
@@ -258,10 +357,17 @@ def draw_calls(monkeypatch):
     ],
     ids=lambda v: str(v),
 )
-def test_estimate_draws_s_k_once_from_its_law(draw_calls, dist, law):
+def test_estimate_draws_s_k_once_from_its_law(draw_calls, histogram_calls, dist, law):
     assert _sum_law(dist, 5) == law
     estimate_sum_moment(dist, 5, 2, F(1, 2), 1000, seed=3)
-    assert draw_calls == [(law, 1000, 3)]
+    table = _table(law)
+    if table is None:
+        assert draw_calls == [(law, 1000, 3)] and histogram_calls == []
+    else:
+        # a table law: one histogram of the law's table, from a fresh
+        # random.Random(seed), and no draw sample by sample
+        assert draw_calls == []
+        assert histogram_calls == [(table, 1000, random.Random(3).getstate())]
 
 
 def test_estimate_draws_a_finite_discrete_sum_summand_by_summand(draw_calls):
@@ -282,6 +388,43 @@ def test_zscores_reasonable_across_dists():
         assert res.zscore is not None
         assert abs(res.zscore) < 5, (dist, res.zscore)
         assert not res.suspicious
+
+
+@pytest.mark.parametrize(
+    "dist, k, n, lam",
+    [(Bernoulli(F(2, 5)), 12, 4, F(1, 2)), (Poisson(F(3, 2)), 5, 4, F(1, 2))],
+    ids=lambda v: str(v),
+)
+def test_table_law_zscores_are_standard_across_seeds(dist, k, n, lam):
+    # 200 seeds at an mc-sums op's size: |z| stays below 5, and the z-scores
+    # have mean about 0 and sd about 1 (each within about 4 of its own sd)
+    zs = [
+        estimate_sum_moment(dist, k, n, lam, 50_000, seed=seed).zscore for seed in range(200)
+    ]
+    assert max(map(abs, zs)) < 5
+    assert abs(statistics.fmean(zs)) < 0.3
+    assert 0.8 < statistics.stdev(zs) < 1.2
+
+
+@pytest.mark.parametrize(
+    "dist, k", [(Bernoulli(F(2, 5)), 10), (Poisson(F(3, 2)), 5)], ids=lambda v: str(v)
+)
+def test_table_law_estimate_reads_o_table_uniforms(monkeypatch, dist, k):
+    # a histogram of MAX_SAMPLES draws costs a few uniforms per table cell,
+    # not one per draw
+    uniforms = 0
+
+    class CountingRandom(random.Random):
+        def random(self):
+            nonlocal uniforms
+            uniforms += 1
+            return super().random()
+
+    monkeypatch.setattr("fubini.sampling.random", SimpleNamespace(Random=CountingRandom))
+    res = estimate_sum_moment(dist, k, 2, F(1, 2), MAX_SAMPLES, seed=9)
+    assert res.samples == MAX_SAMPLES and abs(res.zscore) < 5
+    cells = len(_table(_sum_law(dist, k))[1])
+    assert 0 < uniforms <= 12 * cells, (uniforms, cells)
 
 
 def test_zscore_stable_across_seeds():
