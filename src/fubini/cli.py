@@ -292,7 +292,8 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
             # a repeated name runs and is reported once, where it first appears
             selected = list(dict.fromkeys(resolve_identity(name) for name in suite))
         except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            # 'all' is a --suite name too
+            raise UsageError(f"{exc}, all") from exc
 
     # checked here, so that the message names the flag and not the
     # CheckConfig field behind it

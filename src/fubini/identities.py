@@ -93,17 +93,16 @@ The float spot-check of THM2_2 sums E[(S_i)_{n,lam}] u^i over i <= 140. It
 reads the rows i <= n only: the moment is a polynomial of degree <= n in i,
 so summing its differences extends those rows exactly.
 
-Eight catalog entries are checked as one order slice of an order-r checker:
-EQ11 is EQ14 at r = 0; THM2_2 and THM2_10 are THM2_13 at r = 0, whose rows
-THM2_12 reads too; EQ10_GF is EQ12_GF at r = 1; EQ23_GF and THM2_1 are
-THM2_6 at r = 1; THM2_4 is THM2_14 at r = 1; THM2_8 is THM2_15 at r = 1.
-A slice takes its checker's cases at that one r and reports them without r,
-so its cases, params and counterexamples are those of the lower-order
-statement. run_suite runs each checker once, at the union of the orders of
-the identities selected on it, and hands every case to each identity that
-takes its r (_tally); each report is the one check_identity gives alone.
-EQ14 (so EQ11) compares through THM2_13's block, with F^{(r+1)}_{n,lam} and
-(i)_{n,lam} where THM2_13 has F^{(r+1),Y}_{n,lam} and E[(S_i)_{n,lam}].
+CATALOG, after the checkers, names each identity's checker and the order
+slice it takes, if any, and the pairs that are one comparison. A slice takes
+its checker's cases at that one r and reports them without r, so its cases,
+params and counterexamples are those of the lower-order statement. run_suite
+runs each checker once, at the union of the orders of the identities
+selected on it, and hands every case to each identity that takes its r
+(_tally); each report is the one check_identity gives alone. THM2_12 reads
+THM2_13's rows at r = 0. EQ14 (so EQ11) compares through THM2_13's block,
+with F^{(r+1)}_{n,lam} and (i)_{n,lam} where THM2_13 has F^{(r+1),Y}_{n,lam}
+and E[(S_i)_{n,lam}].
 
 THM2_13's two sides are independent paths. The left side is the order-(r+1)
 polynomial from the triangle kernel through the binomial weight columns;
@@ -166,41 +165,6 @@ from .rational import as_rational, format_rational, ratio, scaled
 from .record import Record
 from .series import TruncatedSeries
 
-
-class IdentityId(Enum):
-    """Names of the verifiable identities; also the CLI --suite tokens."""
-
-    EQ6 = "EQ6"
-    EQ10_GF = "EQ10_GF"
-    EQ11 = "EQ11"
-    EQ12_GF = "EQ12_GF"
-    EQ14 = "EQ14"
-    EQ15_GF = "EQ15_GF"
-    EQ19_INV = "EQ19_INV"
-    EQ20_GF = "EQ20_GF"
-    EQ22_GF = "EQ22_GF"
-    EQ23_GF = "EQ23_GF"
-    EQ29_BELL = "EQ29_BELL"
-    THM2_1 = "THM2_1"
-    THM2_2 = "THM2_2"
-    THM2_3 = "THM2_3"
-    THM2_4 = "THM2_4"
-    THM2_5 = "THM2_5"
-    THM2_6 = "THM2_6"
-    THM2_7 = "THM2_7"
-    THM2_8 = "THM2_8"
-    THM2_9_PRINTED = "THM2_9_PRINTED"
-    THM2_9_CORRECTED = "THM2_9_CORRECTED"
-    THM2_10 = "THM2_10"
-    THM2_11 = "THM2_11"
-    THM2_12 = "THM2_12"
-    THM2_13 = "THM2_13"
-    THM2_14 = "THM2_14"
-    THM2_15 = "THM2_15"
-    THM2_16 = "THM2_16"
-
-
-EXPECTED_DISCREPANCIES = frozenset({IdentityId.THM2_9_PRINTED})
 
 # Seed for the randomized rational inputs of the partial-Bell oracle run.
 _EQ15_SEED = 170823
@@ -1047,45 +1011,59 @@ def _thm2_9_corrected(cfg):
     return _thm2_9(cfg, _stirling_weights, 0)
 
 
-# Each identity's checker and the order it takes of it: None for the
-# checker's own orders (1..r_max for an order-r checker), or the one order r
-# of an order slice, whose cases are reported without r.
-_CHECKERS = {
-    IdentityId.EQ6: (_eq6, None),
-    IdentityId.EQ10_GF: (_eq12_gf, 1),
-    IdentityId.EQ11: (_eq14, 0),
-    IdentityId.EQ12_GF: (_eq12_gf, None),
-    IdentityId.EQ14: (_eq14, None),
-    IdentityId.EQ15_GF: (_eq15_gf, None),
-    IdentityId.EQ19_INV: (_eq19_inv, None),
-    IdentityId.EQ20_GF: (_eq20_gf, None),
-    IdentityId.EQ22_GF: (_eq22_gf, None),
-    IdentityId.EQ23_GF: (_thm2_6, 1),
-    IdentityId.EQ29_BELL: (_eq29_bell, None),
-    # THM2_1, the column expansion sum_k {n brace k}_{Y,lam} k! x^k, is the
-    # Fubini polynomial at x: the same comparison as EQ23_GF.
-    IdentityId.THM2_1: (_thm2_6, 1),
-    # THM2_2, the geometric moment series, is the substitution u = x/(1+x) in
-    # the expansion checked here; thm2_2_numeric_spotcheck spot-checks its tail
-    IdentityId.THM2_2: (_thm2_13, 0),
-    IdentityId.THM2_3: (_thm2_3, None),
-    IdentityId.THM2_4: (_thm2_14, 1),
-    IdentityId.THM2_5: (_thm2_5, None),
-    IdentityId.THM2_6: (_thm2_6, None),
-    IdentityId.THM2_7: (_thm2_7, None),
-    IdentityId.THM2_8: (_thm2_15, 1),
-    IdentityId.THM2_9_PRINTED: (_thm2_9_printed, None),
-    IdentityId.THM2_9_CORRECTED: (_thm2_9_corrected, None),
-    # THM2_10, the expansion of F^Y_{n,lam}(u/(1-u))/(1-u) in powers of u
-    # against the sum moments, is coefficient for coefficient THM2_2's check.
-    IdentityId.THM2_10: (_thm2_13, 0),
-    IdentityId.THM2_11: (_thm2_11, None),
-    IdentityId.THM2_12: (_thm2_12, None),
-    IdentityId.THM2_13: (_thm2_13, None),
-    IdentityId.THM2_14: (_thm2_14, None),
-    IdentityId.THM2_15: (_thm2_15, None),
-    IdentityId.THM2_16: (_thm2_16, None),
+class CatalogRow(Record):
+    """One identity of the catalog.
+
+    checker yields its cases; order is None for the checker's own orders
+    (1..r_max for an order-r checker), or the one order r of an order slice,
+    whose cases are reported without r; same_as names the identity whose
+    comparison it is; known marks the expected known discrepancy.
+    """
+
+    _fields = ("checker", "order", "same_as", "known")
+
+    def __init__(self, checker, order: int | None = None, same_as: str | None = None, known: bool = False):
+        self._init(checker, order, same_as, known)
+
+
+_ROWS = {
+    "EQ6": CatalogRow(_eq6),
+    "EQ10_GF": CatalogRow(_eq12_gf, 1),
+    "EQ11": CatalogRow(_eq14, 0),
+    "EQ12_GF": CatalogRow(_eq12_gf),
+    "EQ14": CatalogRow(_eq14),
+    "EQ15_GF": CatalogRow(_eq15_gf),
+    "EQ19_INV": CatalogRow(_eq19_inv),
+    "EQ20_GF": CatalogRow(_eq20_gf),
+    "EQ22_GF": CatalogRow(_eq22_gf),
+    "EQ23_GF": CatalogRow(_thm2_6, 1),
+    "EQ29_BELL": CatalogRow(_eq29_bell),
+    "THM2_1": CatalogRow(_thm2_6, 1, same_as="EQ23_GF"),
+    "THM2_2": CatalogRow(_thm2_13, 0),
+    "THM2_3": CatalogRow(_thm2_3),
+    "THM2_4": CatalogRow(_thm2_14, 1),
+    "THM2_5": CatalogRow(_thm2_5),
+    "THM2_6": CatalogRow(_thm2_6),
+    "THM2_7": CatalogRow(_thm2_7),
+    "THM2_8": CatalogRow(_thm2_15, 1),
+    "THM2_9_PRINTED": CatalogRow(_thm2_9_printed, known=True),
+    "THM2_9_CORRECTED": CatalogRow(_thm2_9_corrected),
+    "THM2_10": CatalogRow(_thm2_13, 0, same_as="THM2_2"),
+    "THM2_11": CatalogRow(_thm2_11),
+    "THM2_12": CatalogRow(_thm2_12),
+    "THM2_13": CatalogRow(_thm2_13),
+    "THM2_14": CatalogRow(_thm2_14),
+    "THM2_15": CatalogRow(_thm2_15),
+    "THM2_16": CatalogRow(_thm2_16),
 }
+
+IdentityId = Enum("IdentityId", [(name, name) for name in _ROWS], module=__name__)
+IdentityId.__doc__ = "Names of the verifiable identities; also the CLI --suite tokens."
+
+# The catalog, in suite order: every identity's row.
+CATALOG = dict(zip(IdentityId, _ROWS.values()))
+
+EXPECTED_DISCREPANCIES = frozenset(i for i, row in CATALOG.items() if row.known)
 
 
 def resolve_identity(name: str | IdentityId) -> IdentityId:
@@ -1094,16 +1072,19 @@ def resolve_identity(name: str | IdentityId) -> IdentityId:
     try:
         return IdentityId[name]
     except KeyError:
-        raise ValueError(f"unknown identity {name!r}") from None
+        valid = ", ".join(i.value for i in CATALOG)
+        raise ValueError(f"unknown identity {name!r}; valid names: {valid}") from None
 
 
-def _run(cfg: CheckConfig, checker, members: dict) -> list[CheckReport]:
-    # One run of checker for the identities in members, each mapped to the
-    # order it takes (see _CHECKERS), at the sorted union of those orders.
-    if all(order is None for order in members.values()):
-        return _tally(checker(cfg), dict.fromkeys(members))
+def _run(cfg: CheckConfig, members: list) -> list[CheckReport]:
+    # One run of the checker that the identities in members share, each
+    # taking the order of its row, at the sorted union of those orders.
+    orders = {i: CATALOG[i].order for i in members}
+    checker = CATALOG[members[0]].checker
+    if all(order is None for order in orders.values()):
+        return _tally(checker(cfg), orders)
     defaults = tuple(range(1, cfg.r_max + 1))
-    takes = {i: defaults if order is None else order for i, order in members.items()}
+    takes = {i: defaults if order is None else order for i, order in orders.items()}
     rs = sorted({r for t in takes.values() for r in ((t,) if type(t) is int else t)})
     return _tally(checker(cfg, rs), takes)
 
@@ -1114,9 +1095,7 @@ def check_identity(identity: str | IdentityId, cfg: CheckConfig) -> CheckReport:
     The report is run_suite(cfg, [identity])[0]: an order slice runs its
     order-r checker at its one order only.
     """
-    identity = resolve_identity(identity)
-    checker, order = _CHECKERS[identity]
-    return _run(cfg, checker, {identity: order})[0]
+    return _run(cfg, [resolve_identity(identity)])[0]
 
 
 def run_suite(cfg: CheckConfig, identities=None) -> list[CheckReport]:
@@ -1134,16 +1113,15 @@ def run_suite(cfg: CheckConfig, identities=None) -> list[CheckReport]:
     else:
         selected = [resolve_identity(i) for i in identities]
     groups: dict = {}
-    for identity in selected:
-        checker, order = _CHECKERS[identity]
-        groups.setdefault(checker, {})[identity] = order
+    for identity in dict.fromkeys(selected):
+        groups.setdefault(CATALOG[identity].checker, []).append(identity)
     reports = {}
-    for checker, members in groups.items():
+    for members in groups.values():
         if len(members) == 1:
             (identity,) = members
             reports[identity] = check_identity(identity, cfg)
         else:
-            reports.update(zip(members, _run(cfg, checker, members)))
+            reports.update(zip(members, _run(cfg, members)))
     return [reports[identity] for identity in selected]
 
 
@@ -1180,6 +1158,9 @@ def _sum_moment_floats(dist, lam, top: int, terms: int) -> list[list[float]]:
 
 def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     """Float partial sums of the infinite geometric moment series.
+
+    THM2_2, that series, is checked exactly as the substitution u = x/(1+x)
+    in THM2_13's expansion at r = 0; this spot-checks its tail.
 
     At rational points with |x/(1+x)| <= 1/2 the series converges fast for
     small n; the first `terms` partial sums must agree with the exact

@@ -15,7 +15,7 @@ from cli_runner import invoke
 from fubini import hooks
 from fubini.cli import main
 from fubini.distributions import Bernoulli, Poisson
-from fubini.identities import default_config
+from fubini.identities import IdentityId, default_config
 from fubini.poly import Polynomial
 from fubini.rational import format_rational, parse_rational
 from fubini.sampling import MAX_DEGREE, MAX_DRAWS, MAX_SAMPLES, MCResult
@@ -646,6 +646,9 @@ def test_verify_unknown_identity():
     res = invoke(["verify", "--suite", "NOPE"])
     assert res.exit_code == 2
     assert "unknown identity" in res.stderr
+    # the one final Error: line lists every --suite name
+    valid = ", ".join([*(i.value for i in IdentityId), "all"])
+    assert res.stderr.splitlines()[-1] == f"Error: unknown identity 'NOPE'; valid names: {valid}"
 
 
 def test_verify_reports_a_repeated_identity_once():

@@ -121,10 +121,11 @@ def test_run_suite_reports_equal_one_check_per_identity():
 
 def _spy_on_checkers(monkeypatch) -> list:
     # (checker name, orders or None) per checker run, through a wrapper that
-    # stands in for each checker under every identity that shares it
+    # stands in for each checker in every catalog row that shares it
     calls = []
     spies = {}
-    for identity, (checker, order) in identities._CHECKERS.items():
+    for identity, row in identities.CATALOG.items():
+        checker = row.checker
         if checker not in spies:
 
             def spy(cfg, rs=None, _checker=checker):
@@ -132,7 +133,7 @@ def _spy_on_checkers(monkeypatch) -> list:
                 return _checker(cfg) if rs is None else _checker(cfg, rs)
 
             spies[checker] = spy
-        monkeypatch.setitem(identities._CHECKERS, identity, (spies[checker], order))
+        monkeypatch.setitem(identities.CATALOG, identity, row.replace(checker=spies[checker]))
     return calls
 
 
@@ -153,13 +154,50 @@ def test_run_suite_shares_one_run_between_identities(monkeypatch):
         "_thm2_15": (1, 2),
     }
     by_id = {r.identity: r for r in reports}
-    assert by_id[IdentityId.THM2_1].cases == by_id[IdentityId.EQ23_GF].cases
-    assert by_id[IdentityId.THM2_10].cases == by_id[IdentityId.THM2_2].cases
     # a selection without the first identity of the pair still runs the checker
     calls.clear()
     only = run_suite(small_config(), ["THM2_10"])
     assert calls == [("_thm2_13", (0,))]
     assert only[0].to_dict() == by_id[IdentityId.THM2_10].to_dict()
+
+
+def _same_as_pairs() -> list:
+    # (identity, the identity whose comparison it is) per catalog row
+    return [(i, IdentityId[row.same_as]) for i, row in identities.CATALOG.items() if row.same_as]
+
+
+def test_rows_share_a_checker_and_order_only_as_one_comparison():
+    rows = list(identities.CATALOG.items())
+    pairs = set(_same_as_pairs())
+    for k, (a, row) in enumerate(rows):
+        for b, other in rows[k + 1 :]:
+            if (row.checker, row.order) == (other.checker, other.order):
+                assert (a, b) in pairs or (b, a) in pairs, (a, b)
+
+
+@pytest.mark.parametrize("fault", [None, ("binomial", (4, 2))], ids=["clean", "binomial-4-2"])
+def test_a_same_as_pair_reports_alike(fault):
+    # on the small grid, and under a fault that trips both members of each
+    # pair on the fault grid (see _FAULT_FINGERPRINT), so the counterexamples
+    # are compared too
+    if fault is None:
+        reports = run_suite(small_config())
+    else:
+        with hooks.perturb(*fault):
+            reports = run_suite(CheckConfig(dists=default_config().dists, **_FAULT_GRID))
+    by_id = {r.identity: r for r in reports}
+    for identity, same in _same_as_pairs():
+        report = by_id[identity].replace(identity=same).to_dict()
+        assert report == by_id[same].to_dict(), identity
+        assert report["status"] == ("pass" if fault is None else "fail")
+
+
+def test_the_known_discrepancies_are_the_rows_marked_known():
+    known = {i for i, row in identities.CATALOG.items() if row.known}
+    assert EXPECTED_DISCREPANCIES == known
+    # a row marked known fails on the grid and is reported so; every other passes
+    statuses = {r.identity: r.status for r in run_suite(small_config())}
+    assert statuses == {i: "known-discrepancy" if i in known else "pass" for i in IdentityId}
 
 
 def test_a_slice_alone_runs_its_one_order_and_with_its_base_one_run(monkeypatch):

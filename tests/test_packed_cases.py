@@ -453,7 +453,7 @@ def test_every_packed_digit_fits_the_unrounded_width(monkeypatch, extremal):
         monkeypatch.setattr(identities, "_holds", lambda case: True)
     cfg = CheckConfig(**_WIDTH_GRID)
     seen = set()
-    for checker in dict.fromkeys(c for c, _ in identities._CHECKERS.values()):
+    for checker in dict.fromkeys(row.checker for row in identities.CATALOG.values()):
         for case in checker(cfg):
             if len(case) == 4:
                 continue
