@@ -21,6 +21,7 @@ import sys
 from .distributions import DistributionSpecError, parse_distribution
 from .identities import (
     IdentityId,
+    SpotcheckRangeError,
     default_config,
     resolve_identity,
     run_suite,
@@ -318,10 +319,12 @@ def cmd_verify(suite, dists, lams, n_max, r_max, fmt, out):
             raise UsageError(str(exc)) from exc
     _lift_digit_limit()
 
+    # the spot-check runs first, so that a refusal costs no suite time
+    try:
+        spot = thm2_2_numeric_spotcheck(cfg) if IdentityId.THM2_2 in selected else None
+    except SpotcheckRangeError as exc:
+        raise UsageError(str(exc)) from exc
     reports = run_suite(cfg, selected)
-    spot = (
-        thm2_2_numeric_spotcheck(cfg) if IdentityId.THM2_2 in selected else None
-    )
     ok = suite_ok(reports) and (spot is None or spot["ok"])
 
     params = {
@@ -417,10 +420,10 @@ def cmd_series(dist_spec, lam_text, order, x_text, fmt, out):
 @_command(
     "mc",
     ("--dist", dict(dest="dist_spec", metavar="TEXT", required=True, help="Distribution spec.  [required]")),
-    ("--k", dict(metavar="INTEGER", type=int, required=True, help="Number of iid summands.  [required]")),
+    ("--k", dict(metavar="INTEGER", type=int, required=True, help=f"Number of iid summands; --k times --samples at most {MAX_DRAWS}.  [required]")),
     ("--n", dict(metavar="INTEGER", type=int, required=True, help=f"Degenerate falling-factorial degree, at most {MAX_DEGREE}.  [required]")),
     _LAMBDA,
-    ("--samples", dict(metavar="INTEGER", type=int, default=100_000, help="[default: 100000]")),
+    ("--samples", dict(metavar="INTEGER", type=int, default=100_000, help=f"Number of draws of S_k, {MIN_SAMPLES} to {MAX_SAMPLES}.  [default: 100000]")),
     ("--seed", dict(metavar="INTEGER", type=_seed, default=0, help="Integer >= 0.  [default: 0]")),
 )
 def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
@@ -442,7 +445,8 @@ def cmd_mc(dist_spec, k, n, lam_text, samples, seed, fmt, out):
     try:
         result = estimate_sum_moment(dist, k, n, lam, samples, seed)
     except FloatRangeError as exc:
-        raise UsageError(f"bad --dist {dist_spec!r}: {exc}") from exc
+        flag, text = ("--lambda", lam_text) if exc.name == "lambda" else ("--dist", dist_spec)
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except OverflowError as exc:

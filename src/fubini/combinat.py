@@ -134,18 +134,18 @@ def falling_factorial_poly(n: int, lam) -> Polynomial:
     return falling_factorial_polys(n, lam)[n]
 
 
-# The order-r Fubini weights C(k+r-1, k) k! for k < size, per (size, r). They
-# are read through binomial and factorial, so under hooks.perturb they may be
-# Fractions.
-_order_weights: dict[tuple[int, int], ScaledRow] = hooks.memo({})
+# The order-r Fubini weights C(k+r-1, k) k!, k = 0, 1, ..., one row per r,
+# grown on demand. They are read through binomial and factorial, so under
+# hooks.perturb they may be Fractions.
+_order_weights: dict[int, ScaledRow] = hooks.memo(defaultdict(ScaledRow))
 
 
 def order_weights(size: int, r: int) -> ScaledRow:
-    """C(k+r-1, k) k! for k < size: the memoised row."""
-    key = size, r
-    if key not in _order_weights:
-        _order_weights[key] = ScaledRow(binomial(k + r - 1, k) * factorial(k) for k in range(size))
-    return _order_weights[key]
+    """C(k+r-1, k) k! for k < size (at least): the memoised row; read a prefix."""
+    row = _order_weights[r]
+    if len(row) < size:
+        row.extend_ratios((binomial(k + r - 1, k) * factorial(k), 1) for k in range(len(row), size))
+    return row
 
 
 def weighted_by_order(p: Polynomial, r: int) -> Polynomial:

@@ -10,7 +10,9 @@ E[S_k**m] (``sum_moment``), is stored unshifted and shifted when read
 from its own entries.
 
 This module also holds the one memo registry of the package. Every memo table
-(a dict of rows or a list of rows, grown on demand) is created through
+follows one rule: it holds rows keyed by the parameters of its quantity, not
+by a length, grows a row on demand, and is kept only where a run reads its
+rows again. Each is a dict of rows or a list of rows, created through
 ``memo``; ``clear_caches`` empties all of them, and ``perturb`` calls it on
 entry and exit, so stale values never mask a fault and no stored shift
 outlives its block.

@@ -707,41 +707,41 @@ def _eq22_gf(cfg):
                 yield lhs, rhs, params, "n"
 
 
-# The partial Bell columns of _partial_bells per (dist, lam numerator, lam
-# denominator, n_max), built once for EQ29_BELL and THM2_5 alike.
-_partial_bell_columns: dict[tuple[Distribution, int, int, int], list] = hooks.memo({})
+# The partial Bell rows of _partial_bells per (dist, lam numerator, lam
+# denominator), grown on demand, read by EQ29_BELL and THM2_5 alike.
+_partial_bell_rows: dict[tuple[Distribution, int, int], list] = hooks.memo(defaultdict(list))
 
 
 def _partial_bells(cfg):
-    # (dist, lam, columns) over the grid, where B_{n,k} = nums[k] / dens[k],
-    # k = 0..n, for (nums, dens) = columns[n], n = 0..n_max: the partial Bell
+    # (dist, lam, rows) over the grid, where B_{n,k} = nums[k] / den**k,
+    # k = 0..n, for (nums, den) = rows[n], n = 0..n_max: the partial Bell
     # polynomials of the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1. The
-    # moments are scaled once per (dist, lam) to integer numerators over one
-    # den; every term of B_{n,k} has degree k in them, so the sum over
-    # partitions runs on the numerators and dens[k] = den**k.
+    # moments are scaled once per growth to integer numerators over one den,
+    # which each row it adds carries; every term of B_{n,k} has degree k in
+    # them, so the sum over partitions runs on the numerators.
     for dist in cfg.dists:
         for lam in cfg.lambdas:
-            key = dist, lam.numerator, lam.denominator, cfg.n_max
-            if key not in _partial_bell_columns:
+            rows = _partial_bell_rows[dist, lam.numerator, lam.denominator]
+            if len(rows) <= cfg.n_max:
                 moments, den = scaled(
                     [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
                 )
-                powers = [den**k for k in range(cfg.n_max + 1)]
-                _partial_bell_columns[key] = [
-                    ([partial_bell_numerator(n, k, moments) for k in range(n + 1)], powers[: n + 1])
-                    for n in range(cfg.n_max + 1)
-                ]
-            yield dist, lam, _partial_bell_columns[key]
+                rows.extend(
+                    ([partial_bell_numerator(n, k, moments) for k in range(n + 1)], den)
+                    for n in range(len(rows), cfg.n_max + 1)
+                )
+            yield dist, lam, rows[: cfg.n_max + 1]
 
 
 def _eq29_bell(cfg):
     # Column numbers, read from the kernel's row as the numerators of the
     # Bell polynomial, as partial Bell polynomials of the degenerate moments:
     # one block over k
-    for dist, lam, columns in _partial_bells(cfg):
+    for dist, lam, rows in _partial_bells(cfg):
         bells = prob_bell_polys(dist, cfg.n_max, lam)
-        for n, (nums, dens) in enumerate(columns):
+        for n, (nums, den) in enumerate(rows):
             params = {"dist": dist, "lambda": lam, "n": n}
+            dens = [den**k for k in range(n + 1)]
             yield (_padded(bells[n], n + 1), bells[n].den), (nums, dens), params, "k"
 
 
@@ -761,13 +761,13 @@ def _thm2_3(cfg):
 
 def _thm2_5(cfg):
     # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
-    # numerators over dens[n] = den**n: one block over n
-    for dist, lam, columns in _partial_bells(cfg):
+    # numerators over den**n: one block over n
+    for dist, lam, rows in _partial_bells(cfg):
         fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
-        lhs = _split([fub.evaluate_ratio(1) for fub, _ in zip(fubs, columns)])
+        lhs = _split([fub.evaluate_ratio(1) for fub, _ in zip(fubs, rows)])
         sums = [
-            (sum(factorial(k) * b * dens[n - k] for k, b in enumerate(nums)), dens[n])
-            for n, (nums, dens) in enumerate(columns)
+            (sum(factorial(k) * b * den ** (n - k) for k, b in enumerate(nums)), den**n)
+            for n, (nums, den) in enumerate(rows)
         ]
         yield lhs, _split(sums), {"dist": dist, "lambda": lam}, "n"
 
@@ -1156,6 +1156,17 @@ def _sum_moment_floats(dist, lam, top: int, terms: int) -> list[list[float]]:
     return floats
 
 
+class SpotcheckRangeError(ValueError):
+    """A value that the THM2_2 spot-check needs at (dist, lam) lies beyond
+    the float range, so the spot-check cannot run there."""
+
+    def __init__(self, dist: Distribution, lam: Fraction):
+        super().__init__(
+            f"THM2_2's numeric spot-check cannot run at the law {dist.spec_string()} and "
+            f"lambda {format_rational(lam)}: a value it needs lies beyond the float range"
+        )
+
+
 def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     """Float partial sums of the infinite geometric moment series.
 
@@ -1165,7 +1176,9 @@ def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     At rational points with |x/(1+x)| <= 1/2 the series converges fast for
     small n; the first `terms` partial sums must agree with the exact
     polynomial value to _SPOTCHECK_REL_TOL. This is the one deliberately
-    inexact check in the package; it never feeds a CheckReport.
+    inexact check in the package; it never feeds a CheckReport. Raises
+    SpotcheckRangeError when a sum moment or an exact value does not fit a
+    float.
     """
     points = [Fraction(1, 2), Fraction(1)]
     lams = cfg.lambdas[:3]
@@ -1175,13 +1188,18 @@ def thm2_2_numeric_spotcheck(cfg: CheckConfig, *, terms: int = 140) -> dict:
     top = min(4, cfg.n_max)
     for dist in cfg.dists:
         for lam in lams:
-            columns = _sum_moment_floats(dist, lam, top, terms)
+            try:
+                columns = _sum_moment_floats(dist, lam, top, terms)
+                exacts = [
+                    [float(prob_fubini_poly(dist, n, lam).evaluate(x0)) for x0 in points]
+                    for n in range(top + 1)
+                ]
+            except OverflowError:
+                raise SpotcheckRangeError(dist, lam) from None
             for n, moments in enumerate(columns):
-                fub = prob_fubini_poly(dist, n, lam)
-                for x0 in points:
+                for x0, exact in zip(points, exacts[n]):
                     u = x0 / (1 + x0)
                     uf = float(u)
-                    exact = float(fub.evaluate(x0))
                     acc = 0.0
                     upow = 1.0
                     for m in moments:

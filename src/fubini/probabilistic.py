@@ -7,19 +7,20 @@ numbers {n brace k}_{Y,lam} are the EGF coefficients of
 F_k = (E[e_lam^Y(t)] - 1)**k / k!; one lower triangle per (dist, lam) grows
 row by row from the column recurrence k F_k = (E[e_lam^Y(t)] - 1) F_{k-1}.
 Everything is exact. Every memo row is stored once, as integer numerators
-over the lcm of the entries' denominators: the moments E[Y**m], E[S_k**m],
-E[(Y)_{n,lam}] and E[(S_k)_{n,lam}] as a rational.ScaledRow, and triangle
-row n as the Bell polynomial phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam}
-x**k, which that row is. The recurrences, the contractions against the
-numerators of (x)_{n,lam} and the polynomial builders run on those
-numerators in Python ints. A reader of many entries takes a row itself (the
-identity checkers read Miller's rows, sum_raw_row, and THM2_9_PRINTED one
-sum_degenerate_row per r); a scalar accessor builds one Fraction per read.
+over the lcm of the entries' denominators: the moments E[Y**m], E[S_k**m]
+and E[(Y)_{n,lam}] as a rational.ScaledRow, and triangle row n as the
+Bell polynomial phi^Y_{n,lam}(x) = sum_k {n brace k}_{Y,lam} x**k, which
+that row is. The recurrences, the contractions against the numerators of
+(x)_{n,lam} and the polynomial builders run on those numerators in Python
+ints. A reader of many entries takes a row itself (the identity checkers
+read Miller's rows, sum_raw_row, and THM2_9_PRINTED one sum_degenerate_row
+per r); a scalar accessor builds one Fraction per read.
 prob_bell_polys returns the triangle whole and prob_bell_poly indexes it;
 the order-r Fubini polynomials are one list per (dist, r, lam), which
 prob_fubini_polys returns and prob_fubini_poly_order indexes. The moment
-series is memoised per (dist, lam, order). Tables indexed by lam are keyed
-by (lam.numerator, lam.denominator), hashing without Fraction.__hash__.
+series and E[(S_k)_{n,lam}] are built on each call from the stored rows.
+Tables indexed by lam are keyed by (lam.numerator, lam.denominator), hashing
+without Fraction.__hash__.
 """
 
 from __future__ import annotations
@@ -40,18 +41,15 @@ from .series import TruncatedSeries
 
 # Memo rows, grown on demand, one ScaledRow each. E[Y**m] per dist, as the
 # moment formula gives it; E[S_k**m] per (dist, k), grown by Miller's
-# recurrence; E[(Y)_{n,lam}] per (dist, lam) and E[(S_k)_{n,lam}] per
-# (dist, k, lam), lam as its numerator and denominator. A defaultdict builds
-# the empty row only on a miss, not on every lookup.
+# recurrence; E[(Y)_{n,lam}] per (dist, lam), lam as its numerator and
+# denominator. A defaultdict builds the empty row only on a miss, not on
+# every lookup.
 _raw_moment_rows: dict[Distribution, ScaledRow] = hooks.memo(defaultdict(ScaledRow))
 _sum_moment_rows: dict[tuple[Distribution, int], ScaledRow] = hooks.memo(
     defaultdict(lambda: ScaledRow([1]))
 )
 _degenerate_rows: dict[tuple[Distribution, int, int], ScaledRow] = hooks.memo(
     defaultdict(ScaledRow)
-)
-_sum_degenerate_rows: dict[tuple[Distribution, int, int, int], ScaledRow] = (
-    hooks.memo(defaultdict(ScaledRow))
 )
 
 
@@ -100,8 +98,9 @@ def _sum_raw_moments(dist: Distribution, k: int, m: int) -> ScaledRow:
 def sum_raw_row(dist: Distribution, k: int, m: int) -> ScaledRow:
     """E[S_k**j] for j = 0..m (at least), as its readers see it.
 
-    Entry j is row.nums[j] / row.den; read the pair at once, as for
-    sum_degenerate_row.
+    Entry j is row.nums[j] / row.den. A later request may grow the row and
+    rescale it, which replaces row.nums and row.den together, so a caller
+    reads the pair at once, or keeps both.
     """
     if k < 0 or m < 0:
         raise ValueError("sum moments need k, m >= 0")
@@ -142,17 +141,14 @@ def degenerate_moment(dist: Distribution, n: int, lam) -> Fraction:
 
 
 def sum_degenerate_row(dist: Distribution, k: int, n: int, lam) -> ScaledRow:
-    """E[(S_k)_{m,lam}] for m = 0..n (at least), as the stored ScaledRow.
+    """E[(S_k)_{m,lam}] for m = 0..n, as a new ScaledRow.
 
-    Entry m is row.nums[m] / row.den. A later request may grow the row and
-    rescale it, which replaces row.nums and row.den together, so a caller
-    reads the pair (row.nums[m], row.den) at once, or keeps both.
+    Entry m is row.nums[m] / row.den, contracted from the stored row
+    E[S_k**0..n].
     """
     if k < 0 or n < 0:
         raise ValueError("sum moments need k, n >= 0")
-    lam = as_rational(lam)
-    row = _sum_degenerate_rows[dist, k, lam.numerator, lam.denominator]
-    return _contracted(row, n, lam, partial(_sum_raw_moments, dist, k))
+    return _contracted(ScaledRow(), n, as_rational(lam), partial(_sum_raw_moments, dist, k))
 
 
 def sum_degenerate_moment(dist: Distribution, k: int, n: int, lam) -> Fraction:
@@ -254,21 +250,13 @@ def prob_fubini_poly_order(dist: Distribution, n: int, r: int, lam) -> Polynomia
     return polys[n] if n >= 0 else Polynomial()
 
 
-# The truncated moment series per (dist, lam numerator, lam denominator, order).
-_mgf_series: dict[tuple[Distribution, int, int, int], TruncatedSeries] = hooks.memo({})
-
-
 def mgf_degenerate_series(dist: Distribution, lam, order: int) -> TruncatedSeries:
     """Truncation of E[e_lam^Y(t)]: EGF coefficients are E[(Y)_{n,lam}]."""
     if order < 0:
         raise ValueError("series order must be >= 0")
-    lam = as_rational(lam)
-    key = dist, lam.numerator, lam.denominator, order
-    if key not in _mgf_series:
-        # coefficient n is E[(Y)_{n,lam}] / n!, put over den * order!
-        row = _degenerate_row(dist, order, lam)
-        top = math.factorial(order)
-        _mgf_series[key] = TruncatedSeries.from_scaled(
-            [row.nums[n] * (top // math.factorial(n)) for n in range(order + 1)], row.den * top
-        )
-    return _mgf_series[key]
+    # coefficient n is E[(Y)_{n,lam}] / n!, put over den * order!
+    row = _degenerate_row(dist, order, as_rational(lam))
+    top = math.factorial(order)
+    return TruncatedSeries.from_scaled(
+        [row.nums[n] * (top // math.factorial(n)) for n in range(order + 1)], row.den * top
+    )

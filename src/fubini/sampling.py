@@ -325,10 +325,15 @@ def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
 
 
 class FloatRangeError(ValueError):
-    """A parameter of the law of S_k that no float can hold."""
+    """A parameter that no float can hold: of the law of S_k, or lam (then
+    name is "lambda")."""
+
+    def __init__(self, name: str, of: str):
+        super().__init__(f"parameter {name} of {of} lies beyond the float range")
+        self.name = name
 
 
-def _float(value: Fraction, name: str, *, underflow: bool = True) -> float:
+def _float(value: Fraction, name: str, of="the law of S_k", *, underflow: bool = True) -> float:
     """value as a float; FloatRangeError, naming it, when it lies above the
     float range, or below it (rounds to 0.0) where underflow is False."""
     try:
@@ -336,7 +341,7 @@ def _float(value: Fraction, name: str, *, underflow: bool = True) -> float:
     except OverflowError:
         result = math.inf
     if result == math.inf or not (result or underflow):
-        raise FloatRangeError(f"parameter {name} of the law of S_k lies beyond the float range")
+        raise FloatRangeError(name, of)
     return result
 
 
@@ -508,7 +513,8 @@ def estimate_sum_moment(
     and n <= MAX_DEGREE, checked before anything is computed.
 
     Raises FloatRangeError (a ValueError), before the exact value is
-    computed, when a parameter of the law of S_k lies beyond the float range;
+    computed, when lam or a parameter of the law of S_k lies beyond the
+    float range (a lam below it is taken as 0.0 in the statistic);
     OverflowError, before any draw, when the exact value is too large
     for a float, and FloatingPointError when the float statistic, its mean
     or its spread overflows; the degree n drives both.
@@ -530,10 +536,11 @@ def estimate_sum_moment(
     # a parameter beyond the float range is refused before the exact value,
     # whose size the degree n drives
     _float_parameters(dist if law is None else law)
+    lam_float = _float(lam, "lambda", "(x)_{n,lambda}")
     exact = sum_degenerate_moment(dist, k, n, lam)
     exact_float = float(exact)
 
-    estimate, stderr = _mean_and_stderr(_sum_groups(dist, k, samples, seed), n, float(lam))
+    estimate, stderr = _mean_and_stderr(_sum_groups(dist, k, samples, seed), n, lam_float)
     zscore = None if stderr == 0 else (estimate - exact_float) / stderr
     return MCResult(
         estimate=estimate,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 from cli_runner import invoke
+from hypothesis import given, settings, strategies as st
 
-from fubini import hooks
+from fubini import cli, hooks
 from fubini.cli import main
 from fubini.distributions import Bernoulli, Poisson
 from fubini.identities import IdentityId, default_config
@@ -39,6 +41,21 @@ def test_table_json_document():
     row = doc["rows"][2]
     assert row["coefficients"] == ["0", "1/5", "8/25"]
     assert row["value_at_1"] == "13/25"
+
+
+def test_an_order_r_table_grows_one_row_of_order_weights():
+    from fubini import combinat
+
+    hooks.clear_caches()
+    res = invoke(["table", "--dist", "discrete:0=1/6,1=1/2,3=1/3", "--lambda", "-7/2",
+                  "--n-max", "40", "--r", "3"])
+    assert res.exit_code == 0, res.stderr
+    # every row of the table reads a prefix of the one row of r = 3
+    (row,) = combinat._order_weights.values()
+    assert [F(c, row.den) for c in row.nums] == [
+        math.comb(k + 2, k) * math.factorial(k) for k in range(len(row))
+    ]
+    assert len(row) == 41
 
 
 def test_table_csv_document():
@@ -463,6 +480,22 @@ HOSTILE_ARGS = [
             f"discrete:{10**400}=1",
         )
     ),
+    # a lambda beyond the float range: refused, naming --lambda; below it, the
+    # estimator's lambda rounds to 0.0
+    *(
+        (["mc", "--dist", "bernoulli:1/2", "--k", "2", "--n", n, "--lambda", lam,
+          "--samples", "1000"], 2)
+        for n, lam in (("0", str(10**400)), ("2", str(10**400)), ("0", str(-(10**400))))
+    ),
+    (["mc", "--dist", "bernoulli:1/2", "--k", "2", "--n", "2", "--lambda", f"1/{10**400}",
+      "--samples", "1000"], 0),
+    # a value that THM2_2's float spot-check needs beyond the float range:
+    # refused before the suite runs; the exact suite alone runs there
+    (["verify", "--dists", f"point:{10**200}", "--n-max", "2"], 2),
+    (["verify", "--suite", "THM2_2", "--dists", f"point:{10**200}", "--n-max", "2"], 2),
+    (["verify", "--dists", f"poisson:{10**200}", "--n-max", "2"], 2),
+    (["verify", "--suite", "THM2_2", "--lambda", str(7**3000)], 2),
+    (["verify", "--suite", "EQ6", "--dists", f"point:{10**200}", "--n-max", "2"], 0),
     (["table", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--n-max", "2"], 2),
     (["series", "--dist", "bernoulli:1/2", "--lambda", "1/0", "--order", "2"], 2),
     (["table", "--dist", "point:1e3", "--n-max", "2"], 2),
@@ -532,6 +565,25 @@ NAMED_FLAG_ERRORS = {
     ),
     "mc --dist bernoulli:1/2 --k -1 --n 2 --samples 1000": "Error: --k must be >= 0",
     "mc --dist bernoulli:1/2 --k 1 --n -1 --samples 1000": "Error: --n must be >= 0",
+    **{
+        f"mc --dist bernoulli:1/2 --k 2 --n {n} --lambda {lam} --samples 1000": (
+            f"Error: bad --lambda '{lam}': "
+            "parameter lambda of (x)_{n,lambda} lies beyond the float range"
+        )
+        for n, lam in ((0, 10**400), (2, 10**400), (0, -(10**400)))
+    },
+    **{
+        f"verify {args}": (
+            f"Error: THM2_2's numeric spot-check cannot run at the law {law} and lambda {lam}: "
+            "a value it needs lies beyond the float range"
+        )
+        for args, law, lam in (
+            (f"--dists point:{10**200} --n-max 2", f"point:{10**200}", 0),
+            (f"--suite THM2_2 --dists point:{10**200} --n-max 2", f"point:{10**200}", 0),
+            (f"--dists poisson:{10**200} --n-max 2", f"poisson:{10**200}", 0),
+            (f"--suite THM2_2 --lambda {7**3000}", "point:1", 7**3000),
+        )
+    },
     f"mc --dist gamma:1,1/{10**300} --k 2 --n 1 --samples 1000": (
         f"Error: --n 1 is too large for the float estimator at --dist 'gamma:1,1/{10**300}' "
         "(overflow in the mean or spread of the statistic); lower --n or the scale of --dist"
@@ -555,6 +607,112 @@ def test_hostile_arguments_give_a_document_or_a_usage_error(args, code):
         assert res.stderr.splitlines()[-1].startswith("Error: ")
         named = NAMED_FLAG_ERRORS.get(" ".join(args))
         assert named is None or res.stderr.splitlines()[-1] == named
+
+
+def _numeral(max_digits: int):
+    # a small integer, or 10**(d-1) for d digits: any d up to max_digits, and
+    # the edges of the float range (309 digits) and of the int/str digit
+    # limit (4,300 digits)
+    edges = [d for d in (308, 309, 310, 398, 400, 4300, 4301, 4400) if d <= max_digits]
+    digits = st.one_of(st.integers(1, 40), st.sampled_from(edges), st.integers(1, max_digits))
+    return st.one_of(st.integers(0, 12).map(str), digits.map(lambda d: "1" + "0" * (d - 1)))
+
+
+def _rational(max_digits: int, signs=("", "-", "+")):
+    # a signed numerator over no denominator, a small one or a numeral
+    sign = st.sampled_from(signs)
+    over = st.one_of(
+        st.just(""),
+        st.integers(1, 12).map("/{}".format),
+        _numeral(max_digits).filter(lambda d: d != "0").map("/{}".format),
+    )
+    return st.tuples(sign, _numeral(max_digits), over).map("".join)
+
+
+def _law(max_digits: int):
+    # the parameters of a law that needs them positive are unsigned
+    r, positive = _rational(max_digits), _rational(max_digits, ("",))
+    return st.one_of(
+        r.map("point:{}".format),
+        st.tuples(st.sampled_from(["bernoulli", "poisson", "Poisson"]), positive).map(":".join),
+        st.tuples(positive, positive).map(lambda t: f"gamma:{t[0]},{t[1]}"),
+        st.lists(r, min_size=1, max_size=3).map(
+            lambda atoms: "discrete:" + ",".join(f"{v}=1/{len(atoms)}" for v in atoms)
+        ),
+    )
+
+
+# The values of each flag of cli._COMMANDS but --out, by its largest numeral:
+# rationals of up to 4,400 digits for table, series and mc, and up to 400 for
+# verify, at sizes that keep a run small.
+def _flag_values(max_digits: int) -> dict:
+    return {
+        "--dist": _law(max_digits),
+        "--dists": _law(max_digits),
+        "--lambda": _rational(max_digits),
+        "--x": _rational(max_digits),
+        "--n-max": st.integers(1, 3 if max_digits > 400 else 2).map(str),
+        "--r": st.integers(1, 3).map(str),
+        "--r-max": st.integers(1, 3).map(str),
+        "--order": st.integers(0, 4).map(str),
+        "--k": st.integers(0, 5).map(str),
+        "--n": st.integers(0, 4).map(str),
+        "--samples": st.just("1000"),
+        "--seed": st.sampled_from(["0", "7", str(2**64)]),
+        "--suite": st.sampled_from(["all", "EQ6", "THM2_2", "THM2_9_PRINTED", "EQ29_BELL"]),
+        "--format": st.sampled_from(["json", "csv"]),
+    }
+
+
+# Values no flag takes: empty, zero denominators, no rational, out of range
+_HOSTILE = ["", "1/0", "-3/0", "1e3", "x", "1/", "-1", "0", "999", "nope:1", "discrete:", "eq6"]
+
+
+@st.composite
+def _argv(draw, name: str):
+    # every flag of the command once, with a value it takes; then at most one
+    # change: a flag dropped, repeated or given a hostile value, or --out ''
+    _, options = cli._COMMANDS[name]
+    values = _flag_values(400 if name == "verify" else 4400)
+    flags = [flag for flag, _ in (*options, cli._FORMAT)]
+    given = {flag: [draw(values[flag])] for flag in flags}
+    change = draw(st.sampled_from([None, "drop", None, "repeat", None, "hostile", None, "out", None]))
+    if change == "out":
+        given["--out"] = [""]
+    elif change is not None:
+        flag = draw(st.sampled_from(flags))
+        if change == "drop":
+            del given[flag]
+        elif change == "repeat":
+            given[flag].append(draw(values[flag]))
+        else:
+            given[flag] = [draw(st.sampled_from(_HOSTILE))]
+    return [name, *(token for flag, vals in given.items() for v in vals for token in (flag, v))]
+
+
+def _run(argv):
+    try:
+        return invoke(argv)
+    finally:
+        hooks.clear_caches()  # no example keeps the rows of another in memory
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_grammar_fuzz_gives_a_document_a_failure_or_a_usage_error(name, data):
+    argv = data.draw(_argv(name))
+    res = _run(argv)
+    assert res.exit_code in (0, 1, 2), res.stderr[-300:]
+    assert "Traceback" not in res.stderr and "internal error" not in res.stderr, res.stderr[-300:]
+    if res.exit_code == 2:
+        last = res.stderr.splitlines()[-1]
+        assert res.stdout == "" and last.startswith("Error:")
+        if "lower --n" in last:
+            # (x)_{0,lam} = 1 fits any float, so --n 0 (each token after an
+            # --n) lifts a refusal that asks for a lower --n
+            at_zero = [("0" if flag == "--n" else v) for flag, v in zip(["", *argv], argv)]
+            assert "lower --n" not in _run(at_zero).stderr, last[:300]
 
 
 @pytest.mark.parametrize(
@@ -581,6 +739,16 @@ def test_mc_parameter_beyond_the_float_range_names_the_dist(monkeypatch, spec, n
         f"Error: bad --dist {spec!r}: "
         f"parameter {name} of the law of S_k lies beyond the float range"
     )
+    # so is a lambda beyond the float range, with a law inside it
+    for lam in (str(10**400), str(-(10**400))):
+        res = invoke(["mc", "--dist", "point:2", "--k", "2", "--n", "2", "--lambda", lam,
+                      "--samples", "1000"])
+        assert res.exit_code == 2, res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert res.stderr.splitlines()[-1] == (
+            f"Error: bad --lambda {lam!r}: "
+            "parameter lambda of (x)_{n,lambda} lies beyond the float range"
+        )
 
 
 @pytest.mark.parametrize(

@@ -851,5 +851,41 @@ def test_eq29_bell_and_thm25_read_one_build_of_the_partial_bell_columns(monkeypa
     second = check_identity(IdentityId.THM2_5, cfg)
     assert len(calls) == built and first.ok and second.ok
     with hooks.perturb("factorial", (3,)):
-        assert not identities._partial_bell_columns
-    assert not identities._partial_bell_columns
+        assert not identities._partial_bell_rows
+    assert not identities._partial_bell_rows
+
+
+def test_partial_bell_rows_grow_one_entry_per_dist_and_lam(monkeypatch):
+    calls = []
+    real = identities.partial_bell_numerator
+
+    def counting(n, k, nums):
+        calls.append((n, k))
+        return real(n, k, nums)
+
+    monkeypatch.setattr(identities, "partial_bell_numerator", counting)
+    # the one table of identities registered with hooks.memo, found by identity
+    (table,) = [t for t in vars(identities).values() if any(t is m for m in hooks._memos)]
+    cfg = small_config()
+    hooks.clear_caches()
+    assert check_identity(IdentityId.EQ29_BELL, cfg).ok
+    built = len(calls)
+    wide = cfg.replace(n_max=6)
+    assert check_identity(IdentityId.EQ29_BELL, wide).ok
+    grids = len(cfg.dists) * len(cfg.lambdas)
+    assert len(table) == grids
+    # n = 5 and 6 are summed, k = 0..n, and the rows up to 4 are read again
+    assert len(calls) - built == grids * (6 + 7)
+
+    def values():
+        # B_{n,k} = nums[k] / den**k of every row
+        return {
+            key: [[F(c, den**k) for k, c in enumerate(nums)] for nums, den in rows]
+            for key, rows in table.items()
+        }
+
+    # the grown rows hold the values of a build at n_max 6 alone
+    grown = values()
+    hooks.clear_caches()
+    assert check_identity(IdentityId.EQ29_BELL, wide).ok
+    assert values() == grown

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fubini import combinat, hooks, probabilistic
+from fubini import combinat, hooks, identities, probabilistic
 from fubini.combinat import factorial, falling_factorial_poly, stirling2_degenerate
 from fubini.distributions import Bernoulli, FiniteDiscrete, PointMass, Poisson
 from fubini.families import degenerate_fubini_poly_order
@@ -239,17 +239,25 @@ def test_memo_tables_hold_no_fraction_rows_after_a_suite():
     run_suite(cfg)
     tables = [
         (module.__name__, name, table)
-        for module in (probabilistic, combinat)
+        for module in (combinat, probabilistic, identities)
         for name, table in vars(module).items()
         if any(table is memo for memo in hooks._memos)
     ]
-    assert {name for _, name, _ in tables} >= {
+    # every registered table, by name: adding or dropping one edits this set
+    assert len(tables) == len(hooks._memos)
+    assert {name for _, name, _ in tables} == {
+        "_s1_rows",
+        "_s2_rows",
+        "_ff_rows",
+        "_order_weights",
+        "_s2_degenerate_rows",
+        "_bell_terms",
         "_raw_moment_rows",
         "_sum_moment_rows",
         "_degenerate_rows",
-        "_sum_degenerate_rows",
         "_triangles",
-        "_s2_degenerate_rows",
+        "_fubini_order_rows",
+        "_partial_bell_rows",
     }
     for module, name, table in tables:
         assert table, f"{module}.{name} was not grown"
@@ -321,7 +329,9 @@ def test_sum_degenerate_row_grown_at_once_equals_row_grown_entry_by_entry(dist):
     assert (row.nums, row.den) == stepped
     expected = _naive_sum_raw_row(dist, k, n)
     _assert_canonical(row, [_naive_contract(m, lam, lambda i: expected[i]) for m in range(n + 1)])
-    assert sum_degenerate_row(dist, k, 5, lam) is row  # a shorter request reads it as it is
+    # a shorter request contracts the same entries
+    shorter = sum_degenerate_row(dist, k, 5, lam)
+    assert [F(c, shorter.den) for c in shorter.nums] == [F(c, row.den) for c in row.nums[:6]]
 
 
 # lam = 0, negative lam and lam not an integer, drawn apart so each is tried

@@ -242,12 +242,14 @@ def test_the_row_accessors_return_the_memoised_polynomials():
         prob_fubini_polys(dist, 3, 0, lam)
 
 
-def test_the_moment_series_is_built_once_per_dist_lam_and_order():
+def test_the_moment_series_is_read_from_one_stored_row_per_dist_and_lam():
     dist, lam = Gamma(F(3, 2), 2), F(1, 3)
+    hooks.clear_caches()
     series = mgf_degenerate_series(dist, lam, 8)
-    assert mgf_degenerate_series(dist, F(2, 6), 8) is series
-    assert mgf_degenerate_series(dist, lam, 7) is not series
+    assert mgf_degenerate_series(dist, F(2, 6), 8) == series
+    assert mgf_degenerate_series(dist, lam, 7).coeffs == series.coeffs[:8]
     assert series.coeffs[3] == degenerate_moment(dist, 3, lam) / 6
+    assert list(probabilistic._degenerate_rows) == [(dist, 1, 3)]
 
 
 def test_perturb_empties_the_row_tables():
@@ -257,7 +259,11 @@ def test_perturb_empties_the_row_tables():
     mgf_degenerate_series(dist, lam, 4)
     # the Bell polynomials are the stored triangle rows themselves
     assert prob_bell_polys(dist, 4, lam) is probabilistic._triangle(dist, 4, lam)
-    tables = (probabilistic._triangles, probabilistic._fubini_order_rows, probabilistic._mgf_series)
+    tables = (
+        probabilistic._triangles,
+        probabilistic._fubini_order_rows,
+        probabilistic._degenerate_rows,
+    )
     assert all(tables)
     with hooks.perturb("binomial", (4, 2)):
         assert not any(tables)
