@@ -2,11 +2,12 @@
 
 Every checker compares exact values; a ``pass`` means exact equality held in
 every grid case, never approximate agreement. A checker yields cases of two
-shapes: an entry case (lhs, rhs, params, key), each side (nums, dens), a
-list of numerators over one den or over a list of dens; and a packed case
-(lhs, rhs, params, key, bits, size), each side one int over one den. Sides
-are not necessarily in lowest terms: checkers build them straight from the
-integer numerators that polynomials, series and triangle rows store.
+shapes: an entry case (lhs, rhs, params, key), each side (nums, den), a list
+of numerators over one den; and a packed case (lhs, rhs, params, key, bits,
+size), each side one int over one den. Sides are not necessarily in lowest
+terms: checkers build them straight from the integer numerators that
+polynomials, series and triangle rows store. A side over den 0 has no value:
+its case fails at its first entry, and prints as its numerators over 0.
 
 key says what a case stands for. With key None it is one polynomial case:
 the numerators of two polynomials, the shorter padded with zeros, counted
@@ -14,10 +15,10 @@ once; a mismatch prints both sides as ``Polynomial``s. A named key makes it
 a block, the run of scalar cases j = 0, 1, ... along that index, starting
 at params[key] when params names it and at 0 otherwise; a scalar case is a
 block of one whose params hold its index. ``_compare`` cross-multiplies
-each side by the other's dens in one list and compares the lists; only when
+each side's numerators by the other's den and compares the lists; only when
 a block's lists differ does it walk to its first mismatch j, reported as
-case by case: counted, with key at its index, both sides in lowest terms. Fractions
-are built only for a counterexample. (Under ``hooks.perturb`` the
+case by case: counted, with key at its index, both sides in lowest terms.
+Fractions are built only for a counterexample. (Under ``hooks.perturb`` the
 numerators and dens may be Fractions; the comparison stays exact.)
 
 A packed side packs its entries by Kronecker substitution at X = 2**bits
@@ -299,7 +300,10 @@ def _fmt(value) -> str:
     if isinstance(value, Distribution):
         return value.spec_string()
     if isinstance(value, tuple):
-        return format_rational(Fraction(*value))
+        # a side (num, den), num an entry or a Polynomial; over den 0 it has no
+        # value and prints as num/0
+        num, den = value
+        return _fmt(num * Fraction(1, den)) if den else f"{_fmt(num)}/0"
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
     return str(value)
@@ -321,17 +325,10 @@ def _counterexample(params: dict, lhs, rhs) -> Counterexample:
     )
 
 
-def _cross(nums: list, dens) -> list:
-    # nums[j] * dens[j] for a list of dens, nums[j] * dens for one den
-    if type(dens) is list:
-        return list(map(mul, nums, dens))
-    return [num * dens for num in nums]
-
-
 def _holds(case) -> bool:
-    # a packed case: digits 0..size-1 of lp * rden - rp * lden all vanish
-    (lp, ldens), (rp, rdens), _, _, bits, size = case
-    return not (lp * rdens - rp * ldens) & ((1 << bits * size) - 1)
+    # a packed case: both dens nonzero, digits 0..size-1 of lp * rden - rp * lden all 0
+    (lp, lden), (rp, rden), _, _, bits, size = case
+    return 0 not in (lden, rden) and not (lp * rden - rp * lden) & ((1 << bits * size) - 1)
 
 
 def _compare(case) -> tuple:
@@ -341,30 +338,26 @@ def _compare(case) -> tuple:
     # counterexample prints them
     if len(case) == 6:
         # packed: digits 0..size-1 of two ints, unpacked only on a mismatch
-        (lp, ldens), (rp, rdens), params, key, bits, size = case
+        (lp, lden), (rp, rden), params, key, bits, size = case
         if _holds(case):
             return params, key, 1 if key is None else size, None
         lnums, rnums = unpack(lp, bits, size), unpack(rp, bits, size)
     else:
-        (lnums, ldens), (rnums, rdens), params, key = case
-    left, right = _cross(lnums, rdens), _cross(rnums, ldens)
+        (lnums, lden), (rnums, rden), params, key = case
+    valued = 0 not in (lden, rden)  # a side over den 0 has no value: its first case fails
+    left, right = [num * rden for num in lnums], [num * lden for num in rnums]
     if key is None:
         # one polynomial case: the shorter side padded with zeros
         pad = len(left) - len(right)
-        if left + [0] * -pad == right + [0] * pad:
+        if valued and left + [0] * -pad == right + [0] * pad:
             return params, key, 1, None
-        sides = Polynomial.from_scaled(lnums, ldens), Polynomial.from_scaled(rnums, rdens)
-        return params, key, 1, sides
-    if left == right:
+        return params, key, 1, ((Polynomial(lnums), lden), (Polynomial(rnums), rden))
+    if valued and left == right:
         return params, key, len(left), None
     if len(left) != len(right):
         raise ValueError(f"block sides differ in length: {len(left)} != {len(right)}")
-    j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-    sides = (
-        (lnums[j], ldens[j] if type(ldens) is list else ldens),
-        (rnums[j], rdens[j] if type(rdens) is list else rdens),
-    )
-    return params, key, j + 1, sides
+    j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b) if valued else 0
+    return params, key, j + 1, ((lnums[j], lden), (rnums[j], rden))
 
 
 def _tally(cases, members: dict) -> list[CheckReport]:
@@ -436,11 +429,6 @@ def _padded(p: Polynomial, size: int) -> list:
     return [*p.nums, *[0] * (size - len(p.nums))]
 
 
-def _split(pairs) -> tuple[list, list]:
-    # (num, den) pairs as one block side: their nums and their dens
-    return [num for num, _ in pairs], [den for _, den in pairs]
-
-
 def _fubini_egf_cases(series: TruncatedSeries, rows, rs, x_points, params: dict):
     # EGF coefficient n <= top of 1 / (1 - x0 B)^r against F^{(r)}_n(x0) for
     # each x0 and the orders rs = 1..R, as _run passes them, chained as the
@@ -506,23 +494,26 @@ def _members(cfg, family, defaults: tuple) -> tuple:
     return tuple(d for d in cfg.dists if isinstance(d, family)) or defaults
 
 
-def _on_one_den(rows, size: int) -> tuple[list[list[int]], int]:
-    # entries 0..size-1 of ScaledRows or Polynomials as int lists over the lcm
-    # of their dens; each row's (nums, den) is read at once
-    pairs = [(row.nums[:size], row.den) for row in rows]
+def _on_one_den(pairs, size: int | None = None) -> tuple[list[list], int]:
+    # (nums, den) pairs, each nums cut to size as it is read, as lists over
+    # the lcm of their dens; a ScaledRow or Polynomial gives (row.nums,
+    # row.den), read at once
+    pairs = [(nums[:size], den) for nums, den in pairs]
     common = math.lcm(*(den for _, den in pairs))
     return [[c * (common // den) for c in nums] for nums, den in pairs], common
 
 
 def _columns(rows, size: int) -> tuple[list, int]:
-    # _on_one_den as (columns, den): column j < size over the rows, zero-padded
-    rows, den = _on_one_den(rows, size)
+    # _on_one_den of ScaledRows or Polynomials as (columns, den): column j <
+    # size over the rows, zero-padded
+    rows, den = _on_one_den(((row.nums, row.den) for row in rows), size)
     return list(zip(*(row + [0] * (size - len(row)) for row in rows))), den
 
 
 def _fubini_rows(dist, top: int, r: int, lam) -> PackedVectors:
     # the order-r F^Y_{n,lam}, n <= top, as one table
-    return PackedVectors(*_on_one_den(prob_fubini_polys(dist, top, r, lam)[: top + 1], top + 1))
+    polys = prob_fubini_polys(dist, top, r, lam)[: top + 1]
+    return PackedVectors(*_on_one_den((p.nums, p.den) for p in polys))
 
 
 def _raw_sum_columns(dist, size: int, degree: int) -> tuple[list, int]:
@@ -565,7 +556,8 @@ def _eq6(cfg):
                 sum(c * _classical_falling(x, k) for k, c in enumerate(row.nums))
                 for x in range(n + 1)
             ]
-            lhs = _split([ff.evaluate_ratio(x) for x in range(n + 1)])
+            # at an integer x the value's den is ff.den
+            lhs = [ff.evaluate_ratio(x)[0] for x in range(n + 1)], ff.den
             yield lhs, (rhs, row.den), {"lambda": lam, "n": n}, "x"
 
 
@@ -685,7 +677,8 @@ def _eq20_gf(cfg):
 
 
 def _eq22_gf(cfg):
-    # exp(x0 B), B = E[e_lam^Y(t)] - 1, against the Bell polynomials at x0: one
+    # exp(x0 B), B = E[e_lam^Y(t)] - 1, against the Bell polynomials at x0 =
+    # a/b, sum_k [x^k]phi_n a^k b^(top-k) over b^top on their one den: one
     # block over n per x0. When x0 B(0) != 0 (under a fault of E[Y**0]),
     # exp(x0 B) has the irrational constant term e^{x0 B(0)}, so the block is
     # the one case n = 0, x0 B(0) against 0.
@@ -695,6 +688,7 @@ def _eq22_gf(cfg):
         for lam in cfg.lambdas:
             base = mgf_degenerate_series(dist, lam, top) - 1
             bells = prob_bell_polys(dist, top, lam)[: top + 1]
+            bells, bden = _on_one_den((bell.nums, bell.den) for bell in bells)
             for x0 in cfg.x_points:
                 params = {"dist": dist, "lambda": lam, "x": x0}
                 xb = base * x0
@@ -703,7 +697,9 @@ def _eq22_gf(cfg):
                     continue
                 g = xb.exp()
                 lhs = [g.nums[n] * facts[n] for n in range(top + 1)], g.den
-                rhs = _split([bell.evaluate_ratio(x0) for bell in bells])
+                a, b = ratio(x0)
+                powers = [a**k * b ** (top - k) for k in range(top + 1)]
+                rhs = [sum(map(mul, bell, powers)) for bell in bells], bden * b**top
                 yield lhs, rhs, params, "n"
 
 
@@ -713,23 +709,22 @@ _partial_bell_rows: dict[tuple[Distribution, int, int], list] = hooks.memo(defau
 
 
 def _partial_bells(cfg):
-    # (dist, lam, rows) over the grid, where B_{n,k} = nums[k] / den**k,
-    # k = 0..n, for (nums, den) = rows[n], n = 0..n_max: the partial Bell
-    # polynomials of the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1. The
-    # moments are scaled once per growth to integer numerators over one den,
-    # which each row it adds carries; every term of B_{n,k} has degree k in
-    # them, so the sum over partitions runs on the numerators.
+    # (dist, lam, rows) over the grid, where B_{n,k} = nums[k] / den, k = 0..n,
+    # for (nums, den) = rows[n], n = 0..n_max: the partial Bell polynomials of
+    # the degenerate moments E[(Y)_{i,lam}], i = 1..n-k+1. The moments are
+    # scaled once per growth to integer numerators over one d; every term of
+    # B_{n,k} has degree k in them, so the sum over partitions, d**k B_{n,k},
+    # runs on the numerators, and row n holds it times d**(n-k) over d**n.
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             rows = _partial_bell_rows[dist, lam.numerator, lam.denominator]
             if len(rows) <= cfg.n_max:
-                moments, den = scaled(
+                moments, d = scaled(
                     [degenerate_moment(dist, i, lam) for i in range(1, cfg.n_max + 2)]
                 )
-                rows.extend(
-                    ([partial_bell_numerator(n, k, moments) for k in range(n + 1)], den)
-                    for n in range(len(rows), cfg.n_max + 1)
-                )
+                for n in range(len(rows), cfg.n_max + 1):
+                    sums = [partial_bell_numerator(n, k, moments) for k in range(n + 1)]
+                    rows.append(([c * d ** (n - k) for k, c in enumerate(sums)], d**n))
             yield dist, lam, rows[: cfg.n_max + 1]
 
 
@@ -739,10 +734,9 @@ def _eq29_bell(cfg):
     # one block over k
     for dist, lam, rows in _partial_bells(cfg):
         bells = prob_bell_polys(dist, cfg.n_max, lam)
-        for n, (nums, den) in enumerate(rows):
+        for n, row in enumerate(rows):
             params = {"dist": dist, "lambda": lam, "n": n}
-            dens = [den**k for k in range(n + 1)]
-            yield (_padded(bells[n], n + 1), bells[n].den), (nums, dens), params, "k"
+            yield (_padded(bells[n], n + 1), bells[n].den), row, params, "k"
 
 
 def _thm2_3(cfg):
@@ -760,16 +754,15 @@ def _thm2_3(cfg):
 
 
 def _thm2_5(cfg):
-    # Value at 1 as a k!-weighted sum of partial Bell polynomials, on their
-    # numerators over den**n: one block over n
+    # Value at 1 as a k!-weighted sum of partial Bell polynomials: one block
+    # over n, the polynomials' coefficients and the Bell rows each on one den
+    facts = [factorial(k) for k in range(cfg.n_max + 1)]
     for dist, lam, rows in _partial_bells(cfg):
-        fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)
-        lhs = _split([fub.evaluate_ratio(1) for fub, _ in zip(fubs, rows)])
-        sums = [
-            (sum(factorial(k) * b * den ** (n - k) for k, b in enumerate(nums)), den**n)
-            for n, (nums, den) in enumerate(rows)
-        ]
-        yield lhs, _split(sums), {"dist": dist, "lambda": lam}, "n"
+        fubs = prob_fubini_polys(dist, cfg.n_max, 1, lam)[: cfg.n_max + 1]
+        fubs, fden = _on_one_den((fub.nums, fub.den) for fub in fubs)
+        bells, bden = _on_one_den(rows)
+        rhs = [sum(map(mul, facts, nums)) for nums in bells], bden
+        yield (list(map(sum, fubs)), fden), rhs, {"dist": dist, "lambda": lam}, "n"
 
 
 def _thm2_6(cfg, rs=None):
@@ -940,24 +933,24 @@ def _thm2_13(cfg, rs=None):
 
 def _thm2_14(cfg, rs=None):
     # Gamma-weight integral of order r recovers the order-r polynomial; one
-    # block over k. The integrals of x**k over (r-1)! as (nums, dens) per r.
+    # block over k. The integrals of x**k, the integers (r+k-1)!, over (r-1)!
+    # as (nums, den) per r.
     integrals = {}
     for r in _orders(cfg, rs):
         values = [gamma_weight_integral(Polynomial.monomial(k), r) for k in range(cfg.n_max + 1)]
-        integrals[r] = _split([(g.numerator, g.denominator * factorial(r - 1)) for g in values])
+        integrals[r] = [g.numerator for g in values], factorial(r - 1)
     for dist in cfg.dists:
         for lam in cfg.lambdas:
             bells = [
                 (_padded(bell, n + 1), bell.den)
                 for n, bell in enumerate(prob_bell_polys(dist, cfg.n_max, lam)[: cfg.n_max + 1])
             ]
-            for r, (gnums, gdens) in integrals.items():
+            for r, (gnums, gden) in integrals.items():
                 fubs = prob_fubini_polys(dist, cfg.n_max, r, lam)
                 for n, (bnums, bden) in enumerate(bells):
-                    lhs = list(map(mul, bnums, gnums))
-                    dens = [bden * den for den in gdens[: n + 1]]
+                    lhs = list(map(mul, bnums, gnums)), bden * gden
                     params = {"dist": dist, "lambda": lam, "r": r, "n": n}
-                    yield (lhs, dens), (_padded(fubs[n], n + 1), fubs[n].den), params, "k"
+                    yield lhs, (_padded(fubs[n], n + 1), fubs[n].den), params, "k"
 
 
 def _thm2_15(cfg, rs=None):

@@ -7,15 +7,14 @@ times and summed. Every draw comes from the standard library's
 `random.Random(seed)` (the Mersenne Twister), so a (seed, spec) pair
 reproduces the same estimate on every platform. Python promises the stream
 of `random()` across versions, not the variates its other methods derive
-from it, so the Binomial, Poisson and Gamma samplers here read `random()`
-alone.
+from it, so every sampler here reads `random()` alone.
 
 The laws drawn from a pmf table (a point mass, Binomial, Poisson below
 `PTRS_MIN_MEAN`) are drawn as the histogram of their draws, which is all the
 statistic reads: m draws from an L-cell table have a Multinomial(m, pmf)
 histogram, which L conditional binomial draws give exactly, so such a law
-costs O(L) uniforms, not O(m). A finite discrete Y uses `choices` with
-cumulative weights, which bisects one `random()` per draw into its atoms.
+costs O(L) uniforms, not O(m). A finite discrete Y bisects one `random()`
+per draw into its cumulative weights, as `choices` with `cum_weights` does.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
@@ -41,10 +41,11 @@ from .rational import as_rational
 from .record import Record
 
 MIN_SAMPLES = 1000
-# Upper bounds, checked before anything is drawn. A law drawn one sample at a
-# time (Gamma, Poisson by PTRS, a discrete sum) holds its draws as `samples`
-# float64s (80 MB at the bound); a table law holds only its histogram. A run
-# makes at most k * samples draws.
+# Upper bounds, checked before anything is drawn. Gamma and Poisson by PTRS
+# hold their draws as `samples` float64s (80 MB at the bound); a discrete sum
+# holds three such arrays while it adds a summand (`_draw_sums`: 240 MB at the
+# bound); a table law holds only its histogram. A run makes at most k * samples
+# draws.
 MAX_SAMPLES = 10**7
 MAX_DRAWS = 10**8
 # Upper bound on the degree n, checked before the exact value is computed.
@@ -368,7 +369,10 @@ def _sampler(dist, rng: random.Random):
     params = _float_parameters(dist)
     if isinstance(dist, FiniteDiscrete):
         cdf = [float(c) for c in accumulate(w for _, w in dist.atoms)]
-        return lambda m: rng.choices(params, cum_weights=cdf, k=m)
+        # the bisection of choices(params, cum_weights=cdf) on random() alone:
+        # Python does not promise the draws of choices across versions
+        total, hi, uniform = cdf[-1], len(cdf) - 1, rng.random
+        return lambda m: [params[bisect(cdf, uniform() * total, 0, hi)] for _ in repeat(None, m)]
     if isinstance(dist, Poisson):
         one = _poisson_ptrs(rng, params[0])
         return lambda m: (one() for _ in repeat(None, m))

@@ -1,5 +1,6 @@
 """Identity suite behavior on reduced grids, plus the injection hooks."""
 
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ from fubini import hooks, identities
 from fubini.combinat import factorial, lah, stirling1, stirling2_degenerate
 from fubini.distributions import Bernoulli, FiniteDiscrete, Gamma, PointMass, Poisson
 from fubini.families import degenerate_bell_poly
-from fubini.poly import Polynomial
+from fubini.poly import Polynomial, pack
 from fubini.probabilistic import sum_degenerate_row
 from fubini.identities import (
     CheckConfig,
@@ -358,35 +359,34 @@ def _block_and_cases(draw):
     # block starts at params[key] when its params name the key, else at 0
     size = draw(st.integers(1, 7))
     lnums = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
-    one_den = draw(st.booleans())
-    ldens = draw(_NONZERO) if one_den else draw(st.lists(_NONZERO, min_size=size, max_size=size))
+    lden = draw(_NONZERO)
     f = draw(_FACTOR)
-    lnums = [num * f for num in lnums]
-    ldens = ldens * f if one_den else [den * f for den in ldens]
-    lpairs = [(num, ldens if one_den else ldens[j]) for j, num in enumerate(lnums)]
-    values = [F(num) / den for num, den in lpairs]
+    lnums, lden = [num * f for num in lnums], lden * f
+    values = [F(num) / lden for num in lnums]
     if draw(st.booleans()):
-        # one den on the right: the numerators are the values times it
-        rdens = draw(_NONZERO) * draw(_FACTOR)
-        rnums = [_integral(v * rdens) for v in values]
+        # a den of its own on the right: the numerators are the values times it
+        rden = draw(_NONZERO) * draw(_FACTOR)
+        rnums = [_integral(v * rden) for v in values]
     else:
-        scales = draw(st.lists(_NONZERO, min_size=size, max_size=size))
-        rdens = [den * c for (_, den), c in zip(lpairs, scales)]
-        rnums = [num * c for (num, _), c in zip(lpairs, scales)]
+        # the left side scaled
+        c = draw(_NONZERO)
+        rnums, rden = [num * c for num in lnums], lden * c
     where = draw(st.sampled_from([None, "first", "middle", "last"]))
     if where is not None:
         first = {"first": 0, "middle": size // 2, "last": size - 1}[where]
         later = draw(st.sets(st.integers(first + 1, size - 1))) if first < size - 1 else set()
         for j in {first} | later:
             rnums[j] += draw(_NONZERO)
+    # now and then a side over den 0, which has no value
+    zero = draw(st.sampled_from(["", "", "", "left", "right", "left right"]))
+    lden, rden = (0 if "left" in zero else lden), (0 if "right" in zero else rden)
     params = {"dist": Poisson(F(3, 2)), "lambda": F(-1, 4), "n": 3}
     start = draw(st.one_of(st.none(), st.integers(0, 9)))
     named = params if start is None else {**params, "k": start}
-    block = (lnums, ldens), (rnums, rdens), named, "k"
-    rpairs = [(num, rdens if type(rdens) is not list else rdens[j]) for j, num in enumerate(rnums)]
+    block = (lnums, lden), (rnums, rden), named, "k"
     cases = [
-        _scalar(lp, rp, {**params, "k": (start or 0) + j}, "k")
-        for j, (lp, rp) in enumerate(zip(lpairs, rpairs))
+        _scalar((ln, lden), (rn, rden), {**params, "k": (start or 0) + j}, "k")
+        for j, (ln, rn) in enumerate(zip(lnums, rnums))
     ]
     return block, cases
 
@@ -403,12 +403,16 @@ def test_a_block_reports_what_its_cases_report(block_and_cases):
     lead = _scalar((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted by both
     outcome = _outcome(_tally_one(iter([lead, block])))
     assert outcome == _outcome(_tally_one(iter([lead, *cases])))
-    bad = [j for j, ((ln, ld), (rn, rd), *_) in enumerate(cases) if F(ln[0], ld) != F(rn[0], rd)]
+    bad = [
+        j
+        for j, ((ln, ld), (rn, rd), *_) in enumerate(cases)
+        if 0 in (ld, rd) or F(ln[0], ld) != F(rn[0], rd)
+    ]
     assert outcome[:2] == (("fail", bad[0] + 2) if bad else ("pass", len(cases) + 1))
 
 
 def test_a_block_mismatch_names_its_index_and_prints_reduced():
-    block = ([0, 3, 4], [1, -2, 6]), ([0, -6, 5], 4), {"n": 2}, "k"
+    block = ([0, -9, 4], 6), ([0, -6, 5], 4), {"n": 2}, "k"
     rep = _tally_one(iter([block]))
     assert rep.status == "fail" and rep.cases == 3
     assert rep.counterexample.to_dict() == {
@@ -416,6 +420,30 @@ def test_a_block_mismatch_names_its_index_and_prints_reduced():
         "lhs": "2/3",
         "rhs": "5/4",
     }
+
+
+# A side over den 0 has no value, even where the cross-multiplied sides
+# agree (both are 0): the case fails at its first entry, and each side
+# prints as its numerators over its den, building no Fraction of den 0.
+@pytest.mark.parametrize(
+    "case, shown",
+    [
+        ((([3, 4], 0), ([6, 8], 0), {"n": 2, "k": 5}, "k"), ({"n": "2", "k": "5"}, "3/0", "6/0")),
+        ((([3, 4], 0), ([1, 2], 1), {"n": 2}, "k"), ({"n": "2", "k": "0"}, "3/0", "1")),
+        ((([F(1, 2)], 2), ([F(3, 2)], F(0)), {"n": 2}, "k"), ({"n": "2", "k": "0"}, "1/4", "3/2/0")),
+        ((([1, 2], 0), ([2, 4], 0), {"n": 2}, None), ({"n": "2"}, "[1, 2]/0", "[2, 4]/0")),
+        (((pack([1, 2], 64), 1), (pack([1, 2], 64), 0), {"n": 2}, "k", 64, 2), ({"n": "2", "k": "0"}, "1", "1/0")),
+        (((pack([1, 2], 64), 0), (pack([0, 1], 64), 0), {"n": 2}, None, 64, 2), ({"n": "2"}, "[1, 2]/0", "[0, 1]/0")),
+        ((([2, 4], 2), ([0, 0], 0), {"n": 2}, None), ({"n": "2"}, "[1, 2]", "[]/0")),
+    ],
+    ids=["block", "one-side", "fraction", "polynomial", "packed-block", "packed-polynomial", "polynomial-one-side"],
+)
+def test_a_side_over_den_zero_fails_its_first_case(case, shown):
+    lead = _scalar((1, 2), F(2, 4), {"i": 0})  # a passing case before, counted
+    rep = _tally_one(iter([lead, case]))
+    assert (rep.status, rep.cases) == ("fail", 2)
+    params, lhs, rhs = shown
+    assert rep.counterexample.to_dict() == {"params": params, "lhs": lhs, "rhs": rhs}
 
 
 @pytest.mark.parametrize("start, j", [(0, 0), (4, 0), (5, 2), (1, 3)])
@@ -607,6 +635,61 @@ def test_a_fault_of_the_zeroth_moment_is_reported(dist, delta):
         assert reports[IdentityId.THM2_6].to_dict() == {
             "params": {**head, "r": "1", "n": "0"}, "lhs": "0", "rhs": "1"
         }
+
+
+# A fault that zeroes k! zeroes each den that carries it. Both sides of
+# EQ20_GF carry k!, so their cross-multiplied numerators agreed as 0 = 0 and
+# it passed; THM2_4, THM2_14 and EQ15_GF carry 0! on their left side only,
+# and the suite raised building that side's Fraction for the counterexample.
+# A side over den 0 has no value: its first case fails, printed over 0.
+@pytest.mark.parametrize("k", range(4))
+def test_a_fault_that_zeroes_a_factorial_fails_the_dens_that_carry_it(k):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    bell = {IdentityId.EQ15_GF, IdentityId.EQ29_BELL, IdentityId.THM2_5}
+    with hooks.perturb("factorial", (k,), -factorial(k)):
+        # at k > 0 the partition coefficients of EQ15_GF, EQ29_BELL and THM2_5
+        # divide by the zeroed factorial; every other identity reports
+        selected = [i for i in IdentityId if k == 0 or i not in bell]
+        reports = {r.identity: r for r in run_suite(cfg, selected)}
+    head = {"dist": "point:1", "lambda": "0"}
+    side = "1/0" if k == 0 else "0/0"  # at n = 0 both sides are 0**k over k! = 0
+    report = reports[IdentityId.EQ20_GF]
+    assert (report.status, report.cases) == ("fail", 7 * k + 1)
+    assert report.counterexample.to_dict() == {
+        "params": {**head, "k": str(k), "n": "0"}, "lhs": side, "rhs": side
+    }
+    if k == 0:
+        for identity, params in [
+            (IdentityId.THM2_4, {**head, "n": "0", "k": "0"}),
+            (IdentityId.THM2_14, {**head, "r": "1", "n": "0", "k": "0"}),
+            (IdentityId.EQ15_GF, {"draw": "0", "k": "0", "n": "0"}),
+        ]:
+            cex = reports[identity].counterexample.to_dict()
+            assert (reports[identity].status, reports[identity].cases) == ("fail", 1)
+            assert cex == {"params": params, "lhs": "1/0", "rhs": "0"}
+
+
+# Every side of every case is its numerators over one den: an int, or under
+# hooks.perturb a Fraction, and never a list of dens. 1! = 1/3 puts a
+# Fraction into the dens of EQ15_GF (at k = 1) and of THM2_14 (at r = 2).
+@pytest.mark.parametrize("fault", [None, ("factorial", (1,), F(-2, 3))], ids=["none", "factorial"])
+def test_every_case_side_is_over_one_den(fault):
+    checkers = list(dict.fromkeys(row.checker for row in identities.CATALOG.values()))
+    assert len(checkers) == 20
+    if fault is None:
+        cfg, context = small_config(), contextlib.nullcontext()
+    else:
+        cfg, context = CheckConfig(dists=default_config().dists, **_FAULT_GRID), hooks.perturb(*fault)
+    dens = set()
+    with context:
+        for checker in checkers:
+            for case in checker(cfg):
+                for nums, den in case[:2]:
+                    entries = (list, tuple) if len(case) == 4 else int
+                    assert isinstance(nums, entries), checker.__name__
+                    assert type(den) in (int, Fraction), checker.__name__
+                    dens.add(type(den))
+    assert dens == ({int} if fault is None else {int, Fraction})
 
 
 def test_the_fault_sweep_digests_the_suite_as_the_fingerprint_does():
@@ -878,9 +961,9 @@ def test_partial_bell_rows_grow_one_entry_per_dist_and_lam(monkeypatch):
     assert len(calls) - built == grids * (6 + 7)
 
     def values():
-        # B_{n,k} = nums[k] / den**k of every row
+        # B_{n,k} = nums[k] / den of every row
         return {
-            key: [[F(c, den**k) for k, c in enumerate(nums)] for nums, den in rows]
+            key: [[F(c, den) for c in nums] for nums, den in rows]
             for key, rows in table.items()
         }
 

@@ -47,6 +47,11 @@ F = Fraction
 # --- the per-case references ---
 
 
+def _one_den(pairs) -> tuple[list, int]:
+    # (num, den) pairs as one block side: their values over one den
+    return scaled([F(num, den) for num, den in pairs])
+
+
 def _ref_thm2_7(cfg):
     for dist in cfg.dists:
         for lam in cfg.lambdas:
@@ -129,7 +134,7 @@ def _ref_eq20_gf(cfg):
                     power = power * base
                 weights = identities._difference_weights(k)
                 lhs = [power.nums[n] * facts[n] for n in range(top + 1)], power.den * factorial(k)
-                rhs = identities._split([_stirling2_by_difference(m, weights) for m in moments])
+                rhs = _one_den([_stirling2_by_difference(m, weights) for m in moments])
                 yield lhs, rhs, {"dist": dist, "lambda": lam, "k": k}, "n"
 
 
@@ -141,11 +146,10 @@ def _ref_thm2_12(cfg):
         sums = identities._geometric_sums(comb, 0, identities._raw_sum_columns(dist, size, cfg.n_max))
         for lam in cfg.lambdas:
             rows = [sum_degenerate_row(dist, k, cfg.n_max, lam) for k in range(size)]
-            dens = [row.den for row in rows]
             for n in range(cfg.n_max + 1):
                 bell = degenerate_bell_poly(n, lam)
-                lhs = identities._split([bell.evaluate_ratio(k * dist.alpha) for k in range(size)])
-                rhs = [row.nums[n] for row in rows], dens
+                lhs = _one_den([bell.evaluate_ratio(k * dist.alpha) for k in range(size)])
+                rhs = _one_den([(row.nums[n], row.den) for row in rows])
                 yield lhs, rhs, {"dist": dist, "lambda": lam, "n": n}, "k"
             params = {"dist": dist, "lambda": lam}
             yield from identities._geometric_rows(dist, lam, 0, weights, sums, cfg.n_max, params)
@@ -295,7 +299,7 @@ def _egf_cases(s: TruncatedSeries, polys, x0, facts: list[int], params: dict):
     # EGF coefficient n of the series s against polys[n] at x0: one block over
     # n = 0, 1, ...
     lhs = [s.nums[n] * facts[n] for n in range(len(polys))]
-    rhs = identities._split([poly.evaluate_ratio(x0) for poly in polys])
+    rhs = _one_den([poly.evaluate_ratio(x0) for poly in polys])
     yield (lhs, s.den), rhs, params, "n"
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: determinism, the laws of the samplers, exact
 degenerate cases, z-scores."""
 
+import bisect
 import math
 import random
 import statistics
@@ -319,6 +320,19 @@ def test_gamma_draws_read_random_alone():
     rng = SimpleNamespace(random=random.Random(5).random)
     for shape in (F(1, 3), F(9, 2)):
         assert len(_sampler(Gamma(shape, 2), rng)(1000)) == 1000
+
+
+def test_discrete_draws_bisect_random_alone():
+    # a generator with random() and nothing else: each draw bisects one
+    # random() into the cumulative weights, as choices does with cum_weights
+    atoms = ((F(-2), F(1, 7)), (F(0), F(1, 6)), (F(1), F(1, 2)), (F(3), F(4, 21)))
+    values = [-2.0, 0.0, 1.0, 3.0]
+    cdf = [float(sum(w for _, w in atoms[: i + 1])) for i in range(len(atoms))]
+    rng = SimpleNamespace(random=random.Random(11).random)
+    drawn = list(_sampler(FiniteDiscrete(atoms), rng)(5000))
+    uniform = random.Random(11).random
+    assert drawn == [values[bisect.bisect(cdf, uniform() * cdf[-1], 0, 3)] for _ in range(5000)]
+    assert set(drawn) == set(values)
 
 
 @pytest.fixture
