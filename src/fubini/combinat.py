@@ -209,7 +209,8 @@ def _partition_multiplicities(n: int, k: int, part: int):
 # The terms of B_{n,k} per (n, k), one per multiplicity vector: the
 # coefficient n! / prod(l_i! (i!)**l_i) and the pairs (i - 1, l_i), i - 1
 # indexing x_i in xs. The coefficients are read through factorial, so under
-# hooks.perturb they may be Fractions.
+# hooks.perturb they may be Fractions, or None where a zeroed factorial makes
+# the divisor 0: such a coefficient has no value.
 _bell_terms: dict[tuple[int, int], list[tuple]] = hooks.memo({})
 
 
@@ -222,7 +223,9 @@ def _partial_bell_terms(n: int, k: int) -> list[tuple]:
             for size, count in mult:
                 div *= factorial(count) * factorial(size) ** count
             coef = factorial(n)
-            if type(coef) is int and type(div) is int:
+            if not div:
+                coef = None
+            elif type(coef) is int and type(div) is int:
                 coef //= div
             else:
                 coef = Fraction(coef) / div
@@ -246,17 +249,23 @@ def partial_bell(n: int, k: int, xs) -> Fraction:
     if n > 0 and len(xs) < n - k + 1:
         raise ValueError(f"partial_bell(n={n}, k={k}) needs {n - k + 1} arguments")
     nums, den = scaled(xs[: n - k + 1])
-    return Fraction(partial_bell_numerator(n, k, nums), den**k)
+    num = partial_bell_numerator(n, k, nums)
+    if num is None:
+        raise ZeroDivisionError(f"B_{{{n},{k}}} has a partition coefficient over 0")
+    return Fraction(num, den**k)
 
 
 def partial_bell_numerator(n: int, k: int, nums) -> int:
     """d**k B_{n,k}(x_1, x_2, ...) for x_i = nums[i - 1] / d, any d != 0.
 
     The sum over partitions on the integer numerators alone; under
-    hooks.perturb its coefficients, and so the result, may be Fractions.
+    hooks.perturb its coefficients, and so the result, may be Fractions, and
+    it is None where a coefficient has no value.
     """
     total = 0
     for coef, mult in _partial_bell_terms(n, k):
+        if coef is None:
+            return None
         for i, count in mult:
             coef *= nums[i] ** count
         total += coef

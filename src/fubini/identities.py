@@ -130,7 +130,6 @@ from .combinat import (
     falling_factorial_polys,
     lah,
     order_weights,
-    partial_bell,
     partial_bell_numerator,
     stirling1,
     stirling2_degenerate_row,
@@ -496,11 +495,17 @@ def _members(cfg, family, defaults: tuple) -> tuple:
 
 def _on_one_den(pairs, size: int | None = None) -> tuple[list[list], int]:
     # (nums, den) pairs, each nums cut to size as it is read, as lists over
-    # the lcm of their dens; a ScaledRow or Polynomial gives (row.nums,
-    # row.den), read at once
+    # the lcm of their dens (0, the numerators as they are, if one den is 0); a
+    # ScaledRow or Polynomial gives (row.nums, row.den), read at once
     pairs = [(nums[:size], den) for nums, den in pairs]
     common = math.lcm(*(den for _, den in pairs))
-    return [[c * (common // den) for c in nums] for nums, den in pairs], common
+    return [[c * (common // den if common else 1) for c in nums] for nums, den in pairs], common
+
+
+def _bell_side(bells: list, den) -> tuple[list, int]:
+    # partial Bell numerators over den; one with no value (None) puts the side
+    # over den 0, with 0 in its place
+    return ([0 if c is None else c for c in bells], 0) if None in bells else (bells, den)
 
 
 def _columns(rows, size: int) -> tuple[list, int]:
@@ -604,16 +609,17 @@ def _eq15_gf(cfg):
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for _ in range(order + 1)
         ]
+        nums, d = scaled(xs)
         series = TruncatedSeries.from_egf([Fraction(0)] + xs[:order])
         power = TruncatedSeries.one(order)
         for k in range(min(5, cfg.n_max) + 1):
             # the powers stop at the last k
             if k:
                 power = power * series
-            # one block over n = k..n_max
+            # one block over n = k..n_max, each B_{n,k} its numerator over d**k
             lhs = [power.nums[n] * facts[n] for n in range(k, order + 1)], power.den * factorial(k)
-            rhs = scaled([partial_bell(n, k, xs[: n - k + 1]) for n in range(k, order + 1)])
-            yield lhs, rhs, {"draw": draw, "k": k, "n": k}, "n"
+            bells = [partial_bell_numerator(n, k, nums) for n in range(k, order + 1)]
+            yield lhs, _bell_side(bells, d**k), {"draw": draw, "k": k, "n": k}, "n"
 
 
 def _eq19_inv(cfg):
@@ -724,7 +730,9 @@ def _partial_bells(cfg):
                 )
                 for n in range(len(rows), cfg.n_max + 1):
                     sums = [partial_bell_numerator(n, k, moments) for k in range(n + 1)]
-                    rows.append(([c * d ** (n - k) for k, c in enumerate(sums)], d**n))
+                    if None not in sums:
+                        sums = [c * d ** (n - k) for k, c in enumerate(sums)]
+                    rows.append(_bell_side(sums, d**n))
             yield dist, lam, rows[: cfg.n_max + 1]
 
 

@@ -9,12 +9,13 @@ reproduces the same estimate on every platform. Python promises the stream
 of `random()` across versions, not the variates its other methods derive
 from it, so every sampler here reads `random()` alone.
 
-The laws drawn from a pmf table (a point mass, Binomial, Poisson below
-`PTRS_MIN_MEAN`) are drawn as the histogram of their draws, which is all the
-statistic reads: m draws from an L-cell table have a Multinomial(m, pmf)
-histogram, which L conditional binomial draws give exactly, so such a law
-costs O(L) uniforms, not O(m). A finite discrete Y bisects one `random()`
-per draw into its cumulative weights, as `choices` with `cum_weights` does.
+One function, `_drawing`, says how each law is drawn. A law with a pmf table
+(a point mass, Binomial, Poisson below `PTRS_MIN_MEAN`) is drawn as the
+histogram of its draws, which is all the statistic reads: m draws from an
+L-cell table have a Multinomial(m, pmf) histogram, which L conditional
+binomial draws give exactly, so such a law costs O(L) uniforms, not O(m).
+The others have samplers: Poisson by PTRS and a finite discrete Y, whose
+draws repeat and are counted into histograms, and Gamma, whose draws do not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from array import array
 from bisect import bisect
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
 
@@ -43,9 +45,9 @@ from .record import Record
 MIN_SAMPLES = 1000
 # Upper bounds, checked before anything is drawn. Gamma and Poisson by PTRS
 # hold their draws as `samples` float64s (80 MB at the bound); a discrete sum
-# holds three such arrays while it adds a summand (`_draw_sums`: 240 MB at the
-# bound); a table law holds only its histogram. A run makes at most k * samples
-# draws.
+# holds two such arrays while it adds a summand (`_sum_groups`: 160 MB at the
+# bound; a whole CLI run peaked at 171 MB resident); a table law holds only its
+# histogram. A run makes at most k * samples draws.
 MAX_SAMPLES = 10**7
 MAX_DRAWS = 10**8
 # Upper bound on the degree n, checked before the exact value is computed.
@@ -165,23 +167,6 @@ def _poisson_cells(mean: Fraction) -> tuple[int, list[float]]:
     )
 
 
-def _table(law) -> tuple[list[float], list[float]] | None:
-    """(values, pmf) of a law drawn from a table: a point mass, Bernoulli,
-    Binomial, or Poisson below PTRS_MIN_MEAN. None for the laws drawn one
-    sample at a time."""
-    if isinstance(law, PointMass):
-        return [_float(law.value, "value")], [1.0]
-    if isinstance(law, Bernoulli):
-        law = _Binomial(1, law.p)
-    if isinstance(law, _Binomial):
-        lo, pmf = _binomial_cells(law.k, law.p)
-    elif isinstance(law, Poisson) and _float(law.alpha, "alpha") < PTRS_MIN_MEAN:
-        lo, pmf = _poisson_cells(law.alpha)
-    else:
-        return None
-    return [float(j) for j in range(lo, lo + len(pmf))], pmf
-
-
 def _binomial(rng: random.Random, n: int, p: float) -> int:
     """One Binomial(n, p) draw, 0 <= p <= 1, from rng.random() alone, by the
     pair of methods that CPython 3.12's `random.binomialvariate` uses. A p
@@ -257,10 +242,10 @@ def _histogram(table, size: int, rng: random.Random) -> tuple[list[float], list[
 
 
 def _poisson_ptrs(rng: random.Random, mean: float):
-    """A function making one Poisson(mean) draw, for mean >= 10, by Hormann's
-    transformed rejection with squeeze (PTRS, 1993); a draw costs at most
-    about 1.35 pairs of uniforms (1.33 at mean 10, 1.12 at mean 10**10), so
-    it is for means whose pmf table would be long."""
+    """A function m -> a list of m Poisson(mean) draws, mean >= 10, by
+    Hormann's transformed rejection with squeeze (PTRS, 1993); a draw costs
+    at most about 1.35 pairs of uniforms (1.33 at mean 10, 1.12 at mean
+    10**10), so it is for means whose pmf table would be long."""
     slam, loglam = math.sqrt(mean), math.log(mean)
     b = 0.931 + 2.53 * slam
     a = -0.059 + 0.02483 * b
@@ -268,8 +253,9 @@ def _poisson_ptrs(rng: random.Random, mean: float):
     vr = 0.9277 - 3.6224 / (b - 2)
     uniform = rng.random
 
-    def one() -> int:
-        while True:
+    def sample(m: int) -> list[int]:
+        xs = []
+        while len(xs) < m:
             u = uniform() - 0.5
             v = 1.0 - uniform()  # in (0, 1], so log(v) is finite
             us = 0.5 - abs(u)
@@ -277,15 +263,15 @@ def _poisson_ptrs(rng: random.Random, mean: float):
             if us < 0.013 and v > us:
                 continue
             x = math.floor((2 * a / us + b) * u + mean + 0.43)
-            if us >= 0.07 and v <= vr:
-                return x
-            if x >= 0 and (
-                math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
+            if (us >= 0.07 and v <= vr) or (
+                x >= 0
+                and math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
                 <= -mean + x * loglam - math.lgamma(x + 1)
             ):
-                return x
+                xs.append(x)
+        return xs
 
-    return one
+    return sample
 
 
 def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
@@ -294,7 +280,9 @@ def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
     variables", ACM TOMS 26(3), 2000): d v with v = (1 + c x)^3 for a normal
     x, accepted by their squeeze or by the log test. The normals come in
     pairs by Box-Muller. A shape below 1 is drawn at shape + 1 and each draw
-    multiplied by U^(1/shape)."""
+    multiplied by U^(1/shape). A shape below the float range (0.0) draws 0.0."""
+    if shape == 0:
+        return lambda m: [0.0] * m
     boost = shape < 1
     d = (shape + 1 if boost else shape) - 1 / 3
     c, power = 1 / math.sqrt(9 * d), 1 / shape
@@ -302,8 +290,8 @@ def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
     log, sqrt, cos, sin, tau = math.log, math.sqrt, math.cos, math.sin, math.tau
 
     def sample(m: int) -> list[float]:
-        vs = []
-        while len(vs) < m:
+        xs = []
+        while len(xs) < m:
             # 1 - random() lies in (0, 1], so its log is finite
             r = sqrt(-2.0 * log(1.0 - uniform()))
             t = tau * uniform()
@@ -315,12 +303,12 @@ def _gamma_marsaglia_tsang(rng: random.Random, shape: float, scale: float):
                 u = 1.0 - uniform()
                 xx = x * x
                 if u < 1.0 - 0.0331 * xx * xx or log(u) < 0.5 * xx + d * (1.0 - v + log(v)):
-                    vs.append(v)
+                    xs.append(v if boost else d * v * scale)
         # the second normal of the last pair may be left over
-        del vs[m:]
+        del xs[m:]
         if boost:
-            return [d * v * uniform() ** power * scale for v in vs]
-        return [d * v * scale for v in vs]
+            return [d * v * uniform() ** power * scale for v in xs]
+        return xs
 
     return sample
 
@@ -346,73 +334,60 @@ def _float(value: Fraction, name: str, of="the law of S_k", *, underflow: bool =
     return result
 
 
-def _float_parameters(dist) -> list[float]:
-    """The parameters the sampler of dist reads, as floats: the point mass,
-    the atoms, the Poisson mean, or the Gamma shape and scale 1/beta (a
-    scale of 0.0 would make every draw 0.0). None for a Binomial, whose
-    table is built from its exact p."""
-    if isinstance(dist, PointMass):
-        return [_float(dist.value, "value")]
-    if isinstance(dist, FiniteDiscrete):
-        return [_float(v, "atom") for v, _ in dist.atoms]
-    if isinstance(dist, Poisson):
-        return [_float(dist.alpha, "alpha")]
-    if isinstance(dist, Gamma):
-        return [_float(dist.alpha, "alpha"), _float(1 / dist.beta, "beta", underflow=False)]
-    return []
+def _bisection(rng: random.Random, values: list[float], cdf: list[float]):
+    # m -> m draws of values, by the bisection of choices(values,
+    # cum_weights=cdf) on random() alone: Python does not promise the draws
+    # of choices across versions
+    total, hi, uniform = cdf[-1], len(cdf) - 1, rng.random
+    return lambda m: [values[bisect(cdf, uniform() * total, 0, hi)] for _ in repeat(None, m)]
 
 
-def _sampler(dist, rng: random.Random):
-    """A function m -> an iterable of m iid draws of dist, for the laws
-    drawn one sample at a time: a finite discrete Y, Poisson from
-    PTRS_MIN_MEAN on, and Gamma."""
-    params = _float_parameters(dist)
-    if isinstance(dist, FiniteDiscrete):
-        cdf = [float(c) for c in accumulate(w for _, w in dist.atoms)]
-        # the bisection of choices(params, cum_weights=cdf) on random() alone:
-        # Python does not promise the draws of choices across versions
-        total, hi, uniform = cdf[-1], len(cdf) - 1, rng.random
-        return lambda m: [params[bisect(cdf, uniform() * total, 0, hi)] for _ in repeat(None, m)]
-    if isinstance(dist, Poisson):
-        one = _poisson_ptrs(rng, params[0])
-        return lambda m: (one() for _ in repeat(None, m))
-    if isinstance(dist, Gamma):
-        shape, scale = params
-        if shape == 0:
-            # a shape below the float range: every draw rounds to 0.0
-            return lambda m: repeat(0.0, m)
-        return _gamma_marsaglia_tsang(rng, shape, scale)
-    raise TypeError(f"no sampler for distribution type {type(dist).__name__}")
+# How a law is drawn: from a pmf table (values, pmf), or by a sampler, rng ->
+# (m -> a list of m draws), whose draws may repeat.
+_Drawing = namedtuple("_Drawing", "table sampler repeats", defaults=(None, None, True))
+
+
+def _drawing(law) -> _Drawing:
+    """How `law` is drawn. FloatRangeError names a float parameter the draws
+    read that lies beyond the float range: "value", "atom", "alpha", or
+    "beta" for the Gamma scale 1/beta, which may not round to 0.0 either."""
+    if isinstance(law, PointMass):
+        return _Drawing(table=([_float(law.value, "value")], [1.0]))
+    if isinstance(law, FiniteDiscrete):
+        values = [_float(v, "atom") for v, _ in law.atoms]
+        cdf = [float(c) for c in accumulate(w for _, w in law.atoms)]
+        return _Drawing(sampler=partial(_bisection, values=values, cdf=cdf))
+    if isinstance(law, Gamma):
+        shape, scale = _float(law.alpha, "alpha"), _float(1 / law.beta, "beta", underflow=False)
+        sampler = partial(_gamma_marsaglia_tsang, shape=shape, scale=scale)
+        return _Drawing(sampler=sampler, repeats=False)
+    if isinstance(law, Bernoulli):
+        law = _Binomial(1, law.p)
+    if isinstance(law, _Binomial):
+        lo, pmf = _binomial_cells(law.k, law.p)
+    elif isinstance(law, Poisson):
+        mean = _float(law.alpha, "alpha")
+        if mean >= PTRS_MIN_MEAN:
+            return _Drawing(sampler=partial(_poisson_ptrs, mean=mean))
+        lo, pmf = _poisson_cells(law.alpha)
+    else:
+        raise TypeError(f"no drawing for distribution type {type(law).__name__}")
+    return _Drawing(table=([float(j) for j in range(lo, lo + len(pmf))], pmf))
 
 
 def draw(dist: Distribution | _Binomial, size: int, seed: int) -> array:
     """`size` iid draws of dist from random.Random(seed), as an array of
-    float64. A law drawn from a table (a point mass, Bernoulli, Binomial,
-    Poisson below PTRS_MIN_MEAN) is drawn as its histogram, which comes back
-    expanded in increasing order of value; the other laws come in the order
-    drawn."""
+    float64. A law with a pmf table is drawn as its histogram, which comes
+    back expanded in increasing order of value; a law with a sampler comes
+    in the order drawn."""
     rng = random.Random(seed)
-    table = _table(dist)
-    if table is not None:
-        values, counts = _histogram(table, size, rng)
+    drawing = _drawing(dist)
+    if drawing.table is not None:
+        values, counts = _histogram(drawing.table, size, rng)
         return array("d", chain.from_iterable(map(repeat, values, counts)))
-    sample = _sampler(dist, rng)
-    out = array("d")
-    for start in range(0, size, CHUNK):
-        out.extend(sample(min(CHUNK, size - start)))
-    return out
-
-
-def _draw_sums(dist: Distribution, k: int, samples: int, seed: int) -> array:
-    """`samples` draws of S_k: one `draw` of its law, or k draws of Y summed."""
-    law = _sum_law(dist, k)
-    if law is not None:
-        return draw(law, samples, seed)
-    sums = array("d", bytes(8 * samples))
-    for j in range(k):
-        # stream split: one independent substream per summand
-        sums = array("d", map(add, sums, draw(dist, samples, seed * 1_000_003 + j)))
-    return sums
+    sample = drawing.sampler(rng)
+    chunks = (sample(min(CHUNK, size - start)) for start in range(0, size, CHUNK))
+    return array("d", chain.from_iterable(chunks))
 
 
 def _histograms(chunks):
@@ -428,25 +403,30 @@ def _histograms(chunks):
         yield list(hist), list(hist.values())
 
 
-def _sum_groups(dist: Distribution, k: int, samples: int, seed: int):
+def _sum_groups(dist: Distribution, k: int, law, drawing: _Drawing, samples: int, seed: int):
     """`samples` draws of S_k as groups (values, counts): counts[i] draws
-    equal to values[i], or one draw per value where counts is None.
+    equal to values[i], or one draw per value where counts is None. law is
+    `_sum_law(dist, k)`, drawn as drawing says (where law is None, dist is).
 
     A table law gives one histogram, drawn directly from random.Random(seed).
-    The other laws are drawn by `_draw_sums` and taken CHUNK draws at a time:
-    Gamma draws as they are, since they do not repeat and a histogram would
-    only copy them, and the others (Poisson by PTRS, a discrete sum) counted
-    into histograms.
+    Another law is drawn by one `draw`; a discrete sum by k, one substream per
+    summand, each added into the first a CHUNK at a time, so that at most two
+    arrays of draws are alive. The draws are taken CHUNK at a time, counted
+    into histograms where they repeat and as they are where they do not.
     """
-    law = _sum_law(dist, k)
-    table = _table(law)
-    if table is not None:
-        return [_histogram(table, samples, random.Random(seed))]
-    draws = _draw_sums(dist, k, samples, seed)
-    chunks = (draws[start : start + CHUNK] for start in range(0, samples, CHUNK))
-    if isinstance(law, Gamma):
-        return ((chunk, None) for chunk in chunks)
-    return _histograms(chunks)
+    if drawing.table is not None:
+        return [_histogram(drawing.table, samples, random.Random(seed))]
+    parts = [slice(start, start + CHUNK) for start in range(0, samples, CHUNK)]
+    if law is None:
+        draws = draw(dist, samples, seed * 1_000_003)
+        for j in range(1, k):
+            summand = draw(dist, samples, seed * 1_000_003 + j)
+            for part in parts:
+                draws[part] = array("d", map(add, draws[part], summand[part]))
+    else:
+        draws = draw(law, samples, seed)
+    chunks = (draws[part] for part in parts)
+    return _histograms(chunks) if drawing.repeats else ((chunk, None) for chunk in chunks)
 
 
 def _histogram_moments(stats: list[float], counts: list[int] | None) -> tuple[int, float, float]:
@@ -463,8 +443,8 @@ def _histogram_moments(stats: list[float], counts: list[int] | None) -> tuple[in
         raise FloatingPointError("overflow in the mean of the statistic")
     try:
         mean = math.fsum(weighted) / size
-        devs = list(map(sub, stats, repeat(mean)))
-        squares = map(mul, devs, devs)
+        # each deviation computed twice, so no list of them is built
+        squares = map(mul, map(sub, stats, repeat(mean)), map(sub, stats, repeat(mean)))
         return size, mean, math.fsum(squares if counts is None else map(mul, counts, squares))
     except OverflowError:
         raise FloatingPointError("overflow in the spread of the statistic") from None
@@ -485,10 +465,11 @@ def _mean_and_stderr(groups, n: int, lam: float) -> tuple[float, float]:
     shifts = [j * lam for j in range(n)]
     count, mean, m2 = 0, 0.0, 0.0
     for values, counts in groups:
-        # the first factor is t - 0 * lam = t itself
-        stats = list(values) if n else [1.0] * len(values)
+        # t (t - lam) (t - 2 lam) ... (t - 0 lam is t), left to right, lazily
+        stats = values if n else repeat(1.0, len(values))
         for shift in shifts[1:]:
-            stats = list(map(mul, stats, map(sub, values, repeat(shift))))
+            stats = map(mul, stats, map(sub, values, repeat(shift)))
+        stats = list(stats)
         if not all(map(math.isfinite, stats)):
             raise FloatingPointError("overflow in the statistic")
         size, h_mean, h_m2 = _histogram_moments(stats, counts)
@@ -510,9 +491,8 @@ def estimate_sum_moment(
 
     S_k is drawn `samples` times from its law (a table law as one histogram
     of its draws), or for a finite discrete Y as the sum of k draws of Y with
-    seeds derived from `seed`. The
-    z-score uses the sample standard error with one degree of freedom
-    removed. A statistic equal in every replicate has stderr 0 and no
+    seeds derived from `seed`. The z-score uses the sample standard error
+    with one degree of freedom removed. A statistic equal in every replicate has stderr 0 and no
     z-score. MIN_SAMPLES <= samples <= MAX_SAMPLES, k * samples <= MAX_DRAWS
     and n <= MAX_DEGREE, checked before anything is computed.
 
@@ -539,12 +519,13 @@ def estimate_sum_moment(
     law = _sum_law(dist, k)
     # a parameter beyond the float range is refused before the exact value,
     # whose size the degree n drives
-    _float_parameters(dist if law is None else law)
+    drawing = _drawing(dist if law is None else law)
     lam_float = _float(lam, "lambda", "(x)_{n,lambda}")
     exact = sum_degenerate_moment(dist, k, n, lam)
     exact_float = float(exact)
 
-    estimate, stderr = _mean_and_stderr(_sum_groups(dist, k, samples, seed), n, lam_float)
+    groups = _sum_groups(dist, k, law, drawing, samples, seed)
+    estimate, stderr = _mean_and_stderr(groups, n, lam_float)
     zscore = None if stderr == 0 else (estimate - exact_float) / stderr
     return MCResult(
         estimate=estimate,

@@ -645,12 +645,8 @@ def test_a_fault_of_the_zeroth_moment_is_reported(dist, delta):
 @pytest.mark.parametrize("k", range(4))
 def test_a_fault_that_zeroes_a_factorial_fails_the_dens_that_carry_it(k):
     cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
-    bell = {IdentityId.EQ15_GF, IdentityId.EQ29_BELL, IdentityId.THM2_5}
     with hooks.perturb("factorial", (k,), -factorial(k)):
-        # at k > 0 the partition coefficients of EQ15_GF, EQ29_BELL and THM2_5
-        # divide by the zeroed factorial; every other identity reports
-        selected = [i for i in IdentityId if k == 0 or i not in bell]
-        reports = {r.identity: r for r in run_suite(cfg, selected)}
+        reports = {r.identity: r for r in run_suite(cfg)}
     head = {"dist": "point:1", "lambda": "0"}
     side = "1/0" if k == 0 else "0/0"  # at n = 0 both sides are 0**k over k! = 0
     report = reports[IdentityId.EQ20_GF]
@@ -667,6 +663,35 @@ def test_a_fault_that_zeroes_a_factorial_fails_the_dens_that_carry_it(k):
             cex = reports[identity].counterexample.to_dict()
             assert (reports[identity].status, reports[identity].cases) == ("fail", 1)
             assert cex == {"params": params, "lhs": "1/0", "rhs": "0"}
+
+
+# A fault that zeroes k!, 1 <= k <= 5 = n_max, zeroes the divisor of a
+# partition coefficient of B_{k,1} = k! / k! x_k. That coefficient has no
+# value, so each partial Bell side that reads it is over den 0 and fails at
+# its first case: EQ15_GF's block k = 1 (at k = 1 its first entry, B_{1,1},
+# is the one with no value, printed as 0), EQ29_BELL's row n = k and THM2_5's
+# one block. The suite raised ZeroDivisionError building the coefficient; 0!,
+# 6! and 7! divide no coefficient of the grid.
+@pytest.mark.parametrize("k", range(8))
+def test_a_zeroed_factorial_puts_the_partial_bell_sides_over_zero(k):
+    cfg = CheckConfig(dists=default_config().dists, **_FAULT_GRID)
+    with hooks.perturb("factorial", (k,), -factorial(k)):
+        reports = {r.identity: r for r in run_suite(cfg)}
+    assert len(reports) == 28
+    head = {"dist": "point:1", "lambda": "0"}
+    bell = {
+        IdentityId.EQ15_GF: ({"draw": "0", "k": "1", "n": "1"}, "0/0" if k == 1 else "15/0"),
+        IdentityId.EQ29_BELL: ({**head, "n": str(k), "k": "0"}, "0/0"),
+        IdentityId.THM2_5: ({**head, "n": "0"}, "1/0"),
+    }
+    for identity, (params, rhs) in bell.items():
+        report = reports[identity]
+        if 1 <= k <= 5:
+            cex = report.counterexample.to_dict()
+            assert report.status == "fail"
+            assert (cex["params"], cex["rhs"]) == (params, rhs)
+        elif k > 5:
+            assert report.status == "pass"
 
 
 # Every side of every case is its numerators over one den: an int, or under

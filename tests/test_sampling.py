@@ -8,6 +8,7 @@ import statistics
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -31,15 +32,14 @@ from fubini.sampling import (
     _binomial,
     _binomial_cells,
     _Binomial,
-    _draw_sums,
+    _drawing,
     _histogram,
     _histograms,
     _mean_and_stderr,
     _poisson_cells,
     _poisson_ptrs,
-    _sampler,
+    _sum_groups,
     _sum_law,
-    _table,
     draw,
     estimate_sum_moment,
 )
@@ -151,7 +151,14 @@ def _sum_law_moments(dist, k):
     ids=lambda v: str(v),
 )
 def test_sum_draws_follow_the_law_of_s_k(dist, k):
-    xs = _draw_sums(dist, k, LAW_DRAWS, seed=2024)
+    law = _sum_law(dist, k)
+    groups = _sum_groups(dist, k, law, _drawing(dist if law is None else law), LAW_DRAWS, 2024)
+    # the draws the groups stand for: counts[i] of values[i], or each value once
+    xs = [
+        x
+        for values, counts in groups
+        for x in (values if counts is None else chain.from_iterable(map(repeat, values, counts)))
+    ]
     assert len(xs) == LAW_DRAWS
     mean, var, mu4 = _sum_law_moments(dist, k)
     if var == 0:
@@ -232,7 +239,7 @@ def test_draws_pass_a_chi_square_against_the_pmf(law, pmf):
     # the groups the estimate reads: a table law's histogram, drawn at the
     # largest sample count, where the test is the most sensitive; PTRS
     # draws counted
-    table = _table(law)
+    table = _drawing(law).table
     if table is None:
         groups = _histograms([draw(law, LAW_DRAWS, 78)])
     else:
@@ -269,8 +276,7 @@ def test_binomial_degenerate_laws_draw_their_one_value(n, p, value):
 def test_draw_takes_ptrs_from_the_cutoff_on():
     # below it the same draw would be the histogram of a pmf table
     rng = SimpleNamespace(random=random.Random(79).random)
-    one = _poisson_ptrs(rng, PTRS_MIN_MEAN + 0.5)
-    ptrs = array("d", (one() for _ in range(1000)))
+    ptrs = array("d", _poisson_ptrs(rng, PTRS_MIN_MEAN + 0.5)(1000))
     assert draw(Poisson(PTRS_MIN_MEAN + F(1, 2)), 1000, 79) == ptrs
     assert draw(Poisson(PTRS_MIN_MEAN - F(1, 2)), 1000, 79) != ptrs
 
@@ -319,7 +325,7 @@ def test_binomial_table_keeps_only_its_mass(k, p):
 def test_gamma_draws_read_random_alone():
     rng = SimpleNamespace(random=random.Random(5).random)
     for shape in (F(1, 3), F(9, 2)):
-        assert len(_sampler(Gamma(shape, 2), rng)(1000)) == 1000
+        assert len(_drawing(Gamma(shape, 2)).sampler(rng)(1000)) == 1000
 
 
 def test_discrete_draws_bisect_random_alone():
@@ -329,7 +335,7 @@ def test_discrete_draws_bisect_random_alone():
     values = [-2.0, 0.0, 1.0, 3.0]
     cdf = [float(sum(w for _, w in atoms[: i + 1])) for i in range(len(atoms))]
     rng = SimpleNamespace(random=random.Random(11).random)
-    drawn = list(_sampler(FiniteDiscrete(atoms), rng)(5000))
+    drawn = _drawing(FiniteDiscrete(atoms)).sampler(rng)(5000)
     uniform = random.Random(11).random
     assert drawn == [values[bisect.bisect(cdf, uniform() * cdf[-1], 0, 3)] for _ in range(5000)]
     assert set(drawn) == set(values)
@@ -374,7 +380,7 @@ def histogram_calls(monkeypatch):
 def test_estimate_draws_s_k_once_from_its_law(draw_calls, histogram_calls, dist, law):
     assert _sum_law(dist, 5) == law
     estimate_sum_moment(dist, 5, 2, F(1, 2), 1000, seed=3)
-    table = _table(law)
+    table = _drawing(law).table
     if table is None:
         assert draw_calls == [(law, 1000, 3)] and histogram_calls == []
     else:
@@ -388,6 +394,20 @@ def test_estimate_draws_a_finite_discrete_sum_summand_by_summand(draw_calls):
     assert _sum_law(DISCRETE, 3) is None
     estimate_sum_moment(DISCRETE, 3, 2, F(1, 2), 1000, seed=3)
     assert draw_calls == [(DISCRETE, 1000, 3 * 1_000_003 + j) for j in range(3)]
+
+
+def test_a_discrete_sum_adds_its_summands_in_order():
+    # the summands' draws added left to right, across more than one chunk;
+    # atoms that floats do not hold exactly make the order show
+    dist = FiniteDiscrete(((F(1, 3), F(1, 2)), (F(5, 7), F(1, 3)), (F(1, 10), F(1, 6))))
+    k, samples, seed = 3, CHUNK + 5000, 4
+    summands = [draw(dist, samples, seed * 1_000_003 + j) for j in range(k)]
+    sums = Counter((a + b) + c for a, b, c in zip(*summands))
+    groups = _sum_groups(dist, k, None, _drawing(dist), samples, seed)
+    drawn = Counter()
+    for values, counts in groups:
+        drawn.update(dict(zip(values, counts)))
+    assert drawn == sums
 
 
 def test_zscores_reasonable_across_dists():
@@ -437,7 +457,7 @@ def test_table_law_estimate_reads_o_table_uniforms(monkeypatch, dist, k):
     monkeypatch.setattr("fubini.sampling.random", SimpleNamespace(Random=CountingRandom))
     res = estimate_sum_moment(dist, k, 2, F(1, 2), MAX_SAMPLES, seed=9)
     assert res.samples == MAX_SAMPLES and abs(res.zscore) < 5
-    cells = len(_table(_sum_law(dist, k))[1])
+    cells = len(_drawing(_sum_law(dist, k)).table[1])
     assert 0 < uniforms <= 12 * cells, (uniforms, cells)
 
 
